@@ -21,29 +21,27 @@ Projections always return lines in the fixed primal coordinate order
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DegenerateInput, FocalPoint, IllConditioned,
                      InvalidSlit, DegenerateCubic, UnsupportedOrder)
-from .numeric import (as_float, binary_eval, binary_roots, compound2,
-                      is_exact, norm, unitize, vec)
+from .numeric import (DEFAULT_TOL, as_float, binary_eval, binary_roots,
+                      compound2, is_exact, norm, unitize, vec)
 from .plucker import (dual_line, incidence, line_from_planes,
                       line_from_points, plucker_quadric, primal_matrix,
-                      point_line_residual, line_residual)
+                      point_line_residual, line_residual, wedge)
 
 __all__ = [
     "Pinhole", "TwoSlit", "Pushbroom", "TwistedCubic", "Type3", "Type4",
-    "PanoramicNC", "PanoramicStereo", "ImplicitCongruence",
-    "RationalCurve", "project", "bidegree", "focal_residual",
-    "congruence_residual", "line_meets_curve", "line_curve_residual",
-    "point_curve_residual", "sum_of_two_cubes", "secant_quadrics",
-    "secant_system", "pushbroom_infinity_slit", "camera_from_payload",
-    "reference_type3", "reference_type4",
+    "PanoramicNC", "PanoramicStereo", "RationalCurve", "project", "bidegree",
+    "focal_residual", "congruence_residual", "line_meets_curve",
+    "line_curve_residual", "point_curve_residual", "sum_of_two_cubes",
+    "secant_quadrics", "secant_system", "pushbroom_infinity_slit",
+    "camera_from_payload", "reference_type3", "reference_type4",
 ]
 
-DEFAULT_TOL = 1e-8
 _FOCAL_EPS = 1e-10
 
 
@@ -173,7 +171,7 @@ class Pinhole:
 
     def focal_residual(self, x) -> float:
         # sine of the angle between x and the center
-        return norm(line_from_points_raw(self.center, x)) / (
+        return norm(wedge(self.center, x)) / (
             norm(self.center) * norm(vec(x)))
 
     def congruence_residual(self, p) -> float:
@@ -182,13 +180,6 @@ class Pinhole:
     def payload(self):
         from .numeric import vector_payload
         return {"type": "pinhole", "center": vector_payload(self.center)}
-
-
-def line_from_points_raw(x, y):
-    """Wedge of two points without the zero-output check."""
-    from .plucker import LINE_COORD_PAIRS
-    x, y = vec(x), vec(y)
-    return vec([x[i] * y[j] - x[j] * y[i] for i, j in LINE_COORD_PAIRS])
 
 
 @dataclass(frozen=True)
@@ -260,40 +251,25 @@ def pushbroom_infinity_slit(p):
     return vec([z, z, z, p[2], -p[1], p[0]])
 
 
-@dataclass(frozen=True)
-class Pushbroom:
+@dataclass(frozen=True, init=False)
+class Pushbroom(TwoSlit):
     """Two-slit camera whose second slit is the orthogonal line at
     infinity; determined by the finite slit alone."""
 
-    slit: np.ndarray
-    _inner: TwoSlit = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        s = vec(self.slit)
-        object.__setattr__(self, "slit", s)
+    def __init__(self, slit):
+        s = vec(slit)
         finite = s[:3]
         if (all(v == 0 for v in finite) if is_exact(s)
                 else norm(finite) <= 1e-12 * norm(s)):
             raise InvalidSlit("pushbroom slit must be finite "
                               "(direction part nonzero)")
-        object.__setattr__(self, "_inner",
-                           TwoSlit(s, pushbroom_infinity_slit(s)))
+        TwoSlit.__init__(self, s, pushbroom_infinity_slit(s))
 
     kind = "pushbroom"
-    bidegree = (1, 1)
 
     @property
-    def slit2(self):
-        return self._inner.slit2
-
-    def project(self, x):
-        return self._inner.project(x)
-
-    def focal_residual(self, x) -> float:
-        return self._inner.focal_residual(x)
-
-    def congruence_residual(self, p) -> float:
-        return self._inner.congruence_residual(p)
+    def slit(self):
+        return self.slit1
 
     def payload(self):
         from .numeric import vector_payload
@@ -536,6 +512,9 @@ class Type3:
 
     def congruence_residual(self, p) -> float:
         pn = unitize(as_float(vec(p)))
+        known = _known_ideal(self.kind, self.f, self.g, self.h)
+        if known is not None:
+            return _known_ideal_residual(known, pn)
         return max(abs(pn[0]), line_curve_residual(pn, self.curve()),
                    line_residual(pn))
 
@@ -605,6 +584,9 @@ class Type4:
 
     def congruence_residual(self, p) -> float:
         pn = unitize(as_float(vec(p)))
+        known = _known_ideal(self.kind, self.g, self.h)
+        if known is not None:
+            return _known_ideal_residual(known, pn)
         # pencil parameter of the plane through p and L
         c1 = np.array([pn[1], pn[3]])   # (p02, p12)
         c2 = np.array([pn[2], pn[4]])   # (p03, p13)
@@ -659,7 +641,9 @@ def _poly_vals_type4_reference(p):
 
 
 #: Published generator sets for the two reference parameter choices,
-#: used by congruence_residual instead of the generic Chow construction.
+#: used by congruence_residual instead of the generic construction, which
+#: also accepts every line through a point where the curve meets the base
+#: line (a spurious component).
 _KNOWN_IDEALS = {
     ("type3", (1.0, 0.0, -1.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)):
         _poly_vals_type3_reference,
@@ -668,17 +652,14 @@ _KNOWN_IDEALS = {
 }
 
 
-def _known_ideal(cam):
-    if cam.kind == "type3":
-        key = ("type3", tuple(map(float, as_float(cam.f))),
-               tuple(map(float, as_float(cam.g))),
-               tuple(map(float, as_float(cam.h))))
-    elif cam.kind == "type4":
-        key = ("type4", tuple(map(float, as_float(cam.g))),
-               tuple(map(float, as_float(cam.h))))
-    else:
-        return None
+def _known_ideal(kind, *forms):
+    key = (kind,) + tuple(tuple(map(float, as_float(c))) for c in forms)
     return _KNOWN_IDEALS.get(key)
+
+
+def _known_ideal_residual(known, pn):
+    vals = np.abs(as_float(vec(known(pn))))
+    return float(max(np.max(vals), line_residual(pn)))
 
 
 @dataclass(frozen=True)
@@ -742,35 +723,6 @@ class PanoramicStereo:
         return {"type": "panoramic_stereo"}
 
 
-@dataclass(frozen=True)
-class ImplicitCongruence:
-    """Congruence known only through explicit generator polynomials
-    (callable on a 6-vector).  Supports membership, not projection."""
-
-    name: str
-    generators: tuple
-    bidegree_pair: tuple = (1, 2)
-
-    kind = "implicit"
-
-    @property
-    def bidegree(self):
-        return self.bidegree_pair
-
-    def project(self, x):
-        raise UnsupportedOrder(
-            "implicit congruence %r has no parameterization" % self.name)
-
-    def congruence_residual(self, p) -> float:
-        pn = unitize(as_float(vec(p)))
-        return max(float(np.max(np.abs(as_float(vec(g(pn))))))
-                   for g in self.generators)
-
-    def focal_residual(self, x) -> float:
-        raise UnsupportedOrder(
-            "implicit congruence %r has no focal-locus data" % self.name)
-
-
 # --------------------------------------------------------------------------
 # functional facade
 
@@ -787,15 +739,7 @@ def focal_residual(cam, x) -> float:
 
 
 def congruence_residual(cam, p) -> float:
-    known = _known_ideal(cam) if cam.kind in ("type3", "type4") else None
-    if known is not None:
-        pn = unitize(as_float(vec(p)))
-        vals = np.abs(as_float(vec(known(pn))))
-        return float(max(np.max(vals), line_residual(pn)))
     return cam.congruence_residual(p)
-
-
-_CAMERA_KINDS = {}
 
 
 def camera_from_payload(data, exact: bool = False):

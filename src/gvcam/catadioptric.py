@@ -19,8 +19,8 @@ import numpy as np
 from .errors import (DegenerateInput, FocalConfiguration, IsotropicDirection,
                      IsotropicPlane, IsotropicTangent, NotOnSurface,
                      SingularIntersection, SingularPoint)
-from .numeric import (as_float, binary_mul, binary_roots, compound2, is_exact,
-                      norm, unitize, vec)
+from .numeric import (DEFAULT_TOL, as_float, binary_mul, binary_roots,
+                      compound2, is_exact, norm, realify, unitize, vec)
 from .plucker import (dual_line, line_from_planes, line_from_points,
                       meet_point, point_line_residual, points_on_line,
                       primal_matrix)
@@ -28,11 +28,10 @@ from .plucker import (dual_line, line_from_planes, line_from_points,
 __all__ = [
     "MirrorSurface", "ReflectionMap", "direction_cos", "reflect_point",
     "reflect_line", "tangent_plane", "specular_pair", "mirror_pair_residual",
-    "line_surface_points", "panoramic_fibers", "reference_ellipsoid",
-    "unit_sphere",
+    "line_surface_points", "conic_chord_points", "panoramic_fibers",
+    "reference_ellipsoid", "unit_sphere",
 ]
 
-DEFAULT_TOL = 1e-8
 _ISO_EPS = 1e-12
 
 
@@ -291,9 +290,6 @@ def mirror_pair_residual(S: MirrorSurface, L, Lp,
 # --------------------------------------------------------------------------
 # panoramic congruence fibers
 
-_NC_AXIS = None
-
-
 def _nc_data():
     axis = vec([0.0, 0, 1, 0, 0, 0])          # V(x1, x2)
     qmat = vec(np.diag([-1.0, 1.0, 1.0, 0.0]))  # x1^2 + x2^2 - x0^2
@@ -301,8 +297,9 @@ def _nc_data():
     return axis, qmat, plane
 
 
-def _conic_chord_points(qmat, carrier):
-    """Points where a line (inside the conic's plane) meets the conic."""
+def conic_chord_points(qmat, carrier):
+    """Points where a line (inside the conic's plane) meets the conic:
+    real points as float vectors, complex ones as complex vectors."""
     z1, z2 = points_on_line(carrier)
     z1 = as_float(z1).astype(complex)
     z2 = as_float(z2).astype(complex)
@@ -311,15 +308,7 @@ def _conic_chord_points(qmat, carrier):
     b = 2.0 * (z1 @ Q @ z2)
     c = z2 @ Q @ z2
     roots = binary_roots(np.array([a, b, c]))
-    pts = []
-    for s, t in roots:
-        w = s * z1 + t * z2
-        pivot = w[int(np.argmax(np.abs(w)))]
-        w = w / pivot
-        if float(np.max(np.abs(w.imag))) < 1e-9:
-            w = w.real
-        pts.append(vec(w))
-    return pts
+    return [vec(realify(s * z1 + t * z2)[0]) for s, t in roots]
 
 
 def panoramic_fibers(cam, x, tol: float = DEFAULT_TOL):
@@ -344,7 +333,7 @@ def panoramic_fibers(cam, x, tol: float = DEFAULT_TOL):
         pi = primal_matrix(axis) @ x          # plane through x and the axis
         carrier = line_from_planes(pi, plane)
         fibers = []
-        for w in _conic_chord_points(qmat, carrier):
+        for w in conic_chord_points(qmat, carrier):
             fibers.append(line_from_points(
                 x.astype(w.dtype) if np.iscomplexobj(w) else x, w))
         return [vec(f) for f in fibers]
@@ -354,7 +343,7 @@ def panoramic_fibers(cam, x, tol: float = DEFAULT_TOL):
     y0 = meet_point(axis, u)                  # axis point in the plane
     carrier = line_from_planes(u, plane)
     fibers = []
-    for w in _conic_chord_points(qmat, carrier):
+    for w in conic_chord_points(qmat, carrier):
         y0c = y0.astype(w.dtype) if np.iscomplexobj(w) else y0
         fibers.append(dual_line(line_from_points(y0c, w)))
     return [vec(f) for f in fibers]

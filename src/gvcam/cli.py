@@ -28,14 +28,12 @@ from .catadioptric import (MirrorSurface, line_surface_points, reflect_line,
                            reflect_point, specular_pair, tangent_plane)
 from .errors import (AmbiguousPencil, DegenerateInput, FocalPoint,
                      GeometryError, IllConditioned, UnsupportedOrder)
-from .numeric import (as_float, format_scalar, is_exact, parse_scalar,
-                      unitize, vec, vector_payload)
+from .numeric import (DEFAULT_TOL, as_float, format_scalar, is_exact,
+                      parse_scalar, unitize, vec, vector_payload)
 from .plucker import line_residual, plucker_quadric
 from .scene import load_json, load_observations, load_points, load_scene
 
 __all__ = ["main", "build_parser"]
-
-DEFAULT_TOL = 1e-8
 
 
 def _default_tol() -> float:

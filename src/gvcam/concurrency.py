@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from .errors import AmbiguousPencil, InvalidN
-from .numeric import as_float, is_exact, unitize, vec
+from .numeric import DEFAULT_TOL, as_float, is_exact, unitize, vec
 from .plucker import incidence, primal_matrix
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "GeneratorReport", "concurrent_by_generators", "find_common_point",
     "multidegree", "MultidegreePolynomial", "generator_counts",
 ]
-
-DEFAULT_TOL = 1e-8
 
 #: Probe points: the four basis points followed by the six pairwise sums.
 PROBE_POINTS = tuple(

@@ -19,14 +19,15 @@ import numpy as np
 from .concurrency import find_common_point
 from .errors import (DegenerateConfiguration, DegenerateInput, FocalPoint,
                      InvalidN)
-from .numeric import (as_float, binary_roots, is_exact, norm,
-                      projective_distance, unitize, vec)
+from .numeric import (DEFAULT_TOL, as_float, binary_roots, norm,
+                      projective_distance, realify, unitize, vec)
 from .plucker import (incidence, join_plane, line_from_planes,
                       line_from_points, line_residual, point_line_residual,
                       points_on_line, primal_matrix)
 from . import cameras as _cameras
-from .cameras import (Pinhole, Pushbroom, TwoSlit, congruence_residual,
+from .cameras import (Pinhole, TwoSlit, congruence_residual,
                       line_curve_residual)
+from .catadioptric import conic_chord_points
 
 __all__ = [
     "CameraRig", "FocalOverlapWarning", "Transversal", "TriangulationResult",
@@ -36,8 +37,6 @@ __all__ = [
     "DegreeTwoCongruence", "five_baseline_fixture", "FiveBaselineFixture",
 ]
 
-DEFAULT_TOL = 1e-8
-
 
 class FocalOverlapWarning(UserWarning):
     """Advisory: two cameras in a rig may share focal points, so the
@@ -46,9 +45,8 @@ class FocalOverlapWarning(UserWarning):
 
 def _focal_lines(cam):
     """Lines contained in the camera's focal locus (best effort)."""
-    if isinstance(cam, (TwoSlit, Pushbroom)):
-        inner = cam._inner if isinstance(cam, Pushbroom) else cam
-        return [inner.slit1, inner.slit2]
+    if isinstance(cam, TwoSlit):
+        return [cam.slit1, cam.slit2]
     if cam.kind in ("type3", "type4"):
         return [cam.base_line]
     return []
@@ -112,13 +110,10 @@ class CameraRig:
         notes = []
         for i in range(len(cams)):
             for j in range(i + 1, len(cams)):
-                try:
-                    notes.extend(
-                        _pairwise_focal_warnings(cams[i], cams[j], i, j, tol))
-                    notes.extend(
-                        _pairwise_focal_warnings(cams[j], cams[i], j, i, tol))
-                except Exception:
-                    pass  # best-effort check only
+                notes.extend(
+                    _pairwise_focal_warnings(cams[i], cams[j], i, j, tol))
+                notes.extend(
+                    _pairwise_focal_warnings(cams[j], cams[i], j, i, tol))
         notes = tuple(dict.fromkeys(notes))
         object.__setattr__(self, "cameras", cams)
         object.__setattr__(self, "focal_warnings", notes)
@@ -221,15 +216,6 @@ class Transversal:
     multiplicity: int = 1
 
 
-def _realify(v, rel_tol: float = 1e-7):
-    v = np.asarray(v, dtype=complex)
-    pivot = v[int(np.argmax(np.abs(v)))]
-    w = v / pivot
-    if float(np.max(np.abs(w.imag))) < rel_tol:
-        return w.real, True
-    return v, False
-
-
 def common_transversals(l1, l2, l3, l4, tol: float = DEFAULT_TOL):
     """The 0-2 lines meeting four given lines.
 
@@ -266,7 +252,7 @@ def common_transversals(l1, l2, l3, l4, tol: float = DEFAULT_TOL):
     roots = binary_roots(coeffs / scale)
     out = []
     for s, t in roots:
-        line, real = _realify(transversal_at(s, t))
+        line, real = realify(transversal_at(s, t))
         out.append(Transversal(line=vec(line), parameter=(s, t),
                                is_real=real))
     if len(out) == 2:
@@ -278,11 +264,6 @@ def common_transversals(l1, l2, l3, l4, tol: float = DEFAULT_TOL):
     return out
 
 
-def _slit_pair(cam):
-    inner = cam._inner if isinstance(cam, Pushbroom) else cam
-    return inner.slit1, inner.slit2
-
-
 def baselines_linear(cam1, cam2, tol: float = DEFAULT_TOL):
     """Common lines of two cameras from the linear part of the catalog
     (pinhole, two-slit, pushbroom), in closed form."""
@@ -290,7 +271,7 @@ def baselines_linear(cam1, cam2, tol: float = DEFAULT_TOL):
     for cam in (cam1, cam2):
         if isinstance(cam, Pinhole):
             kinds.append("pinhole")
-        elif isinstance(cam, (TwoSlit, Pushbroom)):
+        elif isinstance(cam, TwoSlit):
             kinds.append("slits")
         else:
             raise DegenerateInput(
@@ -306,7 +287,7 @@ def baselines_linear(cam1, cam2, tol: float = DEFAULT_TOL):
 
     if "pinhole" in kinds:
         ph, sl = (cam1, cam2) if kinds[0] == "pinhole" else (cam2, cam1)
-        s1, s2 = _slit_pair(sl)
+        s1, s2 = sl.slit1, sl.slit2
         try:
             line = line_from_planes(join_plane(s1, ph.center),
                                     join_plane(s2, ph.center))
@@ -315,9 +296,8 @@ def baselines_linear(cam1, cam2, tol: float = DEFAULT_TOL):
                 "pinhole center lies on a slit") from None
         return [Transversal(line=line, parameter=(None, None), is_real=True)]
 
-    s1, s2 = _slit_pair(cam1)
-    s3, s4 = _slit_pair(cam2)
-    return common_transversals(s1, s2, s3, s4, tol=tol)
+    return common_transversals(cam1.slit1, cam1.slit2, cam2.slit1, cam2.slit2,
+                               tol=tol)
 
 
 @dataclass(frozen=True)
@@ -398,16 +378,9 @@ class DegreeTwoCongruence:
         PL = primal_matrix(L)
         pi = PL @ x                       # plane through x and L
         ell = line_from_planes(pi, self.conic_plane)  # chord carrier
-        z1, z2 = points_on_line(ell)
-        Q = as_float(self.conic_matrix)
-        a = z1 @ Q @ z1
-        b = 2.0 * (z1 @ Q @ z2)
-        c = z2 @ Q @ z2
-        roots = binary_roots(np.array([a, b, c], dtype=complex))
         best = None
-        for s, t in roots:
-            w, real = _realify(s * z1.astype(complex) + t * z2.astype(complex))
-            if not real:
+        for w in conic_chord_points(self.conic_matrix, ell):
+            if np.iscomplexobj(w):
                 continue
             if projective_distance(w, self.excluded) < 1e-8:
                 continue
@@ -461,7 +434,7 @@ class FiveBaselineFixture:
         out = [Transversal(line=vec(self.rational_baseline),
                            parameter=(None, None), is_real=True)]
         for a in self.quartic_roots():
-            line, real = _realify(self.family_member(complex(a)))
+            line, real = realify(self.family_member(complex(a)))
             out.append(Transversal(line=vec(line), parameter=(complex(a), 1.0),
                                    is_real=real))
         return out

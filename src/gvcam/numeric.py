@@ -27,7 +27,11 @@ __all__ = [
     "proj_normalize", "projective_distance", "projective_equal",
     "det2", "det3", "det4", "compound2", "exact_nullspace",
     "binary_eval", "binary_mul", "binary_roots", "binary_from_root_pairs",
+    "realify", "DEFAULT_TOL",
 ]
+
+#: Default tolerance of every residual test in the package.
+DEFAULT_TOL = 1e-8
 
 
 def vec(data, exact: bool | None = None):
@@ -167,12 +171,24 @@ def projective_distance(u, v) -> float:
     return float(np.linalg.norm(u - phase * v))
 
 
-def projective_equal(u, v, tol: float = 1e-8) -> bool:
+def projective_equal(u, v, tol: float = DEFAULT_TOL) -> bool:
     u = vec(u)
     v = vec(v)
     if is_exact(u) and is_exact(v):
         return bool(np.all(proj_normalize(u) == proj_normalize(v)))
     return projective_distance(u, v) <= tol
+
+
+def realify(v, rel_tol: float = 1e-7):
+    """(real vector, True) when v is a complex multiple of a real vector,
+    up to ``rel_tol`` relative to its largest entry; else (v, False).
+    The real vector is v divided by that entry."""
+    v = np.asarray(v, dtype=complex)
+    pivot = v[int(np.argmax(np.abs(v)))]
+    w = v / pivot
+    if float(np.max(np.abs(w.imag))) < rel_tol:
+        return w.real, True
+    return v, False
 
 
 # --- small exact-capable determinants ----------------------------------------

@@ -24,10 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInput
-from .numeric import is_exact, norm, unitize, vec
+from .numeric import DEFAULT_TOL, is_exact, norm, unitize, vec
 
 __all__ = [
-    "line_from_points", "line_from_planes", "dual_line",
+    "wedge", "line_from_points", "line_from_planes", "dual_line",
     "primal_matrix", "dual_matrix", "plucker_quadric", "incidence",
     "join_plane", "meet_point", "point_on_line", "plane_contains_line",
     "line_residual", "point_line_residual", "plane_line_residual",
@@ -38,21 +38,25 @@ __all__ = [
 #: Index pairs (i, j) of the six coordinates, in storage order.
 LINE_COORD_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
-DEFAULT_TOL = 1e-8
-
 
 def _zero_like(a):
     return 0 if is_exact(a) else 0.0
 
 
-def line_from_points(x, y):
-    """Pluecker vector of the line joining two distinct points."""
+def wedge(x, y):
+    """Bilinear wedge x ^ y of two 4-vectors in Pluecker order, with no
+    check that the result is nonzero."""
     x, y = vec(x), vec(y)
     p = np.array(
         [x[i] * y[j] - x[j] * y[i] for i, j in LINE_COORD_PAIRS],
         dtype=object if (is_exact(x) or is_exact(y)) else None,
     )
-    p = vec(p.tolist())
+    return vec(p.tolist())
+
+
+def line_from_points(x, y):
+    """Pluecker vector of the line joining two distinct points."""
+    p = wedge(x, y)
     _reject_zero(p, "points are projectively equal", x, y)
     return p
 

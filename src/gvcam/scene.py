@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cameras import (Pinhole, Pushbroom, TwoSlit, camera_from_payload)
+from .cameras import Pinhole, TwoSlit, camera_from_payload
 from .catadioptric import MirrorSurface
 from .errors import DegenerateInput
-from .numeric import as_float, parse_vector, projective_distance, unitize, vec
+from .numeric import (DEFAULT_TOL, as_float, parse_vector,
+                      projective_distance, unitize, vec)
 from .plucker import line_residual
 from .tensors import pinhole_center, twoslit_kernels
 
@@ -91,7 +92,8 @@ class Scene:
     descriptors: tuple = ()  # echo of the input camera payloads
 
 
-def scene_from_dict(data, exact: bool = False, tol: float = 1e-8) -> Scene:
+def scene_from_dict(data, exact: bool = False,
+                    tol: float = DEFAULT_TOL) -> Scene:
     if not isinstance(data, dict):
         raise DegenerateInput("scene must be a JSON object")
     version = data.get("version", SCENE_VERSION)
@@ -129,7 +131,7 @@ def _check_line(line, tol):
                               "(quadric residual exceeds tolerance)")
 
 
-def load_scene(path, exact: bool = False, tol: float = 1e-8) -> Scene:
+def load_scene(path, exact: bool = False, tol: float = DEFAULT_TOL) -> Scene:
     return scene_from_dict(load_json(path), exact=exact, tol=tol)
 
 
@@ -148,7 +150,7 @@ def load_points(path, scene: Scene, exact: bool = False):
 
 
 def load_observations(path, scene: Scene, exact: bool = False,
-                      tol: float = 1e-8):
+                      tol: float = DEFAULT_TOL):
     """Observed line tuples from a file or from the scene; each item must
     carry one line per camera."""
     if path is None:

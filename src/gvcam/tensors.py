@@ -11,9 +11,9 @@ degree-6 invariant characterizes realizability.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import re
-from collections import Counter
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import (BaseLocus, CoincidentCenters, DegenerateInput,
                      SingularStack)
 from .numeric import (as_float, binary_eval, compound2, det3, det4, is_exact,
                       norm, unitize, vec)
-from .plucker import LINE_COORD_PAIRS, line_from_points
+from .plucker import dual_line, line_from_points, wedge
 
 __all__ = [
     "pinhole_project", "twoslit_project", "pinhole_fiber", "twoslit_fiber",
@@ -110,10 +110,6 @@ def twoslit_project(pair, x):
     return u, v
 
 
-def _wedge_rows(r1, r2):
-    return vec([r1[i] * r2[j] - r1[j] * r2[i] for i, j in LINE_COORD_PAIRS])
-
-
 def pinhole_fiber(A, w):
     """Line of sight over the image point w = (w0:w1:w2):
     w0 (A1 ^ A2) - w1 (A0 ^ A2) + w2 (A0 ^ A1).
@@ -124,10 +120,9 @@ def pinhole_fiber(A, w):
     """
     A = _vec_matrix(A, (3, 4), "camera matrix")
     w = vec(w)
-    d12 = _wedge_rows(A[1], A[2])
-    d02 = _wedge_rows(A[0], A[2])
-    d01 = _wedge_rows(A[0], A[1])
-    from .plucker import dual_line
+    d12 = wedge(A[1], A[2])
+    d02 = wedge(A[0], A[2])
+    d01 = wedge(A[0], A[1])
     out = vec(w[0] * dual_line(d12) - w[1] * dual_line(d02)
               + w[2] * dual_line(d01))
     return _reject_small(out, norm(A) ** 2 * norm(w), "image point has no fiber")
@@ -295,52 +290,13 @@ def mixed_residual(T, u, v, w) -> float:
 # --------------------------------------------------------------------------
 # the degree-6 invariant of 3x2x2 tensors
 
-#: each term: (integer coefficient, 18-character key = six index triples).
-_SEXTIC_TERMS = (
-    (1, "000000101110211211"), (-1, "000000101111210211"), (-1, "000000110111201211"),
-    (1, "000000111111201210"), (-1, "000001100110211211"), (1, "000001100111210211"),
-    (-1, "000001101110210211"), (1, "000001101111210210"), (1, "000001110110201211"),
-    (1, "000001110111200211"), (-1, "000001110111201210"), (-1, "000001111111200210"),
-    (-1, "000010100101211211"), (1, "000010100111201211"), (1, "000010101101210211"),
-    (-1, "000010101110201211"), (1, "000010101111200211"), (-1, "000010101111201210"),
-    (1, "000010110111201201"), (-1, "000010111111200201"), (1, "000011100101210211"),
-    (1, "000011100110201211"), (-2, "000011100111201210"), (-1, "000011101101210210"),
-    (-2, "000011101110200211"), (2, "000011101110201210"), (1, "000011101111200210"),
-    (-1, "000011110110201201"), (1, "000011110111200201"), (1, "001001100110210211"),
-    (-1, "001001100111210210"), (-1, "001001110110200211"), (1, "001001110111200210"),
-    (1, "001010100100211211"), (-1, "001010100101210211"), (-1, "001010100110201211"),
-    (1, "001010111111200200"), (2, "001010100111201210"), (2, "001010101110200211"),
-    (-1, "001010101111200210"), (-2, "001010100111200211"), (-1, "001010110111200201"),
-    (-1, "001011100100210211"), (1, "001011100110200211"), (1, "001011100101210210"),
-    (-1, "001011100110201210"), (1, "001011100111200210"), (-1, "001011101110200210"),
-    (1, "001011110110200201"), (-1, "001011110111200200"), (1, "010010100101201211"),
-    (-1, "010010100111201201"), (-1, "010010101101200211"), (1, "010010101111200201"),
-    (-1, "010011100100201211"), (1, "010011100101200211"), (-1, "010011100101201210"),
-    (1, "010011100110201201"), (1, "010011100111200201"), (1, "010011101101200210"),
-    (-1, "010011101110200201"), (-1, "010011101111200200"), (1, "011011100100201210"),
-    (-1, "011011100101200210"), (-1, "011011100110200201"), (1, "011011101110200200"),
-)
-
-
+@functools.cache
 def sextic_terms():
     """The 66 monomials of the invariant as (coefficient, six (i,j,k)
-    entry indices) pairs."""
-    out = []
-    for c, key in _SEXTIC_TERMS:
-        idx = tuple((int(key[t]), int(key[t + 1]), int(key[t + 2]))
-                    for t in range(0, 18, 3))
-        out.append((c, idx))
-    return out
-
-
-_TERMS_CACHE = None
-
-
-def _terms():
-    global _TERMS_CACHE
-    if _TERMS_CACHE is None:
-        _TERMS_CACHE = sextic_terms()
-    return _TERMS_CACHE
+    entry indices) pairs, parsed once from the packaged term table."""
+    text = (importlib.resources.files("gvcam") / "data"
+            / "sextic_terms.txt").read_text()
+    return tuple(parse_sextic_text(text))
 
 
 def sextic_invariant(T):
@@ -351,7 +307,7 @@ def sextic_invariant(T):
     if T.shape != (3, 2, 2):
         raise DegenerateInput("expected a 3x2x2 tensor")
     total = 0
-    for c, idx in _terms():
+    for c, idx in sextic_terms():
         prod = c
         for (i, j, k) in idx:
             prod = prod * T[i, j, k]
@@ -366,7 +322,7 @@ def sextic_relative(T) -> float:
     if T.shape != (3, 2, 2):
         raise DegenerateInput("expected a 3x2x2 tensor")
     vals = []
-    for c, idx in _terms():
+    for c, idx in sextic_terms():
         prod = float(c)
         for (i, j, k) in idx:
             prod *= float(T[i, j, k])
@@ -401,21 +357,6 @@ def parse_sextic_text(text: str):
             idx.extend([(i, j, k)] * e)
         out.append((coeff, tuple(idx)))
     return out
-
-
-def packaged_sextic_terms():
-    """Term list re-parsed from the packaged text fixture (used to guard
-    the hard-coded table against transcription drift)."""
-    text = (importlib.resources.files("gvcam") / "data"
-            / "sextic_terms.txt").read_text()
-    return parse_sextic_text(text)
-
-
-def same_polynomial(terms_a, terms_b) -> bool:
-    """Equality of two term lists as polynomials (order-insensitive)."""
-    def canon(terms):
-        return Counter({tuple(sorted(idx)): c for c, idx in terms}.items())
-    return canon(terms_a) == canon(terms_b)
 
 
 # --------------------------------------------------------------------------

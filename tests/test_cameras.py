@@ -16,7 +16,8 @@ from gvcam.cameras import (TWISTED_CUBIC_CURVE, DegenerateCubic, FocalPoint,
                            pushbroom_infinity_slit, reference_type3,
                            reference_type4, secant_quadrics, secant_system,
                            sum_of_two_cubes)
-from gvcam.errors import DegenerateInput, UnsupportedOrder
+from gvcam.errors import (DegenerateInput, FocalConfiguration,
+                          UnsupportedOrder)
 from gvcam.numeric import compound2, norm, unitize, vec
 from gvcam.plucker import (incidence, line_from_points, plucker_quadric,
                            point_line_residual, point_on_line)
@@ -266,8 +267,22 @@ def test_type3_reference_ideal_on_projections():
             continue
         vals = np.array(_poly_vals_type3_reference(p))
         assert np.max(np.abs(vals)) <= 1e-9
-        assert congruence_residual(cam, p) <= 1e-9     # dispatched route
-        assert cam.congruence_residual(p) <= 1e-9      # geometric route
+        assert congruence_residual(cam, p) <= 1e-9
+        assert cam.congruence_residual(p) <= 1e-9
+
+
+def test_type3_rejects_lines_through_curve_base_point():
+    """Lines through (0:0:1:1), where the reference curve meets the base
+    line, form a spurious component of the generic construction; the
+    published ideal rejects them, by method and facade alike."""
+    cam = reference_type3()
+    rng = np.random.default_rng(318)
+    base_point = np.array([0.0, 0.0, 1.0, 1.0])
+    for _ in range(10):
+        p = unitize(line_from_points(base_point, rand_point(rng)))
+        r = cam.congruence_residual(p)
+        assert r > 1e-6
+        assert r == congruence_residual(cam, p)
 
 
 def test_type4_reference_ideal_on_projections():
@@ -367,7 +382,7 @@ def test_panoramic_generators_and_membership():
             x = rand_point(rng)
             try:
                 fibers = panoramic_fibers(cam, x)
-            except Exception:
+            except FocalConfiguration:
                 continue
             for line in fibers:
                 line = np.asarray(line)

@@ -8,7 +8,6 @@ JSON payload round trips.
 
 from collections import Counter
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -21,10 +20,9 @@ from gvcam.numeric import is_exact, norm, unitize
 from gvcam.plucker import incidence, points_on_line, primal_matrix
 from gvcam.tensors import (class_beta_fiber, class_beta_project,
                            fundamental_matrix, mixed_epipolar_tensor,
-                           mixed_residual, packaged_sextic_terms,
-                           parse_sextic_text, pinhole_center, pinhole_fiber,
-                           pinhole_project, quadrifocal_residual,
-                           quadrifocal_tensor, same_polynomial,
+                           mixed_residual, parse_sextic_text, pinhole_center,
+                           pinhole_fiber, pinhole_project,
+                           quadrifocal_residual, quadrifocal_tensor,
                            sextic_invariant, sextic_relative, sextic_terms,
                            tensor_from_payload, tensor_payload, twoslit_fiber,
                            twoslit_kernels, twoslit_project)
@@ -267,6 +265,7 @@ def test_sextic_covariance_under_coordinate_changes(rng):
 
 def test_sextic_term_table_structure():
     terms = sextic_terms()
+    assert isinstance(terms, tuple)     # shared by every caller
     assert len(terms) == 66
     assert Counter(c for c, _ in terms) == {1: 30, -1: 30, 2: 3, -2: 3}
     for coeff, idx in terms:
@@ -286,13 +285,6 @@ def test_sextic_exact_evaluation_matches_float(rng):
     assert abs(float(exact) - sextic_invariant(np.array(T, float))) <= 1e-9
 
 
-def test_packaged_term_table_reparses_identically():
-    text = (resources.files("gvcam") / "data" / "sextic_terms.txt").read_text()
-    parsed = parse_sextic_text(text)
-    assert same_polynomial(parsed, sextic_terms())
-    assert same_polynomial(packaged_sextic_terms(), sextic_terms())
-
-
 def test_parse_sextic_text_round_trip_and_errors():
     got = parse_sextic_text("# comment\n\n2 f111^2 f322^4\n")
     assert got == [(2, ((0, 0, 0), (0, 0, 0), (2, 1, 1), (2, 1, 1),
@@ -301,16 +293,6 @@ def test_parse_sextic_text_round_trip_and_errors():
         parse_sextic_text("1 g111 f111 f111 f111 f111 f111")
     with pytest.raises(DegenerateInput):
         parse_sextic_text("x f111 f111 f111 f111 f111 f111")
-
-
-def test_same_polynomial_detects_changes():
-    terms = sextic_terms()
-    shuffled = list(reversed([(c, tuple(reversed(idx))) for c, idx in terms]))
-    assert same_polynomial(terms, shuffled)
-    assert not same_polynomial(terms, terms[:-1])
-    bumped = [(c + 1 if n == 0 else c, idx)
-              for n, (c, idx) in enumerate(terms)]
-    assert not same_polynomial(terms, bumped)
 
 
 # ---------------------------------------------------------------------------
