@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import (DegenerateInput, FocalPoint, IllConditioned,
                      InvalidSlit, DegenerateCubic, UnsupportedOrder)
-from .numeric import (DEFAULT_TOL, as_float, binary_eval, binary_roots,
-                      compound2, is_exact, norm, unitize, vec)
+from .numeric import (DEFAULT_TOL, FOCAL_EPS, as_float, binary_eval,
+                      binary_roots, compound2, negligible, norm, unitize, vec)
 from .plucker import (dual_line, incidence, line_from_planes,
                       line_from_points, plucker_quadric, primal_matrix,
                       point_line_residual, line_residual, wedge)
@@ -41,9 +41,6 @@ __all__ = [
     "secant_quadrics", "secant_system", "pushbroom_infinity_slit",
     "camera_from_payload", "reference_type3", "reference_type4",
 ]
-
-_FOCAL_EPS = 1e-10
-
 
 # --------------------------------------------------------------------------
 # rational curves in P^3 (rows = binary forms for the four coordinates)
@@ -198,12 +195,9 @@ class TwoSlit:
         object.__setattr__(self, "slit1", s1)
         object.__setattr__(self, "slit2", s2)
         for s in (s1, s2):
-            if not is_exact(s) and line_residual(s) > 1e-9:
+            if not negligible(plucker_quadric(unitize(s)), eps=1e-9):
                 raise InvalidSlit("slit is not on the line quadric")
-            if is_exact(s) and plucker_quadric(s) != 0:
-                raise InvalidSlit("slit is not on the line quadric")
-        inc = incidence(unitize(s1), unitize(s2))
-        if (inc == 0) if is_exact(inc) else (abs(complex(inc)) < 1e-9):
+        if negligible(incidence(unitize(s1), unitize(s2)), eps=1e-9):
             raise InvalidSlit("slits must be skew (they meet)")
 
     kind = "two_slit"
@@ -219,12 +213,8 @@ class TwoSlit:
         x = vec(x)
         M = self.projection_matrix(x)
         r = vec([M[2][3], -M[1][3], M[1][2], M[0][3], -M[0][2], M[0][1]])
-        if is_exact(r):
-            if all(v == 0 for v in r):
-                raise FocalPoint("world point lies on a slit")
-            return r
         scale = norm(self.slit1) * norm(self.slit2) * norm(x) ** 2
-        if norm(r) <= _FOCAL_EPS * scale:
+        if negligible(r, scale, FOCAL_EPS):
             raise FocalPoint("world point lies on a slit")
         return r
 
@@ -247,8 +237,7 @@ def pushbroom_infinity_slit(p):
     """Second slit of a pushbroom camera: the line at infinity orthogonal
     (in the affine chart x0 != 0) to the finite slit p."""
     p = vec(p)
-    z = 0 if is_exact(p) else 0.0
-    return vec([z, z, z, p[2], -p[1], p[0]])
+    return vec([0, 0, 0, p[2], -p[1], p[0]])
 
 
 @dataclass(frozen=True, init=False)
@@ -258,9 +247,7 @@ class Pushbroom(TwoSlit):
 
     def __init__(self, slit):
         s = vec(slit)
-        finite = s[:3]
-        if (all(v == 0 for v in finite) if is_exact(s)
-                else norm(finite) <= 1e-12 * norm(s)):
+        if negligible(s[:3], norm(s)):
             raise InvalidSlit("pushbroom slit must be finite "
                               "(direction part nonzero)")
         TwoSlit.__init__(self, s, pushbroom_infinity_slit(s))
@@ -292,16 +279,16 @@ def secant_quadrics(p):
 def secant_system(x):
     """6x6 bilinear system whose rank-5 nullvector is the secant through x
     (standard twisted cubic, normal coordinates)."""
-    x0, x1, x2, x3 = vec(x)
-    z = 0 if is_exact(vec(x)) else 0.0
+    x = vec(x)
+    x0, x1, x2, x3 = x
     return np.array([
-        [z, z, z, x3, -x2, x1],
-        [z, z, z, x2, -x1, x0],
-        [z, x3, -x2, z, z, x0],
-        [z, x2, -x1, -x1, x0, z],
-        [x3, z, -x1, z, x0, z],
-        [x2, -x1, z, x0, z, z],
-    ], dtype=object if is_exact(vec(x)) else None)
+        [0, 0, 0, x3, -x2, x1],
+        [0, 0, 0, x2, -x1, x0],
+        [0, x3, -x2, 0, 0, x0],
+        [0, x2, -x1, -x1, x0, 0],
+        [x3, 0, -x1, 0, x0, 0],
+        [x2, -x1, 0, x0, 0, 0],
+    ], dtype=x.dtype)
 
 
 @dataclass(frozen=True)
@@ -349,10 +336,7 @@ class TwistedCubic:
         big = (x0 * x2 ** 3 + x1 ** 3 * x3 - 3 * x0 * x2 * x1 * x3
                + x0 ** 2 * x3 ** 2)
         ell = vec([f2 * f2, f2 * f3, big, f1 * f2, f1 * f3, f1 * f1])
-        if is_exact(ell):
-            if all(v == 0 for v in ell):
-                raise FocalPoint("world point lies on the twisted cubic")
-        elif norm(ell) <= _FOCAL_EPS * norm(xn) ** 4:
+        if negligible(ell, norm(xn) ** 4, FOCAL_EPS):
             raise FocalPoint("world point lies on the twisted cubic")
         if self.homography is None:
             return ell
@@ -480,10 +464,8 @@ class Type3:
 
     def curve(self) -> RationalCurve:
         f, g, h = self.f, self.g, self.h
-        zero = 0 if is_exact(f) else 0.0
-        sf = list(f) + [zero]
-        tf = [zero] + list(f)
-        return RationalCurve((tuple(sf), tuple(tf), tuple(g), tuple(h)))
+        return RationalCurve(
+            (tuple(f) + (0,), (0,) + tuple(f), tuple(g), tuple(h)))
 
     def curve_point(self, x):
         x = vec(x)
@@ -495,10 +477,9 @@ class Type3:
     def project(self, x):
         x = vec(x)
         y = self.curve_point(x)
-        scale = 1.0 if is_exact(y) else norm(x) ** self.beta * max(
+        scale = norm(x) ** self.beta * max(
             norm(self.f), norm(self.g), norm(self.h))
-        if (all(v == 0 for v in y) if is_exact(y)
-                else norm(y) <= _FOCAL_EPS * scale):
+        if negligible(y, scale, FOCAL_EPS):
             raise FocalPoint("world point lies on the base line")
         try:
             return line_from_points(x, y)
@@ -511,12 +492,7 @@ class Type3:
         return min(on_line, point_curve_residual(x, self.curve()))
 
     def congruence_residual(self, p) -> float:
-        pn = unitize(as_float(vec(p)))
-        known = _known_ideal(self.kind, self.f, self.g, self.h)
-        if known is not None:
-            return _known_ideal_residual(known, pn)
-        return max(abs(pn[0]), line_curve_residual(pn, self.curve()),
-                   line_residual(pn))
+        return _pencil_residual(p, self.curve_point)
 
     def payload(self):
         from .numeric import vector_payload
@@ -561,17 +537,14 @@ class Type4:
 
     def target_point(self, x):
         x = vec(x)
-        zero = 0 if is_exact(x) else 0.0
-        return vec([zero, zero, binary_eval(self.g, x[0], x[1]),
+        return vec([0, 0, binary_eval(self.g, x[0], x[1]),
                     binary_eval(self.h, x[0], x[1])])
 
     def project(self, x):
         x = vec(x)
         y = self.target_point(x)
-        scale = 1.0 if is_exact(y) else norm(x) ** self.beta * max(
-            norm(self.g), norm(self.h))
-        if (all(v == 0 for v in y) if is_exact(y)
-                else norm(y) <= _FOCAL_EPS * scale):
+        scale = norm(x) ** self.beta * max(norm(self.g), norm(self.h))
+        if negligible(y, scale, FOCAL_EPS):
             raise FocalPoint("world point lies on the base line")
         try:
             return line_from_points(x, y)
@@ -583,27 +556,31 @@ class Type4:
         return norm(x[:2]) / norm(x)
 
     def congruence_residual(self, p) -> float:
-        pn = unitize(as_float(vec(p)))
-        known = _known_ideal(self.kind, self.g, self.h)
-        if known is not None:
-            return _known_ideal_residual(known, pn)
-        # pencil parameter of the plane through p and L
-        c1 = np.array([pn[1], pn[3]])   # (p02, p12)
-        c2 = np.array([pn[2], pn[4]])   # (p03, p13)
-        x01 = c1 if norm(c1) >= norm(c2) else c2
-        if norm(x01) <= 1e-14:
-            return max(abs(pn[0]), line_residual(pn))
-        w = self.target_point(vec([x01[0], x01[1], 0.0, 0.0]))
-        vals = [abs(pn[0]), abs(pn[1] * pn[4] - pn[2] * pn[3]),
-                line_residual(pn)]
-        if norm(w) > 1e-14:
-            vals.append(point_line_residual(w, pn))
-        return max(vals)
+        return _pencil_residual(p, self.target_point)
 
     def payload(self):
         from .numeric import vector_payload
         return {"type": "type4", "g": vector_payload(self.g),
                 "h": vector_payload(self.h)}
+
+
+def _pencil_residual(p, point_of) -> float:
+    """Membership residual of the Type3/Type4 congruence whose line in the
+    plane through L = V(x0, x1) with pencil parameter (s:t) passes through
+    ``point_of((s, t, 0, 0))``: p must meet L, its meets with x2 = 0 and
+    x3 = 0 must share one (x0:x1), and it must pass through that point."""
+    pn = unitize(as_float(vec(p)))
+    c1 = np.array([pn[1], pn[3]])   # (p02, p12): meet with x2 = 0
+    c2 = np.array([pn[2], pn[4]])   # (p03, p13): meet with x3 = 0
+    x01 = c1 if norm(c1) >= norm(c2) else c2
+    if norm(x01) <= 1e-14:
+        return max(abs(pn[0]), line_residual(pn))
+    w = point_of(vec([x01[0], x01[1], 0.0, 0.0]))
+    vals = [abs(pn[0]), abs(pn[1] * pn[4] - pn[2] * pn[3]),
+            line_residual(pn)]
+    if norm(w) > 1e-14:
+        vals.append(point_line_residual(w, pn))
+    return max(vals)
 
 
 def reference_type3() -> Type3:
@@ -638,28 +615,6 @@ def _poly_vals_type4_reference(p):
         p03 ** 3 - p12 * p13 ** 2,
         p02 ** 2 * p03 - p12 ** 3,
     ]
-
-
-#: Published generator sets for the two reference parameter choices,
-#: used by congruence_residual instead of the generic construction, which
-#: also accepts every line through a point where the curve meets the base
-#: line (a spurious component).
-_KNOWN_IDEALS = {
-    ("type3", (1.0, 0.0, -1.0), (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)):
-        _poly_vals_type3_reference,
-    ("type4", (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0)):
-        _poly_vals_type4_reference,
-}
-
-
-def _known_ideal(kind, *forms):
-    key = (kind,) + tuple(tuple(map(float, as_float(c))) for c in forms)
-    return _KNOWN_IDEALS.get(key)
-
-
-def _known_ideal_residual(known, pn):
-    vals = np.abs(as_float(vec(known(pn))))
-    return float(max(np.max(vals), line_residual(pn)))
 
 
 @dataclass(frozen=True)

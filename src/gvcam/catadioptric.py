@@ -19,8 +19,9 @@ import numpy as np
 from .errors import (DegenerateInput, FocalConfiguration, IsotropicDirection,
                      IsotropicPlane, IsotropicTangent, NotOnSurface,
                      SingularIntersection, SingularPoint)
-from .numeric import (DEFAULT_TOL, as_float, binary_mul, binary_roots,
-                      compound2, is_exact, norm, realify, unitize, vec)
+from .numeric import (DEFAULT_TOL, ZERO_EPS, as_float, binary_mul,
+                      binary_roots, compound2, is_exact, negligible, norm,
+                      realify, unitize, vec)
 from .plucker import (dual_line, line_from_planes, line_from_points,
                       meet_point, point_line_residual, points_on_line,
                       primal_matrix)
@@ -32,9 +33,6 @@ __all__ = [
     "reference_ellipsoid", "unit_sphere",
 ]
 
-_ISO_EPS = 1e-12
-
-
 def _spatial_square(a):
     return a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
 
@@ -45,7 +43,7 @@ def direction_cos(x, y):
     for v in (x, y):
         if abs(v[0]) > 1e-12 * norm(v):
             raise DegenerateInput("directions must have first coordinate 0")
-        if abs(_spatial_square(v)) <= _ISO_EPS * norm(v) ** 2:
+        if abs(_spatial_square(v)) <= ZERO_EPS * norm(v) ** 2:
             raise IsotropicDirection("direction squares to zero")
     num = x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
     return float(num / math.sqrt(_spatial_square(x) * _spatial_square(y)))
@@ -63,15 +61,10 @@ class ReflectionMap:
     def __init__(self, plane):
         H = vec(plane)
         s = _spatial_square(H)
-        if is_exact(H):
-            if s == 0:
-                raise IsotropicPlane("plane normal squares to zero")
-        elif abs(complex(s)) < _ISO_EPS * norm(H) ** 2:
+        if negligible(s, norm(H) ** 2):
             raise IsotropicPlane("plane normal squares to zero")
-        zero = 0 if is_exact(H) else 0.0
-        normal = vec([zero, H[1], H[2], H[3]])
-        rho = s * np.eye(4, dtype=object if is_exact(H) else None) \
-            - 2 * np.outer(normal, H)
+        normal = vec([0, H[1], H[2], H[3]])
+        rho = s * np.eye(4, dtype=H.dtype) - 2 * np.outer(normal, H)
         rho = vec(rho)
         object.__setattr__(self, "plane", H)
         object.__setattr__(self, "matrix", rho)
@@ -149,8 +142,7 @@ class MirrorSurface:
 
     def gradient(self, x):
         x = vec(x)
-        zero = 0 if is_exact(x) else 0.0
-        out = [zero, zero, zero, zero]
+        out = [0, 0, 0, 0]
         for expo, c in self.coeffs:
             for j in range(4):
                 if expo[j] == 0:
@@ -189,9 +181,9 @@ class MirrorSurface:
     def from_payload(cls, data, exact: bool = False):
         from .numeric import parse_scalar
         if not isinstance(data, dict) or "degree" not in data \
-                or "coeffs" not in data:
+                or not isinstance(data.get("coeffs"), dict):
             raise DegenerateInput(
-                "surface payload needs 'degree' and 'coeffs'")
+                "surface payload needs 'degree' and a 'coeffs' object")
         return cls(int(data["degree"]),
                    {k: parse_scalar(v, exact=exact)
                     for k, v in data["coeffs"].items()})

@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from .errors import AmbiguousPencil, InvalidN
-from .numeric import DEFAULT_TOL, as_float, is_exact, unitize, vec
+from .numeric import DEFAULT_TOL, as_float, is_exact, negligible, unitize, vec
 from .plucker import incidence, primal_matrix
 
 __all__ = [
@@ -164,13 +164,13 @@ def concurrent_by_generators(lines, tol: float = DEFAULT_TOL) -> bool:
     lines = [unitize(l) for l in lines]
     exact = all(is_exact(l) for l in lines)
     for (i, j), v in quadric_generators(lines).items():
-        if (v != 0) if exact else (abs(complex(v)) > tol):
+        if not negligible(v, eps=tol):
             return False
     for (i, j, k) in combinations(range(len(lines)), 3):
         for u in PROBE_POINTS[:4]:
             v = trilinear_transversal(
                 lines[i], lines[j], lines[k], vec(list(u), exact=exact or None))
-            if (v != 0) if exact else (abs(complex(v)) > tol):
+            if not negligible(v, eps=tol):
                 return False
     return True
 

@@ -146,8 +146,6 @@ def correspond(rig, lines, tol: float = DEFAULT_TOL):
     for cam, p in zip(cams, lines):
         if congruence_residual(cam, p) > tol:
             return None
-    if len(lines) == 1:
-        raise InvalidN("one line does not determine a point")
     return find_common_point(lines, tol=tol)
 
 

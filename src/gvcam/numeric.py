@@ -27,11 +27,17 @@ __all__ = [
     "proj_normalize", "projective_distance", "projective_equal",
     "det2", "det3", "det4", "compound2", "exact_nullspace",
     "binary_eval", "binary_mul", "binary_roots", "binary_from_root_pairs",
-    "realify", "DEFAULT_TOL",
+    "realify", "negligible", "DEFAULT_TOL", "ZERO_EPS", "FOCAL_EPS",
 ]
 
 #: Default tolerance of every residual test in the package.
 DEFAULT_TOL = 1e-8
+
+#: Relative size below which a computed float vector counts as zero.
+ZERO_EPS = 1e-12
+
+#: Relative size below which a projection counts as a focal hit.
+FOCAL_EPS = 1e-10
 
 
 def vec(data, exact: bool | None = None):
@@ -63,6 +69,17 @@ def is_exact(a) -> bool:
     return isinstance(a, Fraction) or (
         isinstance(a, np.ndarray) and a.dtype == object
     )
+
+
+def negligible(v, scale: float = 1.0, eps: float = ZERO_EPS) -> bool:
+    """True when ``v`` (a scalar or an array) is zero.
+
+    Fractions are compared with 0 exactly and ``scale`` is ignored; floats
+    and complexes count as zero when ``norm(v) <= eps * scale``.
+    """
+    if is_exact(v):
+        return all(x == 0 for x in np.ravel(v))
+    return norm(v) <= eps * scale
 
 
 def as_float(a):
@@ -98,7 +115,10 @@ def unitize(a):
 def parse_scalar(value, exact: bool = False):
     """Parse a JSON-level scalar: number, or ``"a/b"`` rational string."""
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ValueError:
+            raise DegenerateInput("cannot parse rational %r" % value) from None
     if isinstance(value, bool):
         raise DegenerateInput("booleans are not coordinates")
     if isinstance(value, Integral):
@@ -127,6 +147,9 @@ def format_scalar(value):
 
 
 def parse_vector(values, length: int | None = None, exact: bool = False):
+    if not isinstance(values, (list, tuple)):
+        raise DegenerateInput("a coordinate vector must be a list, got %r"
+                              % (values,))
     out = vec([parse_scalar(v, exact=exact) for v in values],
               exact=exact or None)
     if length is not None and out.shape != (length,):

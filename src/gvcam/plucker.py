@@ -21,10 +21,12 @@ float arrays and exact rational (Fraction) arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateInput
-from .numeric import DEFAULT_TOL, is_exact, norm, unitize, vec
+from .numeric import DEFAULT_TOL, is_exact, negligible, norm, unitize, vec
 
 __all__ = [
     "wedge", "line_from_points", "line_from_planes", "dual_line",
@@ -39,19 +41,11 @@ __all__ = [
 LINE_COORD_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _zero_like(a):
-    return 0 if is_exact(a) else 0.0
-
-
 def wedge(x, y):
     """Bilinear wedge x ^ y of two 4-vectors in Pluecker order, with no
     check that the result is nonzero."""
     x, y = vec(x), vec(y)
-    p = np.array(
-        [x[i] * y[j] - x[j] * y[i] for i, j in LINE_COORD_PAIRS],
-        dtype=object if (is_exact(x) or is_exact(y)) else None,
-    )
-    return vec(p.tolist())
+    return vec([x[i] * y[j] - x[j] * y[i] for i, j in LINE_COORD_PAIRS])
 
 
 def line_from_points(x, y):
@@ -84,30 +78,28 @@ def dual_line(p):
 def primal_matrix(p):
     """Skew matrix P with kernel = points of the line; P @ x = join plane."""
     p = vec(p)
-    z = _zero_like(p)
     p01, p02, p03, p12, p13, p23 = p
     rows = [
-        [z, p23, -p13, p12],
-        [-p23, z, p03, -p02],
-        [p13, -p03, z, p01],
-        [-p12, p02, -p01, z],
+        [0, p23, -p13, p12],
+        [-p23, 0, p03, -p02],
+        [p13, -p03, 0, p01],
+        [-p12, p02, -p01, 0],
     ]
-    return np.array(rows, dtype=object if is_exact(p) else None)
+    return np.array(rows, dtype=p.dtype)
 
 
 def dual_matrix(p):
     """Skew matrix P* with kernel = planes through the line; P* @ u = meet
     point.  Identical to ``primal_matrix(dual_line(p))``."""
     p = vec(p)
-    z = _zero_like(p)
     p01, p02, p03, p12, p13, p23 = p
     rows = [
-        [z, p01, p02, p03],
-        [-p01, z, p12, p13],
-        [-p02, -p12, z, p23],
-        [-p03, -p13, -p23, z],
+        [0, p01, p02, p03],
+        [-p01, 0, p12, p13],
+        [-p02, -p12, 0, p23],
+        [-p03, -p13, -p23, 0],
     ]
-    return np.array(rows, dtype=object if is_exact(p) else None)
+    return np.array(rows, dtype=p.dtype)
 
 
 def plucker_quadric(p):
@@ -224,12 +216,5 @@ def points_on_line(p):
 
 
 def _reject_zero(out, message, *context):
-    if is_exact(out):
-        if all(x == 0 for x in out):
-            raise DegenerateInput(message)
-        return
-    scale = 1.0
-    for c in context:
-        scale *= norm(c)
-    if norm(out) <= 1e-12 * scale:
+    if negligible(out, math.prod(norm(c) for c in context)):
         raise DegenerateInput(message)

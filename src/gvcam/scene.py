@@ -27,9 +27,9 @@ import numpy as np
 from .cameras import Pinhole, TwoSlit, camera_from_payload
 from .catadioptric import MirrorSurface
 from .errors import DegenerateInput
-from .numeric import (DEFAULT_TOL, as_float, parse_vector,
+from .numeric import (DEFAULT_TOL, as_float, negligible, parse_vector,
                       projective_distance, unitize, vec)
-from .plucker import line_residual
+from .plucker import plucker_quadric
 from .tensors import pinhole_center, twoslit_kernels
 
 __all__ = ["Scene", "load_scene", "scene_from_dict", "load_points",
@@ -46,8 +46,15 @@ def load_json(path):
         return json.load(fh)
 
 
+def _list(value, what):
+    if not isinstance(value, list):
+        raise DegenerateInput("%s must be a list, got %r" % (what, value))
+    return value
+
+
 def _parse_matrix(rows, shape, exact):
-    m = np.array([parse_vector(r, shape[1], exact) for r in rows])
+    m = np.array([parse_vector(r, shape[1], exact)
+                  for r in _list(rows, "a matrix")])
     if m.shape != shape:
         raise DegenerateInput("expected a %dx%d matrix" % shape)
     return vec(m)
@@ -55,6 +62,12 @@ def _parse_matrix(rows, shape, exact):
 
 def _camera_with_matrices(data, exact):
     """Build (geometric camera, photographic matrices or None)."""
+    if not isinstance(data, dict):
+        raise DegenerateInput("a rig entry must be an object, got %r"
+                              % (data,))
+    for key in ("slits", "matrices"):
+        if key in data and len(_list(data[key], repr(key))) != 2:
+            raise DegenerateInput("%r must be a pair" % key)
     kind = data.get("type")
     if kind == "pinhole" and "matrix" in data:
         A = _parse_matrix(data["matrix"], (3, 4), exact)
@@ -100,33 +113,29 @@ def scene_from_dict(data, exact: bool = False,
     if version != SCENE_VERSION:
         raise DegenerateInput("unsupported scene version %r" % (version,))
     cams, mats, desc = [], [], []
-    for entry in data.get("rig", []):
+    for entry in _list(data.get("rig", []), "'rig'"):
         cam, m = _camera_with_matrices(entry, exact)
         cams.append(cam)
         mats.append(m)
         desc.append(entry)
-    points = tuple(parse_vector(p, 4, exact) for p in data.get("points", []))
+    points = tuple(parse_vector(p, 4, exact)
+                   for p in _list(data.get("points", []), "'points'"))
     observations = tuple(
-        tuple(parse_vector(line, 6, exact) for line in item)
-        for item in data.get("observations", []))
+        tuple(parse_vector(line, 6, exact)
+              for line in _list(item, "an observation item"))
+        for item in _list(data.get("observations", []), "'observations'"))
     for item in observations:
         for line in item:
             _check_line(line, tol)
     surfaces = tuple(MirrorSurface.from_payload(s, exact=exact)
-                     for s in data.get("surfaces", []))
+                     for s in _list(data.get("surfaces", []), "'surfaces'"))
     return Scene(version=version, cameras=tuple(cams), matrices=tuple(mats),
                  points=points, observations=observations, surfaces=surfaces,
                  descriptors=tuple(desc))
 
 
 def _check_line(line, tol):
-    from .numeric import is_exact
-    if is_exact(line):
-        from .plucker import plucker_quadric
-        if plucker_quadric(line) != 0:
-            raise DegenerateInput("observation is not a line "
-                                  "(quadric residual nonzero)")
-    elif line_residual(unitize(as_float(line))) > max(tol, 1e-10):
+    if not negligible(plucker_quadric(unitize(line)), eps=max(tol, 1e-10)):
         raise DegenerateInput("observation is not a line "
                               "(quadric residual exceeds tolerance)")
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (BaseLocus, CoincidentCenters, DegenerateInput,
                      SingularStack)
 from .numeric import (as_float, binary_eval, compound2, det3, det4, is_exact,
-                      norm, unitize, vec)
+                      negligible, norm, unitize, vec)
 from .plucker import dual_line, line_from_points, wedge
 
 __all__ = [
@@ -82,11 +82,7 @@ def twoslit_kernels(A, B):
 
 
 def _reject_small(img, scale, what):
-    if is_exact(img):
-        if all(v == 0 for v in img):
-            raise BaseLocus(what)
-        return img
-    if norm(img) <= 1e-12 * scale:
+    if negligible(img, scale):
         raise BaseLocus(what)
     return img
 
@@ -188,9 +184,8 @@ def class_beta_project(f, g, h, x, A=None, B=None):
     w = B @ x
     v = vec([binary_eval(g, u[0], u[1]) - fv * w[0],
              binary_eval(h, u[0], u[1]) - fv * w[1]])
-    scale = 1.0 if is_exact(v) else (
-        norm(x) ** len(g) * max(norm(f), norm(g), norm(h)))
-    v = _reject_small(v, scale, "point on the focal curve")
+    v = _reject_small(v, norm(x) ** len(g) * max(norm(f), norm(g), norm(h)),
+                      "point on the focal curve")
     return u, v
 
 
@@ -203,8 +198,7 @@ def class_beta_fiber(f, g, h, u, v):
     fv = binary_eval(f, u[0], u[1])
     y = vec([u[0] * fv, u[1] * fv,
              binary_eval(g, u[0], u[1]), binary_eval(h, u[0], u[1])])
-    zero = 0 if is_exact(v) else 0.0
-    z = vec([zero, zero, v[0], v[1]])
+    z = vec([0, 0, v[0], v[1]])
     return line_from_points(y, z)
 
 
@@ -224,12 +218,7 @@ def fundamental_matrix(A, B):
             j, k = _COMPL3[i]
             F[l, i] = (-1) ** (i + l) * det4([A[j], A[k], B[m], B[n]])
     F = vec(F)
-    if is_exact(F):
-        if all(v == 0 for v in F.ravel()):
-            raise CoincidentCenters("cameras share their center")
-        return F
-    scale = norm(A) ** 2 * norm(B) ** 2
-    if norm(F) <= 1e-12 * scale:
+    if negligible(F, norm(A) ** 2 * norm(B) ** 2):
         raise CoincidentCenters("cameras share their center")
     return F
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gvcam.cameras import (TWISTED_CUBIC_CURVE, DegenerateCubic, FocalPoint,
                            IllConditioned, InvalidSlit, PanoramicNC,
@@ -20,7 +21,7 @@ from gvcam.errors import (DegenerateInput, FocalConfiguration,
                           UnsupportedOrder)
 from gvcam.numeric import compound2, norm, unitize, vec
 from gvcam.plucker import (incidence, line_from_points, plucker_quadric,
-                           point_line_residual, point_on_line)
+                           point_line_residual, point_on_line, wedge)
 from conftest import (assert_proj_close, rand_line, rand_point,
                       rand_pushbroom, rand_rational_point, rand_skew_pair,
                       rand_twisted_cubic, rand_twoslit)
@@ -50,6 +51,23 @@ def test_containment_and_membership_all_types():
             assert point_line_residual(unitize(x), unitize(p)) <= 1e-9
             assert cam.congruence_residual(unitize(p)) <= 1e-9
             assert congruence_residual(cam, p) <= 1e-9
+
+
+_CATALOG = catalog(np.random.default_rng(319))
+_coords = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.lists(_coords, min_size=8, max_size=8),
+       st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+def test_congruence_residual_ignores_projective_scale(coords, lam):
+    x, y = np.array(coords[:4]), np.array(coords[4:])
+    p = wedge(x, y)
+    if norm(p) <= 1e-3 * norm(x) * norm(y):
+        return                      # (nearly) coincident points
+    for cam in _CATALOG:
+        r = congruence_residual(cam, p)
+        assert abs(congruence_residual(cam, lam * p) - r) <= 1e-12 * r, cam
 
 
 def test_projection_lines_satisfy_quadric():
@@ -272,17 +290,22 @@ def test_type3_reference_ideal_on_projections():
 
 
 def test_type3_rejects_lines_through_curve_base_point():
-    """Lines through (0:0:1:1), where the reference curve meets the base
-    line, form a spurious component of the generic construction; the
-    published ideal rejects them, by method and facade alike."""
-    cam = reference_type3()
+    """Lines through a point where the curve meets the base line (here
+    the root (1:1) of f) are not in the congruence unless they lie in the
+    plane of that pencil parameter; method and facade reject them alike,
+    for the reference and for generic parameters."""
+    cases = [
+        (reference_type3(), (0.0, 0.0, 1.0, 1.0)),
+        (Type3((1.0, 0.0, -1.0), (1.0, 0.2, 0.0, 0.0), (0.0, 0.0, 0.3, 1.0)),
+         (0.0, 0.0, 1.2, 1.3)),
+    ]
     rng = np.random.default_rng(318)
-    base_point = np.array([0.0, 0.0, 1.0, 1.0])
-    for _ in range(10):
-        p = unitize(line_from_points(base_point, rand_point(rng)))
-        r = cam.congruence_residual(p)
-        assert r > 1e-6
-        assert r == congruence_residual(cam, p)
+    for cam, base_point in cases:
+        for _ in range(10):
+            p = unitize(line_from_points(np.array(base_point), rand_point(rng)))
+            r = cam.congruence_residual(p)
+            assert r > 1e-6, (cam, r)
+            assert r == congruence_residual(cam, p)
 
 
 def test_type4_reference_ideal_on_projections():

@@ -411,3 +411,22 @@ def test_cli_usage_and_io_errors(capsys, tmp_path):
     assert cli.main(["project", "--scene", str(broken)]) == 2
     bad_version = write_json(tmp_path / "v9.json", {"version": 9, "rig": []})
     assert cli.main(["project", "--scene", bad_version]) == 2
+    line = [0, 0, 0, 0, 0, 1]
+    malformed = {
+        "rig_entry": {"version": 1, "rig": [[1, 2]]},
+        "three_slits": {"version": 1, "rig": [
+            {"type": "two_slit", "slits": [line, line, line]}]},
+        "scalar_center": {"version": 1, "rig": [
+            {"type": "pinhole", "center": 5}]},
+        "scalar_points": {"version": 1, "rig": [
+            {"type": "pinhole", "center": [1, 0, 0, 0]}], "points": 3},
+        "bad_rational": {"version": 1, "rig": [
+            {"type": "pinhole", "center": [1, 0, 0, "x"]}]},
+        "coeff_list": {"version": 1, "rig": [], "surfaces": [
+            {"degree": 2, "coeffs": [1, 2]}]},
+    }
+    for name, data in malformed.items():
+        capsys.readouterr()
+        assert cli.main(["project", "--scene",
+                         write_json(tmp_path / (name + ".json"), data)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "DegenerateInput"
