@@ -701,25 +701,34 @@ def camera_from_payload(data, exact: bool = False):
     """Build a camera from its JSON descriptor."""
     from .numeric import parse_vector
     kind = data.get("type")
+
+    def field(key):
+        if key not in data:
+            raise DegenerateInput("%s camera needs %r" % (kind, key))
+        return data[key]
+
+    def vector(key, length=None):
+        return parse_vector(field(key), length, exact)
+
     if kind == "pinhole":
-        return Pinhole(parse_vector(data["center"], 4, exact))
+        return Pinhole(vector("center", 4))
     if kind == "two_slit":
-        s1, s2 = data["slits"]
+        s1, s2 = field("slits")
         return TwoSlit(parse_vector(s1, 6, exact), parse_vector(s2, 6, exact))
     if kind == "pushbroom":
-        return Pushbroom(parse_vector(data["slit"], 6, exact))
+        return Pushbroom(vector("slit", 6))
     if kind == "twisted_cubic":
         H = data.get("homography")
         if H is not None:
+            if not isinstance(H, list):
+                raise DegenerateInput("'homography' must be a list of rows, "
+                                      "got %r" % (H,))
             H = np.array([parse_vector(r, 4, exact) for r in H])
         return TwistedCubic(homography=H)
     if kind == "type3":
-        return Type3(parse_vector(data["f"], None, exact),
-                     parse_vector(data["g"], None, exact),
-                     parse_vector(data["h"], None, exact))
+        return Type3(vector("f"), vector("g"), vector("h"))
     if kind == "type4":
-        return Type4(parse_vector(data["g"], None, exact),
-                     parse_vector(data["h"], None, exact))
+        return Type4(vector("g"), vector("h"))
     if kind == "panoramic_nc":
         return PanoramicNC()
     if kind == "panoramic_stereo":

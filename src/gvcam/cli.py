@@ -202,12 +202,18 @@ def _named_violation(cams, lines, tol):
             worst = ("congruence[%d]" % i, r)
     if worst[0]:
         return worst
+    # the first strict maximum in payload order (GeneratorReport.payload)
     rep = concurrency.evaluate_generators(lines)
-    for name, value in rep.payload().items():
-        r = abs(complex(value))
-        if r > worst[1]:
-            worst = (name, r)
-    return worst
+    best, best_r = None, worst[1]
+    for kind, values in (("quadric", rep.quadrics), ("cubic", rep.cubics)):
+        for key, value in sorted(values.items()):
+            r = abs(complex(value))
+            if r > best_r:
+                best, best_r = (kind, key), r
+    if best is None:
+        return worst
+    kind, key = best
+    return kind + "".join("[%d]" % i for i in key), best_r
 
 
 def cmd_check(args) -> int:

@@ -14,6 +14,11 @@ pairwise conditions, which is what :func:`concurrent_by_generators`
 uses.  The numerical alternative is a rank test on the stacked primal
 matrices (:func:`find_common_point`).
 
+Real float64 tuples are evaluated in one stacked numpy pass
+(:func:`_float_generators`) with the same floating-point expressions as
+the scalar per-triple functions, so the values are identical; exact and
+complex tuples take the scalar functions, which are the reference.
+
 The multidegree of the concurrency variety with respect to the n line
 factors is also computed here, as an explicit integer polynomial.
 """
@@ -21,6 +26,7 @@ factors is also computed here, as an explicit integer polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 from itertools import combinations
 from math import comb
 
@@ -43,6 +49,7 @@ PROBE_POINTS = tuple(
     for a, b in [(0, 0), (1, 1), (2, 2), (3, 3),
                  (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 )
+_PROBES = np.array(PROBE_POINTS, dtype=np.float64)
 
 
 def _signed_minors(m):
@@ -117,6 +124,86 @@ def coplanarity_cubics(p, q, r):
                             dual_line(vec(r)))
 
 
+# --- stacked float path ------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _index_tables(n: int):
+    """Index arrays of the pairs i <= j and the triples i < j < k of n
+    lines, in the scalar path's order (read-only: they are shared)."""
+    pairs = np.triu_indices(n)
+    triples = np.array(list(combinations(range(n), 3)),
+                       dtype=np.intp).reshape(-1, 3)
+    for a in (*pairs, triples):
+        a.flags.writeable = False
+    return pairs, triples
+
+
+@lru_cache(maxsize=8)
+def _generator_keys(n: int):
+    """The quadric keys (i, j) and cubic keys (i, j, k, u) of n lines, in
+    the order of :func:`_float_generators`' values."""
+    pairs, triples = _index_tables(n)
+    return (tuple(zip(*(a.tolist() for a in pairs))),
+            tuple((i, j, k, u) for i, j, k in triples.tolist()
+                  for u in range(len(PROBE_POINTS))))
+
+
+@cache
+def _primal_layout():
+    """Row, column, coordinate index and sign of the twelve nonzero entries
+    of :func:`primal_matrix`, read off the matrix of the line (1, ..., 6)."""
+    m = primal_matrix(np.arange(1, 7))
+    rows, cols = np.nonzero(m)
+    entries = m[rows, cols]
+    layout = (rows, cols, np.abs(entries) - 1, np.sign(entries).astype(float))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+def _primal_stack(L):
+    """``primal_matrix`` of every row of an (n, 6) float stack, as (n, 4, 4)
+    with the same entries (multiplying by +-1 is exact)."""
+    rows, cols, coords, signs = _primal_layout()
+    P = np.zeros((len(L), 4, 4))
+    P[:, rows, cols] = L[:, coords] * signs
+    return P
+
+
+def _float_stack(lines):
+    """The (n, 6) stack of unitized lines when every one is a finite real
+    float64 6-vector, else None: such tuples take the scalar path (with a
+    NaN, ``np.argmax`` and ``max`` would pick different minors)."""
+    if not lines or not all(l.dtype == np.float64 and l.shape == (6,)
+                            for l in lines):
+        return None
+    L = np.array(lines)
+    return L if np.isfinite(L).all() else None
+
+
+def _float_generators(L):
+    """Every quadric and canonical cubic of a unit-normalized (n, 6) float64
+    stack: quadrics for the pairs i <= j, and a (C(n,3), 10) array of cubics
+    (triples in ``combinations`` order, probes in :data:`PROBE_POINTS`
+    order).
+
+    The scalar expressions are reused on arrays: :func:`incidence` for the
+    quadrics and :func:`_signed_minors` for the cubics, with the same
+    operands in the same order, so every value equals the scalar path's.
+    Each entry of ``P @ u`` adds at most two nonzero products (a probe has
+    at most two nonzero entries, 1 or 2, so the products are exact), hence
+    one stacked matmul rounds as the per-probe ones do.  ``argmax`` takes
+    the first largest minor, as ``max`` does.
+    """
+    (i, j), triples = _index_tables(len(L))
+    quadrics = incidence(L[i].T, L[j].T)
+    cols = _primal_stack(L) @ _PROBES.T               # (n, row, probe)
+    stack = cols[triples].transpose(2, 1, 0, 3)       # (row, line, T, probe)
+    minors = np.array(_signed_minors(stack))          # (4, T, probe)
+    pick = np.argmax(np.abs(minors), axis=0)
+    return quadrics, np.take_along_axis(minors, pick[None], 0)[0]
+
+
 @dataclass
 class GeneratorReport:
     """Evaluated generator values for an n-tuple, with unit-normalized
@@ -145,11 +232,19 @@ def evaluate_generators(lines) -> GeneratorReport:
     """Full generator evaluation for an n-tuple of lines (n >= 2).
 
     Float inputs are unit-normalized, so every value is a relative
-    residual; exact inputs are evaluated as given.
+    residual; exact inputs are evaluated as given.  Real float tuples are
+    evaluated in one stacked pass; exact and complex tuples take the
+    scalar per-triple path, which gives the same values.
     """
     if len(lines) < 2:
         raise InvalidN("need at least two lines, got %d" % len(lines))
     lines = [unitize(l) for l in lines]
+    L = _float_stack(lines)
+    if L is not None:
+        quadrics, cubics = _float_generators(L)
+        quadric_keys, cubic_keys = _generator_keys(len(L))
+        return GeneratorReport(quadrics=dict(zip(quadric_keys, quadrics)),
+                               cubics=dict(zip(cubic_keys, cubics.ravel())))
     rep = GeneratorReport(quadrics=quadric_generators(lines))
     for (i, j, k) in combinations(range(len(lines)), 3):
         cubics = cubic_generators(lines[i], lines[j], lines[k])
@@ -162,6 +257,12 @@ def concurrent_by_generators(lines, tol: float = DEFAULT_TOL) -> bool:
     """Decide concurrency from the quadrics plus the four basis-point
     transversal cubics of every triple (the set-theoretic criterion)."""
     lines = [unitize(l) for l in lines]
+    L = _float_stack(lines)
+    if L is not None:
+        quadrics, cubics = _float_generators(L)
+        values = np.concatenate([quadrics, cubics[:, :4].ravel()])
+        # negligible(v, eps=tol) of a float scalar: sqrt(v * v) <= tol
+        return bool(np.all(np.sqrt(values * values) <= tol))
     exact = all(is_exact(l) for l in lines)
     for (i, j), v in quadric_generators(lines).items():
         if not negligible(v, eps=tol):
@@ -181,8 +282,10 @@ def find_common_point(lines, tol: float = DEFAULT_TOL):
     Stacks the primal matrices (each unit-normalized) into a 4n x 4 system;
     the lines are concurrent iff the smallest singular value is negligible
     against the next one, and the common point is the corresponding right
-    singular vector.  For n >= 3 the decision is cross-checked triple-wise:
-    a tuple is concurrent iff every triple is.
+    singular vector.  For n > 3 the decision is cross-checked triple-wise:
+    a tuple is concurrent iff every triple is; all C(n, 3) triples of the
+    stacked blocks go through one batched SVD call.  Exact input takes an
+    exact nullspace instead.
 
     Raises AmbiguousPencil when the nullspace is (numerically) at least
     2-dimensional, e.g. for repeated lines.
@@ -192,19 +295,19 @@ def find_common_point(lines, tol: float = DEFAULT_TOL):
     lines = [unitize(l) for l in lines]
     if all(is_exact(l) for l in lines):
         return _find_common_point_exact(lines)
-    stack = np.vstack([as_float(primal_matrix(l)) for l in lines])
-    _, s, vt = np.linalg.svd(stack)
+    blocks = np.array([as_float(primal_matrix(l)) for l in lines])
+    _, s, vt = np.linalg.svd(blocks.reshape(-1, 4))
     if s[2] <= tol * s[0]:
         raise AmbiguousPencil(
             "solution space is at least 2-dimensional (repeated lines?)")
     if s[3] > tol * s[2]:
         return None
     if len(lines) > 3:
-        for trip in combinations(range(len(lines)), 3):
-            sub = np.vstack([as_float(primal_matrix(lines[i])) for i in trip])
-            st = np.linalg.svd(sub, compute_uv=False)
-            if st[3] > tol * st[2]:
-                return None
+        _, triples = _index_tables(len(lines))
+        st = np.linalg.svd(blocks[triples].reshape(-1, 12, 4),
+                           compute_uv=False)
+        if np.any(st[:, 3] > tol * st[:, 2]):
+            return None
     return vt[-1]
 
 

@@ -1,21 +1,22 @@
 """Concurrent-line ideal generators, the numeric decision rule, and the
 multidegree polynomial."""
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
 from gvcam.concurrency import (AmbiguousPencil, InvalidN, PROBE_POINTS,
-                               concurrent_by_generators, coplanarity_cubics,
-                               cubic_generators, evaluate_generators,
-                               find_common_point, generator_counts,
-                               multidegree, quadric_generators,
-                               trilinear_transversal)
-from gvcam.numeric import norm, unitize, vec
-from gvcam.plucker import incidence, line_from_points
+                               _float_generators, concurrent_by_generators,
+                               coplanarity_cubics, cubic_generators,
+                               evaluate_generators, find_common_point,
+                               generator_counts, multidegree,
+                               quadric_generators, trilinear_transversal)
+from gvcam.numeric import DEFAULT_TOL, negligible, norm, unitize, vec
+from gvcam.plucker import incidence, line_from_points, primal_matrix, wedge
 from conftest import (assert_proj_close, lines_through, rand_line, rand_point,
-                      rational_lines_through)
+                      rand_rational_point, rational_lines_through)
 
 E = np.eye(4)
 TRIANGLE = [line_from_points(E[0], E[1]),
@@ -256,3 +257,116 @@ def test_camera_projection_tuples_are_concurrent():
         x = rand_point(rng)
         lines = [cam.project(x) for cam in cams]
         assert evaluate_generators(lines).max_residual <= 1e-9
+
+
+# --- stacked float path against the scalar reference ------------------------
+
+def _coordinate_lines(rng, n):
+    """Lines joining a coordinate point to a point with small integer
+    coordinates, so that many Pluecker coordinates are exactly zero."""
+    out = []
+    while len(out) < n:
+        p = wedge(E[rng.integers(4)], rng.integers(-2, 3, 4).astype(float))
+        if np.any(p):
+            out.append(p)
+    return out
+
+
+def _scalar_generators(lines):
+    """Quadrics and (C(n,3), 10) cubics, one pair and one triple and probe
+    at a time through the scalar functions."""
+    n = len(lines)
+    quadrics = [incidence(lines[i], lines[j])
+                for i in range(n) for j in range(i, n)]
+    cubics = [[trilinear_transversal(lines[i], lines[j], lines[k],
+                                     vec(list(u)))
+               for u in PROBE_POINTS]
+              for i, j, k in combinations(range(n), 3)]
+    return (np.array(quadrics),
+            np.array(cubics).reshape(-1, len(PROBE_POINTS)))
+
+
+def test_stacked_generators_equal_scalar_path():
+    rng = np.random.default_rng(212)
+    for n in range(2, 9):
+        cubic_keys = [(i, j, k, u) for i, j, k in combinations(range(n), 3)
+                      for u in range(len(PROBE_POINTS))]
+        for _ in range(4):
+            for raw in (lines_through(rng, n)[0],
+                        [rand_line(rng) for _ in range(n)],
+                        _coordinate_lines(rng, n)):
+                lines = [unitize(p) for p in raw]
+                want_q, want_c = _scalar_generators(lines)
+                quadrics, cubics = _float_generators(np.array(lines))
+                assert np.array_equal(quadrics, want_q)
+                assert np.array_equal(cubics, want_c)
+                rep = evaluate_generators(raw)
+                assert list(rep.quadrics) == list(quadric_generators(lines))
+                assert list(rep.cubics) == cubic_keys
+                assert np.array_equal(list(rep.quadrics.values()), want_q)
+                assert np.array_equal(list(rep.cubics.values()),
+                                      want_c.ravel())
+                for tol in (DEFAULT_TOL, 1e-3):
+                    values = list(want_q) + list(want_c[:, :4].ravel())
+                    assert concurrent_by_generators(raw, tol) == all(
+                        negligible(v, eps=tol) for v in values)
+
+
+def test_exact_and_complex_generators_take_scalar_values():
+    rng = np.random.default_rng(213)
+    for n in (2, 3, 4, 5):
+        exact_random = [line_from_points(rand_rational_point(rng),
+                                         rand_rational_point(rng))
+                        for _ in range(n)]
+        complex_lines = [line_from_points(rand_point(rng)
+                                          + 1j * rand_point(rng),
+                                          rand_point(rng))
+                         for _ in range(n)]
+        for raw in (rational_lines_through(rng, n)[0], exact_random,
+                    complex_lines):
+            lines = [unitize(p) for p in raw]
+            want = {}
+            for i, j, k in combinations(range(n), 3):
+                for u, v in cubic_generators(lines[i], lines[j],
+                                             lines[k]).items():
+                    want[(i, j, k, u)] = v
+            rep = evaluate_generators(raw)
+            assert rep.quadrics == quadric_generators(lines)
+            assert list(rep.cubics) == list(want)
+            assert rep.cubics == want
+
+
+def _per_triple_common_point(lines, tol=DEFAULT_TOL):
+    """find_common_point's float path with one SVD per triple; returns the
+    point (or None) and which check decided."""
+    lines = [unitize(p) for p in lines]
+    stack = np.vstack([primal_matrix(p) for p in lines])
+    _, s, vt = np.linalg.svd(stack)
+    if s[3] > tol * s[2]:
+        return None, "stack"
+    for trip in combinations(range(len(lines)), 3):
+        sub = np.vstack([primal_matrix(lines[i]) for i in trip])
+        st = np.linalg.svd(sub, compute_uv=False)
+        if st[3] > tol * st[2]:
+            return None, "triple"
+    return vt[-1], "accepted"
+
+
+def test_batched_triple_check_matches_per_triple_loop():
+    rng = np.random.default_rng(214)
+    outcomes = set()
+    for n in range(4, 9):
+        for eps in (0.0, 1e-3, 1e-8, 1e-10):
+            for _ in range(6):
+                lines = [unitize(p) for p in lines_through(rng, n)[0]]
+                d = rng.standard_normal(6)
+                k = int(rng.integers(n))
+                lines[k] = lines[k] + (eps / norm(d)) * d
+                want, outcome = _per_triple_common_point(lines)
+                got = find_common_point(lines)
+                outcomes.add(outcome)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got is not None and np.array_equal(got, want)
+    assert outcomes == {"stack", "triple", "accepted"}

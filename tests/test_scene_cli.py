@@ -7,6 +7,7 @@ emitted reports can be asserted without subprocesses.
 import csv
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -207,6 +208,23 @@ def test_cli_check_accepts_and_rejects(capsys, tmp_path, mixed_scene):
     assert rows[0]["accepted"] and not rows[1]["accepted"]
     assert rows[1]["violated"].startswith("congruence[")
     assert rows[1]["residual"] > 1e-3
+
+
+def test_cli_check_exact_names_rational_generator(capsys, tmp_path):
+    """In exact mode the worst generator may be a non-integer rational."""
+    scene = write_json(tmp_path / "exact_check.json", {
+        "version": 1,
+        "rig": [{"type": "pinhole", "center": [0, 0, 0, 1]},
+                {"type": "pinhole", "center": [1, 0, 0, 1]}],
+        # lines through each center that do not meet
+        "observations": [[[0, 0, "-1/21", 0, "-2/7", "-5/7"],
+                          ["1/2", -3, -6, 0, "-1/2", 3]]],
+    })
+    rc, out = run_cli(capsys, ["check", "--scene", scene, "--exact"])
+    assert rc == 1
+    (row,) = json.loads(out)["results"]
+    assert row["violated"] == "quadric[0][1]"
+    assert row["residual"] == float(Fraction(17, 7))
 
 
 def test_cli_tolerance_sources(capsys, tmp_path, monkeypatch, mixed_scene):
@@ -424,6 +442,11 @@ def test_cli_usage_and_io_errors(capsys, tmp_path):
             {"type": "pinhole", "center": [1, 0, 0, "x"]}]},
         "coeff_list": {"version": 1, "rig": [], "surfaces": [
             {"degree": 2, "coeffs": [1, 2]}]},
+        "missing_center": {"version": 1, "rig": [{"type": "pinhole"}]},
+        "scalar_homography": {"version": 1, "rig": [
+            {"type": "twisted_cubic", "homography": 5}]},
+        "missing_h": {"version": 1, "rig": [
+            {"type": "type3", "f": [1, 0, -1], "g": [1, 0, 0, 0]}]},
     }
     for name, data in malformed.items():
         capsys.readouterr()
