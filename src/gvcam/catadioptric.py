@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import (DegenerateInput, FocalConfiguration, IsotropicDirection,
                      IsotropicPlane, IsotropicTangent, NotOnSurface,
                      SingularIntersection, SingularPoint)
-from .numeric import (DEFAULT_TOL, ZERO_EPS, as_float, binary_mul,
-                      binary_roots, compound2, is_exact, negligible, norm,
-                      realify, unitize, vec)
+from .numeric import (DEFAULT_TOL, FORM_EPS, REAL_EPS, ZERO_EPS, as_float,
+                      binary_mul, binary_roots, compound2, is_exact,
+                      negligible, norm, realify, row_norms, unitize,
+                      unitize_rows, vec)
 from .plucker import (dual_line, line_from_planes, line_from_points,
                       meet_point, point_line_residual, points_on_line,
                       primal_matrix)
@@ -33,6 +35,11 @@ __all__ = [
     "reference_ellipsoid", "unit_sphere",
 ]
 
+#: Gradient size, relative to the surface's coefficient scale, below which
+#: a surface point counts as singular.
+SINGULAR_EPS = 1e-10
+
+
 def _spatial_square(a):
     return a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
 
@@ -41,7 +48,7 @@ def direction_cos(x, y):
     """Cosine of the angle between two directions (points at infinity)."""
     x, y = as_float(vec(x)), as_float(vec(y))
     for v in (x, y):
-        if abs(v[0]) > 1e-12 * norm(v):
+        if abs(v[0]) > ZERO_EPS * norm(v):
             raise DegenerateInput("directions must have first coordinate 0")
         if abs(_spatial_square(v)) <= ZERO_EPS * norm(v) ** 2:
             raise IsotropicDirection("direction squares to zero")
@@ -52,7 +59,8 @@ def direction_cos(x, y):
 @dataclass(frozen=True)
 class ReflectionMap:
     """Reflection across a non-isotropic plane, with its 4x4 point action
-    and 6x6 line action precomputed."""
+    and 6x6 line action precomputed.  A float (n, 4) stack of planes gives
+    stacks of actions, which act row by row on stacks of points or lines."""
 
     plane: np.ndarray
     matrix: np.ndarray
@@ -60,21 +68,28 @@ class ReflectionMap:
 
     def __init__(self, plane):
         H = vec(plane)
-        s = _spatial_square(H)
-        if negligible(s, norm(H) ** 2):
+        s = _spatial_square(H.T)
+        if is_exact(H):
+            isotropic = negligible(s)
+        else:   # negligible(s, norm(H) ** 2), row by row
+            isotropic = np.any(np.sqrt(s * s) <= ZERO_EPS
+                               * np.float_power(row_norms(H), 2))
+        if isotropic:
             raise IsotropicPlane("plane normal squares to zero")
-        normal = vec([0, H[1], H[2], H[3]])
-        rho = s * np.eye(4, dtype=H.dtype) - 2 * np.outer(normal, H)
-        rho = vec(rho)
+        normal = H.copy()
+        normal[..., 0] = 0
+        rho = (np.asarray(s)[..., None, None] * np.eye(4, dtype=H.dtype)
+               - 2 * (normal[..., :, None] * H[..., None, :]))
         object.__setattr__(self, "plane", H)
         object.__setattr__(self, "matrix", rho)
         object.__setattr__(self, "line_matrix", compound2(rho))
 
+    # contiguous operands, so that a stacked matvec rounds as ``@`` does
     def point(self, y):
-        return vec(self.matrix @ vec(y))
+        return np.matvec(self.matrix, np.ascontiguousarray(vec(y)))
 
     def line(self, p):
-        return vec(self.line_matrix @ vec(p))
+        return np.matvec(self.line_matrix, np.ascontiguousarray(vec(p)))
 
 
 def reflect_point(H, y):
@@ -103,8 +118,17 @@ def _parse_exponents(key):
 
 @dataclass(frozen=True)
 class MirrorSurface:
-    """Smooth surface V(f) for a homogeneous polynomial f of degree d,
-    stored as {exponent 4-tuple: coefficient}."""
+    """Smooth surface V(f) for a homogeneous polynomial f of degree d with
+    real coefficients, stored as {exponent 4-tuple: coefficient}.
+
+    Float and complex inputs are evaluated as stacks: every method takes
+    one point (or pair of points) or an (n, 4) stack of them, and loops
+    over the monomials, not over the points.  Exact (object) inputs take
+    the monomial loop over Python numbers, the reference of the float
+    path.  Both multiply in the same order, and a float input meets the
+    coefficient c as ``float(c)``, and ``float(c * e)`` in the gradient,
+    which is what Python's mixed Fraction-float product does.
+    """
 
     degree: int
     coeffs: tuple  # of ((e0,e1,e2,e3), value) pairs
@@ -114,61 +138,109 @@ class MirrorSurface:
             items = coeffs.items()
         else:
             items = coeffs
+        if degree < 1:
+            raise DegenerateInput("a surface needs degree >= 1")
         table = []
         for key, val in items:
             expo = _parse_exponents(key) if isinstance(key, str) else tuple(key)
             if sum(expo) != degree:
                 raise DegenerateInput(
                     "monomial %s does not have degree %d" % (expo, degree))
+            if not isinstance(val, Real):
+                raise DegenerateInput(
+                    "coefficient %r is not a real number" % (val,))
             table.append((expo, val))
         if not table:
             raise DegenerateInput("surface needs at least one coefficient")
         object.__setattr__(self, "degree", int(degree))
         object.__setattr__(self, "coeffs", tuple(sorted(table)))
+        object.__setattr__(self, "_scale", max(abs(complex(v))
+                                               for _, v in self.coeffs))
+        object.__setattr__(self, "_float_terms", tuple(
+            (expo, float(c), tuple(float(c * e) for e in expo))
+            for expo, c in self.coeffs))
 
     def scale(self) -> float:
-        return max(abs(complex(v)) for _, v in self.coeffs)
+        return self._scale
 
     def evaluate(self, x):
+        """f(x), or f of each row of an (n, 4) stack."""
         x = vec(x)
-        total = 0
-        for expo, c in self.coeffs:
+        if is_exact(x):
+            total = 0
+            for expo, c in self.coeffs:
+                term = c
+                for xi, e in zip(x, expo):
+                    if e:
+                        term = term * xi ** e
+                total = total + term
+            return total
+        X = np.atleast_2d(x)
+        total = np.zeros(len(X), dtype=X.dtype)
+        for expo, c, _ in self._float_terms:
             term = c
-            for xi, e in zip(x, expo):
+            for i, e in enumerate(expo):
                 if e:
-                    term = term * xi ** e
-            total = total + term
-        return total
+                    term = term * np.float_power(X[:, i], e)
+            total += term
+        return total if x.ndim == 2 else total[0]
 
     def gradient(self, x):
+        """Gradient covector of f at x, or at each row of an (n, 4) stack."""
         x = vec(x)
-        out = [0, 0, 0, 0]
-        for expo, c in self.coeffs:
+        if is_exact(x):
+            out = [0, 0, 0, 0]
+            for expo, c in self.coeffs:
+                for j in range(4):
+                    if expo[j] == 0:
+                        continue
+                    term = c * expo[j]
+                    for i in range(4):
+                        e = expo[i] - (1 if i == j else 0)
+                        if e:
+                            term = term * x[i] ** e
+                    out[j] = out[j] + term
+            return vec(out)
+        X = np.atleast_2d(x)
+        out = np.zeros(X.shape, dtype=X.dtype)
+        for expo, _, factors in self._float_terms:
             for j in range(4):
                 if expo[j] == 0:
                     continue
-                term = c * expo[j]
+                term = factors[j]
                 for i in range(4):
                     e = expo[i] - (1 if i == j else 0)
                     if e:
-                        term = term * x[i] ** e
-                out[j] = out[j] + term
-        return vec(out)
+                        term = term * np.float_power(X[:, i], e)
+                out[:, j] += term
+        return out if x.ndim == 2 else out[0]
 
     def restrict_to_line(self, a, b):
-        """Binary form f(s*a + t*b) of degree d (coefficient vector)."""
+        """Binary form f(s*a + t*b) of degree d (coefficient vector), or
+        the (n, d + 1) forms of two (n, 4) stacks of points."""
         a, b = vec(a), vec(b)
-        exact = is_exact(a) and is_exact(b)
-        zero = 0 if exact else 0.0
-        total = np.array([zero] * (self.degree + 1),
-                         dtype=object if exact else None)
-        for expo, c in self.coeffs:
-            form = np.array([c], dtype=object if exact else None)
+        if is_exact(a) and is_exact(b):
+            total = np.array([0] * (self.degree + 1), dtype=object)
+            for expo, c in self.coeffs:
+                form = np.array([c], dtype=object)
+                for i in range(4):
+                    for _ in range(expo[i]):
+                        form = binary_mul(form, [a[i], b[i]])
+                total = total + form
+            return vec(total)
+        A, B = as_float(np.atleast_2d(a)), as_float(np.atleast_2d(b))
+        total = np.zeros((len(A), self.degree + 1), dtype=np.result_type(A, B))
+        for expo, c, _ in self._float_terms:
+            form = [c]
             for i in range(4):
-                for _ in range(expo[i]):
-                    form = binary_mul(form, [a[i], b[i]])
-            total = total + np.pad(form, (0, self.degree + 1 - len(form)))
-        return vec(total)
+                for _ in range(expo[i]):   # binary_mul(form, [a[i], b[i]])
+                    out = [0.0] * (len(form) + 1)
+                    for k, f in enumerate(form):
+                        out[k] = out[k] + f * A[:, i]
+                        out[k + 1] = out[k + 1] + f * B[:, i]
+                    form = out
+            total += np.stack(form, axis=1)
+        return total if a.ndim == 2 else total[0]
 
     def payload(self):
         from .numeric import format_scalar
@@ -203,31 +275,27 @@ def reference_ellipsoid() -> MirrorSurface:
                              (0, 0, 0, 2): 1.0 / 25})
 
 
-ELLIPSOID_FOCI = (vec([1.0, 0, 0, 3]), vec([1.0, 0, 0, -3]))
-
-
-def ellipsoid_point(theta: float, phi: float):
-    """Point of :func:`reference_ellipsoid` at spherical parameters."""
-    return vec([1.0, 4 * math.sin(theta) * math.cos(phi),
-                4 * math.sin(theta) * math.sin(phi), 5 * math.cos(theta)])
-
-
 def tangent_plane(S: MirrorSurface, x, tol: float = DEFAULT_TOL):
-    """Gradient covector of S at a smooth surface point."""
-    xu = unitize(as_float(vec(x)))
-    val = abs(complex(S.evaluate(xu))) / S.scale()
-    if val > tol:
-        raise NotOnSurface("surface residual %.3e exceeds tol" % val)
+    """Gradient covector of S at a smooth surface point, or at each point
+    of an (n, 4) stack (the first bad point raises)."""
+    x = as_float(vec(x))
+    xu = unitize_rows(np.atleast_2d(x))
+    val = np.abs(S.evaluate(xu)) / S.scale()
+    bad = np.flatnonzero(val > tol)
+    if bad.size:
+        raise NotOnSurface("surface residual %.3e exceeds tol" % val[bad[0]])
     g = S.gradient(xu)
-    if norm(g) <= 1e-10 * S.scale():
+    if np.any(row_norms(g) <= SINGULAR_EPS * S.scale()):
         raise SingularPoint("gradient vanishes at this point")
-    return g
+    return g if x.ndim == 2 else g[0]
 
 
 def specular_pair(S: MirrorSurface, x, L, tol: float = DEFAULT_TOL):
     """Reflected partner of the line L at its surface point x: the mirror
-    image of L across the tangent plane of S at x."""
-    if point_line_residual(x, L) > tol:
+    image of L across the tangent plane of S at x.  Row by row for an
+    (n, 4) stack of points and an (n, 6) stack of lines."""
+    x, L = as_float(vec(x)), as_float(vec(L))
+    if np.any(point_line_residual(x, L) > tol):
         raise DegenerateInput("the line does not pass through the point")
     H = tangent_plane(S, x, tol=tol)
     try:
@@ -237,23 +305,56 @@ def specular_pair(S: MirrorSurface, x, L, tol: float = DEFAULT_TOL):
                                "isotropic") from None
 
 
-def line_surface_points(S: MirrorSurface, L, real_tol: float = 1e-7):
+def line_surface_points(S: MirrorSurface, L, real_tol: float = REAL_EPS):
     """Real intersection points of a line with the surface, via roots of
-    the degree-d restriction of f to the line."""
-    a, b = points_on_line(unitize(as_float(vec(L))))
-    form = S.restrict_to_line(a, b)
-    if norm(form) <= 1e-13 * S.scale() * max(norm(a), norm(b)) ** S.degree:
-        # the whole line lies on the surface
-        return [vec(a), vec(b)]
-    out = []
-    for s, t in binary_roots(as_float(form).astype(complex)):
-        m = max(abs(s), abs(t))
-        if abs(complex(s).imag) / m > real_tol or \
-           abs(complex(t).imag) / m > real_tol:
-            continue
-        out.append(vec((s.real if np.iscomplexobj(s) else float(s)) * a
-                       + (t.real if np.iscomplexobj(t) else float(t)) * b))
-    return out
+    the degree-d restriction of f to the line.
+
+    One line gives the list of its points.  An (n, 6) stack gives the pair
+    (points, rows): the (m, 4) points of all lines, line by line, and the
+    line index of each.  The roots of all lines come from one batched
+    eigenvalue call on their companion matrices, as ``np.roots`` finds
+    them; lines whose root set ``np.roots`` would not see that way (a
+    leading coefficient within ``FORM_EPS``, a trailing exact zero, a
+    non-finite form) are solved by :func:`binary_roots` one at a time, and
+    a line lying on the surface gives its two spanning points.
+    """
+    L = as_float(vec(L))
+    d = S.degree
+    a, b = points_on_line(unitize_rows(np.atleast_2d(L)))
+    forms = S.restrict_to_line(a, b)
+    whole = row_norms(forms) <= FORM_EPS * S.scale() * np.float_power(
+        np.maximum(row_norms(a), row_norms(b)), d)
+    # binary_roots' normalization, for every line at once
+    c = forms.astype(complex)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = c / np.max(np.abs(c), axis=1)[:, None]
+    solo = (whole | (np.abs(c[:, 0]) <= FORM_EPS) | (c[:, -1] == 0)
+            | ~np.all(np.isfinite(c), axis=1))
+    # one slot per root, at least two for the lines on the surface
+    width = max(d, 2)
+    s = np.zeros((len(c), width), dtype=complex)
+    t = np.ones((len(c), width), dtype=complex)
+    found = np.zeros((len(c), width), dtype=bool)
+    batch = ~solo
+    companion = np.zeros((np.count_nonzero(batch), d, d), dtype=complex)
+    companion[:, 0, :] = -c[batch, 1:] / c[batch, :1]
+    companion[:, np.arange(1, d), np.arange(d - 1)] = 1
+    s[batch, :d] = np.linalg.eigvals(companion)
+    found[batch, :d] = True
+    for i in np.flatnonzero(solo & ~whole):
+        for k, root in enumerate(binary_roots(forms[i].astype(complex))):
+            s[i, k], t[i, k] = root
+            found[i, k] = True
+    m = np.maximum(np.abs(s), np.abs(t))
+    real = found & ~(np.abs(s.imag) / m > real_tol) \
+        & ~(np.abs(t.imag) / m > real_tol)
+    points = (s.real[..., None] * a[:, None, :]
+              + t.real[..., None] * b[:, None, :])
+    points[whole, 0], points[whole, 1] = a[whole], b[whole]
+    real[whole] = np.arange(width) < 2
+    if L.ndim == 2:
+        return points[real], np.nonzero(real)[0]
+    return list(points[0, real[0]])
 
 
 def mirror_pair_residual(S: MirrorSurface, L, Lp,
@@ -268,7 +369,7 @@ def mirror_pair_residual(S: MirrorSurface, L, Lp,
     best = math.inf
     for x in line_surface_points(S, L):
         g = S.gradient(unitize(as_float(x)))
-        if norm(g) <= 1e-10 * S.scale():
+        if norm(g) <= SINGULAR_EPS * S.scale():
             raise SingularIntersection(
                 "the line meets the surface at a singular point")
         try:
@@ -317,7 +418,7 @@ def panoramic_fibers(cam, x, tol: float = DEFAULT_TOL):
     if kind not in ("panoramic_nc", "panoramic_stereo"):
         raise DegenerateInput("expected a panoramic camera, got %r" % kind)
     x = unitize(as_float(vec(x)))
-    if cam.focal_residual(x) <= 1e-12:
+    if cam.focal_residual(x) <= ZERO_EPS:
         raise FocalConfiguration("point lies on the focal quartic")
     axis, qmat, plane = _nc_data()
 

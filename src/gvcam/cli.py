@@ -31,7 +31,8 @@ from .errors import (AmbiguousPencil, DegenerateInput, FocalPoint,
 from .numeric import (DEFAULT_TOL, as_float, format_scalar, is_exact,
                       parse_scalar, unitize, vec, vector_payload)
 from .plucker import line_residual, plucker_quadric
-from .scene import load_json, load_observations, load_points, load_scene
+from .scene import (load_json, load_observations, load_points, load_scene,
+                    mirror_lines)
 
 __all__ = ["main", "build_parser"]
 
@@ -326,21 +327,20 @@ def cmd_reflect(args) -> int:
                          "reflected": _line_payload(reflect_line(H, pv))})
     else:
         surf = MirrorSurface.from_payload(data["surface"], exact=args.exact)
-        for i, p in enumerate(data.get("lines", [])):
-            pv = vec([parse_scalar(v, exact=False) for v in p])
-            contacts = line_surface_points(surf, pv)
-            if not contacts:
+        lines = mirror_lines(data.get("lines", []), tol=args.tol)
+        tol = max(args.tol, 1e-6)
+        points, owner = line_surface_points(surf, lines)
+        contacts = iter(zip(
+            points.tolist(), tangent_plane(surf, points, tol=tol).tolist(),
+            specular_pair(surf, points, lines[owner], tol=tol).tolist()))
+        counts = np.bincount(owner, minlength=len(lines)).tolist()
+        for i, count in enumerate(counts):
+            if not count:
                 rows.append({"kind": "specular", "index": i, "contacts": 0})
-                continue
-            for x in contacts:
-                rows.append({
-                    "kind": "specular", "index": i,
-                    "contact": _line_payload(x),
-                    "tangent": _line_payload(tangent_plane(
-                        surf, x, tol=max(args.tol, 1e-6))),
-                    "reflected": _line_payload(specular_pair(
-                        surf, x, pv, tol=max(args.tol, 1e-6))),
-                })
+            for _ in range(count):
+                x, g, r = next(contacts)
+                rows.append({"kind": "specular", "index": i, "contact": x,
+                             "tangent": g, "reflected": r})
     _emit(_report(args, results=rows), args)
     return 0
 

@@ -26,7 +26,7 @@ factors is also computed here, as an explicit integer polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AmbiguousPencil, InvalidN
 from .numeric import DEFAULT_TOL, as_float, is_exact, negligible, unitize, vec
-from .plucker import incidence, primal_matrix
+from .plucker import _primal_stack, incidence, primal_matrix
 
 __all__ = [
     "PROBE_POINTS", "quadric_generators", "cubic_generators",
@@ -146,28 +146,6 @@ def _generator_keys(n: int):
     return (tuple(zip(*(a.tolist() for a in pairs))),
             tuple((i, j, k, u) for i, j, k in triples.tolist()
                   for u in range(len(PROBE_POINTS))))
-
-
-@cache
-def _primal_layout():
-    """Row, column, coordinate index and sign of the twelve nonzero entries
-    of :func:`primal_matrix`, read off the matrix of the line (1, ..., 6)."""
-    m = primal_matrix(np.arange(1, 7))
-    rows, cols = np.nonzero(m)
-    entries = m[rows, cols]
-    layout = (rows, cols, np.abs(entries) - 1, np.sign(entries).astype(float))
-    for a in layout:
-        a.flags.writeable = False
-    return layout
-
-
-def _primal_stack(L):
-    """``primal_matrix`` of every row of an (n, 6) float stack, as (n, 4, 4)
-    with the same entries (multiplying by +-1 is exact)."""
-    rows, cols, coords, signs = _primal_layout()
-    P = np.zeros((len(L), 4, 4))
-    P[:, rows, cols] = L[:, coords] * signs
-    return P
 
 
 def _float_stack(lines):

@@ -14,6 +14,7 @@ to float.  Rationals serialize as ``"a/b"`` strings.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Integral
 
@@ -22,12 +23,14 @@ import numpy as np
 from .errors import DegenerateInput
 
 __all__ = [
-    "vec", "is_exact", "as_float", "norm", "unitize",
+    "vec", "is_exact", "as_float", "norm", "unitize", "row_norms",
+    "unitize_rows",
     "parse_scalar", "format_scalar", "parse_vector", "vector_payload",
     "proj_normalize", "projective_distance", "projective_equal",
     "det2", "det3", "det4", "compound2", "exact_nullspace",
     "binary_eval", "binary_mul", "binary_roots", "binary_from_root_pairs",
     "realify", "negligible", "DEFAULT_TOL", "ZERO_EPS", "FOCAL_EPS",
+    "FORM_EPS", "REAL_EPS",
 ]
 
 #: Default tolerance of every residual test in the package.
@@ -38,6 +41,13 @@ ZERO_EPS = 1e-12
 
 #: Relative size below which a projection counts as a focal hit.
 FOCAL_EPS = 1e-10
+
+#: Relative size below which a binary form, or one of its coefficients,
+#: counts as zero.
+FORM_EPS = 1e-13
+
+#: Relative imaginary part below which a complex value counts as real.
+REAL_EPS = 1e-7
 
 
 def vec(data, exact: bool | None = None):
@@ -95,6 +105,22 @@ def norm(a) -> float:
     return float(np.linalg.norm(np.abs(as_float(np.asarray(a)))))
 
 
+def row_norms(a):
+    """Euclidean norm of each row of a float stack (of ``a`` itself when
+    it is 1-d); equal, bit for bit, to :func:`norm` of the row."""
+    a = np.ascontiguousarray(np.abs(a))
+    return np.sqrt(np.vecdot(a, a))
+
+
+def unitize_rows(a):
+    """Each row of a float stack scaled to unit norm, as :func:`unitize`
+    scales one vector."""
+    n = row_norms(a)
+    if not np.all(n):
+        raise DegenerateInput("cannot normalize a zero vector")
+    return a / n[..., None]
+
+
 def unitize(a):
     """Scale a float vector/matrix to unit Euclidean norm.
 
@@ -128,6 +154,8 @@ def parse_scalar(value, exact: bool = False):
             raise DegenerateInput(
                 "exact mode requires integer or 'a/b' coordinates, got float %r" % value
             )
+        if not math.isfinite(value):
+            raise DegenerateInput("coordinates must be finite, got %r" % value)
         return value
     raise DegenerateInput("cannot parse scalar %r" % (value,))
 
@@ -202,7 +230,7 @@ def projective_equal(u, v, tol: float = DEFAULT_TOL) -> bool:
     return projective_distance(u, v) <= tol
 
 
-def realify(v, rel_tol: float = 1e-7):
+def realify(v, rel_tol: float = REAL_EPS):
     """(real vector, True) when v is a complex multiple of a real vector,
     up to ``rel_tol`` relative to its largest entry; else (v, False).
     The real vector is v divided by that entry."""
@@ -236,18 +264,19 @@ def det4(m):
 
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# row index i, j and column index k, l of every 2x2 minor
+_I, _J = (np.array(v)[:, None] for v in zip(*_PAIRS))
+_K, _L = (np.array(v)[None, :] for v in zip(*_PAIRS))
 
 
 def compound2(m):
     """Second compound matrix: 6x6 of 2x2 minors, row/column pairs ordered
-    (01,02,03,12,13,23).  Maps the Pluecker vector of x v y to that of
-    Mx v My."""
+    (01,02,03,12,13,23), of a 4x4 matrix or of each matrix of a stack.
+    Maps the Pluecker vector of x v y to that of Mx v My."""
     m = vec(m)
-    out = np.empty((6, 6), dtype=m.dtype if m.dtype != object else object)
-    for a, (i, j) in enumerate(_PAIRS):
-        for b, (k, l) in enumerate(_PAIRS):
-            out[a, b] = m[i, k] * m[j, l] - m[i, l] * m[j, k]
-    return out
+    # C order, so that a stacked matvec rounds as the per-matrix ``@``
+    return np.ascontiguousarray(m[..., _I, _K] * m[..., _J, _L]
+                                - m[..., _I, _L] * m[..., _J, _K])
 
 
 def exact_nullspace(m):
@@ -307,7 +336,7 @@ def binary_mul(a, b):
     return vec(out.tolist())
 
 
-def binary_roots(coeffs, zero_tol: float = 1e-13):
+def binary_roots(coeffs, zero_tol: float = FORM_EPS):
     """Projective roots of a binary form as a list of (s, t) pairs.
 
     Finite roots come from the companion matrix of the dehomogenized

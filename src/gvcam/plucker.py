@@ -26,7 +26,8 @@ import math
 import numpy as np
 
 from .errors import DegenerateInput
-from .numeric import DEFAULT_TOL, is_exact, negligible, norm, unitize, vec
+from .numeric import (DEFAULT_TOL, is_exact, negligible, norm, row_norms,
+                      unitize, unitize_rows, vec)
 
 __all__ = [
     "wedge", "line_from_points", "line_from_planes", "dual_line",
@@ -102,6 +103,35 @@ def dual_matrix(p):
     return np.array(rows, dtype=p.dtype)
 
 
+def _layout(matrix):
+    """Row, column, coordinate index and sign of the twelve nonzero entries
+    of ``matrix`` (:func:`primal_matrix` or :func:`dual_matrix`), read off
+    the matrix of the line (1, ..., 6)."""
+    m = matrix(np.arange(1, 7))
+    rows, cols = np.nonzero(m)
+    entries = m[rows, cols]
+    layout = (rows, cols, np.abs(entries) - 1, np.sign(entries).astype(float))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
+
+
+_PRIMAL_LAYOUT, _DUAL_LAYOUT = _layout(primal_matrix), _layout(dual_matrix)
+
+
+def _stack(L, layout):
+    """The matrix with ``layout`` of every row of an (n, 6) float stack, as
+    (n, 4, 4) with the same entries (multiplying by +-1 is exact)."""
+    rows, cols, coords, signs = layout
+    M = np.zeros((len(L), 4, 4), dtype=L.dtype)
+    M[:, rows, cols] = L[:, coords] * signs
+    return M
+
+
+def _primal_stack(L):
+    return _stack(L, _PRIMAL_LAYOUT)
+
+
 def plucker_quadric(p):
     """Quadratic form whose vanishing characterizes actual lines."""
     p = vec(p)
@@ -139,9 +169,15 @@ def meet_point(p, u):
 
 # --- membership residuals ----------------------------------------------------
 
-def point_line_residual(x, p) -> float:
-    """Norm of primal_matrix(p) @ x after unitizing both inputs."""
-    return norm(primal_matrix(unitize(p)) @ unitize(vec(x)))
+def point_line_residual(x, p):
+    """Norm of primal_matrix(p) @ x after unitizing both inputs; for an
+    (n, 4) float stack of points and an (n, 6) one of lines, the n norms
+    row by row (each equal to the call on that row)."""
+    x, p = vec(x), vec(p)
+    if x.ndim == 2:
+        return row_norms(np.matvec(_primal_stack(unitize_rows(p)),
+                                   unitize_rows(x)))
+    return norm(primal_matrix(unitize(p)) @ unitize(x))
 
 
 def plane_line_residual(u, p) -> float:
@@ -178,41 +214,49 @@ def points_on_line(p):
 
     The columns of the dual matrix are the meets of ``p`` with the four
     coordinate planes, hence points of the line (zero when the line lies in
-    that plane); any two independent ones span it.
+    that plane); any two independent ones span it.  Exact lines take the
+    first independent pair.  Float lines take the longest column and the
+    one most orthogonal to it (the first on ties), of one line or of each
+    row of an (n, 6) stack, which gives (n, 4) stacks of points.
     """
     p = vec(p)
-    dm = dual_matrix(p)
-    cols = [vec([dm[r][c] for r in range(4)]) for c in range(4)]
-
-    def _indep(a, b):
-        return any(a[i] * b[j] - a[j] * b[i] != 0
-                   for i in range(4) for j in range(i + 1, 4))
-
     if is_exact(p):
+        dm = dual_matrix(p)
+        cols = [vec([dm[r][c] for r in range(4)]) for c in range(4)]
+
+        def _indep(a, b):
+            return any(a[i] * b[j] - a[j] * b[i] != 0
+                       for i in range(4) for j in range(i + 1, 4))
+
         cols = [c for c in cols if any(x != 0 for x in c)]
         for k, a in enumerate(cols):
             for b in cols[k + 1:]:
                 if _indep(a, b):
                     return a, b
         raise DegenerateInput("vector does not span a line")
-    order = np.argsort([-norm(c) for c in cols])
-    a = cols[order[0]]
-    if norm(a) == 0.0:
+    P = np.atleast_2d(p)
+    rows = np.arange(len(P))
+    cols = np.ascontiguousarray(np.swapaxes(_stack(P, _DUAL_LAYOUT), 1, 2))
+    norms = row_norms(cols)
+    order = np.argsort(-norms, axis=1)
+    a, na = cols[rows, order[:, 0]], norms[rows, order[:, 0]]
+    if not np.all(na):
         raise DegenerateInput("vector does not span a line")
-    au = a / norm(a)
-    best, best_score = None, -1.0
-    for idx in order[1:]:
-        c = cols[idx]
-        n = norm(c)
-        if n == 0.0:
-            continue
-        cu = c / n
-        score = norm(cu - (au @ cu) * au)  # component orthogonal to a
-        if score > best_score:
-            best, best_score = c, score
-    if best is None or best_score < 1e-12:
+    au = a / na[:, None]
+    best, best_score = np.zeros_like(a), np.full(len(P), -1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k in range(1, 4):
+            c, n = cols[rows, order[:, k]], norms[rows, order[:, k]]
+            cu = c / n[:, None]
+            # the component of cu orthogonal to a; vecdot conjugates its
+            # first operand, and conj() undoes that, so this is au @ cu
+            score = row_norms(cu - np.vecdot(au.conj(), cu)[:, None] * au)
+            better = (n != 0) & (score > best_score)
+            best = np.where(better[:, None], c, best)
+            best_score = np.where(better, score, best_score)
+    if not np.all(best_score >= 1e-12):
         raise DegenerateInput("vector does not span a line")
-    return a, best
+    return (a, best) if p.ndim == 2 else (a[0], best[0])
 
 
 def _reject_zero(out, message, *context):

@@ -28,12 +28,12 @@ from .cameras import Pinhole, TwoSlit, camera_from_payload
 from .catadioptric import MirrorSurface
 from .errors import DegenerateInput
 from .numeric import (DEFAULT_TOL, as_float, negligible, parse_vector,
-                      projective_distance, unitize, vec)
+                      projective_distance, unitize, unitize_rows, vec)
 from .plucker import plucker_quadric
 from .tensors import pinhole_center, twoslit_kernels
 
 __all__ = ["Scene", "load_scene", "scene_from_dict", "load_points",
-           "load_observations", "load_json"]
+           "load_observations", "load_json", "mirror_lines"]
 
 SCENE_VERSION = 1
 
@@ -134,10 +134,47 @@ def scene_from_dict(data, exact: bool = False,
                  descriptors=tuple(desc))
 
 
-def _check_line(line, tol):
-    if not negligible(plucker_quadric(unitize(line)), eps=max(tol, 1e-10)):
-        raise DegenerateInput("observation is not a line "
-                              "(quadric residual exceeds tolerance)")
+def _check_line(line, tol, what="observation"):
+    """Raise DegenerateInput unless ``line`` lies on the Pluecker quadric,
+    within max(tol, 1e-10) after unitizing.  The rows of a float (n, 6)
+    stack are checked at once, and the message names the first bad row."""
+    eps = max(tol, 1e-10)
+    if line.ndim == 2:
+        q = plucker_quadric(unitize_rows(line).T)
+        bad = np.flatnonzero(~(np.abs(q) <= eps))   # negligible(q, eps=eps)
+        if not bad.size:
+            return
+        what = "%s[%d]" % (what, bad[0])
+    elif negligible(plucker_quadric(unitize(line)), eps=eps):
+        return
+    raise DegenerateInput("%s is not a line "
+                          "(quadric residual exceeds tolerance)" % what)
+
+
+def mirror_lines(values, tol: float = DEFAULT_TOL):
+    """The ``lines`` of a surface-mode ``reflect`` input as one (n, 6)
+    float64 stack, each a finite nonzero vector on the Pluecker quadric.
+    Rows of plain numbers are read in one array; any other row (rational
+    strings, booleans, a wrong length) goes through :func:`parse_vector`,
+    and a defect names the index of its line."""
+    _list(values, "'lines'")
+    if all(type(row) is list and len(row) == 6
+           and all(type(v) in (int, float) for v in row) for row in values):
+        L = np.array(values, dtype=np.float64).reshape(-1, 6)
+    else:
+        rows = []
+        for i, row in enumerate(values):
+            try:
+                rows.append(as_float(parse_vector(row, 6)))
+            except DegenerateInput as exc:
+                raise DegenerateInput("lines[%d]: %s" % (i, exc)) from None
+        L = np.array(rows).reshape(-1, 6)
+    bad = np.flatnonzero(~np.all(np.isfinite(L), axis=1))
+    if bad.size:
+        raise DegenerateInput("lines[%d]: coordinates must be finite"
+                              % bad[0])
+    _check_line(L, tol, "lines")
+    return L
 
 
 def load_scene(path, exact: bool = False, tol: float = DEFAULT_TOL) -> Scene:

@@ -4,6 +4,7 @@ All randomness is seeded per test so runs are reproducible; helpers
 return plain numpy arrays (float) or Fraction arrays (exact mode).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,17 @@ def rand_point(rng, dim=4):
         x = rng.standard_normal(dim)
         if norm(x) > 0.3:
             return x
+
+
+#: Foci (1 : 0 : 0 : +-3) of ``catadioptric.reference_ellipsoid``.
+ELLIPSOID_FOCI = (vec([1.0, 0, 0, 3]), vec([1.0, 0, 0, -3]))
+
+
+def ellipsoid_point(theta, phi):
+    """Point of ``catadioptric.reference_ellipsoid`` at spherical
+    parameters."""
+    return vec([1.0, 4 * math.sin(theta) * math.cos(phi),
+                4 * math.sin(theta) * math.sin(phi), 5 * math.cos(theta)])
 
 
 def rand_line(rng):

@@ -15,7 +15,8 @@ from math import comb, inf
 import numpy as np
 import pytest
 
-from conftest import (forward_tuple, lines_through, rand_line,
+from conftest import (ELLIPSOID_FOCI, ellipsoid_point, forward_tuple,
+                      lines_through, rand_line,
                       rand_mixed_rig, rand_pinhole, rand_point,
                       rand_pushbroom, rand_skew_pair, rand_twisted_cubic,
                       rand_twoslit, rational_lines_through)
@@ -24,8 +25,7 @@ from gvcam.cameras import (Pinhole, Pushbroom, TwistedCubic, TwoSlit,
                            congruence_residual, pushbroom_infinity_slit,
                            reference_type3, reference_type4, secant_system)
 from gvcam.cameras import PanoramicNC, PanoramicStereo
-from gvcam.catadioptric import (ELLIPSOID_FOCI, ellipsoid_point,
-                                panoramic_fibers, point_line_residual,
+from gvcam.catadioptric import (panoramic_fibers, point_line_residual,
                                 reference_ellipsoid, reflect_line,
                                 specular_pair)
 from gvcam.errors import FocalPoint

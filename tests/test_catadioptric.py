@@ -7,11 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import assert_proj_close, rand_line, rand_point
+from conftest import (ELLIPSOID_FOCI, assert_proj_close, ellipsoid_point,
+                      rand_line, rand_point)
 from gvcam.cameras import PanoramicNC, PanoramicStereo, Pinhole
-from gvcam.catadioptric import (ELLIPSOID_FOCI, MirrorSurface, ReflectionMap,
-                                direction_cos, ellipsoid_point,
+from gvcam.catadioptric import (MirrorSurface, ReflectionMap, direction_cos,
                                 line_surface_points, mirror_pair_residual,
                                 panoramic_fibers, point_line_residual,
                                 reference_ellipsoid, reflect_line,
@@ -21,9 +22,11 @@ from gvcam.errors import (DegenerateInput, FocalConfiguration,
                           IsotropicDirection, IsotropicPlane,
                           IsotropicTangent, NotOnSurface,
                           SingularIntersection, SingularPoint)
-from gvcam.numeric import binary_eval, norm, projective_distance, unitize
+from gvcam.numeric import (as_float, binary_eval, binary_mul, norm,
+                           projective_distance, unitize, vec)
 from gvcam.plucker import (dual_line, incidence, line_from_points, meet_point,
-                           plucker_quadric, points_on_line, primal_matrix)
+                           plucker_quadric, points_on_line, primal_matrix,
+                           wedge)
 
 AXIS = np.array([0., 0, 1, 0, 0, 0])  # the line x1 = x2 = 0
 
@@ -360,3 +363,124 @@ def test_ellipsoid_parameterization():
         assert abs(x[3] - 5 * math.cos(theta)) <= 1e-12
     # the unit sphere agrees with unit direction points
     assert abs(unit_sphere().evaluate(np.array([1., 0.6, 0.8, 0]))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the stacked float path
+
+
+def _absolute(S):
+    """S with every coefficient replaced by its absolute value: at |x| it
+    bounds the size of the terms that the float path rounds."""
+    return MirrorSurface(S.degree, {e: abs(c) for e, c in S.coeffs})
+
+
+def _loop(S, x, b=None):
+    """evaluate, gradient and restrict_to_line of S by the monomial loop
+    over Python numbers (the exact path's arithmetic) on float input: the
+    values the stacked float path must reproduce bit for bit."""
+    value, grad, form = 0, [0, 0, 0, 0], np.zeros(S.degree + 1)
+    for expo, c in S.coeffs:
+        term = c
+        for xi, e in zip(x, expo):
+            if e:
+                term = term * xi ** e
+        value = value + term
+        for j in range(4):
+            if expo[j]:
+                term = c * expo[j]
+                for i in range(4):
+                    if expo[i] - (i == j):
+                        term = term * x[i] ** (expo[i] - (i == j))
+                grad[j] = grad[j] + term
+        piece = np.array([c], dtype=object)
+        for i in range(4):
+            for _ in range(expo[i]):
+                piece = binary_mul(piece, [x[i], b[i]])
+        form = form + piece
+    return value, np.array(grad), form
+
+
+STACK_SURFACES = (
+    MirrorSurface(2, {(2, 0, 0, 0): Fraction(-1),
+                      (0, 2, 0, 0): Fraction(1, 16),
+                      (0, 0, 2, 0): Fraction(1, 16),
+                      (0, 0, 0, 2): Fraction(1, 25)}),
+    MirrorSurface(3, {(3, 0, 0, 0): Fraction(-1), (1, 2, 0, 0): Fraction(2),
+                      (0, 0, 3, 0): Fraction(1, 2),
+                      (1, 0, 1, 1): Fraction(1, 3),
+                      (0, 1, 0, 2): Fraction(3, 2)}))
+rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+rational_points = st.lists(rational, min_size=4, max_size=4)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.sampled_from(STACK_SURFACES),
+       st.lists(st.tuples(rational_points, rational_points),
+                min_size=1, max_size=6))
+def test_stacked_mirror_kernel_matches_rows_and_exact_loop(S, pairs):
+    A = np.array([[float(v) for v in a] for a, _ in pairs])
+    B = np.array([[float(v) for v in b] for _, b in pairs])
+    # stacks equal row-by-row calls, bit for bit
+    assert np.array_equal(S.evaluate(A), [S.evaluate(a) for a in A])
+    assert np.array_equal(S.gradient(A), [S.gradient(a) for a in A])
+    assert np.array_equal(S.restrict_to_line(A, B),
+                          [S.restrict_to_line(a, b) for a, b in zip(A, B)])
+    # the float path agrees with the exact monomial loop: with its
+    # arithmetic on floats bit for bit, with Fractions to 1e-12
+    bound = _absolute(S)
+    for (a, b), af, bf in zip(pairs, A, B):
+        value, grad, form = _loop(S, af, bf)
+        assert S.evaluate(af) == value
+        assert np.array_equal(S.gradient(af), grad)
+        assert np.array_equal(S.restrict_to_line(af, bf), form)
+        ae, be = vec(a, exact=True), vec(b, exact=True)
+        size = float(bound.evaluate(np.abs(ae)))
+        assert abs(S.evaluate(af) - float(S.evaluate(ae))) <= 1e-12 * size
+        size = as_float(bound.gradient(np.abs(ae)))
+        assert np.all(np.abs(S.gradient(af) - as_float(S.gradient(ae)))
+                      <= 1e-12 * size)
+        size = as_float(bound.restrict_to_line(np.abs(ae), np.abs(be)))
+        assert np.all(np.abs(S.restrict_to_line(af, bf)
+                             - as_float(S.restrict_to_line(ae, be)))
+                      <= 1e-12 * size)
+    # contacts, tangents and reflections of a stack of lines
+    lines = [wedge(a, b) for a, b in zip(A, B)]
+    lines = np.array([p for p in lines if norm(p) > 0.1]).reshape(-1, 6)
+    points, rows = line_surface_points(S, lines)
+    assert np.all(np.diff(rows) >= 0)
+    for i, L in enumerate(lines):
+        one = line_surface_points(S, L)
+        assert len(one) == np.count_nonzero(rows == i)
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(one, points[rows == i]))
+    smooth = [k for k in range(len(points))
+              if norm(S.gradient(unitize(points[k]))) > 1e-6 * S.scale()]
+    if smooth:
+        X, Ls = points[smooth], lines[rows[smooth]]
+        assert np.array_equal(tangent_plane(S, X, tol=1e-6),
+                              [tangent_plane(S, x, tol=1e-6) for x in X])
+        try:
+            R = specular_pair(S, X, Ls, tol=1e-6)
+        except IsotropicTangent:
+            return
+        assert np.array_equal(R, [specular_pair(S, x, L, tol=1e-6)
+                                  for x, L in zip(X, Ls)])
+
+
+def test_stacked_tangent_and_specular_raise_on_the_bad_row():
+    """One bad row in a stack raises what the row alone raises."""
+    S = unit_sphere()
+    on = np.array([[1., 0.6, 0.8, 0], [1., 0, 0, 1], [1., 1, 0, 0]])
+    off = on.copy()
+    off[1] = [1., 2, 0, 0]
+    with pytest.raises(NotOnSurface):
+        tangent_plane(S, off[1])
+    with pytest.raises(NotOnSurface):
+        tangent_plane(S, off)
+    rays = np.array([line_from_points(x, [1., 3, -1, 2]) for x in on])
+    assert specular_pair(S, on, rays).shape == (3, 6)
+    astray = rays.copy()
+    astray[2] = line_from_points([1., 0, 0, 1], [1., 3, -1, 2])
+    with pytest.raises(DegenerateInput):
+        specular_pair(S, on, astray)

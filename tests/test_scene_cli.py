@@ -16,7 +16,10 @@ from conftest import assert_proj_close
 from gvcam import cli
 from gvcam.cameras import Pinhole, TwoSlit
 from gvcam.errors import DegenerateInput
-from gvcam.plucker import line_from_points
+from gvcam.catadioptric import (MirrorSurface, line_surface_points,
+                                specular_pair, tangent_plane)
+from gvcam.numeric import unitize
+from gvcam.plucker import line_from_points, points_on_line
 from gvcam.scene import (load_observations, load_points, load_scene,
                          scene_from_dict)
 
@@ -383,6 +386,75 @@ def test_cli_reflect_surface(capsys, tmp_path):
     for row in contacts:
         assert len(row["contact"]) == 4 and len(row["reflected"]) == 6
     assert [r for r in rows if r["index"] == 1][0]["contacts"] == 0
+
+
+# The reference ellipsoid x1^2/16 + x2^2/16 + x3^2/25 = x0^2, as the
+# documented input form with rational coefficient strings.
+ELLIPSOID = {"degree": 2, "coeffs": {"2000": "-1", "0200": "1/16",
+                                     "0020": "1/16", "0002": "1/25"}}
+
+
+def test_cli_reflect_surface_matches_per_line_calls(capsys, tmp_path):
+    """One report row per real contact (or one for a missing line), in
+    line order, each equal to the per-line library calls; the rare rows'
+    restrictions have an exact-zero trailing or leading coefficient, which
+    np.roots would strip or which is a root at infinity."""
+    interior = [line_from_points([1., 0.5, -0.2, 1.0], [1., 6, 2, -3]),
+                line_from_points([1., 0, 0, 0], [1., 1, 2, 3])]
+    missing = line_from_points([1., 9, 0, 0], [1., 9, 1, 1])
+    trailing = np.array([-3., 1, 1, 4, 4, 0])    # (1,4,0,0) v (1,1,1,1)
+    leading = np.array([-27., -24, 15, -12, 48, 36])
+    lines = [interior[0], missing, trailing, interior[1], leading]
+    S = MirrorSurface.from_payload(ELLIPSOID)
+    forms = [S.restrict_to_line(*points_on_line(unitize(L)))
+             for L in (trailing, leading)]
+    assert forms[0][-1] == 0 and forms[1][0] == 0
+    path = write_json(tmp_path / "ellipsoid.json",
+                      {"surface": ELLIPSOID,
+                       "lines": [L.tolist() for L in lines]})
+    rc, out = run_cli(capsys, ["reflect", "--input", path])
+    assert rc == 0
+    rows = json.loads(out)["results"]
+    assert [r["index"] for r in rows] == [0, 0, 1, 2, 2, 3, 3, 4, 4]
+    expected = []
+    for i, L in enumerate(lines):
+        contacts = line_surface_points(S, L)
+        if not contacts:
+            expected.append({"kind": "specular", "index": i, "contacts": 0})
+        for x in contacts:
+            expected.append({
+                "kind": "specular", "index": i, "contact": x.tolist(),
+                "tangent": tangent_plane(S, x, tol=1e-6).tolist(),
+                "reflected": specular_pair(S, x, L, tol=1e-6).tolist()})
+    assert rows == expected
+
+
+def test_cli_rejects_non_finite_coordinates(capsys, tmp_path):
+    """json reads NaN and Infinity, but they are not coordinates."""
+    scene = {"version": 1, "rig": [{"type": "pinhole",
+                                    "center": [1, 0, 0, 0]}],
+             "points": [[float("nan"), 1, 2, 1]]}
+    mirror = {"surface": ELLIPSOID, "lines": [[float("inf"), 1, 0, 0, 0, 1]]}
+    for argv in (["project", "--scene",
+                  write_json(tmp_path / "nan.json", scene)],
+                 ["reflect", "--input",
+                  write_json(tmp_path / "inf.json", mirror)]):
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == \
+            "DegenerateInput"
+
+
+def test_cli_reflect_rejects_malformed_lines(capsys, tmp_path):
+    good = line_from_points([1., 0, 0, 0], [1., 1, 2, 3]).tolist()
+    for bad in ([1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 1]):   # short, off quadric
+        path = write_json(tmp_path / "bad.json",
+                          {"surface": ELLIPSOID, "lines": [good, good, bad]})
+        capsys.readouterr()
+        assert cli.main(["reflect", "--input", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DegenerateInput"
+        assert err["message"].startswith("lines[2]")
 
 
 def test_cli_multidegree(capsys):
