@@ -22,7 +22,7 @@ from .errors import (DegenerateInput, FocalConfiguration, IsotropicDirection,
                      SingularIntersection, SingularPoint)
 from .numeric import (DEFAULT_TOL, FORM_EPS, REAL_EPS, ZERO_EPS, as_float,
                       binary_mul, binary_roots, compound2, is_exact,
-                      negligible, norm, realify, row_norms, unitize,
+                      negligible, negligible_each, norm, realify, row_norms, unitize,
                       unitize_rows, vec)
 from .plucker import (dual_line, line_from_planes, line_from_points,
                       meet_point, point_line_residual, points_on_line,
@@ -69,12 +69,8 @@ class ReflectionMap:
     def __init__(self, plane):
         H = vec(plane)
         s = _spatial_square(H.T)
-        if is_exact(H):
-            isotropic = negligible(s)
-        else:   # negligible(s, norm(H) ** 2), row by row
-            isotropic = np.any(np.sqrt(s * s) <= ZERO_EPS
-                               * np.float_power(row_norms(H), 2))
-        if isotropic:
+        if np.any(negligible_each(s, np.float_power(row_norms(as_float(H)),
+                                                    2))):
             raise IsotropicPlane("plane normal squares to zero")
         normal = H.copy()
         normal[..., 0] = 0
@@ -114,6 +110,13 @@ def _parse_exponents(key):
     if len(parts) != 4 or any(e < 0 for e in parts):
         raise DegenerateInput("bad exponent key %r" % (key,))
     return parts
+
+
+def _float_rows(x):
+    """A point or stack of points as a 2-d float array of at least float64
+    precision (integer and float32 input is widened)."""
+    X = np.atleast_2d(as_float(x))
+    return X.astype(np.result_type(X, np.float64), copy=False)
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,7 @@ class MirrorSurface:
                         term = term * xi ** e
                 total = total + term
             return total
-        X = np.atleast_2d(x)
+        X = _float_rows(x)
         total = np.zeros(len(X), dtype=X.dtype)
         for expo, c, _ in self._float_terms:
             term = c
@@ -201,7 +204,7 @@ class MirrorSurface:
                             term = term * x[i] ** e
                     out[j] = out[j] + term
             return vec(out)
-        X = np.atleast_2d(x)
+        X = _float_rows(x)
         out = np.zeros(X.shape, dtype=X.dtype)
         for expo, _, factors in self._float_terms:
             for j in range(4):
@@ -228,7 +231,7 @@ class MirrorSurface:
                         form = binary_mul(form, [a[i], b[i]])
                 total = total + form
             return vec(total)
-        A, B = as_float(np.atleast_2d(a)), as_float(np.atleast_2d(b))
+        A, B = _float_rows(a), _float_rows(b)
         total = np.zeros((len(A), self.degree + 1), dtype=np.result_type(A, B))
         for expo, c, _ in self._float_terms:
             form = [c]

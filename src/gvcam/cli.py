@@ -327,8 +327,8 @@ def cmd_reflect(args) -> int:
                          "reflected": _line_payload(reflect_line(H, pv))})
     else:
         surf = MirrorSurface.from_payload(data["surface"], exact=args.exact)
-        lines = mirror_lines(data.get("lines", []), tol=args.tol)
         tol = max(args.tol, 1e-6)
+        lines = mirror_lines(data.get("lines", []), tol=tol)
         points, owner = line_surface_points(surf, lines)
         contacts = iter(zip(
             points.tolist(), tangent_plane(surf, points, tol=tol).tolist(),

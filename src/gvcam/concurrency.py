@@ -33,7 +33,8 @@ from math import comb
 import numpy as np
 
 from .errors import AmbiguousPencil, InvalidN
-from .numeric import DEFAULT_TOL, as_float, is_exact, negligible, unitize, vec
+from .numeric import (DEFAULT_TOL, as_float, is_exact, negligible,
+                      negligible_each, unitize, vec)
 from .plucker import _primal_stack, incidence, primal_matrix
 
 __all__ = [
@@ -239,8 +240,7 @@ def concurrent_by_generators(lines, tol: float = DEFAULT_TOL) -> bool:
     if L is not None:
         quadrics, cubics = _float_generators(L)
         values = np.concatenate([quadrics, cubics[:, :4].ravel()])
-        # negligible(v, eps=tol) of a float scalar: sqrt(v * v) <= tol
-        return bool(np.all(np.sqrt(values * values) <= tol))
+        return bool(np.all(negligible_each(values, eps=tol)))
     exact = all(is_exact(l) for l in lines)
     for (i, j), v in quadric_generators(lines).items():
         if not negligible(v, eps=tol):

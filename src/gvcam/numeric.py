@@ -29,7 +29,7 @@ __all__ = [
     "proj_normalize", "projective_distance", "projective_equal",
     "det2", "det3", "det4", "compound2", "exact_nullspace",
     "binary_eval", "binary_mul", "binary_roots", "binary_from_root_pairs",
-    "realify", "negligible", "DEFAULT_TOL", "ZERO_EPS", "FOCAL_EPS",
+    "realify", "negligible", "negligible_each", "DEFAULT_TOL", "ZERO_EPS", "FOCAL_EPS",
     "FORM_EPS", "REAL_EPS",
 ]
 
@@ -90,6 +90,17 @@ def negligible(v, scale: float = 1.0, eps: float = ZERO_EPS) -> bool:
     if is_exact(v):
         return all(x == 0 for x in np.ravel(v))
     return norm(v) <= eps * scale
+
+
+def negligible_each(v, scale=1.0, eps: float = ZERO_EPS):
+    """:func:`negligible` of each element of an array, as a boolean array;
+    ``scale`` may be an array that broadcasts against ``v`` (one scale per
+    row, say), and is ignored for Fractions."""
+    if is_exact(v):
+        return np.asarray(v == 0, dtype=bool)
+    a = np.abs(v)
+    # norm(v_i), bit for bit, also where a * a under- or overflows
+    return np.sqrt(a * a) <= eps * scale
 
 
 def as_float(a):

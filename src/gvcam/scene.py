@@ -27,8 +27,9 @@ import numpy as np
 from .cameras import Pinhole, TwoSlit, camera_from_payload
 from .catadioptric import MirrorSurface
 from .errors import DegenerateInput
-from .numeric import (DEFAULT_TOL, as_float, negligible, parse_vector,
-                      projective_distance, unitize, unitize_rows, vec)
+from .numeric import (DEFAULT_TOL, as_float, negligible, negligible_each,
+                      parse_vector, projective_distance, unitize,
+                      unitize_rows, vec)
 from .plucker import plucker_quadric
 from .tensors import pinhole_center, twoslit_kernels
 
@@ -141,7 +142,7 @@ def _check_line(line, tol, what="observation"):
     eps = max(tol, 1e-10)
     if line.ndim == 2:
         q = plucker_quadric(unitize_rows(line).T)
-        bad = np.flatnonzero(~(np.abs(q) <= eps))   # negligible(q, eps=eps)
+        bad = np.flatnonzero(~negligible_each(q, eps=eps))
         if not bad.size:
             return
         what = "%s[%d]" % (what, bad[0])
@@ -154,21 +155,15 @@ def _check_line(line, tol, what="observation"):
 def mirror_lines(values, tol: float = DEFAULT_TOL):
     """The ``lines`` of a surface-mode ``reflect`` input as one (n, 6)
     float64 stack, each a finite nonzero vector on the Pluecker quadric.
-    Rows of plain numbers are read in one array; any other row (rational
-    strings, booleans, a wrong length) goes through :func:`parse_vector`,
-    and a defect names the index of its line."""
-    _list(values, "'lines'")
-    if all(type(row) is list and len(row) == 6
-           and all(type(v) in (int, float) for v in row) for row in values):
-        L = np.array(values, dtype=np.float64).reshape(-1, 6)
-    else:
-        rows = []
-        for i, row in enumerate(values):
-            try:
-                rows.append(as_float(parse_vector(row, 6)))
-            except DegenerateInput as exc:
-                raise DegenerateInput("lines[%d]: %s" % (i, exc)) from None
-        L = np.array(rows).reshape(-1, 6)
+    Each row is read by :func:`parse_vector`, and a defect names the index
+    of its line."""
+    rows = []
+    for i, row in enumerate(_list(values, "'lines'")):
+        try:
+            rows.append(as_float(parse_vector(row, 6)))
+        except DegenerateInput as exc:
+            raise DegenerateInput("lines[%d]: %s" % (i, exc)) from None
+    L = np.array(rows, dtype=np.float64).reshape(-1, 6)
     bad = np.flatnonzero(~np.all(np.isfinite(L), axis=1))
     if bad.size:
         raise DegenerateInput("lines[%d]: coordinates must be finite"

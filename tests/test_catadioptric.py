@@ -118,6 +118,13 @@ def test_isotropic_plane_rejected():
         reflect_point([Fraction(1), 0, 0, 0], [1, 2, 3, 4])
 
 
+def test_complex_plane_with_complex_square_reflects():
+    """A complex plane whose normal squares to 2j is not isotropic."""
+    H = np.array([1, 1 + 1j, 0, 0])
+    rho = ReflectionMap(H).matrix
+    assert np.allclose(rho @ rho, (2j) ** 2 * np.eye(4))
+
+
 def test_normal_line_fixed_generic_line_moves(rng):
     S = unit_sphere()
     for _ in range(10):
@@ -444,6 +451,14 @@ def test_stacked_mirror_kernel_matches_rows_and_exact_loop(S, pairs):
         assert np.all(np.abs(S.restrict_to_line(af, bf)
                              - as_float(S.restrict_to_line(ae, be)))
                       <= 1e-12 * size)
+    # integer and float32 stacks are widened to float64 first
+    for narrow in (np.int64, np.float32):
+        An, Bn = A.astype(narrow), B.astype(narrow)
+        Aw, Bw = An.astype(np.float64), Bn.astype(np.float64)
+        assert np.array_equal(S.evaluate(An), S.evaluate(Aw))
+        assert np.array_equal(S.gradient(An), S.gradient(Aw))
+        assert np.array_equal(S.restrict_to_line(An, Bn),
+                              S.restrict_to_line(Aw, Bw))
     # contacts, tangents and reflections of a stack of lines
     lines = [wedge(a, b) for a, b in zip(A, B)]
     lines = np.array([p for p in lines if norm(p) > 0.1]).reshape(-1, 6)

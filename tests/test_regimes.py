@@ -11,7 +11,7 @@ from gvcam.cameras import Pinhole, Pushbroom, TwoSlit, Type4
 from gvcam.catadioptric import ReflectionMap
 from gvcam.concurrency import concurrent_by_generators
 from gvcam.errors import GeometryError
-from gvcam.numeric import negligible, vec
+from gvcam.numeric import negligible, negligible_each, vec
 from gvcam.plucker import line_from_points
 from gvcam.tensors import fundamental_matrix
 
@@ -51,6 +51,18 @@ def test_negligible_regimes():
     assert negligible(1e-13) and not negligible(1e-11)
     assert negligible(1e-9, scale=1e3) and not negligible(1e-9)
     assert negligible(np.array([3e-9j, 4e-9]), eps=5e-9)
+
+
+def test_negligible_each_is_negligible_of_each_element():
+    values = np.array([0, 1e-13, -1e-11, 2j, -3e-13j, 1e-200, 1e200,
+                       np.inf, np.nan])
+    for scale in (1.0, 1e-300, 1e300, np.full(len(values), 3.0)):
+        scales = np.broadcast_to(scale, values.shape)
+        with np.errstate(over="ignore"):   # 1e200 squared
+            assert negligible_each(values, scale).tolist() == [
+                negligible(v, s) for v, s in zip(values, scales)]
+    exact = vec([0, Fraction(1, 10 ** 30), -2], exact=True)
+    assert negligible_each(exact, 1e300).tolist() == [True, False, False]
 
 
 @regime

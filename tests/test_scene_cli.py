@@ -19,7 +19,7 @@ from gvcam.errors import DegenerateInput
 from gvcam.catadioptric import (MirrorSurface, line_surface_points,
                                 specular_pair, tangent_plane)
 from gvcam.numeric import unitize
-from gvcam.plucker import line_from_points, points_on_line
+from gvcam.plucker import line_from_points, plucker_quadric, points_on_line
 from gvcam.scene import (load_observations, load_points, load_scene,
                          scene_from_dict)
 
@@ -455,6 +455,21 @@ def test_cli_reflect_rejects_malformed_lines(capsys, tmp_path):
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "DegenerateInput"
         assert err["message"].startswith("lines[2]")
+
+
+def test_cli_reflect_accepts_rounded_lines(capsys, tmp_path):
+    """Lines rounded to seven digits miss the Pluecker quadric by more than
+    the default tolerance; they are checked at the reflection's 1e-6."""
+    lines = [unitize(line_from_points(x, [1., 1, 2, 3]))
+             for x in ([1., 0.5, -1, 0.25], [1., -1, 0.5, 2])]
+    rounded = [[float("%.7g" % v) for v in p] for p in lines]
+    assert all(abs(plucker_quadric(unitize(np.array(p)))) > 1e-8
+               for p in rounded)
+    path = write_json(tmp_path / "rounded.json",
+                      {"surface": ELLIPSOID, "lines": rounded})
+    rc, out = run_cli(capsys, ["reflect", "--input", path])
+    assert rc == 0
+    assert {row["index"] for row in json.loads(out)["results"]} == {0, 1}
 
 
 def test_cli_multidegree(capsys):
