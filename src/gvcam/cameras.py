@@ -17,6 +17,11 @@ catalog (after projective normalization):
 
 Projections always return lines in the fixed primal coordinate order
 (p01, p02, p03, p12, p13, p23).
+
+``congruence_residual`` takes one line or an (N, 6) stack of lines.  Real
+float64 input is evaluated as a stack (one line is a stack of one) with
+per-camera constants computed at construction; Fraction and complex input
+take the scalar reference expressions, row by row for a stack.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ import numpy as np
 from .errors import (DegenerateInput, FocalPoint, IllConditioned,
                      InvalidSlit, DegenerateCubic, UnsupportedOrder)
 from .numeric import (DEFAULT_TOL, FOCAL_EPS, as_float, binary_eval,
-                      binary_roots, compound2, negligible, norm, unitize, vec)
-from .plucker import (dual_line, incidence, line_from_planes,
+                      binary_roots, compound2, negligible, norm, row_norms,
+                      unitize, unitize_rows, vec)
+from .plucker import (_primal_stack, dual_line, incidence, line_from_planes,
                       line_from_points, plucker_quadric, primal_matrix,
                       point_line_residual, line_residual, wedge)
 
@@ -145,6 +151,28 @@ def point_curve_residual(x, curve: RationalCurve) -> float:
 # --------------------------------------------------------------------------
 # cameras
 
+#: Relative size up to which |det H| / ||H||_2^4 counts as a singular
+#: homography; at unit spectral norm the bound is on |det H| itself.
+HOMOGRAPHY_EPS = 1e-12
+
+
+def _residuals(p, reference, float_rows=None):
+    """Congruence residual of one line, or of each row of an (N, 6) stack.
+
+    Real float64 input goes through ``float_rows`` on a C-contiguous
+    (N, 6) stack, one line being a stack of one; any other input (Fraction,
+    complex), and every input when ``float_rows`` is None, goes through
+    the scalar ``reference``, row by row for a stack.
+    """
+    p = vec(p)
+    if float_rows is not None and p.dtype == np.float64:
+        r = float_rows(np.ascontiguousarray(np.atleast_2d(p)))
+        return r if p.ndim == 2 else float(r[0])
+    if p.ndim == 2:
+        return np.array([reference(q) for q in p])
+    return reference(p)
+
+
 @dataclass(frozen=True)
 class Pinhole:
     """Lines through a fixed center; bidegree (1, 0)."""
@@ -155,6 +183,8 @@ class Pinhole:
         object.__setattr__(self, "center", vec(self.center))
         if norm(self.center) == 0:
             raise DegenerateInput("pinhole center must be a point")
+        object.__setattr__(self, "_unit_center",
+                           unitize(as_float(self.center)))
 
     kind = "pinhole"
     bidegree = (1, 0)
@@ -171,8 +201,13 @@ class Pinhole:
         return norm(wedge(self.center, x)) / (
             norm(self.center) * norm(vec(x)))
 
-    def congruence_residual(self, p) -> float:
-        return point_line_residual(self.center, p)
+    def congruence_residual(self, p):
+        return _residuals(p, lambda q: point_line_residual(self.center, q),
+                          self._float_residuals)
+
+    def _float_residuals(self, P):
+        return row_norms(np.matvec(_primal_stack(unitize_rows(P)),
+                                   self._unit_center))
 
     def payload(self):
         from .numeric import vector_payload
@@ -199,6 +234,8 @@ class TwoSlit:
                 raise InvalidSlit("slit is not on the line quadric")
         if negligible(incidence(unitize(s1), unitize(s2)), eps=1e-9):
             raise InvalidSlit("slits must be skew (they meet)")
+        object.__setattr__(self, "_unit_slits",
+                           tuple(unitize(as_float(s)) for s in (s1, s2)))
 
     kind = "two_slit"
     bidegree = (1, 1)
@@ -222,9 +259,17 @@ class TwoSlit:
         return (point_line_residual(x, self.slit1)
                 * point_line_residual(x, self.slit2))
 
-    def congruence_residual(self, p) -> float:
+    def congruence_residual(self, p):
+        return _residuals(p, self._reference_residual, self._float_residuals)
+
+    def _reference_residual(self, p):
         return max(abs(incidence(unitize(p), unitize(self.slit1))),
                    abs(incidence(unitize(p), unitize(self.slit2))))
+
+    def _float_residuals(self, P):
+        U = unitize_rows(P).T
+        s1, s2 = self._unit_slits
+        return np.maximum(np.abs(incidence(U, s1)), np.abs(incidence(U, s2)))
 
     def payload(self):
         from .numeric import vector_payload
@@ -302,19 +347,25 @@ class TwistedCubic:
     homography: np.ndarray | None = None
 
     def __post_init__(self):
+        # float H^-1, compound2(H^-1) and compound2(H), or None without H
+        consts = (None, None, None)
         if self.homography is not None:
             H = vec(self.homography)
             if H.shape != (4, 4):
                 raise DegenerateInput("homography must be 4x4")
-            if abs(np.linalg.det(as_float(H))) < 1e-12:
+            Hf = as_float(H)
+            if (abs(np.linalg.det(Hf))
+                    <= HOMOGRAPHY_EPS * np.linalg.norm(Hf, 2) ** 4):
                 raise DegenerateInput("homography must be invertible")
             object.__setattr__(self, "homography", H)
+            inverse = np.linalg.inv(Hf)
+            consts = (inverse, compound2(inverse), compound2(Hf))
+        for name, value in zip(("_inverse", "_line_inverse", "_line_map"),
+                               consts):
+            object.__setattr__(self, name, value)
 
     kind = "twisted_cubic"
     bidegree = (1, 3)
-
-    def _inverse(self):
-        return np.linalg.inv(as_float(self.homography))
 
     def curve(self) -> RationalCurve:
         if self.homography is None:
@@ -328,7 +379,7 @@ class TwistedCubic:
     def project(self, x):
         x = vec(x)
         xn = x if self.homography is None else vec(
-            (self._inverse() @ as_float(x)).tolist())
+            (self._inverse @ as_float(x)).tolist())
         x0, x1, x2, x3 = xn
         f1 = x1 * x3 - x2 * x2
         f2 = x0 * x2 - x1 * x1
@@ -340,30 +391,39 @@ class TwistedCubic:
             raise FocalPoint("world point lies on the twisted cubic")
         if self.homography is None:
             return ell
-        return vec((compound2(as_float(self.homography))
-                    @ as_float(ell)).tolist())
+        return vec((self._line_map @ as_float(ell)).tolist())
 
     def normalized_line(self, p):
         if self.homography is None:
             return vec(p)
-        return vec((compound2(self._inverse()) @ as_float(vec(p))).tolist())
+        return vec((self._line_inverse @ as_float(vec(p))).tolist())
 
     def focal_residual(self, x) -> float:
-        xn = x if self.homography is None else self._inverse() @ as_float(vec(x))
+        xn = x if self.homography is None else self._inverse @ as_float(vec(x))
         return point_curve_residual(xn, TWISTED_CUBIC_CURVE)
 
-    def congruence_residual(self, p) -> float:
+    def congruence_residual(self, p):
+        return _residuals(p, self._reference_residual, self._float_residuals)
+
+    def _reference_residual(self, p):
         pn = unitize(as_float(self.normalized_line(p)))
         vals = np.abs(as_float(secant_quadrics(pn)))
         return float(max(np.max(vals), line_residual(pn)))
+
+    def _float_residuals(self, P):
+        if self._line_inverse is not None:
+            P = np.matvec(self._line_inverse, P)
+        pn = unitize_rows(P)
+        vals = np.abs(secant_quadrics(pn.T))
+        return np.maximum(np.max(vals, axis=0), line_residual(pn))
 
     def system(self, x):
         """Rank-5 system for the secant through x, pulled back through the
         homography so that system(x) @ project(x) == 0."""
         if self.homography is None:
             return secant_system(x)
-        xn = self._inverse() @ as_float(vec(x))
-        return secant_system(xn) @ compound2(self._inverse())
+        xn = self._inverse @ as_float(vec(x))
+        return secant_system(xn) @ self._line_inverse
 
     def payload(self):
         out = {"type": "twisted_cubic"}
@@ -491,8 +551,8 @@ class Type3:
         on_line = norm(x[:2]) / norm(x)
         return min(on_line, point_curve_residual(x, self.curve()))
 
-    def congruence_residual(self, p) -> float:
-        return _pencil_residual(p, self.curve_point)
+    def congruence_residual(self, p):
+        return _residuals(p, lambda q: _pencil_residual(q, self.curve_point))
 
     def payload(self):
         from .numeric import vector_payload
@@ -555,8 +615,8 @@ class Type4:
         x = as_float(vec(x))
         return norm(x[:2]) / norm(x)
 
-    def congruence_residual(self, p) -> float:
-        return _pencil_residual(p, self.target_point)
+    def congruence_residual(self, p):
+        return _residuals(p, lambda q: _pencil_residual(q, self.target_point))
 
     def payload(self):
         from .numeric import vector_payload
@@ -636,9 +696,9 @@ class PanoramicNC:
         return vec([p[3], p[2] ** 2 - p[4] ** 2 - p[5] ** 2,
                     plucker_quadric(p)])
 
-    def congruence_residual(self, p) -> float:
-        return float(np.max(np.abs(as_float(
-            self.generator_values(unitize(as_float(vec(p))))))))
+    def congruence_residual(self, p):
+        return _residuals(p, lambda q: float(np.max(np.abs(as_float(
+            self.generator_values(unitize(as_float(q))))))))
 
     def focal_residual(self, x) -> float:
         x = unitize(as_float(vec(x)))
@@ -666,9 +726,9 @@ class PanoramicStereo:
         return vec([p[2], p[3] ** 2 - p[1] ** 2 - p[0] ** 2,
                     plucker_quadric(p)])
 
-    def congruence_residual(self, p) -> float:
-        return float(np.max(np.abs(as_float(
-            self.generator_values(unitize(as_float(vec(p))))))))
+    def congruence_residual(self, p):
+        return _residuals(p, lambda q: float(np.max(np.abs(as_float(
+            self.generator_values(unitize(as_float(q))))))))
 
     def focal_residual(self, x) -> float:
         x = unitize(as_float(vec(x)))
@@ -693,7 +753,9 @@ def focal_residual(cam, x) -> float:
     return cam.focal_residual(x)
 
 
-def congruence_residual(cam, p) -> float:
+def congruence_residual(cam, p):
+    """Membership residual of one line, or the N residuals of an (N, 6)
+    stack of lines, in the camera's congruence."""
     return cam.congruence_residual(p)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -29,7 +30,7 @@ from .catadioptric import (MirrorSurface, line_surface_points, reflect_line,
 from .errors import (AmbiguousPencil, DegenerateInput, FocalPoint,
                      GeometryError, IllConditioned, UnsupportedOrder)
 from .numeric import (DEFAULT_TOL, as_float, format_scalar, is_exact,
-                      parse_scalar, unitize, vec, vector_payload)
+                      parse_scalar, unitize_rows, vec, vector_payload)
 from .plucker import line_residual, plucker_quadric
 from .scene import (load_json, load_observations, load_points, load_scene,
                     mirror_lines)
@@ -47,7 +48,10 @@ def _default_tol() -> float:
         raise DegenerateInput("GVCAM_TOL must be a float, got %r" % env)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared by every
+    call in the process."""
     top = argparse.ArgumentParser(
         prog="gvcam",
         description="Line-geometry camera toolkit: project points to "
@@ -108,13 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------
 # report plumbing
 
-def _line_payload(p):
-    arr = np.asarray(p)
-    if np.iscomplexobj(arr):
-        return [format_scalar(complex(x)) for x in arr.tolist()]
-    return vector_payload(arr)
-
-
 def _report(args, **extra):
     timing = None
     if getattr(args, "timing", False) and hasattr(args, "_t0"):
@@ -159,10 +156,18 @@ def _emit(report, args) -> None:
 # --------------------------------------------------------------------------
 # commands
 
+def _quadric_residuals(lines):
+    """Distance from the Pluecker quadric of each row of a stack of lines:
+    1.0 or 0.0 for exact rows, the unitized |quadric| for float rows."""
+    if is_exact(lines):
+        return (plucker_quadric(lines.T) != 0).astype(float)
+    return line_residual(unitize_rows(lines))
+
+
 def cmd_project(args) -> int:
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     points = load_points(args.points, scene, exact=args.exact)
-    rows, per_point_lines = [], {}
+    rows, per_point_lines, groups = [], {}, {}
     for j, x in enumerate(points):
         for i, cam in enumerate(scene.cameras):
             try:
@@ -172,17 +177,20 @@ def cmd_project(args) -> int:
                              "error": type(exc).__name__,
                              "message": str(exc)})
                 continue
-            if is_exact(line):
-                quadric = float(plucker_quadric(line) != 0)
-            else:
-                quadric = line_residual(unitize(as_float(line)))
-            rows.append({
-                "item": j, "camera": i, "line": _line_payload(line),
-                "quadric_residual": format_scalar(quadric),
-                "congruence_residual": format_scalar(
-                    congruence_residual(cam, line)),
-            })
+            rows.append({"item": j, "camera": i,
+                         "line": vector_payload(line)})
+            groups.setdefault((i, is_exact(line)), []).append(
+                (rows[-1], line))
             per_point_lines.setdefault(j, []).append(line)
+    # the residuals of each camera's lines (of one number type) at once
+    for (i, _), entries in groups.items():
+        lines = np.array([line for _, line in entries])
+        quadric = vector_payload(_quadric_residuals(lines))
+        congruence = vector_payload(
+            congruence_residual(scene.cameras[i], lines))
+        for (row, _), q, c in zip(entries, quadric, congruence):
+            row["quadric_residual"] = q
+            row["congruence_residual"] = c
     checks = []
     for j in sorted(per_point_lines):
         lines = per_point_lines[j]
@@ -194,58 +202,62 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _named_violation(cams, lines, tol):
-    """(generator name, residual) of the worst violated constraint."""
-    worst = ("", 0.0)
-    for i, (cam, p) in enumerate(zip(cams, lines)):
-        r = congruence_residual(cam, p)
-        if r > max(worst[1], tol):
-            worst = ("congruence[%d]" % i, r)
-    if worst[0]:
-        return worst
-    # the first strict maximum in payload order (GeneratorReport.payload)
+def _named_violation(residuals, lines, tol):
+    """(generator name, residual) of the worst violated constraint of a
+    rejected tuple: the first strict maximum of its congruence residuals
+    if it exceeds tol, else the first strict maximum of its concurrency
+    generators in payload order (GeneratorReport.payload)."""
+    i = int(np.argmax(residuals))
+    if residuals[i] > tol:
+        return "congruence[%d]" % i, residuals[i]
     rep = concurrency.evaluate_generators(lines)
-    best, best_r = None, worst[1]
+    best = ("", 0.0)
     for kind, values in (("quadric", rep.quadrics), ("cubic", rep.cubics)):
         for key, value in sorted(values.items()):
             r = abs(complex(value))
-            if r > best_r:
-                best, best_r = (kind, key), r
-    if best is None:
-        return worst
-    kind, key = best
-    return kind + "".join("[%d]" % i for i in key), best_r
+            if r > best[1]:
+                best = kind + "".join("[%d]" % j for j in key), r
+    return best
 
 
 def cmd_check(args) -> int:
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     items = load_observations(args.observations, scene, exact=args.exact,
                               tol=args.tol)
-    rows, any_rejected = [], False
-    for k, lines in enumerate(items):
-        point = multiimage.correspond(scene.cameras, lines, tol=args.tol)
+    cams = scene.cameras
+    if isinstance(items, np.ndarray):
+        points, residuals = multiimage.correspond(cams, items, tol=args.tol)
+    else:               # exact or mixed tuples, one at a time
+        points = [multiimage.correspond(cams, item, tol=args.tol)
+                  for item in items]
+        residuals = [None if x is not None else
+                     [congruence_residual(c, p) for c, p in zip(cams, item)]
+                     for x, item in zip(points, items)]
+    rows = []
+    for k, point in enumerate(points):
         if point is not None:
             rows.append({"item": k, "accepted": True,
-                         "point": _line_payload(point), "violated": None})
+                         "point": vector_payload(point), "violated": None})
         else:
-            any_rejected = True
-            name, residual = _named_violation(scene.cameras, lines, args.tol)
+            name, residual = _named_violation(residuals[k], items[k],
+                                              args.tol)
             rows.append({"item": k, "accepted": False, "point": None,
                          "violated": name,
                          "residual": format_scalar(residual)})
     _emit(_report(args, results=rows), args)
-    return 1 if any_rejected else 0
+    return 1 if any(x is None for x in points) else 0
 
 
 def cmd_triangulate(args) -> int:
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     items = load_observations(args.observations, scene, exact=args.exact,
                               tol=args.tol)
-    rows = []
-    for k, lines in enumerate(items):
-        res = multiimage.triangulate(scene.cameras, lines, tol=args.tol)
-        rows.append({"item": k, "point": _line_payload(res.point),
-                     "residual": format_scalar(res.residual)})
+    if not isinstance(items, np.ndarray):
+        items = np.array([[as_float(line) for line in item]
+                          for item in items])
+    res = multiimage.triangulate(scene.cameras, items, tol=args.tol)
+    rows = [{"item": k, "point": x, "residual": r} for k, (x, r) in
+            enumerate(zip(res.point.tolist(), res.residual.tolist()))]
     _emit(_report(args, results=rows), args)
     return 0
 
@@ -258,7 +270,7 @@ def cmd_baselines(args) -> int:
                                         tol=args.tol)
     rows = []
     for i, t in enumerate(found):
-        rows.append({"index": i, "line": _line_payload(t.line),
+        rows.append({"index": i, "line": vector_payload(t.line),
                      "is_real": t.is_real, "multiplicity": t.multiplicity})
     _emit(_report(args, results=rows,
                   count=sum(t.multiplicity for t in found)), args)
@@ -320,11 +332,11 @@ def cmd_reflect(args) -> int:
         for i, y in enumerate(data.get("points", [])):
             yv = vec([parse_scalar(v, exact=args.exact) for v in y])
             rows.append({"kind": "point", "index": i,
-                         "reflected": _line_payload(reflect_point(H, yv))})
+                         "reflected": vector_payload(reflect_point(H, yv))})
         for i, p in enumerate(data.get("lines", [])):
             pv = vec([parse_scalar(v, exact=args.exact) for v in p])
             rows.append({"kind": "line", "index": i,
-                         "reflected": _line_payload(reflect_line(H, pv))})
+                         "reflected": vector_payload(reflect_line(H, pv))})
     else:
         surf = MirrorSurface.from_payload(data["surface"], exact=args.exact)
         tol = max(args.tol, 1e-6)

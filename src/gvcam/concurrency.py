@@ -33,8 +33,9 @@ from math import comb
 import numpy as np
 
 from .errors import AmbiguousPencil, InvalidN
+from . import numeric
 from .numeric import (DEFAULT_TOL, as_float, is_exact, negligible,
-                      negligible_each, unitize, vec)
+                      negligible_each, unitize, unitize_rows, vec)
 from .plucker import _primal_stack, incidence, primal_matrix
 
 __all__ = [
@@ -261,32 +262,49 @@ def find_common_point(lines, tol: float = DEFAULT_TOL):
     the lines are concurrent iff the smallest singular value is negligible
     against the next one, and the common point is the corresponding right
     singular vector.  For n > 3 the decision is cross-checked triple-wise:
-    a tuple is concurrent iff every triple is; all C(n, 3) triples of the
-    stacked blocks go through one batched SVD call.  Exact input takes an
-    exact nullspace instead.
+    a tuple is concurrent iff every triple is.  Exact input takes an exact
+    nullspace instead.
+
+    ``lines`` may also be an (M, n, 6) float stack of M tuples; the result
+    is then a list of M points or Nones.  A float tuple is a stack of one:
+    the systems of all tuples go through one batched SVD call, and the
+    C(n, 3) triples of every concurrent tuple through one more (per chunk
+    of tuples, when the stack exceeds ``numeric.SVD_BUDGET``).
 
     Raises AmbiguousPencil when the nullspace is (numerically) at least
     2-dimensional, e.g. for repeated lines.
     """
-    if len(lines) < 2:
-        raise InvalidN("need at least two lines, got %d" % len(lines))
-    lines = [unitize(l) for l in lines]
-    if all(is_exact(l) for l in lines):
-        return _find_common_point_exact(lines)
-    blocks = np.array([as_float(primal_matrix(l)) for l in lines])
-    _, s, vt = np.linalg.svd(blocks.reshape(-1, 4))
-    if s[2] <= tol * s[0]:
+    stacked = isinstance(lines, np.ndarray) and lines.ndim == 3
+    n = lines.shape[1] if stacked else len(lines)
+    if n < 2:
+        raise InvalidN("need at least two lines, got %d" % n)
+    if stacked:
+        # U of each 4n x 4 system and the 12 x 4 triples bound the memory
+        step = max(1, numeric.SVD_BUDGET // (16 * n * n + 48 * comb(n, 3)))
+        if len(lines) > step:
+            return [x for k in range(0, len(lines), step)
+                    for x in find_common_point(lines[k:k + step], tol)]
+        L = unitize_rows(lines)
+    else:
+        lines = [unitize(l) for l in lines]
+        if all(is_exact(l) for l in lines):
+            return _find_common_point_exact(lines)
+        L = np.array([as_float(l) for l in lines])[None]
+    m = len(L)
+    blocks = _primal_stack(L.reshape(-1, 6)).reshape(m, n, 4, 4)
+    _, s, vt = np.linalg.svd(blocks.reshape(m, 4 * n, 4))
+    if np.any(s[:, 2] <= tol * s[:, 0]):
         raise AmbiguousPencil(
             "solution space is at least 2-dimensional (repeated lines?)")
-    if s[3] > tol * s[2]:
-        return None
-    if len(lines) > 3:
-        _, triples = _index_tables(len(lines))
-        st = np.linalg.svd(blocks[triples].reshape(-1, 12, 4),
-                           compute_uv=False)
-        if np.any(st[:, 3] > tol * st[:, 2]):
-            return None
-    return vt[-1]
+    found = s[:, 3] <= tol * s[:, 2]
+    if n > 3 and found.any():
+        _, triples = _index_tables(n)
+        st = np.linalg.svd(
+            blocks[found][:, triples].reshape(-1, 12, 4), compute_uv=False)
+        st = st.reshape(-1, len(triples), 4)
+        found[found] = ~np.any(st[..., 3] > tol * st[..., 2], axis=1)
+    points = [v if ok else None for v, ok in zip(vt[:, -1], found)]
+    return points if stacked else points[0]
 
 
 def _find_common_point_exact(lines):

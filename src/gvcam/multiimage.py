@@ -17,15 +17,16 @@ from math import comb
 import numpy as np
 
 from .concurrency import find_common_point
-from .errors import (DegenerateConfiguration, DegenerateInput, FocalPoint,
-                     InvalidN)
+from .errors import (AmbiguousPencil, DegenerateConfiguration,
+                     DegenerateInput, FocalPoint, InvalidN)
 from .numeric import (DEFAULT_TOL, as_float, binary_roots, norm,
-                      projective_distance, realify, unitize, vec)
-from .plucker import (incidence, join_plane, line_from_planes,
+                      projective_distance, realify, unitize, unitize_rows,
+                      vec)
+from .plucker import (_primal_stack, incidence, join_plane, line_from_planes,
                       line_from_points, line_residual, point_line_residual,
                       points_on_line, primal_matrix)
-from . import cameras as _cameras
-from .cameras import (Pinhole, TwoSlit, congruence_residual,
+from . import cameras as _cameras, numeric
+from .cameras import (Pinhole, TwoSlit, _residuals, congruence_residual,
                       line_curve_residual)
 from .catadioptric import conic_chord_points
 
@@ -135,18 +136,35 @@ def correspond(rig, lines, tol: float = DEFAULT_TOL):
     congruence (residual <= tol) and the lines are concurrent; returns
     None otherwise.  AmbiguousPencil propagates when the common point is
     not unique.
+
+    ``lines`` may also be an (N, n, 6) float64 stack of N tuples; the
+    result is then ``(points, residuals)``: a list of N points or Nones
+    and the (N, n) congruence residuals, from one ``congruence_residual``
+    call per camera and one ``find_common_point`` call on the tuples that
+    pass.
     """
     cams = rig.cameras if isinstance(rig, CameraRig) else tuple(rig)
-    if len(lines) < 2:
+    stacked = isinstance(lines, np.ndarray) and lines.ndim == 3
+    n = lines.shape[1] if stacked else len(lines)
+    if n < 2:
         raise InvalidN("correspondence needs at least two image lines")
-    if len(lines) != len(cams):
+    if n != len(cams):
         raise DegenerateInput(
-            "got %d lines for %d cameras" % (len(lines), len(cams)))
-    lines = [vec(p) for p in lines]
-    for cam, p in zip(cams, lines):
-        if congruence_residual(cam, p) > tol:
-            return None
-    return find_common_point(lines, tol=tol)
+            "got %d lines for %d cameras" % (n, len(cams)))
+    if not stacked:
+        lines = [vec(p) for p in lines]
+        for cam, p in zip(cams, lines):
+            if congruence_residual(cam, p) > tol:
+                return None
+        return find_common_point(lines, tol=tol)
+    residuals = np.stack([congruence_residual(cam, lines[:, i])
+                          for i, cam in enumerate(cams)], axis=1)
+    passed = ~np.any(residuals > tol, axis=1)
+    points = [None] * len(lines)
+    for k, x in zip(np.flatnonzero(passed).tolist(),
+                    find_common_point(lines[passed], tol=tol)):
+        points[k] = x
+    return points, residuals
 
 
 @dataclass(frozen=True)
@@ -162,18 +180,33 @@ def triangulate(rig, lines, tol: float = DEFAULT_TOL) -> TriangulationResult:
     vector of the stacked incidence system; the residual is the fourth
     singular value.  Works on noisy tuples; AmbiguousPencil when even the
     least-squares point is not unique (all lines nearly equal).
+
+    ``lines`` may also be an (N, n, 6) float stack of N tuples; the result
+    then holds an (N, 4) array of points and N residuals, from one batched
+    SVD call.  A tuple is a stack of one.
     """
     del rig  # cameras are not needed for the least-squares point
-    if len(lines) < 2:
+    stacked = isinstance(lines, np.ndarray) and lines.ndim == 3
+    L = lines if stacked else np.array(
+        [as_float(vec(p)) for p in lines])[None]
+    n = L.shape[1]
+    if n < 2:
         raise InvalidN("triangulation needs at least two lines")
-    rows = np.vstack([as_float(primal_matrix(unitize(as_float(vec(p)))))
-                      for p in lines])
-    u, s, vt = np.linalg.svd(rows)
-    if s[2] <= tol * s[0]:
-        from .errors import AmbiguousPencil
+    step = max(1, numeric.SVD_BUDGET // (16 * n * n))     # U of each system
+    if len(L) > step:
+        parts = [triangulate(None, L[k:k + step], tol)
+                 for k in range(0, len(L), step)]
+        return TriangulationResult(
+            point=np.concatenate([r.point for r in parts]),
+            residual=np.concatenate([r.residual for r in parts]))
+    rows = _primal_stack(unitize_rows(L).reshape(-1, 6))
+    _, s, vt = np.linalg.svd(rows.reshape(len(L), -1, 4))
+    if np.any(s[:, 2] <= tol * s[:, 0]):
         raise AmbiguousPencil("stacked system has a 2-dimensional "
                               "near-nullspace; point not unique")
-    return TriangulationResult(point=vt[3], residual=float(s[3]))
+    if stacked:
+        return TriangulationResult(point=vt[:, 3], residual=s[:, 3])
+    return TriangulationResult(point=vt[0, 3], residual=float(s[0, 3]))
 
 
 def epipolar_residual(cam2, p, q) -> float:
@@ -361,9 +394,9 @@ class DegreeTwoCongruence:
         vals.append(plucker_quadric(vec(p)))
         return vec(vals)
 
-    def congruence_residual(self, p) -> float:
-        pn = unitize(as_float(vec(p)))
-        return float(np.max(np.abs(as_float(self.generator_values(pn)))))
+    def congruence_residual(self, p):
+        return _residuals(p, lambda q: float(np.max(np.abs(as_float(
+            self.generator_values(unitize(as_float(q))))))))
 
     def project(self, x):
         if self.line_points is None:

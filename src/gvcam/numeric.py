@@ -30,7 +30,7 @@ __all__ = [
     "det2", "det3", "det4", "compound2", "exact_nullspace",
     "binary_eval", "binary_mul", "binary_roots", "binary_from_root_pairs",
     "realify", "negligible", "negligible_each", "DEFAULT_TOL", "ZERO_EPS", "FOCAL_EPS",
-    "FORM_EPS", "REAL_EPS",
+    "FORM_EPS", "REAL_EPS", "SVD_BUDGET",
 ]
 
 #: Default tolerance of every residual test in the package.
@@ -48,6 +48,11 @@ FORM_EPS = 1e-13
 
 #: Relative imaginary part below which a complex value counts as real.
 REAL_EPS = 1e-7
+
+#: Float64 elements (16 MiB) that one batched SVD pass over a stack of
+#: tuples may gather; a longer stack goes through in chunks of tuples,
+#: with the same values, since LAPACK factors each matrix on its own.
+SVD_BUDGET = 1 << 21
 
 
 def vec(data, exact: bool | None = None):
@@ -159,7 +164,13 @@ def parse_scalar(value, exact: bool = False):
     if isinstance(value, bool):
         raise DegenerateInput("booleans are not coordinates")
     if isinstance(value, Integral):
-        return Fraction(value) if exact else float(value)
+        if exact:
+            return Fraction(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise DegenerateInput("integer coordinate of %d bits exceeds the "
+                                  "float range" % value.bit_length()) from None
     if isinstance(value, float):
         if exact:
             raise DegenerateInput(
@@ -199,8 +210,13 @@ def parse_vector(values, length: int | None = None, exact: bool = False):
 
 
 def vector_payload(v):
-    """JSON payload for a coordinate vector (list of formatted scalars)."""
-    return [format_scalar(x) for x in np.asarray(v).tolist()]
+    """JSON payload for a coordinate vector (list of formatted scalars);
+    a float64 vector is its own payload, as :func:`format_scalar` of a
+    float64 is the identity."""
+    v = np.asarray(v)
+    if v.dtype == np.float64:
+        return v.tolist()
+    return [format_scalar(x) for x in v.tolist()]
 
 
 # --- projective comparisons -------------------------------------------------

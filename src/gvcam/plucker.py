@@ -189,9 +189,13 @@ def incidence_residual(p, q) -> float:
     return abs(float(np.abs(incidence(unitize(p), unitize(q)))))
 
 
-def line_residual(p) -> float:
+def line_residual(p):
     """|quadric| on the unitized vector: distance-like measure from the
-    variety of actual lines."""
+    variety of actual lines; for an (n, 6) float stack, the n values row by
+    row."""
+    p = vec(p)
+    if p.ndim == 2:
+        return np.abs(plucker_quadric(unitize_rows(p).T))
     return abs(float(np.abs(plucker_quadric(unitize(p)))))
 
 

@@ -20,7 +20,8 @@ from which the geometric data is derived and cross-checked.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -101,7 +102,7 @@ class Scene:
     cameras: tuple
     matrices: tuple          # per camera: tuple of arrays, or None
     points: tuple            # of 4-vectors
-    observations: tuple      # of per-camera line tuples
+    observations: object     # (N, n, 6) float64 array, or tuple of tuples
     surfaces: tuple = ()
     descriptors: tuple = ()  # echo of the input camera payloads
 
@@ -121,13 +122,7 @@ def scene_from_dict(data, exact: bool = False,
         desc.append(entry)
     points = tuple(parse_vector(p, 4, exact)
                    for p in _list(data.get("points", []), "'points'"))
-    observations = tuple(
-        tuple(parse_vector(line, 6, exact)
-              for line in _list(item, "an observation item"))
-        for item in _list(data.get("observations", []), "'observations'"))
-    for item in observations:
-        for line in item:
-            _check_line(line, tol)
+    observations = _observations(data.get("observations", []), exact, tol)
     surfaces = tuple(MirrorSurface.from_payload(s, exact=exact)
                      for s in _list(data.get("surfaces", []), "'surfaces'"))
     return Scene(version=version, cameras=tuple(cams), matrices=tuple(mats),
@@ -135,21 +130,68 @@ def scene_from_dict(data, exact: bool = False,
                  descriptors=tuple(desc))
 
 
-def _check_line(line, tol, what="observation"):
+def _check_line(line, tol, what):
     """Raise DegenerateInput unless ``line`` lies on the Pluecker quadric,
-    within max(tol, 1e-10) after unitizing.  The rows of a float (n, 6)
-    stack are checked at once, and the message names the first bad row."""
+    within max(tol, 1e-10) after unitizing.  The lines of a float stack
+    ((n, 6), (N, n, 6), ...) are checked at once, and the message names
+    the first bad one by its indices."""
     eps = max(tol, 1e-10)
-    if line.ndim == 2:
-        q = plucker_quadric(unitize_rows(line).T)
-        bad = np.flatnonzero(~negligible_each(q, eps=eps))
-        if not bad.size:
+    if line.ndim > 1:
+        q = plucker_quadric(np.moveaxis(unitize_rows(line), -1, 0))
+        bad = np.argwhere(~negligible_each(q, eps=eps))
+        if not len(bad):
             return
-        what = "%s[%d]" % (what, bad[0])
+        what += "".join("[%d]" % i for i in bad[0])
     elif negligible(plucker_quadric(unitize(line)), eps=eps):
         return
     raise DegenerateInput("%s is not a line "
                           "(quadric residual exceeds tolerance)" % what)
+
+
+def _number_stack(items):
+    """``items`` as one (N, n, 6) float64 array when it is a nonempty list
+    of equally long lists of 6-vectors whose coordinates are all finite
+    plain numbers (int or float, not bool), else None.  The type scan comes
+    first: numpy would read true as 1.0, null as NaN and "1.5" as 1.5."""
+    if not items or not all(type(item) is list for item in items):
+        return None
+    try:
+        types = set(map(type, chain.from_iterable(chain.from_iterable(items))))
+        if not types <= {int, float}:
+            return None
+        L = np.asarray(items, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return None         # a line that is not a list, ragged, or huge
+    if L.ndim != 3 or L.shape[2] != 6 or not np.isfinite(L).all():
+        return None
+    return L
+
+
+def _observations(values, exact, tol):
+    """Observed line tuples, each line on the Pluecker quadric.
+
+    In float mode, items of plain numbers become one (N, n, 6) float64
+    array.  Anything else (exact mode, rational strings, ragged items, any
+    defect) is read line by line with :func:`parse_vector` into a tuple of
+    tuples, and a defect is named by its indices, ``observations[k][i]``.
+    """
+    items = _list(values, "'observations'")
+    L = None if exact else _number_stack(items)
+    if L is not None:
+        _check_line(L, tol, "observations")
+        return L
+    out = []
+    for k, item in enumerate(items):
+        lines = []
+        for i, line in enumerate(_list(item, "observations[%d]" % k)):
+            what = "observations[%d][%d]" % (k, i)
+            try:
+                lines.append(parse_vector(line, 6, exact))
+            except DegenerateInput as exc:
+                raise DegenerateInput("%s: %s" % (what, exc)) from None
+            _check_line(lines[-1], tol, what)
+        out.append(tuple(lines))
+    return tuple(out)
 
 
 def mirror_lines(values, tol: float = DEFAULT_TOL):
@@ -192,25 +234,22 @@ def load_points(path, scene: Scene, exact: bool = False):
 
 def load_observations(path, scene: Scene, exact: bool = False,
                       tol: float = DEFAULT_TOL):
-    """Observed line tuples from a file or from the scene; each item must
-    carry one line per camera."""
+    """Observed line tuples from a file or from the scene, as the scene
+    holds them (an (N, n, 6) float64 array, or a tuple of tuples); each
+    item must carry one line per camera."""
     if path is None:
         items = scene.observations
     else:
         data = load_json(path)
         if isinstance(data, dict):
             data = data.get("observations", [])
-        items = tuple(tuple(parse_vector(line, 6, exact) for line in item)
-                      for item in data)
-        for item in items:
-            for line in item:
-                _check_line(line, tol)
-    if not items:
+        items = _observations(data, exact, tol)
+    if not len(items):
         raise DegenerateInput("empty observation list")
     n = len(scene.cameras)
-    for item in items:
+    for k, item in enumerate(items):
         if len(item) != n:
             raise DegenerateInput(
-                "observation item has %d lines for %d cameras"
-                % (len(item), n))
+                "observations[%d] has %d lines for %d cameras"
+                % (k, len(item), n))
     return items

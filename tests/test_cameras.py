@@ -70,6 +70,67 @@ def test_congruence_residual_ignores_projective_scale(coords, lam):
         assert abs(congruence_residual(cam, lam * p) - r) <= 1e-12 * r, cam
 
 
+_STACK_CATALOG = _CATALOG + [PanoramicNC(), PanoramicStereo()]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.lists(st.tuples(st.lists(_coords, min_size=8, max_size=8),
+                          st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)),
+                min_size=1, max_size=10))
+def test_stacked_congruence_residual_equals_per_row(rows):
+    """Every kind's residual of an (N, 6) stack is, bit for bit, the list
+    of its residuals of the rows one at a time; the stack mixes random
+    lines with lines of the congruence, at scales 1e-8 to 1e8."""
+    for cam in _STACK_CATALOG:
+        lines = []
+        for coords, lam in rows:
+            x, y = np.array(coords[:4]), np.array(coords[4:])
+            if norm(wedge(x, y)) > 1e-3 * norm(x) * norm(y):
+                lines.append(lam * wedge(x, y))
+            try:
+                lines.append(lam * cam.project(x))
+            except (FocalPoint, UnsupportedOrder):
+                pass
+        if not lines:
+            continue
+        stack = np.array(lines)
+        got = congruence_residual(cam, stack)
+        assert got.shape == (len(lines),) and got.dtype == np.float64
+        one_by_one = np.array([congruence_residual(cam, p) for p in lines])
+        assert got.tobytes() == one_by_one.tobytes(), cam.kind
+        assert cam.congruence_residual(stack).tobytes() == got.tobytes()
+
+
+def test_exact_stack_goes_row_by_row():
+    rng = np.random.default_rng(320)
+    cam = Pinhole(vec([0, 0, 0, 1], exact=True))
+    lines = [line_from_points(vec([0, 0, 0, 1], exact=True),
+                              rand_rational_point(rng)) for _ in range(3)]
+    lines.append(line_from_points(rand_rational_point(rng),
+                                  rand_rational_point(rng)))
+    got = congruence_residual(cam, np.array(lines))
+    assert got.tolist() == [congruence_residual(cam, p) for p in lines]
+    assert got[:3].tolist() == [0.0] * 3 and got[3] > 0
+
+
+def test_float_lines_against_exact_camera_ignore_its_scale():
+    """A camera given with exact coordinates measures float lines as the
+    same camera given in floats: the scale of its centre or slits does
+    not enter the residual."""
+    rng = np.random.default_rng(322)
+    lines = np.array([rand_line(rng) for _ in range(5)])
+    pairs = [
+        (Pinhole(vec([4, 0, 0, 4], exact=True)), Pinhole(vec([1., 0, 0, 1]))),
+        (TwoSlit(vec([3, 0, 0, 0, 0, 0], exact=True),
+                 vec([0, 0, 0, 0, 0, 5], exact=True)),
+         TwoSlit(vec([1., 0, 0, 0, 0, 0]), vec([0., 0, 0, 0, 0, 1]))),
+    ]
+    for exact_cam, float_cam in pairs:
+        got = congruence_residual(exact_cam, lines)
+        want = congruence_residual(float_cam, lines)
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+
+
 def test_projection_lines_satisfy_quadric():
     rng = np.random.default_rng(302)
     for cam in catalog(rng):
@@ -478,3 +539,33 @@ def test_module_level_dispatch():
     assert point_on_line(x, p)
     assert congruence_residual(cam, p) <= 1e-9
     assert focal_residual(cam, x) > 0
+
+
+_SINGULAR_H = np.array([[1.0, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1],
+                        [2, 0, 1, 3]])       # row 3 = row 1 + row 2
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
+def test_twisted_cubic_homography_check_ignores_scale(lam):
+    """lam * H is the same camera as H: it is accepted alike, with the same
+    residuals up to rounding, and a singular H is rejected at any scale."""
+    rng = np.random.default_rng(321)
+    H = rng.standard_normal((4, 4))
+    H /= abs(np.linalg.det(H)) ** 0.25          # det(H) = +-1
+    base, scaled = TwistedCubic(H), TwistedCubic(lam * H)
+    lines = [base.project(rand_point(rng)) for _ in range(4)]
+    lines += [rand_line(rng) for _ in range(4)]
+    r0 = congruence_residual(base, np.array(lines))
+    r1 = congruence_residual(scaled, np.array(lines))
+    assert np.all(np.abs(r1 - r0) <= 1e-12 + 1e-9 * r0)
+    assert np.all(r0[:4] <= 1e-9) and np.all(r0[4:] > 1e-6)
+    with pytest.raises(DegenerateInput, match="invertible"):
+        TwistedCubic(lam * _SINGULAR_H)
+
+
+def test_twisted_cubic_homography_check_at_unit_scale():
+    """At unit spectral norm the test is |det H| <= 1e-12, as before."""
+    with pytest.raises(DegenerateInput, match="invertible"):
+        TwistedCubic(np.diag([1.0, 1.0, 1.0, 1e-13]))
+    TwistedCubic(np.diag([1.0, 1.0, 1.0, 1e-11]))

@@ -6,9 +6,13 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gvcam.cameras import FocalPoint, Pinhole, TwoSlit, reference_type3
-from gvcam.errors import DegenerateConfiguration, DegenerateInput, InvalidN
+from gvcam.cameras import (FocalPoint, Pinhole, TwoSlit, congruence_residual,
+                           reference_type3)
+from gvcam.concurrency import find_common_point
+from gvcam.errors import (AmbiguousPencil, DegenerateConfiguration,
+                          DegenerateInput, InvalidN)
 from gvcam.multiimage import (CameraRig, FocalOverlapWarning, Transversal,
                               baseline_count, baselines_linear,
                               common_transversals, correspond,
@@ -89,6 +93,92 @@ def test_correspond_requires_two_lines():
     rig = rand_mixed_rig(rng, 2)
     with pytest.raises(InvalidN):
         correspond(rig, [rand_line(rng)])
+
+
+def _same_point(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.tobytes() == b.tobytes())
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(st.sampled_from((2, 3, 5)), st.integers(0, 2 ** 32 - 1))
+def test_stacked_decisions_equal_per_tuple(n, seed):
+    """correspond, find_common_point and triangulate on an (N, n, 6) stack
+    give, bit for bit, the points, Nones and residuals of the tuples one
+    at a time; a stack holding an ambiguous tuple raises AmbiguousPencil
+    as the tuple alone does."""
+    rng = np.random.default_rng(seed)
+    rig = rand_mixed_rig(rng, n)
+    tuples = []
+    for k in range(12):
+        _, lines = forward_tuple(rng, rig)
+        j = int(rng.integers(n))
+        if k % 4 == 1:                      # another point's image
+            lines[j] = forward_tuple(rng, rig)[1][j]
+        elif k % 4 == 2:                    # not in the congruence
+            lines[j] = rand_line(rng)
+        elif k % 4 == 3:                    # noise around the tolerance
+            lines = [p + rng.standard_normal(6) * 10.0 ** rng.uniform(-11, -7)
+                     for p in lines]
+        tuples.append(lines)
+    stack = np.array(tuples)
+    points, residuals = correspond(rig, stack)
+    common = find_common_point(stack)
+    assert residuals.shape == (len(tuples), n)
+    for k, lines in enumerate(tuples):
+        assert _same_point(points[k], correspond(rig, lines))
+        assert _same_point(common[k], find_common_point(lines))
+        assert residuals[k].tolist() == [
+            congruence_residual(cam, p) for cam, p in zip(rig.cameras, lines)]
+    res = triangulate(rig, stack)
+    for k, lines in enumerate(tuples):
+        one = triangulate(rig, lines)
+        assert res.point[k].tobytes() == one.point.tobytes()
+        assert res.residual[k] == one.residual
+    assert sum(x is not None for x in points) >= 3
+    repeated = [tuples[0][0]] * n
+    for fn in (find_common_point, lambda t: triangulate(rig, t)):
+        with pytest.raises(AmbiguousPencil):
+            fn(repeated)
+        with pytest.raises(AmbiguousPencil):
+            fn(np.array(tuples[:3] + [repeated] + tuples[3:]))
+
+
+def test_long_stacks_go_through_in_chunks(monkeypatch):
+    """A stack longer than one SVD pass allows is split into chunks of
+    tuples, with the same points and residuals."""
+    from gvcam import numeric
+    rng = np.random.default_rng(405)
+    rig = rand_mixed_rig(rng, 4)
+    tuples = []
+    for k in range(9):
+        _, lines = forward_tuple(rng, rig)
+        if k % 3 == 1:
+            lines[0] = forward_tuple(rng, rig)[1][0]
+        tuples.append(lines)
+    stack = np.array(tuples)
+    whole = correspond(rig, stack)[0], triangulate(rig, stack)
+    monkeypatch.setattr(numeric, "SVD_BUDGET", 900)     # 2 or 3 a pass
+    chunked = correspond(rig, stack)[0], triangulate(rig, stack)
+    assert all(map(_same_point, whole[0], chunked[0]))
+    assert sum(x is None for x in chunked[0]) == 3
+    assert whole[1].point.tobytes() == chunked[1].point.tobytes()
+    assert whole[1].residual.tobytes() == chunked[1].residual.tobytes()
+
+
+def test_stacked_correspond_raises_on_ambiguous_tuple():
+    """Two pinholes see their baseline twice: the tuple passes both
+    congruences and has no unique common point, alone or in a stack."""
+    rig = [Pinhole(vec([1.0, 0, 0, 0])), Pinhole(vec([1.0, 1, 0, 0]))]
+    baseline = line_from_points(vec([1.0, 0, 0, 0]), vec([1.0, 1, 0, 0]))
+    x = vec([1.0, 2, 3, 4])
+    good = [line_from_points(c.center, x) for c in rig]
+    with pytest.raises(AmbiguousPencil):
+        correspond(rig, [baseline, baseline])
+    points, _ = correspond(rig, np.array([good]))
+    assert_proj_close(points[0], x, 1e-12)
+    with pytest.raises(AmbiguousPencil):
+        correspond(rig, np.array([good, [baseline, 2 * baseline]]))
 
 
 def test_triangulate_residuals_and_recovery():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_proj_close
-from gvcam import cli
+from gvcam import cli, multiimage
 from gvcam.cameras import Pinhole, TwoSlit
 from gvcam.errors import DegenerateInput
 from gvcam.catadioptric import (MirrorSurface, line_surface_points,
@@ -265,6 +265,134 @@ def test_cli_triangulate(capsys, tmp_path, mixed_scene):
     del data["observations"]
     assert cli.main(["triangulate", "--scene",
                      write_json(tmp_path / "noobs.json", data)]) == 2
+
+
+def test_cli_triangulate_matches_per_tuple_calls(capsys, tmp_path):
+    """The report of the stacked path is the one assembled from
+    multiimage.triangulate on each tuple, byte for byte, in float and in
+    exact mode."""
+    data = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1], [1, -3, 2, 7],
+                             [5, 1, 0.5, 2]])
+    data["observations"][1][0] = line_from_points(      # off the tuple
+        [1., 0, 0, 2], [0.5, 1, 3, 1]).tolist()
+    scene = write_json(tmp_path / "tri.json", data)
+    exact = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+    exact["observations"] = [[[int(v) for v in p] for p in item]
+                             for item in exact["observations"]]
+    exact_scene = write_json(tmp_path / "tri_exact.json", exact)
+    for path, flags in ((scene, []), (exact_scene, ["--exact"])):
+        argv = ["triangulate", "--scene", path, "--seed", "3"] + flags
+        rc, out = run_cli(capsys, argv)
+        assert rc == 0
+        loaded = load_scene(path, exact=bool(flags))
+        rows = []
+        for k, item in enumerate(load_observations(None, loaded,
+                                                   exact=bool(flags))):
+            res = multiimage.triangulate(loaded.cameras, list(item))
+            rows.append({"item": k, "point": res.point.tolist(),
+                         "residual": res.residual})
+        expected = {"command": "triangulate", "version": 1, "tol": 1e-8,
+                    "exact": bool(flags), "seed": 3, "timing": None,
+                    "results": rows}
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def _check_error(capsys, argv):
+    capsys.readouterr()
+    rc = cli.main(argv)
+    return rc, json.loads(capsys.readouterr().err)
+
+
+def test_cli_observation_defects_name_the_item(capsys, tmp_path):
+    """Each single defect exits 2 with DegenerateInput naming its item,
+    whether the observations come from the scene or from a file."""
+    defects = {
+        "true": (True, "observations[1][0]"),
+        "null": (None, "observations[1][0]"),
+        "string": ("x/y", "observations[1][0]"),
+        "nan": (float("nan"), "observations[1][0]"),
+        "huge": (10 ** 400, "observations[1][0]"),
+    }
+    cases = {}
+    for name, (value, where) in defects.items():
+        data = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+        data["observations"][1][0][2] = value
+        cases[name] = (data, where)
+    short = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+    short["observations"][1][1] = short["observations"][1][1][:5]
+    cases["five"] = (short, "observations[1][1]")
+    ragged = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+    ragged["observations"][1] = ragged["observations"][1][:1]
+    cases["ragged"] = (ragged, "observations[1]")
+    off = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+    off["observations"][1][1] = [1, 0, 0, 0, 0, 1]
+    cases["off_quadric"] = (off, "observations[1][1]")
+    for name, (data, where) in cases.items():
+        scene = write_json(tmp_path / (name + ".json"), data)
+        obs = write_json(tmp_path / (name + "_obs.json"),
+                         {"observations": data.pop("observations")})
+        bare = write_json(tmp_path / (name + "_rig.json"), data)
+        for argv in (["check", "--scene", scene],
+                     ["check", "--scene", bare, "--observations", obs]):
+            rc, err = _check_error(capsys, argv)
+            assert rc == 2 and err["error"] == "DegenerateInput", name
+            message = err["message"]
+            assert message.startswith(where), (name, err)
+            assert message[len(where)] in ": ", (name, err)
+
+
+def test_cli_huge_integer_coordinates(capsys, tmp_path):
+    """An integer beyond the float range is an input error, not a crash."""
+    points = mixed_scene_dict([[1, 1, 1, 1]])
+    points["points"] = [[10 ** 400, 1, 1, 1]]
+    obs = mixed_scene_dict([[1, 1, 1, 1]])
+    obs["observations"][0][0][0] = -10 ** 400
+    for argv in (["project", "--scene", write_json(tmp_path / "p.json",
+                                                   points)],
+                 ["check", "--scene", write_json(tmp_path / "o.json", obs)]):
+        rc, err = _check_error(capsys, argv)
+        assert rc == 2 and err["error"] == "DegenerateInput"
+        assert "float range" in err["message"]
+
+
+def test_observations_load_as_one_float_stack(tmp_path, mixed_scene):
+    """Plain numbers load as one (N, n, 6) float64 array; rational strings
+    and exact mode keep the tuples of per-line arrays."""
+    scene = load_scene(mixed_scene)
+    assert scene.observations.shape == (2, 2, 6)
+    assert scene.observations.dtype == np.float64
+    data = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+    data["observations"][0][0] = [str(v) for v in data["observations"][0][0]]
+    mixed = scene_from_dict(data)
+    assert isinstance(mixed.observations, tuple)
+    assert mixed.observations[0][0].dtype == object
+    assert mixed.observations[1][0].dtype == np.float64
+    data = mixed_scene_dict([[1, 1, 1, 1]])
+    data["observations"] = [[[int(v) for v in p] for p in item]
+                            for item in data["observations"]]
+    exact = scene_from_dict(data, exact=True)
+    assert exact.observations[0][0].dtype == object
+
+
+def test_cli_parser_is_built_once(capsys, mixed_scene):
+    """The shared parser gives every call the report of a fresh parser."""
+    calls = (["check", "--scene", mixed_scene], ["check", "--bogus"],
+             ["project", "--scene", mixed_scene, "--seed", "4"], ["--help"])
+
+    def run(argv):
+        capsys.readouterr()
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    shared = [run(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 2, 0, 0]
 
 
 # ---------------------------------------------------------------------------
