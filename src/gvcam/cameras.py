@@ -21,7 +21,9 @@ Projections always return lines in the fixed primal coordinate order
 ``congruence_residual`` takes one line or an (N, 6) stack of lines.  Real
 float64 input is evaluated as a stack (one line is a stack of one) with
 per-camera constants computed at construction; Fraction and complex input
-take the scalar reference expressions, row by row for a stack.
+take the scalar reference expressions, row by row for a stack.  Either
+way the residual does not depend on the projective scale of the line or
+of the camera's data.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ import numpy as np
 
 from .errors import (DegenerateInput, FocalPoint, IllConditioned,
                      InvalidSlit, DegenerateCubic, UnsupportedOrder)
-from .numeric import (DEFAULT_TOL, FOCAL_EPS, as_float, binary_eval,
-                      binary_roots, compound2, negligible, norm, row_norms,
-                      unitize, unitize_rows, vec)
+from .numeric import (DEFAULT_TOL, FOCAL_EPS, _scaled_rows, as_float,
+                      binary_eval, binary_roots, compound2, negligible, norm,
+                      proj_normalize, row_norms, unitize, unitize_rows, vec)
 from .plucker import (_primal_stack, dual_line, incidence, line_from_planes,
                       line_from_points, plucker_quadric, primal_matrix,
                       point_line_residual, line_residual, wedge)
@@ -162,9 +164,10 @@ def _residuals(p, reference, float_rows=None):
     Real float64 input goes through ``float_rows`` on a C-contiguous
     (N, 6) stack, one line being a stack of one; any other input (Fraction,
     complex), and every input when ``float_rows`` is None, goes through
-    the scalar ``reference``, row by row for a stack.
+    the scalar ``reference``, row by row for a stack.  A Fraction row
+    comes to it divided exactly by its largest coordinate.
     """
-    p = vec(p)
+    p = _scaled_rows(vec(p))
     if float_rows is not None and p.dtype == np.float64:
         r = float_rows(np.ascontiguousarray(np.atleast_2d(p)))
         return r if p.ndim == 2 else float(r[0])
@@ -181,10 +184,10 @@ class Pinhole:
 
     def __post_init__(self):
         object.__setattr__(self, "center", vec(self.center))
-        if norm(self.center) == 0:
+        if not np.any(self.center):
             raise DegenerateInput("pinhole center must be a point")
         object.__setattr__(self, "_unit_center",
-                           unitize(as_float(self.center)))
+                           unitize(as_float(_scaled_rows(self.center))))
 
     kind = "pinhole"
     bidegree = (1, 0)
@@ -202,8 +205,11 @@ class Pinhole:
             norm(self.center) * norm(vec(x)))
 
     def congruence_residual(self, p):
-        return _residuals(p, lambda q: point_line_residual(self.center, q),
-                          self._float_residuals)
+        return _residuals(p, self._reference_residual, self._float_residuals)
+
+    def _reference_residual(self, p):
+        c = proj_normalize(self.center)
+        return norm(primal_matrix(p) @ c) / (norm(p) * norm(c))
 
     def _float_residuals(self, P):
         return row_norms(np.matvec(_primal_stack(unitize_rows(P)),
@@ -235,7 +241,8 @@ class TwoSlit:
         if negligible(incidence(unitize(s1), unitize(s2)), eps=1e-9):
             raise InvalidSlit("slits must be skew (they meet)")
         object.__setattr__(self, "_unit_slits",
-                           tuple(unitize(as_float(s)) for s in (s1, s2)))
+                           tuple(unitize(as_float(_scaled_rows(s)))
+                                 for s in (s1, s2)))
 
     kind = "two_slit"
     bidegree = (1, 1)
@@ -263,8 +270,8 @@ class TwoSlit:
         return _residuals(p, self._reference_residual, self._float_residuals)
 
     def _reference_residual(self, p):
-        return max(abs(incidence(unitize(p), unitize(self.slit1))),
-                   abs(incidence(unitize(p), unitize(self.slit2))))
+        return max(abs(incidence(p, s)) / (norm(p) * norm(s)) for s in
+                   map(proj_normalize, (self.slit1, self.slit2)))
 
     def _float_residuals(self, P):
         U = unitize_rows(P).T
@@ -653,28 +660,6 @@ def reference_type3() -> Type3:
 def reference_type4() -> Type4:
     """Degenerate companion of :func:`reference_type3` (f -> 0)."""
     return Type4(g=(1.0, 0.0, 0.0, 0.0), h=(0.0, 0.0, 0.0, 1.0))
-
-
-def _poly_vals_type3_reference(p):
-    p01, p02, p03, p12, p13, p23 = p
-    return [
-        p01,
-        p03 * p12 - p02 * p13,
-        p02 * p03 ** 2 - p12 ** 2 * p13 - p02 * p03 * p23 + p12 * p13 * p23,
-        p03 ** 3 - p12 * p13 ** 2 - p03 ** 2 * p23 + p13 ** 2 * p23,
-        p02 ** 2 * p03 - p12 ** 3 - p02 ** 2 * p23 + p12 ** 2 * p23,
-    ]
-
-
-def _poly_vals_type4_reference(p):
-    p01, p02, p03, p12, p13, p23 = p
-    return [
-        p01,
-        p03 * p12 - p02 * p13,
-        p02 * p03 ** 2 - p12 ** 2 * p13,
-        p03 ** 3 - p12 * p13 ** 2,
-        p02 ** 2 * p03 - p12 ** 3,
-    ]
 
 
 @dataclass(frozen=True)

@@ -103,10 +103,10 @@ def reflect_line(H, p):
 # surfaces
 
 def _parse_exponents(key):
-    if "," in key:
-        parts = tuple(int(t) for t in key.split(","))
-    else:
-        parts = tuple(int(ch) for ch in key)
+    try:
+        parts = tuple(map(int, key.split(",") if "," in key else key))
+    except ValueError:
+        raise DegenerateInput("bad exponent key %r" % (key,)) from None
     if len(parts) != 4 or any(e < 0 for e in parts):
         raise DegenerateInput("bad exponent key %r" % (key,))
     return parts
@@ -259,9 +259,13 @@ class MirrorSurface:
                 or not isinstance(data.get("coeffs"), dict):
             raise DegenerateInput(
                 "surface payload needs 'degree' and a 'coeffs' object")
-        return cls(int(data["degree"]),
-                   {k: parse_scalar(v, exact=exact)
-                    for k, v in data["coeffs"].items()})
+        try:
+            degree = int(data["degree"])
+        except (TypeError, ValueError, OverflowError):
+            raise DegenerateInput("surface 'degree' must be an integer, "
+                                  "got %r" % (data["degree"],)) from None
+        return cls(degree, {k: parse_scalar(v, exact=exact)
+                            for k, v in data["coeffs"].items()})
 
 
 def unit_sphere() -> MirrorSurface:

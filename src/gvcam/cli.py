@@ -29,11 +29,11 @@ from .catadioptric import (MirrorSurface, line_surface_points, reflect_line,
                            reflect_point, specular_pair, tangent_plane)
 from .errors import (AmbiguousPencil, DegenerateInput, FocalPoint,
                      GeometryError, IllConditioned, UnsupportedOrder)
-from .numeric import (DEFAULT_TOL, as_float, format_scalar, is_exact,
-                      parse_scalar, unitize_rows, vec, vector_payload)
+from .numeric import (DEFAULT_TOL, format_scalar, is_exact, unitize_rows,
+                      vector_payload)
 from .plucker import line_residual, plucker_quadric
-from .scene import (load_json, load_observations, load_points, load_scene,
-                    mirror_lines)
+from .scene import (_list, _vector, load_json, load_observations,
+                    load_points, load_scene, mirror_lines)
 
 __all__ = ["main", "build_parser"]
 
@@ -179,11 +179,10 @@ def cmd_project(args) -> int:
                 continue
             rows.append({"item": j, "camera": i,
                          "line": vector_payload(line)})
-            groups.setdefault((i, is_exact(line)), []).append(
-                (rows[-1], line))
+            groups.setdefault(i, []).append((rows[-1], line))
             per_point_lines.setdefault(j, []).append(line)
-    # the residuals of each camera's lines (of one number type) at once
-    for (i, _), entries in groups.items():
+    # the residuals of each camera's lines at once
+    for i, entries in groups.items():
         lines = np.array([line for _, line in entries])
         quadric = vector_payload(_quadric_residuals(lines))
         congruence = vector_payload(
@@ -224,15 +223,8 @@ def cmd_check(args) -> int:
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     items = load_observations(args.observations, scene, exact=args.exact,
                               tol=args.tol)
-    cams = scene.cameras
-    if isinstance(items, np.ndarray):
-        points, residuals = multiimage.correspond(cams, items, tol=args.tol)
-    else:               # exact or mixed tuples, one at a time
-        points = [multiimage.correspond(cams, item, tol=args.tol)
-                  for item in items]
-        residuals = [None if x is not None else
-                     [congruence_residual(c, p) for c, p in zip(cams, item)]
-                     for x, item in zip(points, items)]
+    points, residuals = multiimage.correspond(scene.cameras, items,
+                                              tol=args.tol)
     rows = []
     for k, point in enumerate(points):
         if point is not None:
@@ -252,9 +244,6 @@ def cmd_triangulate(args) -> int:
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     items = load_observations(args.observations, scene, exact=args.exact,
                               tol=args.tol)
-    if not isinstance(items, np.ndarray):
-        items = np.array([[as_float(line) for line in item]
-                          for item in items])
     res = multiimage.triangulate(scene.cameras, items, tol=args.tol)
     rows = [{"item": k, "point": x, "residual": r} for k, (x, r) in
             enumerate(zip(res.point.tolist(), res.residual.tolist()))]
@@ -307,7 +296,7 @@ def cmd_tensor(args) -> int:
 
 def cmd_invariant(args) -> int:
     data = load_json(args.tensor)
-    if "tensor" in data:  # accept a full cmd_tensor report
+    if isinstance(data, dict) and "tensor" in data:  # a cmd_tensor report
         data = data["tensor"]
     kind, T = tensors.tensor_from_payload(data, exact=args.exact)
     if kind != "mixed":
@@ -323,20 +312,19 @@ def cmd_invariant(args) -> int:
 
 def cmd_reflect(args) -> int:
     data = load_json(args.input)
-    if ("plane" in data) == ("surface" in data):
+    if not isinstance(data, dict) or ("plane" in data) == ("surface" in data):
         raise DegenerateInput(
             "reflect input needs exactly one of 'plane' or 'surface'")
     rows = []
     if "plane" in data:
-        H = vec([parse_scalar(v, exact=args.exact) for v in data["plane"]])
-        for i, y in enumerate(data.get("points", [])):
-            yv = vec([parse_scalar(v, exact=args.exact) for v in y])
-            rows.append({"kind": "point", "index": i,
-                         "reflected": vector_payload(reflect_point(H, yv))})
-        for i, p in enumerate(data.get("lines", [])):
-            pv = vec([parse_scalar(v, exact=args.exact) for v in p])
-            rows.append({"kind": "line", "index": i,
-                         "reflected": vector_payload(reflect_line(H, pv))})
+        H = _vector(data["plane"], 4, args.exact, "plane")
+        for kind, length, reflect in (("point", 4, reflect_point),
+                                      ("line", 6, reflect_line)):
+            key = kind + "s"
+            for i, v in enumerate(_list(data.get(key, []), repr(key))):
+                v = _vector(v, length, args.exact, "%s[%d]" % (key, i))
+                rows.append({"kind": kind, "index": i,
+                             "reflected": vector_payload(reflect(H, v))})
     else:
         surf = MirrorSurface.from_payload(data["surface"], exact=args.exact)
         tol = max(args.tol, 1e-6)

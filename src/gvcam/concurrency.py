@@ -255,6 +255,19 @@ def concurrent_by_generators(lines, tol: float = DEFAULT_TOL) -> bool:
     return True
 
 
+def _tuple_stack(lines):
+    """``lines`` as an (M, n, 6) stack, and whether it was one tuple, which
+    becomes a stack of one: of Fractions when every line is exact, else of
+    floats (exact lines scaled by :func:`numeric._scaled_rows`)."""
+    if isinstance(lines, np.ndarray) and lines.ndim == 3:
+        return lines, False
+    lines = [vec(l) for l in lines]
+    if lines and all(is_exact(l) for l in lines):
+        return np.array(lines, dtype=object)[None], True
+    return np.array([as_float(numeric._scaled_rows(l))
+                     for l in lines])[None], True
+
+
 def find_common_point(lines, tol: float = DEFAULT_TOL):
     """Common point of the lines, or None.
 
@@ -265,46 +278,43 @@ def find_common_point(lines, tol: float = DEFAULT_TOL):
     a tuple is concurrent iff every triple is.  Exact input takes an exact
     nullspace instead.
 
-    ``lines`` may also be an (M, n, 6) float stack of M tuples; the result
-    is then a list of M points or Nones.  A float tuple is a stack of one:
-    the systems of all tuples go through one batched SVD call, and the
+    ``lines`` may also be an (M, n, 6) stack of M tuples; the result is
+    then a list of M points or Nones.  One tuple is a stack of one.  The
+    systems of all float tuples go through one batched SVD call, and the
     C(n, 3) triples of every concurrent tuple through one more (per chunk
-    of tuples, when the stack exceeds ``numeric.SVD_BUDGET``).
+    of tuples, when the stack exceeds ``numeric.SVD_BUDGET``); each tuple
+    of Fractions takes the exact nullspace.
 
     Raises AmbiguousPencil when the nullspace is (numerically) at least
     2-dimensional, e.g. for repeated lines.
     """
-    stacked = isinstance(lines, np.ndarray) and lines.ndim == 3
-    n = lines.shape[1] if stacked else len(lines)
+    L, single = _tuple_stack(lines)
+    m, n = L.shape[:2]
     if n < 2:
         raise InvalidN("need at least two lines, got %d" % n)
-    if stacked:
-        # U of each 4n x 4 system and the 12 x 4 triples bound the memory
-        step = max(1, numeric.SVD_BUDGET // (16 * n * n + 48 * comb(n, 3)))
-        if len(lines) > step:
-            return [x for k in range(0, len(lines), step)
-                    for x in find_common_point(lines[k:k + step], tol)]
-        L = unitize_rows(lines)
+    # U of each 4n x 4 system and the 12 x 4 triples bound the memory
+    step = max(1, numeric.SVD_BUDGET // (16 * n * n + 48 * comb(n, 3)))
+    if is_exact(L):
+        points = [_find_common_point_exact(t) for t in L]
+    elif m > step:
+        points = [x for k in range(0, m, step)
+                  for x in find_common_point(L[k:k + step], tol)]
     else:
-        lines = [unitize(l) for l in lines]
-        if all(is_exact(l) for l in lines):
-            return _find_common_point_exact(lines)
-        L = np.array([as_float(l) for l in lines])[None]
-    m = len(L)
-    blocks = _primal_stack(L.reshape(-1, 6)).reshape(m, n, 4, 4)
-    _, s, vt = np.linalg.svd(blocks.reshape(m, 4 * n, 4))
-    if np.any(s[:, 2] <= tol * s[:, 0]):
-        raise AmbiguousPencil(
-            "solution space is at least 2-dimensional (repeated lines?)")
-    found = s[:, 3] <= tol * s[:, 2]
-    if n > 3 and found.any():
-        _, triples = _index_tables(n)
-        st = np.linalg.svd(
-            blocks[found][:, triples].reshape(-1, 12, 4), compute_uv=False)
-        st = st.reshape(-1, len(triples), 4)
-        found[found] = ~np.any(st[..., 3] > tol * st[..., 2], axis=1)
-    points = [v if ok else None for v, ok in zip(vt[:, -1], found)]
-    return points if stacked else points[0]
+        blocks = _primal_stack(unitize_rows(L).reshape(-1, 6)).reshape(
+            m, n, 4, 4)
+        _, s, vt = np.linalg.svd(blocks.reshape(m, 4 * n, 4))
+        if np.any(s[:, 2] <= tol * s[:, 0]):
+            raise AmbiguousPencil(
+                "solution space is at least 2-dimensional (repeated lines?)")
+        found = s[:, 3] <= tol * s[:, 2]
+        if n > 3 and found.any():
+            _, triples = _index_tables(n)
+            st = np.linalg.svd(blocks[found][:, triples].reshape(-1, 12, 4),
+                               compute_uv=False)
+            st = st.reshape(-1, len(triples), 4)
+            found[found] = ~np.any(st[..., 3] > tol * st[..., 2], axis=1)
+        points = [v if ok else None for v, ok in zip(vt[:, -1], found)]
+    return points[0] if single else points
 
 
 def _find_common_point_exact(lines):

@@ -16,26 +16,24 @@ from math import comb
 
 import numpy as np
 
-from .concurrency import find_common_point
+from .concurrency import _tuple_stack, find_common_point
 from .errors import (AmbiguousPencil, DegenerateConfiguration,
-                     DegenerateInput, FocalPoint, InvalidN)
-from .numeric import (DEFAULT_TOL, as_float, binary_roots, norm,
+                     DegenerateInput, InvalidN)
+from .numeric import (DEFAULT_TOL, as_float, binary_roots,
                       projective_distance, realify, unitize, unitize_rows,
                       vec)
 from .plucker import (_primal_stack, incidence, join_plane, line_from_planes,
                       line_from_points, line_residual, point_line_residual,
                       points_on_line, primal_matrix)
 from . import cameras as _cameras, numeric
-from .cameras import (Pinhole, TwoSlit, _residuals, congruence_residual,
+from .cameras import (Pinhole, TwoSlit, congruence_residual,
                       line_curve_residual)
-from .catadioptric import conic_chord_points
 
 __all__ = [
     "CameraRig", "FocalOverlapWarning", "Transversal", "TriangulationResult",
     "correspond", "triangulate", "epipolar_residual", "epipolar_degree",
     "baseline_count", "common_transversals", "baselines_linear",
     "linear_generator_counts", "LinearGeneratorCounts",
-    "DegreeTwoCongruence", "five_baseline_fixture", "FiveBaselineFixture",
 ]
 
 
@@ -137,34 +135,28 @@ def correspond(rig, lines, tol: float = DEFAULT_TOL):
     None otherwise.  AmbiguousPencil propagates when the common point is
     not unique.
 
-    ``lines`` may also be an (N, n, 6) float64 stack of N tuples; the
-    result is then ``(points, residuals)``: a list of N points or Nones
-    and the (N, n) congruence residuals, from one ``congruence_residual``
-    call per camera and one ``find_common_point`` call on the tuples that
-    pass.
+    ``lines`` may also be an (N, n, 6) stack of N tuples; the result is
+    then ``(points, residuals)``: a list of N points or Nones and the
+    (N, n) congruence residuals, from one ``congruence_residual`` call per
+    camera and one ``find_common_point`` call on the tuples that pass.
+    One tuple is a stack of one.
     """
     cams = rig.cameras if isinstance(rig, CameraRig) else tuple(rig)
-    stacked = isinstance(lines, np.ndarray) and lines.ndim == 3
-    n = lines.shape[1] if stacked else len(lines)
+    L, single = _tuple_stack(lines)
+    n = L.shape[1]
     if n < 2:
         raise InvalidN("correspondence needs at least two image lines")
     if n != len(cams):
         raise DegenerateInput(
             "got %d lines for %d cameras" % (n, len(cams)))
-    if not stacked:
-        lines = [vec(p) for p in lines]
-        for cam, p in zip(cams, lines):
-            if congruence_residual(cam, p) > tol:
-                return None
-        return find_common_point(lines, tol=tol)
-    residuals = np.stack([congruence_residual(cam, lines[:, i])
+    residuals = np.stack([congruence_residual(cam, L[:, i])
                           for i, cam in enumerate(cams)], axis=1)
     passed = ~np.any(residuals > tol, axis=1)
-    points = [None] * len(lines)
+    points = [None] * len(L)
     for k, x in zip(np.flatnonzero(passed).tolist(),
-                    find_common_point(lines[passed], tol=tol)):
+                    find_common_point(L[passed], tol=tol)):
         points[k] = x
-    return points, residuals
+    return points[0] if single else (points, residuals)
 
 
 @dataclass(frozen=True)
@@ -181,14 +173,14 @@ def triangulate(rig, lines, tol: float = DEFAULT_TOL) -> TriangulationResult:
     singular value.  Works on noisy tuples; AmbiguousPencil when even the
     least-squares point is not unique (all lines nearly equal).
 
-    ``lines`` may also be an (N, n, 6) float stack of N tuples; the result
-    then holds an (N, 4) array of points and N residuals, from one batched
-    SVD call.  A tuple is a stack of one.
+    ``lines`` may also be an (N, n, 6) stack of N tuples; the result then
+    holds an (N, 4) array of points and N residuals, from one batched SVD
+    call.  A tuple is a stack of one, and Fractions are scaled by
+    :func:`numeric._scaled_rows`, then rounded.
     """
     del rig  # cameras are not needed for the least-squares point
-    stacked = isinstance(lines, np.ndarray) and lines.ndim == 3
-    L = lines if stacked else np.array(
-        [as_float(vec(p)) for p in lines])[None]
+    L, single = _tuple_stack(lines)
+    L = as_float(numeric._scaled_rows(L))
     n = L.shape[1]
     if n < 2:
         raise InvalidN("triangulation needs at least two lines")
@@ -204,9 +196,9 @@ def triangulate(rig, lines, tol: float = DEFAULT_TOL) -> TriangulationResult:
     if np.any(s[:, 2] <= tol * s[:, 0]):
         raise AmbiguousPencil("stacked system has a 2-dimensional "
                               "near-nullspace; point not unique")
-    if stacked:
-        return TriangulationResult(point=vt[:, 3], residual=s[:, 3])
-    return TriangulationResult(point=vt[0, 3], residual=float(s[0, 3]))
+    if single:
+        return TriangulationResult(point=vt[0, 3], residual=float(s[0, 3]))
+    return TriangulationResult(point=vt[:, 3], residual=s[:, 3])
 
 
 def epipolar_residual(cam2, p, q) -> float:
@@ -348,151 +340,4 @@ def linear_generator_counts(n1: int, n2: int) -> LinearGeneratorCounts:
         quadratic=comb(n1 + n2, 2) + n2,
         cubic=(comb(n1, 3) + 3 * comb(n1, 2) * n2
                + 6 * n1 * comb(n2, 2) + 10 * comb(n2, 3)),
-    )
-
-
-# --------------------------------------------------------------------------
-# the five-baseline pair of degree-two congruences (regression fixture)
-
-def _gen_values_first(p):
-    p01, p02, p03, p12, p13, p23 = p
-    return [
-        p12 - p13,
-        p01 * p01 + p02 * p02 - p03 * p03,
-        p01 * p13 + p02 * p23 + p03 * p23,
-    ]
-
-
-def _gen_values_second(p):
-    p01, p02, p03, p12, p13, p23 = p
-    return [
-        p02 - p12,
-        p03 * p03 - p13 * p13 + p23 * p23,
-        p01 * p03 + p01 * p13 - p12 * p23,
-    ]
-
-
-@dataclass(frozen=True)
-class DegreeTwoCongruence:
-    """A (1,2) congruence given by its generator polynomials, with an
-    optional geometric model (a focal line plus a focal conic) that can
-    produce the member through a generic point."""
-
-    name: str
-    line_points: tuple | None
-    conic_matrix: np.ndarray | None
-    conic_plane: np.ndarray | None
-    excluded: np.ndarray | None
-    _gens: object = None
-
-    kind = "degree_two"
-    bidegree = (1, 2)
-
-    def generator_values(self, p):
-        vals = list(self._gens(vec(p)))
-        from .plucker import plucker_quadric
-        vals.append(plucker_quadric(vec(p)))
-        return vec(vals)
-
-    def congruence_residual(self, p):
-        return _residuals(p, lambda q: float(np.max(np.abs(as_float(
-            self.generator_values(unitize(as_float(q))))))))
-
-    def project(self, x):
-        if self.line_points is None:
-            raise DegenerateInput("no geometric model attached")
-        x = as_float(vec(x))
-        a1, a2 = (as_float(vec(v)) for v in self.line_points)
-        L = line_from_points(a1, a2)
-        if point_line_residual(x, L) < 1e-12:
-            raise FocalPoint("point on the focal line")
-        PL = primal_matrix(L)
-        pi = PL @ x                       # plane through x and L
-        ell = line_from_planes(pi, self.conic_plane)  # chord carrier
-        best = None
-        for w in conic_chord_points(self.conic_matrix, ell):
-            if np.iscomplexobj(w):
-                continue
-            if projective_distance(w, self.excluded) < 1e-8:
-                continue
-            cand = line_from_points(x, w)
-            if best is None or (self.congruence_residual(cand)
-                                < self.congruence_residual(best)):
-                best = cand
-        if best is None:
-            raise FocalPoint("no real member through this point")
-        return best
-
-    def focal_residual(self, x) -> float:
-        if self.line_points is None:
-            raise DegenerateInput("no geometric model attached")
-        x = as_float(vec(x))
-        a1, a2 = (as_float(vec(v)) for v in self.line_points)
-        L = line_from_points(a1, a2)
-        on_line = point_line_residual(x, L)
-        xu = unitize(x)
-        Q = as_float(self.conic_matrix)
-        on_conic = max(abs(float(xu @ Q @ xu)),
-                       abs(float(np.dot(as_float(self.conic_plane), xu)))
-                       / norm(self.conic_plane))
-        return min(on_line, on_conic)
-
-    def payload(self):
-        return {"type": "degree_two", "name": self.name}
-
-
-@dataclass(frozen=True)
-class FiveBaselineFixture:
-    """Two (1,2) congruences sharing exactly five lines: one rational
-    baseline plus four cut out by the quartic 5a^4 - 2a^2 + 1 = 0."""
-
-    cam1: DegreeTwoCongruence
-    cam2: DegreeTwoCongruence
-    rational_baseline: np.ndarray
-    quartic: tuple = (5.0, 0.0, -2.0, 0.0, 1.0)
-    epipolar_sample_line: np.ndarray = None
-
-    def quartic_roots(self):
-        return np.roots(np.asarray(self.quartic))
-
-    def family_member(self, a):
-        """Baseline with parameter a on the quartic curve of solutions."""
-        return np.array([(5 * a * a - 1) / 2, a, -(5 * a ** 3 + a) / 2,
-                         a, a, 1.0 + 0.0 * a])
-
-    def baselines(self):
-        """All five common lines (the rational one first)."""
-        out = [Transversal(line=vec(self.rational_baseline),
-                           parameter=(None, None), is_real=True)]
-        for a in self.quartic_roots():
-            line, real = realify(self.family_member(complex(a)))
-            out.append(Transversal(line=vec(line), parameter=(complex(a), 1.0),
-                                   is_real=real))
-        return out
-
-    def real_count(self) -> int:
-        return sum(1 for t in self.baselines() if t.is_real)
-
-
-def five_baseline_fixture() -> FiveBaselineFixture:
-    """The worked pair of degree-two congruences with five baselines.
-
-    The second congruence carries its geometric model: focal line through
-    (1,1,0,0) and (0,0,0,1), focal conic x0^2 - x1^2 + x2^2 = 0 in the
-    plane x3 = 0, meeting the line at the excluded point (1,1,0,0).
-    """
-    cam1 = DegreeTwoCongruence(
-        name="first", line_points=None, conic_matrix=None, conic_plane=None,
-        excluded=None, _gens=_gen_values_first)
-    cam2 = DegreeTwoCongruence(
-        name="second",
-        line_points=(vec([1.0, 1, 0, 0]), vec([0.0, 0, 0, 1])),
-        conic_matrix=vec(np.diag([1.0, -1.0, 1.0, 0.0])),
-        conic_plane=vec([0.0, 0, 0, 1]),
-        excluded=vec([1.0, 1, 0, 0]),
-        _gens=_gen_values_second)
-    return FiveBaselineFixture(
-        cam1=cam1, cam2=cam2,
-        rational_baseline=vec([0.0, 1, 1, 1, 1, 0]),
-        epipolar_sample_line=vec([3.0, 4, 5, -3, -3, 1]),
     )

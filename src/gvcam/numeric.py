@@ -26,9 +26,9 @@ __all__ = [
     "vec", "is_exact", "as_float", "norm", "unitize", "row_norms",
     "unitize_rows",
     "parse_scalar", "format_scalar", "parse_vector", "vector_payload",
-    "proj_normalize", "projective_distance", "projective_equal",
-    "det2", "det3", "det4", "compound2", "exact_nullspace",
-    "binary_eval", "binary_mul", "binary_roots", "binary_from_root_pairs",
+    "proj_normalize", "projective_distance",
+    "det3", "det4", "compound2", "exact_nullspace",
+    "binary_eval", "binary_mul", "binary_roots",
     "realify", "negligible", "negligible_each", "DEFAULT_TOL", "ZERO_EPS", "FOCAL_EPS",
     "FORM_EPS", "REAL_EPS", "SVD_BUDGET",
 ]
@@ -152,6 +152,17 @@ def unitize(a):
     return a / n
 
 
+def _scaled_rows(a):
+    """An exact vector or stack with each row divided exactly by its
+    largest coordinate (:func:`proj_normalize`): a row then carries no
+    projective scale, and its coordinates round to floats without
+    overflow.  Float input is returned as it is."""
+    if not is_exact(a):
+        return a
+    rows = [proj_normalize(row) for row in a.reshape(-1, a.shape[-1])]
+    return np.array(rows, dtype=object).reshape(a.shape)
+
+
 # --- scalar (de)serialization ----------------------------------------------
 
 def parse_scalar(value, exact: bool = False):
@@ -197,11 +208,18 @@ def format_scalar(value):
 
 
 def parse_vector(values, length: int | None = None, exact: bool = False):
+    """Parse a JSON coordinate list: Fractions (object dtype) under
+    ``exact``, else float64 (a rational string rounded with
+    ``float(Fraction)``), so that no vector mixes the two."""
     if not isinstance(values, (list, tuple)):
         raise DegenerateInput("a coordinate vector must be a list, got %r"
                               % (values,))
-    out = vec([parse_scalar(v, exact=exact) for v in values],
-              exact=exact or None)
+    parsed = [parse_scalar(v, exact=exact) for v in values]
+    try:
+        out = np.array(parsed, dtype=object if exact else np.float64)
+    except OverflowError:
+        raise DegenerateInput("rational coordinate exceeds the float "
+                              "range") from None
     if length is not None and out.shape != (length,):
         raise DegenerateInput(
             "expected a vector of length %d, got shape %s" % (length, out.shape)
@@ -249,14 +267,6 @@ def projective_distance(u, v) -> float:
     return float(np.linalg.norm(u - phase * v))
 
 
-def projective_equal(u, v, tol: float = DEFAULT_TOL) -> bool:
-    u = vec(u)
-    v = vec(v)
-    if is_exact(u) and is_exact(v):
-        return bool(np.all(proj_normalize(u) == proj_normalize(v)))
-    return projective_distance(u, v) <= tol
-
-
 def realify(v, rel_tol: float = REAL_EPS):
     """(real vector, True) when v is a complex multiple of a real vector,
     up to ``rel_tol`` relative to its largest entry; else (v, False).
@@ -270,10 +280,6 @@ def realify(v, rel_tol: float = REAL_EPS):
 
 
 # --- small exact-capable determinants ----------------------------------------
-
-def det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
 
 def det3(m):
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -387,11 +393,3 @@ def binary_roots(coeffs, zero_tol: float = FORM_EPS):
         raise DegenerateInput("zero binary form has no root set")
     return roots
 
-
-def binary_from_root_pairs(pairs):
-    """Binary form (up to scale) with the given projective roots: the
-    product of (t_i * s - s_i * t)."""
-    form = vec([1.0])
-    for (s_i, t_i) in pairs:
-        form = binary_mul(form, [t_i, -s_i])
-    return form

@@ -28,9 +28,8 @@ import numpy as np
 from .cameras import Pinhole, TwoSlit, camera_from_payload
 from .catadioptric import MirrorSurface
 from .errors import DegenerateInput
-from .numeric import (DEFAULT_TOL, as_float, negligible, negligible_each,
-                      parse_vector, projective_distance, unitize,
-                      unitize_rows, vec)
+from .numeric import (DEFAULT_TOL, as_float, is_exact, negligible_each,
+                      parse_vector, projective_distance, unitize_rows, vec)
 from .plucker import plucker_quadric
 from .tensors import pinhole_center, twoslit_kernels
 
@@ -102,7 +101,7 @@ class Scene:
     cameras: tuple
     matrices: tuple          # per camera: tuple of arrays, or None
     points: tuple            # of 4-vectors
-    observations: object     # (N, n, 6) float64 array, or tuple of tuples
+    observations: np.ndarray  # (N, n, 6): float64, or Fractions if exact
     surfaces: tuple = ()
     descriptors: tuple = ()  # echo of the input camera payloads
 
@@ -130,22 +129,27 @@ def scene_from_dict(data, exact: bool = False,
                  descriptors=tuple(desc))
 
 
-def _check_line(line, tol, what):
-    """Raise DegenerateInput unless ``line`` lies on the Pluecker quadric,
-    within max(tol, 1e-10) after unitizing.  The lines of a float stack
-    ((n, 6), (N, n, 6), ...) are checked at once, and the message names
-    the first bad one by its indices."""
-    eps = max(tol, 1e-10)
-    if line.ndim > 1:
-        q = plucker_quadric(np.moveaxis(unitize_rows(line), -1, 0))
-        bad = np.argwhere(~negligible_each(q, eps=eps))
-        if not len(bad):
-            return
-        what += "".join("[%d]" % i for i in bad[0])
-    elif negligible(plucker_quadric(unitize(line)), eps=eps):
-        return
-    raise DegenerateInput("%s is not a line "
-                          "(quadric residual exceeds tolerance)" % what)
+def _vector(values, length, exact, what):
+    """:func:`parse_vector`, with ``what`` naming the vector in an error."""
+    try:
+        return parse_vector(values, length, exact)
+    except DegenerateInput as exc:
+        raise DegenerateInput("%s: %s" % (what, exc)) from None
+
+
+def _check_line(lines, tol, what):
+    """Raise DegenerateInput unless every line of a stack ((n, 6),
+    (N, n, 6), ...) lies on the Pluecker quadric: exactly for Fractions,
+    within max(tol, 1e-10) after unitizing for floats.  The message names
+    the first bad line by its indices."""
+    if not is_exact(lines):
+        lines = unitize_rows(lines)
+    q = plucker_quadric(np.moveaxis(lines, -1, 0))
+    bad = np.argwhere(~negligible_each(q, eps=max(tol, 1e-10)))
+    if len(bad):
+        raise DegenerateInput("%s%s is not a line (quadric residual exceeds "
+                              "tolerance)" % (what, "".join(
+                                  "[%d]" % i for i in bad[0])))
 
 
 def _number_stack(items):
@@ -168,48 +172,39 @@ def _number_stack(items):
 
 
 def _observations(values, exact, tol):
-    """Observed line tuples, each line on the Pluecker quadric.
+    """Observed line tuples as one (N, n, 6) array, of float64 or, under
+    ``exact``, of Fractions, each line on the Pluecker quadric.
 
-    In float mode, items of plain numbers become one (N, n, 6) float64
-    array.  Anything else (exact mode, rational strings, ragged items, any
-    defect) is read line by line with :func:`parse_vector` into a tuple of
-    tuples, and a defect is named by its indices, ``observations[k][i]``.
+    In float mode, items of plain numbers are read in one pass.  Anything
+    else (exact mode, rational strings, any defect) is read line by line
+    with :func:`parse_vector` into the same array, and a defect is named
+    by its indices, ``observations[k][i]``.
     """
     items = _list(values, "'observations'")
     L = None if exact else _number_stack(items)
-    if L is not None:
-        _check_line(L, tol, "observations")
-        return L
-    out = []
-    for k, item in enumerate(items):
-        lines = []
-        for i, line in enumerate(_list(item, "observations[%d]" % k)):
-            what = "observations[%d][%d]" % (k, i)
-            try:
-                lines.append(parse_vector(line, 6, exact))
-            except DegenerateInput as exc:
-                raise DegenerateInput("%s: %s" % (what, exc)) from None
-            _check_line(lines[-1], tol, what)
-        out.append(tuple(lines))
-    return tuple(out)
+    if L is None:
+        n = len(_list(items[0], "observations[0]")) if items else 0
+        L = np.empty((len(items), n, 6),
+                     dtype=object if exact else np.float64)
+        for k, item in enumerate(items):
+            if len(_list(item, "observations[%d]" % k)) != n:
+                raise DegenerateInput(
+                    "observations[%d] has %d lines, observations[0] has %d"
+                    % (k, len(item), n))
+            for i, line in enumerate(item):
+                L[k, i] = _vector(line, 6, exact,
+                                  "observations[%d][%d]" % (k, i))
+    _check_line(L, tol, "observations")
+    return L
 
 
 def mirror_lines(values, tol: float = DEFAULT_TOL):
     """The ``lines`` of a surface-mode ``reflect`` input as one (n, 6)
-    float64 stack, each a finite nonzero vector on the Pluecker quadric.
-    Each row is read by :func:`parse_vector`, and a defect names the index
+    float64 stack, each on the Pluecker quadric; a defect names the index
     of its line."""
-    rows = []
-    for i, row in enumerate(_list(values, "'lines'")):
-        try:
-            rows.append(as_float(parse_vector(row, 6)))
-        except DegenerateInput as exc:
-            raise DegenerateInput("lines[%d]: %s" % (i, exc)) from None
-    L = np.array(rows, dtype=np.float64).reshape(-1, 6)
-    bad = np.flatnonzero(~np.all(np.isfinite(L), axis=1))
-    if bad.size:
-        raise DegenerateInput("lines[%d]: coordinates must be finite"
-                              % bad[0])
+    L = np.array([_vector(row, 6, False, "lines[%d]" % i)
+                  for i, row in enumerate(_list(values, "'lines'"))])
+    L = L.reshape(-1, 6)
     _check_line(L, tol, "lines")
     return L
 
@@ -229,14 +224,14 @@ def load_points(path, scene: Scene, exact: bool = False):
     data = load_json(path)
     if isinstance(data, dict):
         data = data.get("points", [])
-    return tuple(parse_vector(p, 4, exact) for p in data)
+    return tuple(parse_vector(p, 4, exact) for p in _list(data, "'points'"))
 
 
 def load_observations(path, scene: Scene, exact: bool = False,
                       tol: float = DEFAULT_TOL):
-    """Observed line tuples from a file or from the scene, as the scene
-    holds them (an (N, n, 6) float64 array, or a tuple of tuples); each
-    item must carry one line per camera."""
+    """Observed line tuples from a file or from the scene, as one
+    (N, n, 6) array (see :class:`Scene`); each item must carry one line
+    per camera."""
     if path is None:
         items = scene.observations
     else:
@@ -246,10 +241,7 @@ def load_observations(path, scene: Scene, exact: bool = False,
         items = _observations(data, exact, tol)
     if not len(items):
         raise DegenerateInput("empty observation list")
-    n = len(scene.cameras)
-    for k, item in enumerate(items):
-        if len(item) != n:
-            raise DegenerateInput(
-                "observations[%d] has %d lines for %d cameras"
-                % (k, len(item), n))
+    if items.shape[1] != len(scene.cameras):
+        raise DegenerateInput("observations have %d lines per item for %d "
+                              "cameras" % (items.shape[1], len(scene.cameras)))
     return items

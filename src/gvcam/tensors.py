@@ -379,14 +379,20 @@ def tensor_from_payload(data, exact: bool = False):
     from .numeric import parse_scalar
 
     def conv(a):
-        if isinstance(a, list) and a and isinstance(a[0], list):
+        if not isinstance(a, list):
+            raise DegenerateInput("tensor 'entries' must be nested lists, "
+                                  "got %r" % (a,))
+        if a and isinstance(a[0], list):
             return [conv(row) for row in a]
         return [parse_scalar(x, exact=exact) for x in a]
 
+    if not isinstance(data, dict):
+        raise DegenerateInput("a tensor payload must be an object, got %r"
+                              % (data,))
     kind = data.get("kind")
     if kind not in _TENSOR_SHAPES:
         raise DegenerateInput("unknown tensor kind %r" % kind)
-    T = vec(conv(data["entries"]), exact=exact or None)
+    T = vec(conv(data.get("entries")), exact=exact or None)
     if T.shape != _TENSOR_SHAPES[kind]:
         raise DegenerateInput("entries do not form a %s tensor" % kind)
     return kind, T

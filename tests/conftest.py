@@ -5,14 +5,22 @@ return plain numpy arrays (float) or Fraction arrays (exact mode).
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gvcam.cameras import Pinhole, Pushbroom, TwistedCubic, TwoSlit
-from gvcam.numeric import norm, projective_distance, vec
-from gvcam.plucker import incidence, line_from_points
+from gvcam.cameras import (Pinhole, Pushbroom, TwistedCubic, TwoSlit,
+                           _residuals)
+from gvcam.catadioptric import conic_chord_points
+from gvcam.errors import DegenerateInput, FocalPoint
+from gvcam.multiimage import Transversal
+from gvcam.numeric import (as_float, norm, projective_distance, realify,
+                           unitize, vec)
+from gvcam.plucker import (incidence, line_from_planes, line_from_points,
+                           plucker_quadric, point_line_residual,
+                           primal_matrix)
 
 
 def rand_point(rng, dim=4):
@@ -146,3 +154,174 @@ def forward_tuple(rng, rig, tries=40):
 def rng():
     """Default per-test RNG; tests needing special seeds make their own."""
     return np.random.default_rng(0xC0FFEE)
+
+
+# --------------------------------------------------------------------------
+# the five-baseline pair of degree-two congruences (regression fixture)
+
+def _gen_values_first(p):
+    p01, p02, p03, p12, p13, p23 = p
+    return [
+        p12 - p13,
+        p01 * p01 + p02 * p02 - p03 * p03,
+        p01 * p13 + p02 * p23 + p03 * p23,
+    ]
+
+
+def _gen_values_second(p):
+    p01, p02, p03, p12, p13, p23 = p
+    return [
+        p02 - p12,
+        p03 * p03 - p13 * p13 + p23 * p23,
+        p01 * p03 + p01 * p13 - p12 * p23,
+    ]
+
+
+@dataclass(frozen=True)
+class DegreeTwoCongruence:
+    """A (1,2) congruence given by its generator polynomials, with an
+    optional geometric model (a focal line plus a focal conic) that can
+    produce the member through a generic point."""
+
+    name: str
+    line_points: tuple | None
+    conic_matrix: np.ndarray | None
+    conic_plane: np.ndarray | None
+    excluded: np.ndarray | None
+    _gens: object = None
+
+    kind = "degree_two"
+    bidegree = (1, 2)
+
+    def generator_values(self, p):
+        vals = list(self._gens(vec(p)))
+        vals.append(plucker_quadric(vec(p)))
+        return vec(vals)
+
+    def congruence_residual(self, p):
+        return _residuals(p, lambda q: float(np.max(np.abs(as_float(
+            self.generator_values(unitize(as_float(q))))))))
+
+    def project(self, x):
+        if self.line_points is None:
+            raise DegenerateInput("no geometric model attached")
+        x = as_float(vec(x))
+        a1, a2 = (as_float(vec(v)) for v in self.line_points)
+        L = line_from_points(a1, a2)
+        if point_line_residual(x, L) < 1e-12:
+            raise FocalPoint("point on the focal line")
+        PL = primal_matrix(L)
+        pi = PL @ x                       # plane through x and L
+        ell = line_from_planes(pi, self.conic_plane)  # chord carrier
+        best = None
+        for w in conic_chord_points(self.conic_matrix, ell):
+            if np.iscomplexobj(w):
+                continue
+            if projective_distance(w, self.excluded) < 1e-8:
+                continue
+            cand = line_from_points(x, w)
+            if best is None or (self.congruence_residual(cand)
+                                < self.congruence_residual(best)):
+                best = cand
+        if best is None:
+            raise FocalPoint("no real member through this point")
+        return best
+
+    def focal_residual(self, x) -> float:
+        if self.line_points is None:
+            raise DegenerateInput("no geometric model attached")
+        x = as_float(vec(x))
+        a1, a2 = (as_float(vec(v)) for v in self.line_points)
+        L = line_from_points(a1, a2)
+        on_line = point_line_residual(x, L)
+        xu = unitize(x)
+        Q = as_float(self.conic_matrix)
+        on_conic = max(abs(float(xu @ Q @ xu)),
+                       abs(float(np.dot(as_float(self.conic_plane), xu)))
+                       / norm(self.conic_plane))
+        return min(on_line, on_conic)
+
+    def payload(self):
+        return {"type": "degree_two", "name": self.name}
+
+
+@dataclass(frozen=True)
+class FiveBaselineFixture:
+    """Two (1,2) congruences sharing exactly five lines: one rational
+    baseline plus four cut out by the quartic 5a^4 - 2a^2 + 1 = 0."""
+
+    cam1: DegreeTwoCongruence
+    cam2: DegreeTwoCongruence
+    rational_baseline: np.ndarray
+    quartic: tuple = (5.0, 0.0, -2.0, 0.0, 1.0)
+    epipolar_sample_line: np.ndarray = None
+
+    def quartic_roots(self):
+        return np.roots(np.asarray(self.quartic))
+
+    def family_member(self, a):
+        """Baseline with parameter a on the quartic curve of solutions."""
+        return np.array([(5 * a * a - 1) / 2, a, -(5 * a ** 3 + a) / 2,
+                         a, a, 1.0 + 0.0 * a])
+
+    def baselines(self):
+        """All five common lines (the rational one first)."""
+        out = [Transversal(line=vec(self.rational_baseline),
+                           parameter=(None, None), is_real=True)]
+        for a in self.quartic_roots():
+            line, real = realify(self.family_member(complex(a)))
+            out.append(Transversal(line=vec(line), parameter=(complex(a), 1.0),
+                                   is_real=real))
+        return out
+
+    def real_count(self) -> int:
+        return sum(1 for t in self.baselines() if t.is_real)
+
+
+def five_baseline_fixture() -> FiveBaselineFixture:
+    """The worked pair of degree-two congruences with five baselines.
+
+    The second congruence carries its geometric model: focal line through
+    (1,1,0,0) and (0,0,0,1), focal conic x0^2 - x1^2 + x2^2 = 0 in the
+    plane x3 = 0, meeting the line at the excluded point (1,1,0,0).
+    """
+    cam1 = DegreeTwoCongruence(
+        name="first", line_points=None, conic_matrix=None, conic_plane=None,
+        excluded=None, _gens=_gen_values_first)
+    cam2 = DegreeTwoCongruence(
+        name="second",
+        line_points=(vec([1.0, 1, 0, 0]), vec([0.0, 0, 0, 1])),
+        conic_matrix=vec(np.diag([1.0, -1.0, 1.0, 0.0])),
+        conic_plane=vec([0.0, 0, 0, 1]),
+        excluded=vec([1.0, 1, 0, 0]),
+        _gens=_gen_values_second)
+    return FiveBaselineFixture(
+        cam1=cam1, cam2=cam2,
+        rational_baseline=vec([0.0, 1, 1, 1, 1, 0]),
+        epipolar_sample_line=vec([3.0, 4, 5, -3, -3, 1]),
+    )
+
+
+# --------------------------------------------------------------------------
+# published generators of the reference Type3 / Type4 congruences
+
+def _poly_vals_type3_reference(p):
+    p01, p02, p03, p12, p13, p23 = p
+    return [
+        p01,
+        p03 * p12 - p02 * p13,
+        p02 * p03 ** 2 - p12 ** 2 * p13 - p02 * p03 * p23 + p12 * p13 * p23,
+        p03 ** 3 - p12 * p13 ** 2 - p03 ** 2 * p23 + p13 ** 2 * p23,
+        p02 ** 2 * p03 - p12 ** 3 - p02 ** 2 * p23 + p12 ** 2 * p23,
+    ]
+
+
+def _poly_vals_type4_reference(p):
+    p01, p02, p03, p12, p13, p23 = p
+    return [
+        p01,
+        p03 * p12 - p02 * p13,
+        p02 * p03 ** 2 - p12 ** 2 * p13,
+        p03 ** 3 - p12 * p13 ** 2,
+        p02 ** 2 * p03 - p12 ** 3,
+    ]

@@ -15,8 +15,8 @@ from math import comb, inf
 import numpy as np
 import pytest
 
-from conftest import (ELLIPSOID_FOCI, ellipsoid_point, forward_tuple,
-                      lines_through, rand_line,
+from conftest import (ELLIPSOID_FOCI, ellipsoid_point, five_baseline_fixture,
+                      forward_tuple, lines_through, rand_line,
                       rand_mixed_rig, rand_pinhole, rand_point,
                       rand_pushbroom, rand_skew_pair, rand_twisted_cubic,
                       rand_twoslit, rational_lines_through)
@@ -290,7 +290,7 @@ def test_criterion_07_pairwise_baseline_counts():
 
 
 def test_criterion_08_five_baseline_fixture():
-    fx = multiimage.five_baseline_fixture()
+    fx = five_baseline_fixture()
     found = fx.baselines()
     assert len(found) == 5
     b = proj(np.real(found[0].line))

@@ -57,17 +57,33 @@ _CATALOG = catalog(np.random.default_rng(319))
 _coords = st.floats(-10.0, 10.0, allow_nan=False)
 
 
+# exact cameras, each at another scale than the float camera it equals
+_RESCALED = [
+    (Pinhole(vec([1000, 0, 0, 1000], exact=True)),
+     Pinhole(vec([1., 0, 0, 1]))),
+    (TwoSlit(vec([3, 0, 0, 0, 0, 0], exact=True),
+             vec([0, 0, 0, 0, 0, 5], exact=True)),
+     TwoSlit(vec([1., 0, 0, 0, 0, 0]), vec([0., 0, 0, 0, 0, 1]))),
+]
+
+
 @settings(derandomize=True, max_examples=25, deadline=None, database=None)
 @given(st.lists(_coords, min_size=8, max_size=8),
        st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e))
 def test_congruence_residual_ignores_projective_scale(coords, lam):
+    """The residual of a line is that of the line rescaled, of the line in
+    Fractions at either scale, and of the line against an exact camera
+    given at another scale."""
     x, y = np.array(coords[:4]), np.array(coords[4:])
     p = wedge(x, y)
     if norm(p) <= 1e-3 * norm(x) * norm(y):
         return                      # (nearly) coincident points
-    for cam in _CATALOG:
-        r = congruence_residual(cam, p)
-        assert abs(congruence_residual(cam, lam * p) - r) <= 1e-12 * r, cam
+    exact = vec([Fraction(v) for v in p], exact=True)
+    lines = (p, lam * p, exact, Fraction(lam) * exact)
+    for cam, twin in [(cam, cam) for cam in _CATALOG] + _RESCALED:
+        r = congruence_residual(twin, p)
+        for q in lines:
+            assert abs(congruence_residual(cam, q) - r) <= 1e-12 * r, cam
 
 
 _STACK_CATALOG = _CATALOG + [PanoramicNC(), PanoramicStereo()]
@@ -335,7 +351,7 @@ def test_twisted_cubic_homography_conjugation():
 
 
 def test_type3_reference_ideal_on_projections():
-    from gvcam.cameras import _poly_vals_type3_reference
+    from conftest import _poly_vals_type3_reference
     cam = reference_type3()
     rng = np.random.default_rng(312)
     for _ in range(25):
@@ -370,7 +386,7 @@ def test_type3_rejects_lines_through_curve_base_point():
 
 
 def test_type4_reference_ideal_on_projections():
-    from gvcam.cameras import _poly_vals_type4_reference
+    from conftest import _poly_vals_type4_reference
     cam = reference_type4()
     rng = np.random.default_rng(313)
     for _ in range(25):
@@ -388,8 +404,8 @@ def test_type4_binomials_are_leading_forms_of_type3_cubics():
     """Setting the last line coordinate to zero reduces each cubic of the
     first reference system to the corresponding binomial of the second:
     the binomial system is the leading part of the cubic system."""
-    from gvcam.cameras import (_poly_vals_type3_reference,
-                               _poly_vals_type4_reference)
+    from conftest import (_poly_vals_type3_reference,
+                          _poly_vals_type4_reference)
     rng = np.random.default_rng(314)
     for _ in range(25):
         p = rng.standard_normal(6)

@@ -2,6 +2,7 @@
 baselines, and the five-baseline reference configuration."""
 
 import warnings
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -17,14 +18,15 @@ from gvcam.multiimage import (CameraRig, FocalOverlapWarning, Transversal,
                               baseline_count, baselines_linear,
                               common_transversals, correspond,
                               epipolar_degree, epipolar_residual,
-                              five_baseline_fixture, linear_generator_counts,
+                              linear_generator_counts,
                               triangulate)
 from gvcam.numeric import norm, unitize, vec
 from gvcam.plucker import (incidence, line_from_points, plucker_quadric,
                            point_line_residual, point_on_line,
                            points_on_line)
-from conftest import (assert_proj_close, forward_tuple, lines_through,
-                      rand_line, rand_mixed_rig, rand_pinhole, rand_point,
+from conftest import (assert_proj_close, five_baseline_fixture,
+                      forward_tuple, lines_through, rand_line,
+                      rand_mixed_rig, rand_pinhole, rand_point,
                       rand_skew_pair, rand_twoslit)
 
 E = np.eye(4)
@@ -130,11 +132,18 @@ def test_stacked_decisions_equal_per_tuple(n, seed):
         assert _same_point(common[k], find_common_point(lines))
         assert residuals[k].tolist() == [
             congruence_residual(cam, p) for cam, p in zip(rig.cameras, lines)]
+        # a tuple is a stack of one
+        (point,), one_residuals = correspond(rig, stack[k:k + 1])
+        assert _same_point(point, points[k])
+        assert one_residuals.tolist() == [residuals[k].tolist()]
+        assert _same_point(find_common_point(stack[k:k + 1])[0], common[k])
     res = triangulate(rig, stack)
     for k, lines in enumerate(tuples):
         one = triangulate(rig, lines)
         assert res.point[k].tobytes() == one.point.tobytes()
         assert res.residual[k] == one.residual
+        one = triangulate(rig, stack[k:k + 1])
+        assert one.point.tobytes() == res.point[k:k + 1].tobytes()
     assert sum(x is not None for x in points) >= 3
     repeated = [tuples[0][0]] * n
     for fn in (find_common_point, lambda t: triangulate(rig, t)):
@@ -142,6 +151,18 @@ def test_stacked_decisions_equal_per_tuple(n, seed):
             fn(repeated)
         with pytest.raises(AmbiguousPencil):
             fn(np.array(tuples[:3] + [repeated] + tuples[3:]))
+
+
+def test_mixed_tuple_is_decided_at_unit_scale():
+    """A Fraction line in a tuple of float lines counts at unit scale:
+    scaled by 1e-12, it still misses the common point (1:0:0:0) of the
+    other two lines."""
+    cams = [Pinhole(E[1]), Pinhole(E[2]), Pinhole(E[3])]
+    off = line_from_points(E[3], np.array([0., 1, 1, 0]))   # misses E[0]
+    tiny = vec([Fraction(v) for v in off], exact=True) * Fraction(1, 10 ** 12)
+    lines = [line_from_points(E[1], E[0]), line_from_points(E[2], E[0]), tiny]
+    assert find_common_point(lines) is None
+    assert correspond(cams, lines) is None
 
 
 def test_long_stacks_go_through_in_chunks(monkeypatch):

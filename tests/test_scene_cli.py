@@ -342,7 +342,8 @@ def test_cli_observation_defects_name_the_item(capsys, tmp_path):
 
 
 def test_cli_huge_integer_coordinates(capsys, tmp_path):
-    """An integer beyond the float range is an input error, not a crash."""
+    """An integer beyond the float range is an input error in float mode
+    and an ordinary coordinate under --exact: never a crash."""
     points = mixed_scene_dict([[1, 1, 1, 1]])
     points["points"] = [[10 ** 400, 1, 1, 1]]
     obs = mixed_scene_dict([[1, 1, 1, 1]])
@@ -353,25 +354,58 @@ def test_cli_huge_integer_coordinates(capsys, tmp_path):
         rc, err = _check_error(capsys, argv)
         assert rc == 2 and err["error"] == "DegenerateInput"
         assert "float range" in err["message"]
+    exact = write_json(tmp_path / "e.json", {
+        "version": 1,
+        "rig": [{"type": "pinhole", "center": [0, 0, 0, 1]},
+                {"type": "pinhole", "center": [0, 0, 10 ** 400, 0]}],
+        # the line e0 v e1 misses the first centre
+        "observations": [[[10 ** 400, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]]]})
+    rc, out = run_cli(capsys, ["check", "--scene", exact, "--exact"])
+    assert rc == 1
+    (row,) = json.loads(out)["results"]
+    assert row["violated"] == "congruence[0]" and row["residual"] == 1.0
 
 
-def test_observations_load_as_one_float_stack(tmp_path, mixed_scene):
-    """Plain numbers load as one (N, n, 6) float64 array; rational strings
-    and exact mode keep the tuples of per-line arrays."""
-    scene = load_scene(mixed_scene)
-    assert scene.observations.shape == (2, 2, 6)
-    assert scene.observations.dtype == np.float64
-    data = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
-    data["observations"][0][0] = [str(v) for v in data["observations"][0][0]]
-    mixed = scene_from_dict(data)
-    assert isinstance(mixed.observations, tuple)
-    assert mixed.observations[0][0].dtype == object
-    assert mixed.observations[1][0].dtype == np.float64
-    data = mixed_scene_dict([[1, 1, 1, 1]])
-    data["observations"] = [[[int(v) for v in p] for p in item]
-                            for item in data["observations"]]
-    exact = scene_from_dict(data, exact=True)
-    assert exact.observations[0][0].dtype == object
+def test_cli_rational_spelling_gets_the_float_verdict(capsys, tmp_path):
+    """A line spelled with plain numbers, with a rational string, and with
+    that string under --exact gets one verdict: its residual does not
+    depend on its scale or on how its coordinates are written."""
+    rig = [{"type": "pinhole", "center": [1, 0, 0, 0]},
+           {"type": "pinhole", "center": [0, 1, 0, 0]}]
+    for tiny, flags in ((1e-12, []), ("1/1000000000000", []),
+                        ("1/1000000000000", ["--exact"])):
+        scene = write_json(tmp_path / "tiny.json", {
+            "version": 1, "rig": rig,
+            # e2 v e3, scaled by 1e-12, misses the first centre
+            "observations": [[[0, 0, 0, 0, 0, tiny], [0, 0, 0, 1, 0, 0]]]})
+        rc, out = run_cli(capsys, ["check", "--scene", scene] + flags)
+        assert rc == 1, (tiny, flags)
+        (row,) = json.loads(out)["results"]
+        assert row["violated"] == "congruence[0]", (tiny, flags)
+        assert row["residual"] == 1.0, (tiny, flags)
+
+
+def test_observations_load_as_one_float_stack():
+    """Observations load as one (N, n, 6) array: float64 in float mode,
+    whether written as plain numbers, rational strings or a mix of the
+    two, and Fractions under exact mode."""
+    plain = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+    strings = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+    strings["observations"] = [[[str(v) for v in p] for p in item]
+                               for item in strings["observations"]]
+    mixed = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+    mixed["observations"][0][0] = strings["observations"][0][0]
+    for data in (plain, strings, mixed):
+        obs = scene_from_dict(data).observations
+        assert obs.shape == (2, 2, 6) and obs.dtype == np.float64
+        assert obs.tolist() == scene_from_dict(plain).observations.tolist()
+    integers = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+    integers["observations"] = [[[int(v) for v in p] for p in item]
+                                for item in integers["observations"]]
+    for data in (integers, strings):
+        obs = scene_from_dict(data, exact=True).observations
+        assert obs.shape == (2, 2, 6) and obs.dtype == object
+        assert all(type(v) is Fraction for v in obs.flat)
 
 
 def test_cli_parser_is_built_once(capsys, mixed_scene):
@@ -668,3 +702,38 @@ def test_cli_usage_and_io_errors(capsys, tmp_path):
         assert cli.main(["project", "--scene",
                          write_json(tmp_path / (name + ".json"), data)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "DegenerateInput"
+    # other commands' inputs: (argv before the file, input, named field)
+    rig = [{"type": "pinhole", "center": [1, 0, 0, 0]},
+           {"type": "pinhole", "center": [0, 1, 0, 0]}]
+    rig_scene = write_json(tmp_path / "rig.json", {"version": 1, "rig": rig})
+    sphere = {"degree": 2, "coeffs": {"2000": -1, "0200": 1, "0020": 1,
+                                      "0002": 1}}
+    big = "%d/3" % 10 ** 400
+    cases = [
+        (["invariant", "--tensor"], [1], "tensor"),
+        (["invariant", "--tensor"], {"kind": "mixed"}, "entries"),
+        (["invariant", "--tensor"], {"kind": "mixed", "entries": 3},
+         "entries"),
+        (["reflect", "--input"],
+         {"surface": dict(sphere, degree="x"), "lines": [line]}, "degree"),
+        (["reflect", "--input"],
+         {"surface": {"degree": 2, "coeffs": {"ab": 1}}, "lines": [line]},
+         "exponent key"),
+        (["project", "--scene", rig_scene, "--points"], {"points": 5},
+         "points"),
+        (["project", "--scene", rig_scene, "--points"], 7, "points"),
+        (["reflect", "--input"], {"plane": 5}, "plane"),
+        (["reflect", "--input"], {"plane": [0, 1, 0, 0], "points": 3},
+         "points"),
+        (["check", "--scene"],
+         {"version": 1, "rig": rig,
+          "observations": [[[0, 0, 0, 0, 0, big], [0, 0, 0, 1, 0, 0]]]},
+         "observations[0][0]"),
+        (["reflect", "--input"],
+         {"surface": sphere, "lines": [[0, 0, 0, 0, 0, big]]}, "lines[0]"),
+    ]
+    for k, (argv, data, field) in enumerate(cases):
+        rc, err = _check_error(
+            capsys, argv + [write_json(tmp_path / ("in%d.json" % k), data)])
+        assert rc == 2 and err["error"] == "DegenerateInput", (data, err)
+        assert field in err["message"], (data, err)
