@@ -167,8 +167,9 @@ def _quadric_residuals(lines):
 def cmd_project(args) -> int:
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     points = load_points(args.points, scene, exact=args.exact)
-    rows, per_point_lines, groups = [], {}, {}
+    rows, groups, tuples = [], {}, {}
     for j, x in enumerate(points):
+        lines = []
         for i, cam in enumerate(scene.cameras):
             try:
                 line = cam.project(x)
@@ -180,7 +181,10 @@ def cmd_project(args) -> int:
             rows.append({"item": j, "camera": i,
                          "line": vector_payload(line)})
             groups.setdefault(i, []).append((rows[-1], line))
-            per_point_lines.setdefault(j, []).append(line)
+            lines.append(line)
+        if len(lines) >= 2:
+            L, _ = concurrency._tuple_stack(lines)
+            tuples.setdefault((L.shape[1], L.dtype), []).append((j, L[0]))
     # the residuals of each camera's lines at once
     for i, entries in groups.items():
         lines = np.array([line for _, line in entries])
@@ -190,33 +194,17 @@ def cmd_project(args) -> int:
         for (row, _), q, c in zip(entries, quadric, congruence):
             row["quadric_residual"] = q
             row["congruence_residual"] = c
+    # the generators of each tuple size (and number type) at once
     checks = []
-    for j in sorted(per_point_lines):
-        lines = per_point_lines[j]
-        if len(lines) >= 2:
-            rep = concurrency.evaluate_generators(lines)
-            checks.append({"item": j, "max_generator_residual":
-                           format_scalar(rep.max_residual)})
+    for group in tuples.values():
+        items, stack = zip(*group)
+        reports = concurrency.evaluate_generators(np.array(stack))
+        checks += [{"item": j, "max_generator_residual":
+                    format_scalar(rep.max_residual)}
+                   for j, rep in zip(items, reports)]
+    checks.sort(key=lambda row: row["item"])
     _emit(_report(args, results=rows, tuple_checks=checks), args)
     return 0
-
-
-def _named_violation(residuals, lines, tol):
-    """(generator name, residual) of the worst violated constraint of a
-    rejected tuple: the first strict maximum of its congruence residuals
-    if it exceeds tol, else the first strict maximum of its concurrency
-    generators in payload order (GeneratorReport.payload)."""
-    i = int(np.argmax(residuals))
-    if residuals[i] > tol:
-        return "congruence[%d]" % i, residuals[i]
-    rep = concurrency.evaluate_generators(lines)
-    best = ("", 0.0)
-    for kind, values in (("quadric", rep.quadrics), ("cubic", rep.cubics)):
-        for key, value in sorted(values.items()):
-            r = abs(complex(value))
-            if r > best[1]:
-                best = kind + "".join("[%d]" % j for j in key), r
-    return best
 
 
 def cmd_check(args) -> int:
@@ -225,19 +213,29 @@ def cmd_check(args) -> int:
                               tol=args.tol)
     points, residuals = multiimage.correspond(scene.cameras, items,
                                               tol=args.tol)
+    rejected = [k for k, x in enumerate(points) if x is None]
+    # a rejection is named by the first strict maximum of its congruence
+    # residuals when that exceeds tol, else by its worst generator
+    named = {}
+    for k in rejected:
+        i = int(np.argmax(residuals[k]))
+        if residuals[k][i] > args.tol:
+            named[k] = "congruence[%d]" % i, residuals[k][i]
+    concurrent = [k for k in rejected if k not in named]
+    reports = concurrency.evaluate_generators(items[concurrent])
+    named.update(zip(concurrent, (rep.worst() for rep in reports)))
     rows = []
     for k, point in enumerate(points):
         if point is not None:
             rows.append({"item": k, "accepted": True,
                          "point": vector_payload(point), "violated": None})
         else:
-            name, residual = _named_violation(residuals[k], items[k],
-                                              args.tol)
+            name, residual = named[k]
             rows.append({"item": k, "accepted": False, "point": None,
                          "violated": name,
                          "residual": format_scalar(residual)})
     _emit(_report(args, results=rows), args)
-    return 1 if any(x is None for x in points) else 0
+    return 1 if rejected else 0
 
 
 def cmd_triangulate(args) -> int:

@@ -14,10 +14,11 @@ pairwise conditions, which is what :func:`concurrent_by_generators`
 uses.  The numerical alternative is a rank test on the stacked primal
 matrices (:func:`find_common_point`).
 
-Real float64 tuples are evaluated in one stacked numpy pass
-(:func:`_float_generators`) with the same floating-point expressions as
-the scalar per-triple functions, so the values are identical; exact and
-complex tuples take the scalar functions, which are the reference.
+:func:`evaluate_generators` takes one tuple or a stack of tuples, and
+evaluates every real one, of floats or of Fractions, in one array pass
+(:func:`_generators`) with the same expressions as the scalar per-triple
+functions, so the values are identical; complex tuples take the scalar
+functions, which are the reference.
 
 The multidegree of the concurrency variety with respect to the n line
 factors is also computed here, as an explicit integer polynomial.
@@ -25,7 +26,7 @@ factors is also computed here, as an explicit integer polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -34,8 +35,8 @@ import numpy as np
 
 from .errors import AmbiguousPencil, InvalidN
 from . import numeric
-from .numeric import (DEFAULT_TOL, as_float, is_exact, negligible,
-                      negligible_each, unitize, unitize_rows, vec)
+from .numeric import (DEFAULT_TOL, as_float, format_scalar, is_exact,
+                      negligible_each, unitize_rows, vec)
 from .plucker import _primal_stack, incidence, primal_matrix
 
 __all__ = [
@@ -51,7 +52,7 @@ PROBE_POINTS = tuple(
     for a, b in [(0, 0), (1, 1), (2, 2), (3, 3),
                  (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 )
-_PROBES = np.array(PROBE_POINTS, dtype=np.float64)
+_PROBES = np.array(PROBE_POINTS)
 
 
 def _signed_minors(m):
@@ -126,7 +127,7 @@ def coplanarity_cubics(p, q, r):
                             dual_line(vec(r)))
 
 
-# --- stacked float path ------------------------------------------------------
+# --- one array pass over a stack of tuples ------------------------------------
 
 @lru_cache(maxsize=8)
 def _index_tables(n: int):
@@ -141,118 +142,114 @@ def _index_tables(n: int):
 
 
 @lru_cache(maxsize=8)
-def _generator_keys(n: int):
-    """The quadric keys (i, j) and cubic keys (i, j, k, u) of n lines, in
-    the order of :func:`_float_generators`' values."""
-    pairs, triples = _index_tables(n)
-    return (tuple(zip(*(a.tolist() for a in pairs))),
-            tuple((i, j, k, u) for i, j, k in triples.tolist()
-                  for u in range(len(PROBE_POINTS))))
+def _generator_names(n: int):
+    """The generator names of n lines, in value order: ``quadric[i][j]``
+    for the pairs i <= j, then ``cubic[i][j][k][u]`` for the triples in
+    ``combinations`` order and the probes in :data:`PROBE_POINTS` order."""
+    (i, j), triples = _index_tables(n)
+    return (tuple("quadric[%d][%d]" % p for p in zip(i.tolist(), j.tolist()))
+            + tuple("cubic[%d][%d][%d][%d]" % (*t, u)
+                    for t in triples.tolist()
+                    for u in range(len(PROBE_POINTS))))
 
 
-def _float_stack(lines):
-    """The (n, 6) stack of unitized lines when every one is a finite real
-    float64 6-vector, else None: such tuples take the scalar path (with a
-    NaN, ``np.argmax`` and ``max`` would pick different minors)."""
-    if not lines or not all(l.dtype == np.float64 and l.shape == (6,)
-                            for l in lines):
-        return None
-    L = np.array(lines)
-    return L if np.isfinite(L).all() else None
-
-
-def _float_generators(L):
-    """Every quadric and canonical cubic of a unit-normalized (n, 6) float64
-    stack: quadrics for the pairs i <= j, and a (C(n,3), 10) array of cubics
-    (triples in ``combinations`` order, probes in :data:`PROBE_POINTS`
-    order).
+def _generators(L):
+    """Every generator of each tuple of an (M, n, 6) stack of unitized
+    floats or of Fractions, as (M, G) values in name order.
 
     The scalar expressions are reused on arrays: :func:`incidence` for the
     quadrics and :func:`_signed_minors` for the cubics, with the same
     operands in the same order, so every value equals the scalar path's.
     Each entry of ``P @ u`` adds at most two nonzero products (a probe has
     at most two nonzero entries, 1 or 2, so the products are exact), hence
-    one stacked matmul rounds as the per-probe ones do.  ``argmax`` takes
-    the first largest minor, as ``max`` does.
+    one stacked matmul rounds as the per-probe ones do.  The canonical
+    minor is the first largest (as ``max`` takes it) for floats and the
+    first nonzero for Fractions, as :func:`_canonical_minor` picks it.
     """
-    (i, j), triples = _index_tables(len(L))
-    quadrics = incidence(L[i].T, L[j].T)
-    cols = _primal_stack(L) @ _PROBES.T               # (n, row, probe)
-    stack = cols[triples].transpose(2, 1, 0, 3)       # (row, line, T, probe)
-    minors = np.array(_signed_minors(stack))          # (4, T, probe)
-    pick = np.argmax(np.abs(minors), axis=0)
-    return quadrics, np.take_along_axis(minors, pick[None], 0)[0]
+    m, n = L.shape[:2]
+    (i, j), triples = _index_tables(n)
+    quadrics = incidence(np.moveaxis(L[:, i], -1, 0),
+                         np.moveaxis(L[:, j], -1, 0))
+    cols = _primal_stack(L.reshape(-1, 6)).reshape(m, n, 4, 4) @ _PROBES.T
+    stack = cols[:, triples].transpose(3, 2, 0, 1, 4)  # (row, line, M, T, u)
+    minors = np.array(_signed_minors(stack))           # (4, M, T, u)
+    pick = np.argmax(minors != 0 if is_exact(L) else np.abs(minors), axis=0)
+    cubics = np.take_along_axis(minors, pick[None], 0)[0]
+    return np.concatenate([quadrics, cubics.reshape(m, -1)], axis=1)
+
+
+def _reference_generators(lines):
+    """The generator values of one tuple from the scalar functions, in
+    name order."""
+    cubics = [v for i, j, k in combinations(range(len(lines)), 3)
+              for v in cubic_generators(lines[i], lines[j], lines[k]).values()]
+    return np.array([*quadric_generators(lines).values(), *cubics])
 
 
 @dataclass
 class GeneratorReport:
-    """Evaluated generator values for an n-tuple, with unit-normalized
-    inputs so the values double as residuals."""
+    """The generator values of one n-tuple, in the order of ``names``
+    (see :func:`_generator_names`).  Float inputs are unit-normalized, so
+    the values double as residuals."""
 
-    quadrics: dict = field(default_factory=dict)
-    cubics: dict = field(default_factory=dict)
+    names: tuple
+    values: np.ndarray
+
+    def worst(self):
+        """(name, |value|) of the first largest value (or NaN), compared as
+        floats; ("", 0.0) when every value is zero.  ``hypot`` rounds as
+        the scalar ``abs(complex(v))`` does, and ``np.abs`` may not."""
+        v = as_float(self.values)
+        r = np.hypot(v.real, v.imag)
+        k = int(np.argmax(r))
+        return ("", 0.0) if r[k] == 0 else (self.names[k], float(r[k]))
 
     @property
     def max_residual(self) -> float:
-        vals = [abs(complex(v)) for v in self.quadrics.values()]
-        vals += [abs(complex(v)) for v in self.cubics.values()]
-        return max(vals) if vals else 0.0
+        return self.worst()[1]
 
     def payload(self):
-        from .numeric import format_scalar
-        out = {}
-        for (i, j), v in sorted(self.quadrics.items()):
-            out["quadric[%d][%d]" % (i, j)] = format_scalar(v)
-        for (i, j, k, u), v in sorted(self.cubics.items()):
-            out["cubic[%d][%d][%d][%d]" % (i, j, k, u)] = format_scalar(v)
-        return out
+        return dict(zip(self.names, map(format_scalar, self.values.tolist())))
 
 
-def evaluate_generators(lines) -> GeneratorReport:
+def evaluate_generators(lines):
     """Full generator evaluation for an n-tuple of lines (n >= 2).
 
-    Float inputs are unit-normalized, so every value is a relative
-    residual; exact inputs are evaluated as given.  Real float tuples are
-    evaluated in one stacked pass; exact and complex tuples take the
-    scalar per-triple path, which gives the same values.
+    ``lines`` may also be an (M, n, 6) stack of M tuples; the result is
+    then a list of M reports.  One tuple is a stack of one.  Float rows
+    are unit-normalized, so every value is a relative residual; Fractions
+    are evaluated as given.  Real stacks go through one array pass (per
+    chunk of tuples, when the stack exceeds ``numeric.SVD_BUDGET``);
+    complex tuples take the scalar functions one triple at a time, which
+    are the reference (numpy's array complex multiply rounds differently
+    from its scalar one).
     """
-    if len(lines) < 2:
-        raise InvalidN("need at least two lines, got %d" % len(lines))
-    lines = [unitize(l) for l in lines]
-    L = _float_stack(lines)
-    if L is not None:
-        quadrics, cubics = _float_generators(L)
-        quadric_keys, cubic_keys = _generator_keys(len(L))
-        return GeneratorReport(quadrics=dict(zip(quadric_keys, quadrics)),
-                               cubics=dict(zip(cubic_keys, cubics.ravel())))
-    rep = GeneratorReport(quadrics=quadric_generators(lines))
-    for (i, j, k) in combinations(range(len(lines)), 3):
-        cubics = cubic_generators(lines[i], lines[j], lines[k])
-        for ui, v in cubics.items():
-            rep.cubics[(i, j, k, ui)] = v
-    return rep
+    L, single = _tuple_stack(lines)
+    m, n = L.shape[:2]
+    if n < 2:
+        raise InvalidN("need at least two lines, got %d" % n)
+    names = _generator_names(n)
+    if not is_exact(L):
+        L = unitize_rows(L)
+    if np.iscomplexobj(L):
+        values = [_reference_generators(t) for t in L]
+    else:
+        # the plane columns, the gathered triples and the minors of a tuple
+        step = max(1, numeric.SVD_BUDGET // (40 * n + 200 * comb(n, 3)))
+        values = [v for k in range(0, m, step)
+                  for v in _generators(L[k:k + step])]
+    reports = [GeneratorReport(names, v) for v in values]
+    return reports[0] if single else reports
 
 
 def concurrent_by_generators(lines, tol: float = DEFAULT_TOL) -> bool:
     """Decide concurrency from the quadrics plus the four basis-point
     transversal cubics of every triple (the set-theoretic criterion)."""
-    lines = [unitize(l) for l in lines]
-    L = _float_stack(lines)
-    if L is not None:
-        quadrics, cubics = _float_generators(L)
-        values = np.concatenate([quadrics, cubics[:, :4].ravel()])
-        return bool(np.all(negligible_each(values, eps=tol)))
-    exact = all(is_exact(l) for l in lines)
-    for (i, j), v in quadric_generators(lines).items():
-        if not negligible(v, eps=tol):
-            return False
-    for (i, j, k) in combinations(range(len(lines)), 3):
-        for u in PROBE_POINTS[:4]:
-            v = trilinear_transversal(
-                lines[i], lines[j], lines[k], vec(list(u), exact=exact or None))
-            if not negligible(v, eps=tol):
-                return False
-    return True
+    values = evaluate_generators(lines).values
+    q = comb(len(lines) + 1, 2)
+    cubics = values[q:].reshape(-1, len(PROBE_POINTS))[:, :4]
+    return bool(np.all(negligible_each(values[:q], eps=tol))
+                and np.all(negligible_each(cubics, eps=tol)))
 
 
 def _tuple_stack(lines):

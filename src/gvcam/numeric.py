@@ -49,9 +49,9 @@ FORM_EPS = 1e-13
 #: Relative imaginary part below which a complex value counts as real.
 REAL_EPS = 1e-7
 
-#: Float64 elements (16 MiB) that one batched SVD pass over a stack of
-#: tuples may gather; a longer stack goes through in chunks of tuples,
-#: with the same values, since LAPACK factors each matrix on its own.
+#: Float64 elements (16 MiB) that one batched pass over a stack of tuples
+#: (SVDs or generators) may gather; a longer stack goes through in chunks
+#: of tuples, with the same values, since each tuple is computed alone.
 SVD_BUDGET = 1 << 21
 
 

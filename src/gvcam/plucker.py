@@ -110,7 +110,7 @@ def _layout(matrix):
     m = matrix(np.arange(1, 7))
     rows, cols = np.nonzero(m)
     entries = m[rows, cols]
-    layout = (rows, cols, np.abs(entries) - 1, np.sign(entries).astype(float))
+    layout = (rows, cols, np.abs(entries) - 1, np.sign(entries))
     for a in layout:
         a.flags.writeable = False
     return layout
@@ -120,8 +120,9 @@ _PRIMAL_LAYOUT, _DUAL_LAYOUT = _layout(primal_matrix), _layout(dual_matrix)
 
 
 def _stack(L, layout):
-    """The matrix with ``layout`` of every row of an (n, 6) float stack, as
-    (n, 4, 4) with the same entries (multiplying by +-1 is exact)."""
+    """The matrix with ``layout`` of every row of an (n, 6) stack of floats
+    or of Fractions, as (n, 4, 4) with the same entries (multiplying by the
+    integer signs +-1 is exact and keeps Fractions)."""
     rows, cols, coords, signs = layout
     M = np.zeros((len(L), 4, 4), dtype=L.dtype)
     M[:, rows, cols] = L[:, coords] * signs

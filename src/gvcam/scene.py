@@ -139,17 +139,20 @@ def _vector(values, length, exact, what):
 
 def _check_line(lines, tol, what):
     """Raise DegenerateInput unless every line of a stack ((n, 6),
-    (N, n, 6), ...) lies on the Pluecker quadric: exactly for Fractions,
-    within max(tol, 1e-10) after unitizing for floats.  The message names
-    the first bad line by its indices."""
-    if not is_exact(lines):
-        lines = unitize_rows(lines)
-    q = plucker_quadric(np.moveaxis(lines, -1, 0))
-    bad = np.argwhere(~negligible_each(q, eps=max(tol, 1e-10)))
+    (N, n, 6), ...) is nonzero and lies on the Pluecker quadric: exactly
+    for Fractions, within max(tol, 1e-10) after unitizing for floats.  The
+    message names the first bad line by its indices, zero lines first."""
+    bad = np.argwhere(~np.any(lines != 0, axis=-1))
+    why = "is the zero vector, not a line"
+    if not len(bad):
+        if not is_exact(lines):
+            lines = unitize_rows(lines)
+        q = plucker_quadric(np.moveaxis(lines, -1, 0))
+        bad = np.argwhere(~negligible_each(q, eps=max(tol, 1e-10)))
+        why = "is not a line (quadric residual exceeds tolerance)"
     if len(bad):
-        raise DegenerateInput("%s%s is not a line (quadric residual exceeds "
-                              "tolerance)" % (what, "".join(
-                                  "[%d]" % i for i in bad[0])))
+        raise DegenerateInput("%s%s %s" % (
+            what, "".join("[%d]" % i for i in bad[0]), why))
 
 
 def _number_stack(items):

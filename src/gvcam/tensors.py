@@ -378,13 +378,12 @@ def tensor_payload(kind: str, T):
 def tensor_from_payload(data, exact: bool = False):
     from .numeric import parse_scalar
 
-    def conv(a):
-        if not isinstance(a, list):
-            raise DegenerateInput("tensor 'entries' must be nested lists, "
-                                  "got %r" % (a,))
-        if a and isinstance(a[0], list):
-            return [conv(row) for row in a]
-        return [parse_scalar(x, exact=exact) for x in a]
+    def conv(a, shape):
+        if not isinstance(a, list) or len(a) != shape[0]:
+            raise DegenerateInput("entries do not form a %s tensor" % kind)
+        if len(shape) == 1:
+            return [parse_scalar(x, exact=exact) for x in a]
+        return [conv(row, shape[1:]) for row in a]
 
     if not isinstance(data, dict):
         raise DegenerateInput("a tensor payload must be an object, got %r"
@@ -392,7 +391,5 @@ def tensor_from_payload(data, exact: bool = False):
     kind = data.get("kind")
     if kind not in _TENSOR_SHAPES:
         raise DegenerateInput("unknown tensor kind %r" % kind)
-    T = vec(conv(data.get("entries")), exact=exact or None)
-    if T.shape != _TENSOR_SHAPES[kind]:
-        raise DegenerateInput("entries do not form a %s tensor" % kind)
-    return kind, T
+    entries = conv(data.get("entries"), _TENSOR_SHAPES[kind])
+    return kind, vec(entries, exact=exact or None)

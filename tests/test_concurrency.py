@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gvcam.concurrency import (AmbiguousPencil, InvalidN, PROBE_POINTS,
-                               _float_generators, concurrent_by_generators,
+                               _generators, concurrent_by_generators,
                                coplanarity_cubics, cubic_generators,
                                evaluate_generators, find_common_point,
                                generator_counts, multidegree,
@@ -22,6 +22,12 @@ E = np.eye(4)
 TRIANGLE = [line_from_points(E[0], E[1]),
             line_from_points(E[1], E[2]),
             line_from_points(E[0], E[2])]
+
+
+def _values(rep, kind):
+    """The values of a report whose names start with ``kind``."""
+    return [v for name, v in zip(rep.names, rep.values)
+            if name.startswith(kind)]
 
 
 def test_probe_points_are_basis_and_pairwise_sums():
@@ -40,8 +46,8 @@ def test_soundness_float():
         for _ in range(30):
             lines, _ = lines_through(rng, n)
             rep = evaluate_generators(lines)
-            assert len(rep.quadrics) == comb(n + 1, 2)
-            assert len(rep.cubics) == 10 * comb(n, 3)
+            assert len(_values(rep, "quadric")) == comb(n + 1, 2)
+            assert len(_values(rep, "cubic")) == 10 * comb(n, 3)
             assert rep.max_residual <= 1e-9
 
 
@@ -51,8 +57,8 @@ def test_soundness_exact():
         for _ in range(10):
             lines, _ = rational_lines_through(rng, n)
             rep = evaluate_generators(lines)
-            assert all(v == 0 for v in rep.quadrics.values())
-            assert all(v == 0 for v in rep.cubics.values())
+            assert all(v == 0 for v in _values(rep, "quadric"))
+            assert all(v == 0 for v in _values(rep, "cubic"))
 
 
 def test_discrimination_1000_trials():
@@ -93,8 +99,8 @@ def test_triangle_separates_quadrics_from_cubics():
     cubic; the coplanarity cubics vanish instead — and swap roles on a
     concurrent non-coplanar triple."""
     rep = evaluate_generators(TRIANGLE)
-    assert all(abs(complex(v)) <= 1e-15 for v in rep.quadrics.values())
-    assert any(abs(complex(v)) > 1e-3 for v in rep.cubics.values())
+    assert all(abs(complex(v)) <= 1e-15 for v in _values(rep, "quadric"))
+    assert any(abs(complex(v)) > 1e-3 for v in _values(rep, "cubic"))
     cop = coplanarity_cubics(*TRIANGLE)
     assert all(abs(complex(v)) <= 1e-15 for v in cop.values())
 
@@ -272,6 +278,97 @@ def _coordinate_lines(rng, n):
     return out
 
 
+def _payload_keys(n):
+    """The payload keys of n lines: the sorted quadric keys (i, j), then
+    the sorted cubic keys (i, j, k, u), each spelled out."""
+    return tuple(["quadric[%d][%d]" % (i, j)
+                  for i in range(n) for j in range(i, n)]
+                 + ["cubic[%d][%d][%d][%d]" % (*t, u)
+                    for t in combinations(range(n), 3)
+                    for u in range(len(PROBE_POINTS))])
+
+
+def test_generator_names_are_the_payload_keys():
+    rng = np.random.default_rng(216)
+    for n in range(2, 7):
+        for lines in (lines_through(rng, n)[0],
+                      rational_lines_through(rng, n)[0]):
+            rep = evaluate_generators(lines)
+            assert rep.names == _payload_keys(n)
+            assert tuple(rep.payload()) == _payload_keys(n)
+
+
+def _same_values(a, b):
+    """Equal bit for bit: the same float bytes, or equal Fractions."""
+    if a.dtype == object:
+        return (b.dtype == object and list(a) == list(b)
+                and all(type(x) is type(y) for x, y in zip(a, b)))
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_stacked_reports_equal_single_tuple_calls(monkeypatch):
+    """One call on an (M, n, 6) stack, whole or in chunks, gives each
+    tuple the values of a call on that tuple alone."""
+    from gvcam import numeric
+    rng = np.random.default_rng(215)
+    for n in (2, 3, 4, 5):
+        tuples = [lines_through(rng, n)[0] for _ in range(4)]
+        tuples += [[rand_line(rng) for _ in range(n)] for _ in range(3)]
+        tuples += [_coordinate_lines(rng, n) for _ in range(2)]
+        exact = [rational_lines_through(rng, n)[0] for _ in range(3)]
+        exact += [[line_from_points(rand_rational_point(rng),
+                                    rand_rational_point(rng))
+                   for _ in range(n)] for _ in range(3)]
+        for group in (tuples, exact):
+            stack = np.array(group, dtype=group[0][0].dtype)
+            alone = [evaluate_generators(t) for t in group]
+            whole = evaluate_generators(stack)
+            chunked = []
+            for budget in (1, 1000):    # 1 tuple a pass; 3 at n = 3
+                with monkeypatch.context() as m:
+                    m.setattr(numeric, "SVD_BUDGET", budget)
+                    chunked.append(evaluate_generators(stack))
+            for reports in (whole, *chunked):
+                assert len(reports) == len(alone)
+                for got, want in zip(reports, alone):
+                    assert got.names == want.names
+                    assert _same_values(got.values, want.values)
+
+
+def test_worst_generator_is_the_first_strict_maximum():
+    """``worst`` names the first strict maximum of ``abs(complex(v))`` in
+    name order, as one scalar loop does; all zeros name nothing."""
+    rng = np.random.default_rng(217)
+    for n in (2, 3, 4):
+        tie = [line_from_points(E[0], E[1]), line_from_points(E[2], E[3])]
+        for lines in (lines_through(rng, n)[0],
+                      [rand_line(rng) for _ in range(n)],
+                      rational_lines_through(rng, n)[0],
+                      tie + [line_from_points(E[0], E[2])] * (n - 2),
+                      [line_from_points(rand_point(rng)
+                                        + 1j * rand_point(rng),
+                                        rand_point(rng))
+                       for _ in range(n)]):
+            rep = evaluate_generators(lines)
+            best = ("", 0.0)
+            for name, v in zip(rep.names, rep.values):
+                if abs(complex(v)) > best[1]:
+                    best = name, abs(complex(v))
+            assert rep.worst() == best
+            assert rep.max_residual == best[1]
+
+
+def test_non_finite_lines_give_nan_generators():
+    lines, _ = lines_through(np.random.default_rng(218), 4)
+    lines[2] = np.array([np.nan, 1, 0, 0, 0, 0])
+    rep = evaluate_generators(lines)
+    for name, v in zip(rep.names, rep.values):
+        kind, *index = name.replace("]", "").split("[")
+        lines_of = index[:3] if kind == "cubic" else index
+        assert np.isnan(v) == ("2" in lines_of), name
+    assert np.isnan(rep.max_residual)
+
+
 def _scalar_generators(lines):
     """Quadrics and (C(n,3), 10) cubics, one pair and one triple and probe
     at a time through the scalar functions."""
@@ -289,23 +386,19 @@ def _scalar_generators(lines):
 def test_stacked_generators_equal_scalar_path():
     rng = np.random.default_rng(212)
     for n in range(2, 9):
-        cubic_keys = [(i, j, k, u) for i, j, k in combinations(range(n), 3)
-                      for u in range(len(PROBE_POINTS))]
         for _ in range(4):
             for raw in (lines_through(rng, n)[0],
                         [rand_line(rng) for _ in range(n)],
                         _coordinate_lines(rng, n)):
                 lines = [unitize(p) for p in raw]
                 want_q, want_c = _scalar_generators(lines)
-                quadrics, cubics = _float_generators(np.array(lines))
-                assert np.array_equal(quadrics, want_q)
-                assert np.array_equal(cubics, want_c)
+                values = _generators(np.array(lines)[None])[0]
+                assert np.array_equal(values[:len(want_q)], want_q)
+                assert np.array_equal(values[len(want_q):], want_c.ravel())
                 rep = evaluate_generators(raw)
-                assert list(rep.quadrics) == list(quadric_generators(lines))
-                assert list(rep.cubics) == cubic_keys
-                assert np.array_equal(list(rep.quadrics.values()), want_q)
-                assert np.array_equal(list(rep.cubics.values()),
-                                      want_c.ravel())
+                assert rep.names == _payload_keys(n)
+                assert np.array_equal(_values(rep, "quadric"), want_q)
+                assert np.array_equal(_values(rep, "cubic"), want_c.ravel())
                 for tol in (DEFAULT_TOL, 1e-3):
                     values = list(want_q) + list(want_c[:, :4].ravel())
                     assert concurrent_by_generators(raw, tol) == all(
@@ -331,9 +424,10 @@ def test_exact_and_complex_generators_take_scalar_values():
                                              lines[k]).items():
                     want[(i, j, k, u)] = v
             rep = evaluate_generators(raw)
-            assert rep.quadrics == quadric_generators(lines)
-            assert list(rep.cubics) == list(want)
-            assert rep.cubics == want
+            assert _values(rep, "quadric") == list(
+                quadric_generators(lines).values())
+            assert rep.names == _payload_keys(n)
+            assert _values(rep, "cubic") == list(want.values())
 
 
 def _per_triple_common_point(lines, tol=DEFAULT_TOL):

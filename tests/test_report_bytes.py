@@ -33,6 +33,28 @@ OBSERVATIONS = [
     [[0, 0, -2, 0, 1, -1], [-1, 1, -1, 0, 1, -1], [0, -2, -2, 1, 1, 0]],
 ]
 
+# RIG with a third pinhole at (0:0:1:1)
+RIG4 = RIG + [{"type": "pinhole", "center": [0, 0, 1, 1]}]
+
+WIDE_OBSERVATIONS = [
+    # cameras 0 and 2 see the line e1 v e3, cameras 1 and 3 the line
+    # joining their centres, skew to it: every cubic vanishes, and four
+    # equal quadrics name quadric[0][1]
+    [[0, 0, 0, 0, -1, 0], [0, 1, 1, 0, 0, -1], [0, 0, 0, 0, -1, 0],
+     [0, 1, 1, 0, 0, -1]],
+    # camera 0 sees (1:2:3:1), the others (3:1:-2:2): named by a cubic of
+    # the triple (0, 2, 3)
+    [[0, 0, -1, 0, -2, -3], [1, -2, -1, 0, -1, 2], [0, -6, 6, -2, 2, 0],
+     [0, -3, -3, -1, -1, 4]],
+    # camera 3 sees (2:-1:1:1), the others (3:1:-2:2): named by a cubic of
+    # the triple (1, 2, 3) in float mode, (0, 2, 3) under --exact
+    [[0, 0, -3, 0, -1, 2], [1, -2, -1, 0, -1, 2], [0, -6, 6, -2, 2, 0],
+     [0, -2, -2, 1, 1, 0]],
+    # the images of (2:-1:1:1): accepted
+    [[0, 0, -2, 0, 1, -1], [-1, 1, -1, 0, 1, -1], [0, 2, 2, -1, -1, 0],
+     [0, -2, -2, 1, 1, 0]],
+]
+
 EXACT_OBSERVATIONS = [
     # the images of (1:2:3:1), camera 0's at half scale: accepted
     [[0, 0, "-1/2", 0, -1, "-3/2"], [2, 3, 0, 0, -2, -3],
@@ -47,6 +69,11 @@ SCENES = {
                 "points": [[1, 2, 3, 1], [0, 0, 0, 1], [2, -1, 1, 1]]},
     "check_exact": {"version": 1, "rig": RIG,
                     "observations": EXACT_OBSERVATIONS},
+    "check_wide": {"version": 1, "rig": RIG4,
+                   "observations": WIDE_OBSERVATIONS},
+    # camera 1's centre: tuples of three lines and one of two
+    "project_sizes": {"version": 1, "rig": RIG,
+                      "points": [[1, 2, 3, 1], [1, 0, 0, 1], [2, -1, 1, 1]]},
     # the unit sphere; two lines through its centre, one that misses it
     "reflect": {"surface": {"degree": 2, "coeffs": {"2000": -1, "0200": 1,
                                                    "0020": 1, "0002": 1}},
@@ -68,6 +95,19 @@ REPORTS = {
     "check_exact": (["check", "--exact", "--scene"], "check_exact", 1,
                     "a7cf9a0fe47165a2c715e2488bbb9299"
                     "917c259665ac7bd0e95fc9149a610044"),
+    "check_wide": (["check", "--scene"], "check_wide", 1,
+                   "28e9ac49f5bdff5ab5f59fd0ae1f7132"
+                   "01bc97c684a032df7f1b1305875fb158"),
+    "check_wide_exact": (["check", "--exact", "--scene"], "check_wide", 1,
+                         "65843be4e697b48347efae989139c83d"
+                         "b8d2f712ef30cbbae30638d68ad54cac"),
+    "project_sizes": (["project", "--scene"], "project_sizes", 0,
+                      "072aa4daf5c6a9f3b795232051dd6777"
+                      "5ea612c5493821af996c79c73af1fb69"),
+    "project_sizes_exact": (["project", "--exact", "--scene"],
+                            "project_sizes", 0,
+                            "0707b2952cf0b99b276e7a95d7b52c21"
+                            "8f301cab64cf14d81e80f3908b1b81fc"),
     "reflect": (["reflect", "--input"], "reflect", 0,
                 "236c7b7f7bbdc864d7d30d8a9c5da20c"
                 "ba00458003c16574ed3dd8e387e88263"),

@@ -327,18 +327,26 @@ def test_cli_observation_defects_name_the_item(capsys, tmp_path):
     off = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
     off["observations"][1][1] = [1, 0, 0, 0, 0, 1]
     cases["off_quadric"] = (off, "observations[1][1]")
+    # integer coordinates, so that --exact reads them too
+    cases["zero"] = ({"version": 1, "rig": [
+        {"type": "pinhole", "center": [1, 0, 0, 0]},
+        {"type": "pinhole", "center": [0, 1, 0, 0]}],
+        "observations": [[[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]]},
+        "observations[0][1]")
     for name, (data, where) in cases.items():
         scene = write_json(tmp_path / (name + ".json"), data)
         obs = write_json(tmp_path / (name + "_obs.json"),
                          {"observations": data.pop("observations")})
         bare = write_json(tmp_path / (name + "_rig.json"), data)
+        modes = ([], ["--exact"]) if name == "zero" else ([],)
         for argv in (["check", "--scene", scene],
                      ["check", "--scene", bare, "--observations", obs]):
-            rc, err = _check_error(capsys, argv)
-            assert rc == 2 and err["error"] == "DegenerateInput", name
-            message = err["message"]
-            assert message.startswith(where), (name, err)
-            assert message[len(where)] in ": ", (name, err)
+            for mode in modes:
+                rc, err = _check_error(capsys, argv + mode)
+                assert rc == 2 and err["error"] == "DegenerateInput", name
+                message = err["message"]
+                assert message.startswith(where), (name, err)
+                assert message[len(where)] in ": ", (name, err)
 
 
 def test_cli_huge_integer_coordinates(capsys, tmp_path):
@@ -714,6 +722,8 @@ def test_cli_usage_and_io_errors(capsys, tmp_path):
         (["invariant", "--tensor"], {"kind": "mixed"}, "entries"),
         (["invariant", "--tensor"], {"kind": "mixed", "entries": 3},
          "entries"),
+        (["invariant", "--tensor"], {"kind": "mixed",
+                                     "entries": [[1, 2], [3]]}, "entries"),
         (["reflect", "--input"],
          {"surface": dict(sphere, degree="x"), "lines": [line]}, "degree"),
         (["reflect", "--input"],
