@@ -18,6 +18,19 @@ catalog (after projective normalization):
 Projections always return lines in the fixed primal coordinate order
 (p01, p02, p03, p12, p13, p23).
 
+``project`` takes one point or an (N, 4) stack of points.  One point
+returns its line or raises FocalPoint; a stack returns the (N, 6) lines
+(zero in the rows of focal points) and a dict from each focal row to its
+FocalPoint message.  Real float64 stacks against float cameras go through
+one numpy pass per camera for the pinhole, two-slit, pushbroom and
+twisted-cubic kinds (one point is a stack of one), with the scalar
+expressions on arrays so that every value is the scalar one; powers go
+through the scalar ``**`` element by element, since numpy's array power
+rounds differently from libm ``pow``.  Fraction and complex stacks, and
+the Type3 and Type4 kinds (whose binary forms are sums of powers), take
+the scalar reference, row by row.  The panoramic kinds raise
+UnsupportedOrder for any input.
+
 ``congruence_residual`` takes one line or an (N, 6) stack of lines.  Real
 float64 input is evaluated as a stack (one line is a stack of one) with
 per-camera constants computed at construction; Fraction and complex input
@@ -34,9 +47,10 @@ import numpy as np
 
 from .errors import (DegenerateInput, FocalPoint, IllConditioned,
                      InvalidSlit, DegenerateCubic, UnsupportedOrder)
-from .numeric import (DEFAULT_TOL, FOCAL_EPS, _scaled_rows, as_float,
-                      binary_eval, binary_roots, compound2, negligible, norm,
-                      proj_normalize, row_norms, unitize, unitize_rows, vec)
+from .numeric import (DEFAULT_TOL, FOCAL_EPS, ZERO_EPS, _scaled_rows, as_float,
+                      binary_eval, binary_roots, compound2, is_exact,
+                      negligible, norm, proj_normalize, row_norms, unitize,
+                      unitize_rows, vec)
 from .plucker import (_primal_stack, dual_line, incidence, line_from_planes,
                       line_from_points, plucker_quadric, primal_matrix,
                       point_line_residual, line_residual, wedge)
@@ -176,6 +190,61 @@ def _residuals(p, reference, float_rows=None):
     return reference(p)
 
 
+def _projections(cam, x, float_path=False):
+    """``cam``'s line of one point, or ``(lines, focal)`` for an (N, 4)
+    stack (see the module docstring).
+
+    With ``float_path`` (the camera's data is float64), float64 input
+    goes through ``cam._float_project`` on a C-contiguous stack, one point
+    being a stack of one; it returns the lines and the mask of focal rows,
+    whose message is ``cam._focal_message``.  Any other input (Fraction,
+    complex), and every input without ``float_path``, goes through the
+    scalar ``cam._reference_project``, which raises FocalPoint, row by row.
+    """
+    X = vec(x)
+    if float_path and X.dtype == np.float64:
+        lines, hit = cam._float_project(np.ascontiguousarray(np.atleast_2d(X)))
+        lines[hit] = 0.0
+        focal = dict.fromkeys(np.flatnonzero(hit).tolist(), cam._focal_message)
+        if X.ndim == 2:
+            return lines, focal
+        if focal:
+            raise FocalPoint(focal[0])
+        return lines[0]
+    if X.ndim == 1:
+        return cam._reference_project(X)
+    lines, focal = None, {}
+    for k, row in enumerate(X):
+        try:
+            line = cam._reference_project(row)
+        except FocalPoint as exc:
+            focal[k] = str(exc)
+            continue
+        if lines is None:
+            lines = np.zeros((len(X), 6), dtype=line.dtype)
+        lines[k] = line
+    if lines is None:
+        lines = np.zeros((len(X), 6), dtype=X.dtype)
+    return lines, focal
+
+
+def _reject_focal(v, message, scale):
+    """Raise FocalPoint(message) when the projection ``v`` is zero: exactly
+    for Fractions, else within FOCAL_EPS of ``scale()``, a float that is
+    only computed for float ``v``."""
+    if negligible(v, 1.0 if is_exact(v) else scale(), FOCAL_EPS):
+        raise FocalPoint(message)
+
+
+def _pow(a, e):
+    """``a ** e``; for a float array, element by element through the
+    scalar ``**`` (libm ``pow``), which numpy's array power does not
+    round like."""
+    if isinstance(a, np.ndarray):
+        return (a.astype(object) ** e).astype(np.float64)
+    return a ** e
+
+
 @dataclass(frozen=True)
 class Pinhole:
     """Lines through a fixed center; bidegree (1, 0)."""
@@ -191,13 +260,23 @@ class Pinhole:
 
     kind = "pinhole"
     bidegree = (1, 0)
+    _focal_message = "world point coincides with the center"
 
     def project(self, x):
-        x = vec(x)
+        return _projections(self, x, self.center.dtype == np.float64)
+
+    def _reference_project(self, x):
         try:
             return line_from_points(self.center, x)
         except DegenerateInput:
-            raise FocalPoint("world point coincides with the center") from None
+            raise FocalPoint(self._focal_message) from None
+
+    def _float_project(self, X):
+        # line_from_points: the wedge, and its zero test against
+        # norm(center) * norm(x)
+        lines = wedge(self.center, X)
+        scale = norm(self.center) * row_norms(X)
+        return lines, row_norms(lines) <= ZERO_EPS * scale
 
     def focal_residual(self, x) -> float:
         # sine of the angle between x and the center
@@ -246,21 +325,33 @@ class TwoSlit:
 
     kind = "two_slit"
     bidegree = (1, 1)
+    _focal_message = "world point lies on a slit"
 
     def projection_matrix(self, x):
+        """P x x^T Q - Q x x^T P of one point, or of each row of an (N, 4)
+        float stack as (N, 4, 4) with the same 4x4 products."""
         x = vec(x)
         P, Q = primal_matrix(self.slit1), primal_matrix(self.slit2)
-        xxT = np.outer(x, x)
+        xxT = x[..., :, None] * x[..., None, :]     # np.outer of each row
         return P @ xxT @ Q - Q @ xxT @ P
 
     def project(self, x):
-        x = vec(x)
+        return _projections(self, x,
+                            self.slit1.dtype == self.slit2.dtype == np.float64)
+
+    def _reference_project(self, x):
         M = self.projection_matrix(x)
         r = vec([M[2][3], -M[1][3], M[1][2], M[0][3], -M[0][2], M[0][1]])
-        scale = norm(self.slit1) * norm(self.slit2) * norm(x) ** 2
-        if negligible(r, scale, FOCAL_EPS):
-            raise FocalPoint("world point lies on a slit")
+        _reject_focal(r, self._focal_message, lambda: norm(self.slit1)
+                      * norm(self.slit2) * norm(x) ** 2)
         return r
+
+    def _float_project(self, X):
+        M = self.projection_matrix(X)
+        lines = np.stack([M[:, 2, 3], -M[:, 1, 3], M[:, 1, 2], M[:, 0, 3],
+                          -M[:, 0, 2], M[:, 0, 1]], axis=-1)
+        scale = norm(self.slit1) * norm(self.slit2) * _pow(row_norms(X), 2)
+        return lines, row_norms(lines) <= FOCAL_EPS * scale
 
     def focal_residual(self, x) -> float:
         return (point_line_residual(x, self.slit1)
@@ -313,6 +404,18 @@ class Pushbroom(TwoSlit):
     def payload(self):
         from .numeric import vector_payload
         return {"type": "pushbroom", "slit": vector_payload(self.slit)}
+
+
+def _secant(x0, x1, x2, x3):
+    """The six coordinates of the secant of the standard twisted cubic
+    through (x0 : x1 : x2 : x3), as a list; each coordinate may be an array
+    (of the rows of a stack)."""
+    f1 = x1 * x3 - x2 * x2
+    f2 = x0 * x2 - x1 * x1
+    f3 = x0 * x3 - x1 * x2
+    big = (x0 * _pow(x2, 3) + _pow(x1, 3) * x3 - 3 * x0 * x2 * x1 * x3
+           + _pow(x0, 2) * _pow(x3, 2))
+    return [f2 * f2, f2 * f3, big, f1 * f2, f1 * f3, f1 * f1]
 
 
 def secant_quadrics(p):
@@ -373,6 +476,7 @@ class TwistedCubic:
 
     kind = "twisted_cubic"
     bidegree = (1, 3)
+    _focal_message = "world point lies on the twisted cubic"
 
     def curve(self) -> RationalCurve:
         if self.homography is None:
@@ -384,21 +488,24 @@ class TwistedCubic:
             for i in range(4)))
 
     def project(self, x):
-        x = vec(x)
+        return _projections(self, x, True)
+
+    def _reference_project(self, x):
         xn = x if self.homography is None else vec(
             (self._inverse @ as_float(x)).tolist())
-        x0, x1, x2, x3 = xn
-        f1 = x1 * x3 - x2 * x2
-        f2 = x0 * x2 - x1 * x1
-        f3 = x0 * x3 - x1 * x2
-        big = (x0 * x2 ** 3 + x1 ** 3 * x3 - 3 * x0 * x2 * x1 * x3
-               + x0 ** 2 * x3 ** 2)
-        ell = vec([f2 * f2, f2 * f3, big, f1 * f2, f1 * f3, f1 * f1])
-        if negligible(ell, norm(xn) ** 4, FOCAL_EPS):
-            raise FocalPoint("world point lies on the twisted cubic")
+        ell = vec(_secant(*xn))
+        _reject_focal(ell, self._focal_message, lambda: norm(xn) ** 4)
         if self.homography is None:
             return ell
         return vec((self._line_map @ as_float(ell)).tolist())
+
+    def _float_project(self, X):
+        Xn = X if self._inverse is None else np.matvec(self._inverse, X)
+        lines = np.stack(_secant(*Xn.T), axis=-1)
+        hit = row_norms(lines) <= FOCAL_EPS * _pow(row_norms(Xn), 4)
+        if self._line_map is not None:
+            lines = np.matvec(self._line_map, lines)
+        return lines, hit
 
     def normalized_line(self, p):
         if self.homography is None:
@@ -542,12 +649,13 @@ class Type3:
                     binary_eval(self.h, x[0], x[1])])
 
     def project(self, x):
-        x = vec(x)
+        return _projections(self, x)
+
+    def _reference_project(self, x):
         y = self.curve_point(x)
-        scale = norm(x) ** self.beta * max(
-            norm(self.f), norm(self.g), norm(self.h))
-        if negligible(y, scale, FOCAL_EPS):
-            raise FocalPoint("world point lies on the base line")
+        _reject_focal(y, "world point lies on the base line",
+                      lambda: norm(x) ** self.beta
+                      * max(norm(self.f), norm(self.g), norm(self.h)))
         try:
             return line_from_points(x, y)
         except DegenerateInput:
@@ -608,11 +716,13 @@ class Type4:
                     binary_eval(self.h, x[0], x[1])])
 
     def project(self, x):
-        x = vec(x)
+        return _projections(self, x)
+
+    def _reference_project(self, x):
         y = self.target_point(x)
-        scale = norm(x) ** self.beta * max(norm(self.g), norm(self.h))
-        if negligible(y, scale, FOCAL_EPS):
-            raise FocalPoint("world point lies on the base line")
+        _reject_focal(y, "world point lies on the base line",
+                      lambda: norm(x) ** self.beta
+                      * max(norm(self.g), norm(self.h)))
         try:
             return line_from_points(x, y)
         except DegenerateInput:
@@ -727,6 +837,8 @@ class PanoramicStereo:
 # functional facade
 
 def project(cam, x):
+    """The line of one point, or ``(lines, focal)`` for an (N, 4) stack of
+    points (see the module docstring)."""
     return cam.project(x)
 
 

@@ -27,10 +27,10 @@ from . import concurrency, multiimage, tensors
 from .cameras import congruence_residual
 from .catadioptric import (MirrorSurface, line_surface_points, reflect_line,
                            reflect_point, specular_pair, tangent_plane)
-from .errors import (AmbiguousPencil, DegenerateInput, FocalPoint,
-                     GeometryError, IllConditioned, UnsupportedOrder)
-from .numeric import (DEFAULT_TOL, format_scalar, is_exact, unitize_rows,
-                      vector_payload)
+from .errors import (AmbiguousPencil, DegenerateInput, GeometryError,
+                     IllConditioned, UnsupportedOrder)
+from .numeric import (DEFAULT_TOL, _scaled_rows, as_float, format_scalar,
+                      is_exact, unitize_rows, vector_payload)
 from .plucker import line_residual, plucker_quadric
 from .scene import (_list, _vector, load_json, load_observations,
                     load_points, load_scene, mirror_lines)
@@ -167,41 +167,62 @@ def _quadric_residuals(lines):
 def cmd_project(args) -> int:
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     points = load_points(args.points, scene, exact=args.exact)
-    rows, groups, tuples = [], {}, {}
-    for j, x in enumerate(points):
-        lines = []
-        for i, cam in enumerate(scene.cameras):
-            try:
-                line = cam.project(x)
-            except (FocalPoint, UnsupportedOrder) as exc:
-                rows.append({"item": j, "camera": i,
+    n, m = len(points), len(scene.cameras)
+    # each point's line in each camera where it has one (ok), as floats
+    # (exact lines scaled by numeric._scaled_rows) and as given
+    floats = np.zeros((n, m, 6))
+    fractions = np.zeros((n, m, 6), dtype=object)
+    ok = np.zeros((n, m), dtype=bool)
+    exact = np.zeros(m, dtype=bool)
+    columns = []                        # per camera, its row of each point
+    for i, cam in enumerate(scene.cameras):
+        try:
+            lines, focal = cam.project(points)
+        except UnsupportedOrder as exc:
+            columns.append([{"item": j, "camera": i,
                              "error": type(exc).__name__,
-                             "message": str(exc)})
-                continue
-            rows.append({"item": j, "camera": i,
-                         "line": vector_payload(line)})
-            groups.setdefault(i, []).append((rows[-1], line))
-            lines.append(line)
-        if len(lines) >= 2:
-            L, _ = concurrency._tuple_stack(lines)
-            tuples.setdefault((L.shape[1], L.dtype), []).append((j, L[0]))
-    # the residuals of each camera's lines at once
-    for i, entries in groups.items():
-        lines = np.array([line for _, line in entries])
-        quadric = vector_payload(_quadric_residuals(lines))
-        congruence = vector_payload(
-            congruence_residual(scene.cameras[i], lines))
-        for (row, _), q, c in zip(entries, quadric, congruence):
-            row["quadric_residual"] = q
-            row["congruence_residual"] = c
-    # the generators of each tuple size (and number type) at once
+                             "message": str(exc)} for j in range(n)])
+            continue
+        hit = np.ones(n, dtype=bool)
+        hit[list(focal)] = False
+        ok[:, i] = hit
+        floats[hit, i] = as_float(_scaled_rows(lines[hit]))
+        if is_exact(lines):
+            exact[i] = True
+            fractions[:, i] = lines
+        # the residuals of the camera's lines at once
+        quadric = congruence = iter(())
+        if hit.any():
+            quadric = iter(vector_payload(_quadric_residuals(lines[hit])))
+            congruence = iter(vector_payload(
+                congruence_residual(cam, lines[hit])))
+        column = []
+        for j, line in enumerate(vector_payload(lines)):
+            if j in focal:
+                column.append({"item": j, "camera": i, "error": "FocalPoint",
+                               "message": focal[j]})
+            else:
+                column.append({"item": j, "camera": i, "line": line,
+                               "quadric_residual": next(quadric),
+                               "congruence_residual": next(congruence)})
+        columns.append(column)
+    rows = [row for item in zip(*columns) for row in item]
+    # the generators of the tuples of each size at once, exact when every
+    # line of the tuple is (as concurrency._tuple_stack decides)
+    sizes = ok.sum(axis=1)
+    exact_tuple = ~np.any(ok & ~exact, axis=1)
     checks = []
-    for group in tuples.values():
-        items, stack = zip(*group)
-        reports = concurrency.evaluate_generators(np.array(stack))
-        checks += [{"item": j, "max_generator_residual":
-                    format_scalar(rep.max_residual)}
-                   for j, rep in zip(items, reports)]
+    for size in sorted(set(sizes[sizes >= 2].tolist())):
+        for is_exact_tuple, source in ((False, floats), (True, fractions)):
+            chosen = (sizes == size) & (exact_tuple == is_exact_tuple)
+            if not chosen.any():
+                continue
+            reports = concurrency.evaluate_generators(
+                source[chosen][ok[chosen]].reshape(-1, size, 6))
+            checks += [{"item": j, "max_generator_residual":
+                        format_scalar(rep.max_residual)}
+                       for j, rep in zip(np.flatnonzero(chosen).tolist(),
+                                         reports)]
     checks.sort(key=lambda row: row["item"])
     _emit(_report(args, results=rows, tuple_checks=checks), args)
     return 0

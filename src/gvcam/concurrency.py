@@ -53,6 +53,7 @@ PROBE_POINTS = tuple(
                  (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 )
 _PROBES = np.array(PROBE_POINTS)
+_FLOATS = np.finfo(np.float64)
 
 
 def _signed_minors(m):
@@ -196,13 +197,22 @@ class GeneratorReport:
     values: np.ndarray
 
     def worst(self):
-        """(name, |value|) of the first largest value (or NaN), compared as
-        floats; ("", 0.0) when every value is zero.  ``hypot`` rounds as
-        the scalar ``abs(complex(v))`` does, and ``np.abs`` may not."""
-        v = as_float(self.values)
-        r = np.hypot(v.real, v.imag)
-        k = int(np.argmax(r))
-        return ("", 0.0) if r[k] == 0 else (self.names[k], float(r[k]))
+        """(name, |value|) of the first largest value (or NaN); ("", 0.0)
+        when every value is zero.  Fractions are compared exactly, and the
+        largest is rounded to a float if it is a normal one, else kept
+        exact.  ``hypot`` rounds as the scalar ``abs(complex(v))`` does, and
+        ``np.abs`` may not."""
+        if is_exact(self.values):
+            r = np.abs(self.values)
+            k = int(np.argmax(r))
+            top = r[k]
+            if _FLOATS.tiny <= top <= _FLOATS.max:
+                top = float(top)
+        else:
+            r = np.hypot(self.values.real, self.values.imag)
+            k = int(np.argmax(r))
+            top = float(r[k])
+        return ("", 0.0) if top == 0 else (self.names[k], top)
 
     @property
     def max_residual(self) -> float:

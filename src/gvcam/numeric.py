@@ -109,11 +109,17 @@ def negligible_each(v, scale=1.0, eps: float = ZERO_EPS):
 
 
 def as_float(a):
-    """Lossy conversion of a possibly-exact array/scalar to float/complex."""
-    if isinstance(a, np.ndarray) and a.dtype == object:
-        return np.asarray([float(x) for x in a.flat], dtype=np.float64).reshape(a.shape)
-    if isinstance(a, Fraction):
-        return float(a)
+    """Lossy conversion of a possibly-exact array/scalar to float/complex;
+    an exact value beyond the float range is a DegenerateInput."""
+    try:
+        if isinstance(a, np.ndarray) and a.dtype == object:
+            return np.asarray([float(x) for x in a.flat],
+                              dtype=np.float64).reshape(a.shape)
+        if isinstance(a, Fraction):
+            return float(a)
+    except OverflowError:
+        raise DegenerateInput("an exact value exceeds the float "
+                              "range") from None
     return a
 
 
@@ -228,12 +234,14 @@ def parse_vector(values, length: int | None = None, exact: bool = False):
 
 
 def vector_payload(v):
-    """JSON payload for a coordinate vector (list of formatted scalars);
-    a float64 vector is its own payload, as :func:`format_scalar` of a
-    float64 is the identity."""
+    """JSON payload for a coordinate vector (list of formatted scalars), or
+    the list of payloads of the rows of a stack; a float64 array is its own
+    payload, as :func:`format_scalar` of a float64 is the identity."""
     v = np.asarray(v)
     if v.dtype == np.float64:
         return v.tolist()
+    if v.ndim > 1:
+        return [vector_payload(row) for row in v]
     return [format_scalar(x) for x in v.tolist()]
 
 

@@ -40,13 +40,19 @@ __all__ = [
 
 #: Index pairs (i, j) of the six coordinates, in storage order.
 LINE_COORD_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_WEDGE_I, _WEDGE_J = (np.array(v) for v in zip(*LINE_COORD_PAIRS))
 
 
 def wedge(x, y):
     """Bilinear wedge x ^ y of two 4-vectors in Pluecker order, with no
-    check that the result is nonzero."""
+    check that the result is nonzero.  When either is an (n, 4) stack (the
+    other broadcast against it), the (n, 6) wedges row by row, with the
+    same products and differences."""
     x, y = vec(x), vec(y)
-    return vec([x[i] * y[j] - x[j] * y[i] for i, j in LINE_COORD_PAIRS])
+    if x.ndim == y.ndim == 1:
+        return vec([x[i] * y[j] - x[j] * y[i] for i, j in LINE_COORD_PAIRS])
+    i, j = _WEDGE_I, _WEDGE_J
+    return x[..., i] * y[..., j] - x[..., j] * y[..., i]
 
 
 def line_from_points(x, y):
@@ -265,5 +271,8 @@ def points_on_line(p):
 
 
 def _reject_zero(out, message, *context):
-    if negligible(out, math.prod(norm(c) for c in context)):
+    # an exact result is compared with zero; no float norm is taken, so
+    # coordinates beyond the float range are fine
+    scale = 1.0 if is_exact(out) else math.prod(norm(c) for c in context)
+    if negligible(out, scale):
         raise DegenerateInput(message)

@@ -100,7 +100,7 @@ class Scene:
     version: int
     cameras: tuple
     matrices: tuple          # per camera: tuple of arrays, or None
-    points: tuple            # of 4-vectors
+    points: np.ndarray       # (N, 4): float64, or Fractions if exact
     observations: np.ndarray  # (N, n, 6): float64, or Fractions if exact
     surfaces: tuple = ()
     descriptors: tuple = ()  # echo of the input camera payloads
@@ -119,8 +119,7 @@ def scene_from_dict(data, exact: bool = False,
         cams.append(cam)
         mats.append(m)
         desc.append(entry)
-    points = tuple(parse_vector(p, 4, exact)
-                   for p in _list(data.get("points", []), "'points'"))
+    points = _points(data.get("points", []), exact)
     observations = _observations(data.get("observations", []), exact, tol)
     surfaces = tuple(MirrorSurface.from_payload(s, exact=exact)
                      for s in _list(data.get("surfaces", []), "'surfaces'"))
@@ -155,23 +154,48 @@ def _check_line(lines, tol, what):
             what, "".join("[%d]" % i for i in bad[0]), why))
 
 
-def _number_stack(items):
-    """``items`` as one (N, n, 6) float64 array when it is a nonempty list
-    of equally long lists of 6-vectors whose coordinates are all finite
+def _number_stack(items, ndim, length):
+    """``items`` as one float64 array of ``ndim`` dimensions, the last of
+    ``length`` (points (N, 4), observations (N, n, 6)), when it is a
+    nonempty rectangular nest of lists whose coordinates are all finite
     plain numbers (int or float, not bool), else None.  The type scan comes
     first: numpy would read true as 1.0, null as NaN and "1.5" as 1.5."""
     if not items or not all(type(item) is list for item in items):
         return None
     try:
-        types = set(map(type, chain.from_iterable(chain.from_iterable(items))))
-        if not types <= {int, float}:
+        coords = chain.from_iterable(items)
+        for _ in range(ndim - 2):
+            coords = chain.from_iterable(coords)
+        if not set(map(type, coords)) <= {int, float}:
             return None
         L = np.asarray(items, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
-        return None         # a line that is not a list, ragged, or huge
-    if L.ndim != 3 or L.shape[2] != 6 or not np.isfinite(L).all():
+        return None         # a vector that is not a list, ragged, or huge
+    if L.ndim != ndim or L.shape[-1] != length or not np.isfinite(L).all():
         return None
     return L
+
+
+def _points(values, exact):
+    """World points as one (N, 4) array, of float64 or, under ``exact``,
+    of Fractions, none of them the zero vector.
+
+    In float mode, points of plain numbers are read in one pass.  Anything
+    else (exact mode, rational strings, any defect) is read point by point
+    with :func:`parse_vector` into the same array, and a defect is named
+    by its index, ``points[k]``.
+    """
+    items = _list(values, "'points'")
+    X = None if exact else _number_stack(items, 2, 4)
+    if X is None:
+        X = np.empty((len(items), 4), dtype=object if exact else np.float64)
+        for k, x in enumerate(items):
+            X[k] = _vector(x, 4, exact, "points[%d]" % k)
+    bad = np.flatnonzero(~np.any(X != 0, axis=1))
+    if len(bad):
+        raise DegenerateInput("points[%d] is the zero vector, not a point"
+                              % bad[0])
+    return X
 
 
 def _observations(values, exact, tol):
@@ -184,7 +208,7 @@ def _observations(values, exact, tol):
     by its indices, ``observations[k][i]``.
     """
     items = _list(values, "'observations'")
-    L = None if exact else _number_stack(items)
+    L = None if exact else _number_stack(items, 3, 6)
     if L is None:
         n = len(_list(items[0], "observations[0]")) if items else 0
         L = np.empty((len(items), n, 6),
@@ -218,16 +242,16 @@ def load_scene(path, exact: bool = False, tol: float = DEFAULT_TOL) -> Scene:
 
 def load_points(path, scene: Scene, exact: bool = False):
     """Points from a separate file ({"points": [...]} or a bare list), or
-    from the scene itself."""
+    from the scene itself, as one (N, 4) array (see :class:`Scene`)."""
     if path is None:
-        if not scene.points:
+        if not len(scene.points):
             raise DegenerateInput("no points: give --points or put a "
                                   "'points' array in the scene")
         return scene.points
     data = load_json(path)
     if isinstance(data, dict):
         data = data.get("points", [])
-    return tuple(parse_vector(p, 4, exact) for p in _list(data, "'points'"))
+    return _points(data, exact)
 
 
 def load_observations(path, scene: Scene, exact: bool = False,

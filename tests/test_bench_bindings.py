@@ -3,6 +3,7 @@ removed function would silently read 0 in its per-layer metric."""
 
 import importlib
 import inspect
+import json
 import pathlib
 import runpy
 
@@ -22,3 +23,47 @@ def test_tracer_counted_helpers_bind_functions():
     for name in tracer["COUNTED_HELPERS"]:
         fn = getattr(numeric, name, None)
         assert inspect.isfunction(fn), "gvcam.numeric.%s" % name
+
+
+def _projecting_classes():
+    cameras = importlib.import_module("gvcam.cameras")
+    return [cls for cls in vars(cameras).values()
+            if inspect.isclass(cls) and cls.__module__ == cameras.__name__
+            and hasattr(cls, "project")]
+
+
+def test_tracer_camera_methods_bind_functions():
+    """The tracer wraps each CAMERA_METHODS name in the class of
+    gvcam.cameras that defines it; each projecting camera class must reach
+    a plain function of that name there."""
+    tracer = runpy.run_path(str(TRACER))
+    classes = _projecting_classes()
+    assert len(classes) == 8
+    for cls in classes:
+        for name in tracer["CAMERA_METHODS"]:
+            owner = next(c for c in cls.__mro__ if name in vars(c))
+            assert owner in classes, (cls.__name__, name)
+            assert inspect.isfunction(vars(owner)[name]), (cls.__name__, name)
+
+
+def test_traced_project_counts_one_call_per_camera(tmp_path, capsys):
+    """gvcam project maps all points through each camera in one
+    ``project`` call, which the tracer sees."""
+    tracer = runpy.run_path(str(TRACER))["Tracer"]()
+    cli = importlib.import_module("gvcam.cli")
+    rig = [{"type": "pinhole", "center": [0, 0, 0, 1]},
+           {"type": "two_slit", "slits": [[1, 0, 0, 0, 0, 0],
+                                          [0, 0, 0, 0, 0, 1]]},
+           {"type": "twisted_cubic"}]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"version": 1, "rig": rig, "points": [
+        [1, 2, 3, 1], [0, 0, 0, 1], [2, -1, 1, 1]]}))
+    tracer.install()
+    try:
+        assert cli.main(["project", "--scene", str(scene)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    assert metrics["cameras.project.calls"] == len(rig)
+    assert metrics["scene.points_parsed"] == 0

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gvcam.cameras import (TWISTED_CUBIC_CURVE, DegenerateCubic, FocalPoint,
                            IllConditioned, InvalidSlit, PanoramicNC,
@@ -19,9 +19,10 @@ from gvcam.cameras import (TWISTED_CUBIC_CURVE, DegenerateCubic, FocalPoint,
                            sum_of_two_cubes)
 from gvcam.errors import (DegenerateInput, FocalConfiguration,
                           UnsupportedOrder)
-from gvcam.numeric import compound2, norm, unitize, vec
+from gvcam.numeric import DEFAULT_TOL, compound2, norm, unitize, vec
 from gvcam.plucker import (incidence, line_from_points, plucker_quadric,
-                           point_line_residual, point_on_line, wedge)
+                           point_line_residual, point_on_line,
+                           points_on_line, wedge)
 from conftest import (assert_proj_close, rand_line, rand_point,
                       rand_pushbroom, rand_rational_point, rand_skew_pair,
                       rand_twisted_cubic, rand_twoslit)
@@ -153,6 +154,111 @@ def test_projection_lines_satisfy_quadric():
         x = rand_point(rng)
         p = unitize(cam.project(x))
         assert abs(plucker_quadric(p)) <= 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.lists(_coords, min_size=4, max_size=4))
+def test_projection_passes_through_the_point_in_the_congruence(coords):
+    """Every catalog camera maps a point to a line through it that lies in
+    its congruence, or raises FocalPoint."""
+    x = np.array(coords)
+    assume(norm(x) >= 1e-3)
+    for cam in _CATALOG:
+        try:
+            p = cam.project(x)
+        except FocalPoint:
+            continue
+        assert point_line_residual(x, p) <= DEFAULT_TOL, cam.kind
+        assert congruence_residual(cam, p) <= DEFAULT_TOL, cam.kind
+
+
+def _focal_points(cam, s, t):
+    """Points of the focal locus of a catalog camera, at parameter s, t."""
+    if isinstance(cam, Pinhole):
+        return [cam.center]
+    if isinstance(cam, TwoSlit):
+        return [s * a + t * b for a, b in
+                map(points_on_line, (cam.slit1, cam.slit2))]
+    base = vec([0, 0, s, t])
+    if isinstance(cam, Type3):
+        return [base, cam.curve().point(s, t)]
+    if isinstance(cam, Type4):
+        return [base]
+    curve = TWISTED_CUBIC_CURVE.point(s, t)
+    return [curve if cam.homography is None else cam.homography @ curve]
+
+
+def _assert_stack_projects_per_point(cam, stack):
+    """cam.project of the stack is, bit for bit, the scalar reference of
+    each row (zeros and its message in a focal row), and so is the stack
+    of one of each row; a point alone returns that line or raises."""
+    lines, focal = cam.project(stack)
+    assert lines.shape == (len(stack), 6)
+    for k, x in enumerate(stack):
+        one, one_focal = cam.project(stack[k:k + 1])
+        try:
+            want = cam._reference_project(x)
+        except FocalPoint as exc:
+            assert focal[k] == one_focal[0] == str(exc), cam.kind
+            assert not lines[k].any() and not one.any()
+            with pytest.raises(FocalPoint, match=str(exc)):
+                cam.project(x)
+            continue
+        assert k not in focal and not one_focal, cam.kind
+        for got in (lines[k], one[0], cam.project(x)):
+            assert got.dtype == want.dtype, cam.kind
+            if want.dtype == object:
+                assert got.tolist() == want.tolist(), cam.kind
+            else:
+                assert got.tobytes() == want.tobytes(), cam.kind
+    return focal
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.lists(st.tuples(st.lists(_coords, min_size=4, max_size=4),
+                          st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)),
+                min_size=1, max_size=8))
+def test_stacked_projection_equals_per_point(rows):
+    """Every kind's projection of an (N, 4) float stack equals, bit for
+    bit, its scalar reference point by point; the stack mixes random
+    points with points of the focal locus, at scales 1e-8 to 1e8."""
+    for cam in _CATALOG:
+        stack = []
+        for coords, lam in rows:
+            stack.append(lam * np.array(coords))
+            stack += [lam * x for x in _focal_points(cam, *coords[:2])]
+        focal = _assert_stack_projects_per_point(cam, np.array(stack))
+        assert focal, cam.kind
+
+
+# exact cameras; the twisted cubic's homography makes its lines floats
+_EXACT_CATALOG = [
+    Pinhole(vec([1, 2, 3, 4], exact=True)),
+    TwoSlit(vec([1, 0, 0, 0, 0, 0], exact=True),
+            vec([0, 0, 0, 0, 0, 1], exact=True)),
+    Pushbroom(vec([1, 0, 0, -2, 0, 0], exact=True)),
+    TwistedCubic(),
+    TwistedCubic(vec([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]],
+                     exact=True)),
+    Type3(*(vec(c, exact=True) for c in ([1, 0, -1], [1, 0, 0, 0],
+                                         [0, 0, 0, 1]))),
+    Type4(vec([1, 0, 0, 0], exact=True), vec([0, 0, 0, 1], exact=True)),
+]
+# the pinhole's centre, points of the slits, of the pushbroom slit, of
+# the curves and of the base line
+_EXACT_FOCAL = [[1, 2, 3, 4], [2, 1, 0, 0], [0, 0, 3, 1], [2, 1, 4, 0],
+                [1, 2, 4, 8], [1, 3, 4, 12], [0, 0, 1, 2], [3, 3, 1, 8]]
+
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+                min_size=1, max_size=6))
+def test_exact_stacked_projection_equals_per_point(rows):
+    """A stack of Fractions is projected row by row through the scalar
+    reference: the same lines, focal rows and messages as point by point."""
+    stack = vec(rows + _EXACT_FOCAL, exact=True)
+    for cam in _EXACT_CATALOG:
+        assert _assert_stack_projects_per_point(cam, stack), cam.kind
 
 
 def test_order_one_uniqueness():

@@ -1,14 +1,16 @@
 """Concurrent-line ideal generators, the numeric decision rule, and the
 multidegree polynomial."""
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
-from gvcam.concurrency import (AmbiguousPencil, InvalidN, PROBE_POINTS,
-                               _generators, concurrent_by_generators,
+from gvcam.concurrency import (AmbiguousPencil, GeneratorReport, InvalidN,
+                               PROBE_POINTS, _generators,
+                               concurrent_by_generators,
                                coplanarity_cubics, cubic_generators,
                                evaluate_generators, find_common_point,
                                generator_counts, multidegree,
@@ -356,6 +358,24 @@ def test_worst_generator_is_the_first_strict_maximum():
                     best = name, abs(complex(v))
             assert rep.worst() == best
             assert rep.max_residual == best[1]
+
+
+def test_worst_exact_generator_is_compared_exactly():
+    """Fractions are compared exactly, and only the largest is rounded: a
+    value that rounds like an earlier one still wins, and a value beyond
+    the float range (or below its normal range) stays exact."""
+    names = ("a", "b", "c")
+    third = Fraction(1, 3)
+    cases = [((third, third + Fraction(1, 10 ** 40), -third),
+              ("b", float(third))),
+             ((Fraction(0), -Fraction(10 ** 400), Fraction(10 ** 399)),
+              ("b", Fraction(10 ** 400))),
+             ((Fraction(1, 10 ** 400), Fraction(0), Fraction(0)),
+              ("a", Fraction(1, 10 ** 400))),
+             ((Fraction(0),) * 3, ("", 0.0))]
+    for values, want in cases:
+        got = GeneratorReport(names, np.array(values, dtype=object)).worst()
+        assert got == want and type(got[1]) is type(want[1])
 
 
 def test_non_finite_lines_give_nan_generators():

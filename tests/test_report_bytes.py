@@ -55,6 +55,23 @@ WIDE_OBSERVATIONS = [
      [0, -2, -2, 1, 1, 0]],
 ]
 
+# pinhole (1:1:1:1), two-slit e0 v e1 / e2 v e3, pushbroom on the line
+# through (1:0:2:0) and (1:1:2:0), twisted cubic moved by an integer
+# homography, and an order-two camera (an UnsupportedOrder row per point)
+FOCAL_RIG = [{"type": "pinhole", "center": [1, 1, 1, 1]},
+             RIG[2],
+             {"type": "pushbroom", "slit": [1, 0, 0, -2, 0, 0]},
+             {"type": "twisted_cubic",
+              "homography": [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0],
+                             [0, 0, 1, 1]]},
+             {"type": "panoramic_nc"}]
+
+# a plain point, then one focal point per kind: the pinhole centre, a point
+# of the slit e0 v e1, a point of the pushbroom slit, the curve point of
+# (s:t) = (1:2)
+FOCAL_POINTS = {"points": [[1, 2, 3, 1], [1, 1, 1, 1], [2, 1, 0, 0],
+                           [2, 1, 4, 0], [1, 3, 4, 12]]}
+
 EXACT_OBSERVATIONS = [
     # the images of (1:2:3:1), camera 0's at half scale: accepted
     [[0, 0, "-1/2", 0, -1, "-3/2"], [2, 3, 0, 0, -2, -3],
@@ -74,12 +91,20 @@ SCENES = {
     # camera 1's centre: tuples of three lines and one of two
     "project_sizes": {"version": 1, "rig": RIG,
                       "points": [[1, 2, 3, 1], [1, 0, 0, 1], [2, -1, 1, 1]]},
+    "project_focal": {"version": 1, "rig": FOCAL_RIG},
+    # rational strings, rounded to floats or read exactly
+    "project_rational": {"version": 1, "rig": RIG,
+                         "points": [["1/2", 1, "3/4", 1], [1, "1/3", 2, 1],
+                                    ["-7/5", 2, 1, "1/9"]]},
     # the unit sphere; two lines through its centre, one that misses it
     "reflect": {"surface": {"degree": 2, "coeffs": {"2000": -1, "0200": 1,
                                                    "0020": 1, "0002": 1}},
                 "lines": [[1, 0, 0, 0, 0, 0], [1, 2, 2, 0, 0, 0],
                           [0, 0, 0, 0, 0, 1]]},
 }
+
+# separate --points files of a scene
+POINTS = {"project_focal": FOCAL_POINTS}
 
 # name: (argv before the input path, scene, exit code, sha256 of stdout)
 REPORTS = {
@@ -108,6 +133,20 @@ REPORTS = {
                             "project_sizes", 0,
                             "0707b2952cf0b99b276e7a95d7b52c21"
                             "8f301cab64cf14d81e80f3908b1b81fc"),
+    "project_focal": (["project", "--scene"], "project_focal", 0,
+                      "8d563efa663c8f1717b3fd923d9e5ad0"
+                      "51eee5e5d3158efdf58c904271497195"),
+    "project_focal_exact": (["project", "--exact", "--scene"],
+                            "project_focal", 0,
+                            "29495afac6ef033bb3072a7c9d1b98c1"
+                            "78dab61e005a5703d405a2eace6adda6"),
+    "project_rational": (["project", "--scene"], "project_rational", 0,
+                         "c25c0fbc8456aaf05d24917184f03e62"
+                         "a3f8dfdc76140f199dad63d91075de23"),
+    "project_rational_exact": (["project", "--exact", "--scene"],
+                               "project_rational", 0,
+                               "78080fe3d94b4b3afe6a26400487ea23"
+                               "290f7babe730b828b02833eef4011bd4"),
     "reflect": (["reflect", "--input"], "reflect", 0,
                 "236c7b7f7bbdc864d7d30d8a9c5da20c"
                 "ba00458003c16574ed3dd8e387e88263"),
@@ -120,6 +159,11 @@ def test_report_bytes_are_pinned(name, capsys, tmp_path, monkeypatch):
     argv, scene, code, digest = REPORTS[name]
     path = tmp_path / (scene + ".json")
     path.write_text(json.dumps(SCENES[scene]))
-    assert cli.main(argv + [str(path), "--seed", "5"]) == code
+    argv = argv + [str(path), "--seed", "5"]
+    if scene in POINTS:
+        points = tmp_path / (scene + "_points.json")
+        points.write_text(json.dumps(POINTS[scene]))
+        argv += ["--points", str(points)]
+    assert cli.main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out

@@ -349,6 +349,85 @@ def test_cli_observation_defects_name_the_item(capsys, tmp_path):
                 assert message[len(where)] in ": ", (name, err)
 
 
+def test_cli_point_defects_name_the_point(capsys, tmp_path):
+    """Each point defect exits 2 with DegenerateInput naming its index,
+    whether the points come from the scene or from --points; the zero
+    vector is no point, in float and in exact mode."""
+    defects = {
+        "zero": ([0, 0, 0, 0], "is the zero vector, not a point"),
+        "short": ([1, 2, 3], "length 4"),
+        "true": ([1, True, 0, 1], "booleans"),
+        "nan": ([1, float("nan"), 0, 1], "finite"),
+        "huge": ([10 ** 400, 1, 0, 1], "float range"),
+        "string": ([1, "x/y", 0, 1], "cannot parse rational"),
+    }
+    rig = mixed_scene_dict([])["rig"]
+    for name, (bad, why) in defects.items():
+        points = [[1, 2, 3, 1], ["1/2", 1, 1, 1], bad]
+        scene = write_json(tmp_path / (name + ".json"),
+                           {"version": 1, "rig": rig, "points": points})
+        bare = write_json(tmp_path / (name + "_rig.json"),
+                          {"version": 1, "rig": rig})
+        given = write_json(tmp_path / (name + "_points.json"),
+                           {"points": points})
+        modes = ([], ["--exact"]) if name == "zero" else ([],)
+        for argv in (["project", "--scene", scene],
+                     ["project", "--scene", bare, "--points", given]):
+            for mode in modes:
+                rc, err = _check_error(capsys, argv + mode)
+                assert rc == 2 and err["error"] == "DegenerateInput", name
+                assert err["message"].startswith("points[2]"), (name, err)
+                assert why in err["message"], (name, err)
+
+
+def test_cli_project_exact_huge_coordinates(capsys, tmp_path):
+    """Under --exact, points of 10**400-sized integers project as their
+    small multiples do: the focal tests compare with zero exactly and the
+    generator residuals are compared exactly, with no float norm."""
+    rig = [{"type": "pinhole", "center": [0, 0, 0, 1]},
+           {"type": "two_slit", "slits": [[1, 0, 0, 0, 0, 0],
+                                          [0, 0, 0, 0, 0, 1]]},
+           {"type": "pushbroom", "slit": [1, 0, 0, -2, 0, 0]},
+           {"type": "twisted_cubic"}]
+    small = [[1, 2, 3, 1], [0, 0, 0, 1], [2, 1, 4, 0], [1, 2, 4, 8]]
+    reports = []
+    for scale in (1, 10 ** 400):
+        points = [[scale * v for v in x] for x in small]
+        scene = write_json(tmp_path / "huge.json",
+                           {"version": 1, "rig": rig, "points": points})
+        rc, out = run_cli(capsys, ["project", "--exact", "--scene", scene])
+        assert rc == 0
+        reports.append(json.loads(out))
+    for report in reports:
+        for row in report["results"]:
+            row.pop("line", None)
+    assert reports[0] == reports[1]
+    errors = [(r["item"], r["camera"]) for r in reports[1]["results"]
+              if "error" in r]
+    # (0:0:0:1) is focal for every camera: the centre, on a slit of the
+    # two-slit and of the pushbroom (its slit at infinity), on the curve
+    assert errors == [(1, 0), (1, 1), (1, 2), (1, 3), (2, 2), (3, 3)]
+
+
+def test_cli_check_exact_names_huge_generators(capsys, tmp_path):
+    """A concurrency rejection under --exact whose worst generator is
+    beyond the float range is named, with the residual's exact string."""
+    centres = [[0, 0, 0, 1], [1, 0, 0, 1], [0, 1, 0, 1]]
+    x, y = np.array([1., 2, 3, 1]), np.array([2., -1, 1, 1])
+    lines = [[int(v) for v in line_from_points(np.array(c, float), z)]
+             for c, z in zip(centres, (x, x, y))]
+    lines[0] = [10 ** 400 * v for v in lines[0]]
+    scene = write_json(tmp_path / "huge.json", {
+        "version": 1, "rig": [{"type": "pinhole", "center": c}
+                              for c in centres],
+        "observations": [lines]})
+    rc, out = run_cli(capsys, ["check", "--exact", "--scene", scene])
+    assert rc == 1
+    (row,) = json.loads(out)["results"]
+    assert row["violated"].startswith("cubic[0][1][2]")
+    assert int(row["residual"]) > 10 ** 400
+
+
 def test_cli_huge_integer_coordinates(capsys, tmp_path):
     """An integer beyond the float range is an input error in float mode
     and an ordinary coordinate under --exact: never a crash."""
