@@ -236,6 +236,22 @@ def _reject_focal(v, message, scale):
         raise FocalPoint(message)
 
 
+# Below this norm s of a point, s^4 and every coordinate of its secant
+# stay in the float range: each f_i of :func:`_secant` is at most 2 s^2
+# in size, and each coordinate (and partial sum) at most 6 s^4 < max.
+_SECANT_RANGE = (np.finfo(np.float64).max / 8) ** 0.25
+
+
+def _check_float_range(ok):
+    """Raise DegenerateInput naming the first point of a stack whose entry
+    of ``ok`` is False, that is, whose projection overflows the float
+    range."""
+    if not ok.all():
+        raise DegenerateInput(
+            "points[%d] is too large: its projection overflows the float "
+            "range" % np.argmin(ok))
+
+
 def _pow(a, e):
     """``a ** e``; for a float array, element by element through the
     scalar ``**`` (libm ``pow``), which numpy's array power does not
@@ -501,10 +517,16 @@ class TwistedCubic:
 
     def _float_project(self, X):
         Xn = X if self._inverse is None else np.matvec(self._inverse, X)
-        lines = np.stack(_secant(*Xn.T), axis=-1)
-        hit = row_norms(lines) <= FOCAL_EPS * _pow(row_norms(Xn), 4)
-        if self._line_map is not None:
-            lines = np.matvec(self._line_map, lines)
+        with np.errstate(over="ignore"):
+            scale = row_norms(Xn)
+            _check_float_range(scale <= _SECANT_RANGE)
+            lines = np.stack(_secant(*Xn.T), axis=-1)
+            size = row_norms(lines)
+            hit = size <= FOCAL_EPS * _pow(scale, 4)
+            if self._line_map is not None:
+                lines = np.matvec(self._line_map, lines)
+                size = row_norms(lines)
+        _check_float_range(np.isfinite(size))
         return lines, hit
 
     def normalized_line(self, p):

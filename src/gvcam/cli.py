@@ -2,8 +2,11 @@
 
 Every subcommand is a thin adapter over the library; no numerical logic
 lives here.  Reports are deterministic for a fixed scene and seed: floats
-are emitted at 17 significant digits, keys are sorted, and timing is
-omitted unless explicitly requested.
+are written in their shortest round-trip form (at most 17 significant
+digits), keys are sorted, and timing is omitted unless explicitly
+requested.  A JSON report has the bytes that ``json.dumps`` writes with
+``indent=2`` and ``sort_keys=True``, streamed to its destination a block
+of rows at a time.
 
 Exit codes: 0 success; 1 a membership/correspondence check rejected;
 2 usage, parse, or scene errors; 3 numerical failure (ill-conditioned or
@@ -20,6 +23,7 @@ import json
 import os
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -129,6 +133,13 @@ def _report(args, **extra):
 
 
 def _emit(report, args) -> None:
+    """Write ``report`` to ``--out`` or stdout: as CSV of its results, or
+    as JSON streamed in chunks by :func:`_json_chunks`.
+
+    Every row is computed before this is called, so a JSON report stops
+    part-way only on a value that no JSON encoder accepts (a programming
+    error, such as a numpy integer), which leaves the output truncated.
+    """
     if args.format == "csv":
         rows = report.get("results", [])
         keys = []
@@ -143,14 +154,107 @@ def _emit(report, args) -> None:
             writer.writerow({k: (json.dumps(v, sort_keys=True)
                                  if isinstance(v, (list, dict)) else v)
                              for k, v in row.items()})
-        text = buf.getvalue()
+        chunks = [buf.getvalue()]
     else:
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        chunks = _json_chunks(report)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+# rows of a top-level list joined into one chunk of a JSON report
+_BLOCK_ROWS = 256
+
+# the encoder whose output _json_chunks reproduces; it writes every value
+# that has no fast path
+_INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _json_chunks(report):
+    """The text that ``json.dumps`` writes for a report dict with
+    ``indent=2`` and ``sort_keys=True``, and a newline, as a sequence of
+    chunks.
+
+    Each list value of the report is written _BLOCK_ROWS rows per chunk.
+    A dict row is filled into a template made once per key tuple: the
+    sorted keys with their indented ``"key": `` prefixes.  Strings, ints,
+    bools, None, finite floats and nonempty lists of finite floats are
+    written directly, with the reprs that ``json`` itself uses; any other
+    value (NaN, an infinity, a nested container, a tuple, a numpy scalar,
+    an empty list or dict, a dict with keys that are not strings) is
+    written by the ``json`` encoder and re-indented to its depth.
+    """
+    top = _template(tuple(report), "\n  ")
+    if top is None:
+        yield _INDENTED.encode(report) + "\n"
+        return
+    templates = {}                      # row template by key tuple
+    head = "{"
+    for key, prefix in top:
+        value = report[key]
+        if type(value) is not list or not value:
+            head += prefix + _value(value, "\n  ")
+            continue
+        yield head + prefix + "["
+        for start in range(0, len(value), _BLOCK_ROWS):
+            yield ("\n    " if start == 0 else ",\n    ") + ",\n    ".join(
+                [_row(row, templates)
+                 for row in value[start:start + _BLOCK_ROWS]])
+        head = "\n  ]"
+    yield head + "\n}\n"
+
+
+def _template(keys, newline):
+    """(key, its prefix) pairs of a dict with ``keys`` in sorted order,
+    where a prefix is ``,`` (but for the first), ``newline`` and
+    ``"key": ``; None when there are no keys or one is not a string."""
+    if not keys or not all(type(k) is str for k in keys):
+        return None
+    template = [(k, ",%s%s: " % (newline, encode_basestring_ascii(k)))
+                for k in sorted(keys)]
+    template[0] = template[0][0], template[0][1][1:]
+    return template
+
+
+def _row(row, templates):
+    """The text of one element of a top-level list, whose indent is four
+    spaces."""
+    if type(row) is dict:
+        keys = tuple(row)
+        try:
+            template = templates[keys]
+        except KeyError:
+            template = templates[keys] = _template(keys, "\n      ")
+        if template is not None:
+            return "{%s\n    }" % "".join([prefix + _value(row[k], "\n      ")
+                                           for k, prefix in template])
+    return _value(row, "\n    ")
+
+
+def _value(v, newline):
+    """The JSON text of ``v`` at the indent that ``newline`` carries."""
+    kind = type(v)
+    if kind is float:
+        if v - v == 0:                  # finite
+            return float.__repr__(v)
+    elif kind is int:
+        return int.__repr__(v)
+    elif kind is list:
+        if v and all(type(x) is float for x in v):
+            text = repr(v)              # float.__repr__ of each element
+            if "n" not in text:         # no nan, inf or -inf
+                inner = newline + "  "
+                return "[%s%s%s]" % (
+                    inner, text[1:-1].replace(", ", "," + inner), newline)
+    elif kind is str:
+        return encode_basestring_ascii(v)
+    elif v is None:
+        return "null"
+    elif kind is bool:
+        return "true" if v else "false"
+    return _INDENTED.encode(v).replace("\n", newline)
 
 
 # --------------------------------------------------------------------------
@@ -219,10 +323,11 @@ def cmd_project(args) -> int:
                 continue
             reports = concurrency.evaluate_generators(
                 source[chosen][ok[chosen]].reshape(-1, size, 6))
-            checks += [{"item": j, "max_generator_residual":
-                        format_scalar(rep.max_residual)}
-                       for j, rep in zip(np.flatnonzero(chosen).tolist(),
-                                         reports)]
+            checks += [{"item": j,
+                        "max_generator_residual": format_scalar(top)}
+                       for j, (_, top) in zip(
+                           np.flatnonzero(chosen).tolist(),
+                           concurrency.worst_generators(reports))]
     checks.sort(key=lambda row: row["item"])
     _emit(_report(args, results=rows, tuple_checks=checks), args)
     return 0
@@ -244,7 +349,7 @@ def cmd_check(args) -> int:
             named[k] = "congruence[%d]" % i, residuals[k][i]
     concurrent = [k for k in rejected if k not in named]
     reports = concurrency.evaluate_generators(items[concurrent])
-    named.update(zip(concurrent, (rep.worst() for rep in reports)))
+    named.update(zip(concurrent, concurrency.worst_generators(reports)))
     rows = []
     for k, point in enumerate(points):
         if point is not None:

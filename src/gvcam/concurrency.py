@@ -42,8 +42,9 @@ from .plucker import _primal_stack, incidence, primal_matrix
 __all__ = [
     "PROBE_POINTS", "quadric_generators", "cubic_generators",
     "trilinear_transversal", "coplanarity_cubics", "evaluate_generators",
-    "GeneratorReport", "concurrent_by_generators", "find_common_point",
-    "multidegree", "MultidegreePolynomial", "generator_counts",
+    "GeneratorReport", "worst_generators", "concurrent_by_generators",
+    "find_common_point", "multidegree", "MultidegreePolynomial",
+    "generator_counts",
 ]
 
 #: Probe points: the four basis points followed by the six pairwise sums.
@@ -198,21 +199,8 @@ class GeneratorReport:
 
     def worst(self):
         """(name, |value|) of the first largest value (or NaN); ("", 0.0)
-        when every value is zero.  Fractions are compared exactly, and the
-        largest is rounded to a float if it is a normal one, else kept
-        exact.  ``hypot`` rounds as the scalar ``abs(complex(v))`` does, and
-        ``np.abs`` may not."""
-        if is_exact(self.values):
-            r = np.abs(self.values)
-            k = int(np.argmax(r))
-            top = r[k]
-            if _FLOATS.tiny <= top <= _FLOATS.max:
-                top = float(top)
-        else:
-            r = np.hypot(self.values.real, self.values.imag)
-            k = int(np.argmax(r))
-            top = float(r[k])
-        return ("", 0.0) if top == 0 else (self.names[k], top)
+        when every value is zero (see :func:`worst_generators`)."""
+        return worst_generators([self])[0]
 
     @property
     def max_residual(self) -> float:
@@ -220,6 +208,29 @@ class GeneratorReport:
 
     def payload(self):
         return dict(zip(self.names, map(format_scalar, self.values.tolist())))
+
+
+def worst_generators(reports):
+    """:meth:`GeneratorReport.worst` of each of a list of reports of
+    tuples of one size, from one pass over their stacked values:
+    (name, |value|) of the first largest value (or NaN), or ("", 0.0) when
+    every value is zero.  Fractions are compared exactly, and the largest
+    is rounded to a float if it is a normal one, else kept exact.
+    ``hypot`` rounds as the scalar ``abs(complex(v))`` does, and ``np.abs``
+    may not."""
+    if not reports:
+        return []
+    values = np.stack([rep.values for rep in reports])
+    exact = is_exact(values)
+    r = np.abs(values) if exact else np.hypot(values.real, values.imag)
+    index = np.argmax(r, axis=1).tolist()
+    names = reports[0].names
+    worst = []
+    for k, top in zip(index, r[np.arange(len(r)), index].tolist()):
+        if exact and _FLOATS.tiny <= top <= _FLOATS.max:
+            top = float(top)
+        worst.append(("", 0.0) if top == 0 else (names[k], top))
+    return worst
 
 
 def evaluate_generators(lines):

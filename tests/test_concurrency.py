@@ -14,7 +14,8 @@ from gvcam.concurrency import (AmbiguousPencil, GeneratorReport, InvalidN,
                                coplanarity_cubics, cubic_generators,
                                evaluate_generators, find_common_point,
                                generator_counts, multidegree,
-                               quadric_generators, trilinear_transversal)
+                               quadric_generators, trilinear_transversal,
+                               worst_generators)
 from gvcam.numeric import DEFAULT_TOL, negligible, norm, unitize, vec
 from gvcam.plucker import incidence, line_from_points, primal_matrix, wedge
 from conftest import (assert_proj_close, lines_through, rand_line, rand_point,
@@ -376,6 +377,56 @@ def test_worst_exact_generator_is_compared_exactly():
     for values, want in cases:
         got = GeneratorReport(names, np.array(values, dtype=object)).worst()
         assert got == want and type(got[1]) is type(want[1])
+
+
+def _scalar_worst(rep):
+    """``worst`` by one scalar loop: the first NaN, else the first strict
+    maximum of ``abs``, Fractions compared exactly and rounded to a float
+    only in the normal range."""
+    best = ("", 0.0)
+    for name, v in zip(rep.names, rep.values.tolist()):
+        a = abs(v) if isinstance(v, Fraction) else abs(complex(v))
+        if a != a:
+            return name, a
+        if a > best[1]:
+            best = name, a
+    floats = np.finfo(np.float64)
+    if isinstance(best[1], Fraction) and floats.tiny <= best[1] <= floats.max:
+        best = best[0], float(best[1])
+    return best
+
+
+def test_worst_generators_of_a_stack_match_each_report():
+    """One pass over a stack of reports names each tuple's worst
+    generator as the scalar loop and each report's ``worst`` do, on float
+    stacks (with NaN rows and all-zero rows) and on Fraction stacks (with
+    all-zero rows and values beyond the float range)."""
+    rng = np.random.default_rng(219)
+    axes = [line_from_points(E[3], E[i]) for i in range(3)]
+    for n in (3, 4):
+        floats = [lines_through(rng, n)[0] for _ in range(3)]
+        floats += [[rand_line(rng) for _ in range(n)] for _ in range(3)]
+        floats += [(axes * 2)[:n]]
+        nan = [rand_line(rng) for _ in range(n)]
+        nan[1] = np.array([np.nan, 1, 0, 0, 0, 0])
+        floats.insert(2, nan)
+        exact = [rational_lines_through(rng, n)[0] for _ in range(2)]
+        exact += [[vec([Fraction(int(c), 7) for c in rand_line(rng) * 9])
+                   for _ in range(n)] for _ in range(2)]
+        exact.append([line * 10 ** 400 for line in exact[-1]])
+        for tuples in (floats, exact):
+            reports = evaluate_generators(np.array(tuples))
+            got = worst_generators(reports)
+            for rep, (name, top) in zip(reports, got):
+                want = _scalar_worst(rep)
+                assert name == want[0] == rep.worst()[0]
+                assert type(top) is type(want[1])
+                if top != top:
+                    assert np.isnan(want[1]) and np.isnan(rep.max_residual)
+                else:
+                    assert top == want[1] == rep.max_residual
+            assert any(t == ("", 0.0) for t in got)
+    assert worst_generators([]) == []
 
 
 def test_non_finite_lines_give_nan_generators():

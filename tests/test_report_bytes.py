@@ -101,12 +101,35 @@ SCENES = {
                                                    "0020": 1, "0002": 1}},
                 "lines": [[1, 0, 0, 0, 0, 0], [1, 2, 2, 0, 0, 0],
                           [0, 0, 0, 0, 0, 1]]},
+    # a mirror plane with points and lines
+    "reflect_plane": {"plane": [1, 2, 0, 1],
+                      "points": [[1, 0, 0, 0], [1, 2, 3, 1]],
+                      "lines": [[0, 0, 1, 0, 0, 0], [1, 0, 0, 0, 0, 0]]},
+    # two two-slit cameras with two real common lines
+    "baselines": {"version": 1, "rig": [
+        RIG[2], {"type": "two_slit", "slits": [[1, 1, 0, 2, -1, -1],
+                                               [1, -2, -6, -1, -3, 0]]}]},
+    # two pinholes and two two-slits given by their matrices
+    "tensor": {"version": 1, "rig": [
+        {"type": "pinhole", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0],
+                                       [0, 0, 1, 0]]},
+        {"type": "pinhole", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0],
+                                       [0, 0, 0, 1]]},
+        {"type": "two_slit", "matrices": [[[1, 0, 0, 0], [0, 1, 0, 0]],
+                                          [[0, 0, 1, 0], [0, 0, 0, 1]]]},
+        {"type": "two_slit", "matrices": [[[1, 0, 1, 0], [0, 1, 0, 1]],
+                                          [[1, 1, 0, 0], [0, 0, 1, -1]]]}]},
+    # a mixed 3x2x2 tensor payload
+    "invariant": {"kind": "mixed",
+                  "entries": [[[1, 2], [3, 4]], [[0, 1], [1, 0]],
+                              [[2, -1], [0, "1/3"]]]},
 }
 
 # separate --points files of a scene
 POINTS = {"project_focal": FOCAL_POINTS}
 
-# name: (argv before the input path, scene, exit code, sha256 of stdout)
+# name: (argv before the input path, scene (None: no input path), exit
+# code, sha256 of stdout)
 REPORTS = {
     "check": (["check", "--scene"], "check", 1,
               "d27e54dec5985a6f16552b0a3659a2ce"
@@ -150,6 +173,44 @@ REPORTS = {
     "reflect": (["reflect", "--input"], "reflect", 0,
                 "236c7b7f7bbdc864d7d30d8a9c5da20c"
                 "ba00458003c16574ed3dd8e387e88263"),
+    "reflect_plane": (["reflect", "--input"], "reflect_plane", 0,
+                      "252c28dd6b2a59d8442fa1c3a42e9f9a"
+                      "c8e20056666b12fbd314104676d680c3"),
+    "reflect_plane_exact": (["reflect", "--exact", "--input"],
+                            "reflect_plane", 0,
+                            "51d2b559ed68c261fdd38edccbd776bb"
+                            "305e53de8933e09f2b00784ae3df981c"),
+    "baselines": (["baselines", "--scene"], "baselines", 0,
+                  "5bb1749676a4ca4373401a0395ba6991"
+                  "d634a8bd1e8718dca23abfb0a1c22934"),
+    "tensor_fundamental": (["tensor", "--kind", "fundamental", "--scene"],
+                           "tensor", 0,
+                           "f49be7c3a842528237752f7a3d61e2a4"
+                           "d3cc08fd371cb345dfe17bbab5886f0d"),
+    "tensor_quadrifocal": (["tensor", "--kind", "quadrifocal", "--scene"],
+                           "tensor", 0,
+                           "7ecf693f28470b906d11d767be3a3561"
+                           "339ba8341d1aed45e66d91ee568fd673"),
+    "tensor_mixed": (["tensor", "--kind", "mixed", "--scene"], "tensor", 0,
+                     "68be46e749635a908f92b26a31f0439b"
+                     "515f3715e217ce5f3ec19e6396fa788c"),
+    "tensor_mixed_exact": (["tensor", "--kind", "mixed", "--exact",
+                            "--scene"], "tensor", 0,
+                           "b98a0e2c3ba2b2debbbbcb3ac3ab10bf"
+                           "ecc0f68fae94680e01c8e01cabeef0b9"),
+    "invariant": (["invariant", "--tensor"], "invariant", 0,
+                  "978c8b6237d2949a7f5597b92c4801e0"
+                  "643c9afbe9f2e419fe87e99eb24a6d05"),
+    "invariant_exact": (["invariant", "--exact", "--tensor"], "invariant",
+                        0,
+                        "098498d21cfb50c28908cdb8b51ea93e"
+                        "065d537f4f5bb22a6c657253e9d0889c"),
+    "multidegree": (["multidegree", "3"], None, 0,
+                    "58d7ebe672da76937b2d482f2d771188"
+                    "fc3aedaff5e68a2f283d5c6b66d6c300"),
+    "project_csv": (["project", "--format", "csv", "--scene"], "project", 0,
+                    "8ef5ace24bfd1ddc8276174ea8b4b778"
+                    "a7fcedc0d8d8b4f6541c033ca612f35e"),
 }
 
 
@@ -157,9 +218,11 @@ REPORTS = {
 def test_report_bytes_are_pinned(name, capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("GVCAM_TOL", raising=False)
     argv, scene, code, digest = REPORTS[name]
-    path = tmp_path / (scene + ".json")
-    path.write_text(json.dumps(SCENES[scene]))
-    argv = argv + [str(path), "--seed", "5"]
+    if scene is not None:
+        path = tmp_path / (scene + ".json")
+        path.write_text(json.dumps(SCENES[scene]))
+        argv = argv + [str(path)]
+    argv = argv + ["--seed", "5"]
     if scene in POINTS:
         points = tmp_path / (scene + "_points.json")
         points.write_text(json.dumps(POINTS[scene]))

@@ -409,6 +409,27 @@ def test_cli_project_exact_huge_coordinates(capsys, tmp_path):
     assert errors == [(1, 0), (1, 1), (1, 2), (1, 3), (2, 2), (3, 3)]
 
 
+def test_cli_project_huge_float_points_on_twisted_cubic(capsys, tmp_path):
+    """A float point whose twisted-cubic line, or the fourth power of its
+    norm, overflows the float range exits 2 with DegenerateInput naming
+    it, with or without a homography; it is not reported as focal."""
+    rig = [{"type": "pinhole", "center": [0, 0, 0, 1]},
+           {"type": "twisted_cubic"}]
+    moved = [rig[0], {"type": "twisted_cubic",
+                      "homography": [[1, 0, 0, 0], [1, 1, 0, 0],
+                                     [0, 0, 1, 0], [0, 0, 1, 1]]}]
+    for k, huge in enumerate(([1e80, 1, 1, 1], [1, 1e60, 1, 1],
+                              [1, 1, 1e100, 1])):
+        for cams in (rig, moved):
+            points = [[1, 2, 3, 1], [2, -1, 1, 1], huge]
+            scene = write_json(tmp_path / ("huge%d.json" % k),
+                               {"version": 1, "rig": cams, "points": points})
+            rc, err = _check_error(capsys, ["project", "--scene", scene])
+            assert rc == 2 and err["error"] == "DegenerateInput", huge
+            assert err["message"].startswith("points[2]"), (huge, err)
+            assert "float range" in err["message"]
+
+
 def test_cli_check_exact_names_huge_generators(capsys, tmp_path):
     """A concurrency rejection under --exact whose worst generator is
     beyond the float range is named, with the residual's exact string."""
