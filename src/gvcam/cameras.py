@@ -21,22 +21,22 @@ Projections always return lines in the fixed primal coordinate order
 ``project`` takes one point or an (N, 4) stack of points.  One point
 returns its line or raises FocalPoint; a stack returns the (N, 6) lines
 (zero in the rows of focal points) and a dict from each focal row to its
-FocalPoint message.  Real float64 stacks against float cameras go through
-one numpy pass per camera for the pinhole, two-slit, pushbroom and
-twisted-cubic kinds (one point is a stack of one), with the scalar
-expressions on arrays so that every value is the scalar one; powers go
-through the scalar ``**`` element by element, since numpy's array power
-rounds differently from libm ``pow``.  Fraction and complex stacks, and
-the Type3 and Type4 kinds (whose binary forms are sums of powers), take
-the scalar reference, row by row.  The panoramic kinds raise
-UnsupportedOrder for any input.
+FocalPoint message.  ``congruence_residual`` takes one line or an (N, 6)
+stack of lines and returns one residual per line, which does not depend
+on the projective scale of the line or of the camera's data.
 
-``congruence_residual`` takes one line or an (N, 6) stack of lines.  Real
-float64 input is evaluated as a stack (one line is a stack of one) with
-per-camera constants computed at construction; Fraction and complex input
-take the scalar reference expressions, row by row for a stack.  Either
-way the residual does not depend on the projective scale of the line or
-of the camera's data.
+Each kind implements both as one array expression on a stack (one point
+or line is a stack of one), evaluated in one number type: Fractions when
+the input and the camera's data are exact, else floats, which is what
+Python's mixed Fraction-float arithmetic gives.  The expressions are the
+scalar ones applied to the stack's columns, so every float value is the
+scalar one bit for bit; powers go through :func:`numeric.power`, since
+numpy's array ``**`` rounds differently from libm ``pow``.  Fraction
+stacks project exactly and their focal tests compare with zero exactly;
+their residuals are floats, with an exact numerator for the pinhole and
+two-slit kinds (so that exact members give 0.0), and computed from the
+rounded lines for the others.  The panoramic kinds raise UnsupportedOrder
+from ``project``.
 """
 
 from __future__ import annotations
@@ -49,11 +49,12 @@ from .errors import (DegenerateInput, FocalPoint, IllConditioned,
                      InvalidSlit, DegenerateCubic, UnsupportedOrder)
 from .numeric import (DEFAULT_TOL, FOCAL_EPS, ZERO_EPS, _scaled_rows, as_float,
                       binary_eval, binary_roots, compound2, is_exact,
-                      negligible, norm, proj_normalize, row_norms, unitize,
-                      unitize_rows, vec)
-from .plucker import (_primal_stack, dual_line, incidence, line_from_planes,
-                      line_from_points, plucker_quadric, primal_matrix,
-                      point_line_residual, line_residual, wedge)
+                      negligible, negligible_rows, norm, parse_vector, power,
+                      row_norms, unit_rows, unitize, unitize_rows, vec,
+                      vector_payload)
+from .plucker import (_primal_stack, incidence, line_residual,
+                      plucker_quadric, point_line_residual, primal_matrix,
+                      wedge)
 
 __all__ = [
     "Pinhole", "TwoSlit", "Pushbroom", "TwistedCubic", "Type3", "Type4",
@@ -117,6 +118,18 @@ def _system_residual(forms, s, t) -> float:
     return max(abs(complex(binary_eval(f, su, tu))) for f in forms) / scale
 
 
+def _forms_residual(forms, curve: RationalCurve) -> float:
+    """Smallest joint residual of the binary forms over their candidate
+    common roots; 0.0 when every form vanishes (next to the curve's
+    scale) or no candidate is left."""
+    if max(norm(f) for f in forms) <= 1e-14 * curve.scale():
+        return 0.0
+    cands = _candidate_roots(forms)
+    if not cands:
+        return 0.0
+    return min(_system_residual(forms, s, t) for (s, t) in cands)
+
+
 def line_curve_residual(p, curve: RationalCurve) -> float:
     """How far the line is from meeting the curve: minimal joint residual
     of the four incidence forms (P * X(s,t)) over candidate parameters."""
@@ -127,12 +140,7 @@ def line_curve_residual(p, curve: RationalCurve) -> float:
          for k in range(curve.degree + 1)]
         for i in range(4)
     ]
-    if max(norm(f) for f in forms) <= 1e-14 * curve.scale():
-        return 0.0  # line annihilated by every point of the curve
-    cands = _candidate_roots(forms)
-    if not cands:
-        return 0.0
-    return min(_system_residual(forms, s, t) for (s, t) in cands)
+    return _forms_residual(forms, curve)
 
 
 def line_meets_curve(p, curve: RationalCurve, tol: float = DEFAULT_TOL) -> bool:
@@ -156,12 +164,7 @@ def point_curve_residual(x, curve: RationalCurve) -> float:
         for j in range(i + 1, 4):
             forms.append([x[i] * curve.coords[j][k] - x[j] * curve.coords[i][k]
                           for k in range(curve.degree + 1)])
-    if max(norm(f) for f in forms) <= 1e-14 * curve.scale():
-        return 0.0
-    cands = _candidate_roots(forms)
-    if not cands:
-        return 0.0
-    return min(_system_residual(forms, s, t) for (s, t) in cands)
+    return _forms_residual(forms, curve)
 
 
 # --------------------------------------------------------------------------
@@ -172,93 +175,70 @@ def point_curve_residual(x, curve: RationalCurve) -> float:
 HOMOGRAPHY_EPS = 1e-12
 
 
-def _residuals(p, reference, float_rows=None):
-    """Congruence residual of one line, or of each row of an (N, 6) stack.
-
-    Real float64 input goes through ``float_rows`` on a C-contiguous
-    (N, 6) stack, one line being a stack of one; any other input (Fraction,
-    complex), and every input when ``float_rows`` is None, goes through
-    the scalar ``reference``, row by row for a stack.  A Fraction row
-    comes to it divided exactly by its largest coordinate.
-    """
-    p = _scaled_rows(vec(p))
-    if float_rows is not None and p.dtype == np.float64:
-        r = float_rows(np.ascontiguousarray(np.atleast_2d(p)))
-        return r if p.ndim == 2 else float(r[0])
-    if p.ndim == 2:
-        return np.array([reference(q) for q in p])
-    return reference(p)
+def _common_stack(x, data):
+    """``x`` (one row or a stack) as a C-contiguous 2-d stack, and the
+    camera's ``data`` (a tuple of arrays; None stands for no array), in one
+    number type: Fractions when x and every array are exact, else floats
+    (``as_float`` of each), which is what Python's mixed Fraction-float
+    arithmetic gives."""
+    X = np.atleast_2d(x)
+    if not (is_exact(X) and all(is_exact(d) for d in data if d is not None)):
+        X, data = as_float(X), [as_float(d) for d in data]
+    return np.ascontiguousarray(X), data
 
 
-def _projections(cam, x, float_path=False):
+def _residuals(cam, p, *data):
+    """Congruence residual of one line, or of each row of an (N, 6) stack:
+    ``cam._residuals`` of the stack and ``data`` in one number type (see
+    :func:`_common_stack`), each exact row first divided exactly by its
+    largest coordinate."""
+    P = _scaled_rows(vec(p))
+    stack, data = _common_stack(P, data)
+    r = cam._residuals(stack, *data)
+    return r if P.ndim == 2 else float(r[0])
+
+
+def _projections(cam, x, *data):
     """``cam``'s line of one point, or ``(lines, focal)`` for an (N, 4)
     stack (see the module docstring).
 
-    With ``float_path`` (the camera's data is float64), float64 input
-    goes through ``cam._float_project`` on a C-contiguous stack, one point
-    being a stack of one; it returns the lines and the mask of focal rows,
-    whose message is ``cam._focal_message``.  Any other input (Fraction,
-    complex), and every input without ``float_path``, goes through the
-    scalar ``cam._reference_project``, which raises FocalPoint, row by row.
+    ``cam._project`` takes the stack and ``data`` in one number type (see
+    :func:`_common_stack`) and returns the lines and its focal tests, in
+    order of priority: (message, v, eps, scale) for the rows where the
+    stack ``v`` is zero (:func:`numeric.negligible_rows`).  A float point
+    whose line has no finite norm, or whose scale in a test is not finite,
+    is too large for the float range: DegenerateInput names it, and it is
+    not a focal point.
     """
     X = vec(x)
-    if float_path and X.dtype == np.float64:
-        lines, hit = cam._float_project(np.ascontiguousarray(np.atleast_2d(X)))
-        lines[hit] = 0.0
-        focal = dict.fromkeys(np.flatnonzero(hit).tolist(), cam._focal_message)
-        if X.ndim == 2:
-            return lines, focal
-        if focal:
-            raise FocalPoint(focal[0])
-        return lines[0]
-    if X.ndim == 1:
-        return cam._reference_project(X)
-    lines, focal = None, {}
-    for k, row in enumerate(X):
-        try:
-            line = cam._reference_project(row)
-        except FocalPoint as exc:
-            focal[k] = str(exc)
-            continue
-        if lines is None:
-            lines = np.zeros((len(X), 6), dtype=line.dtype)
-        lines[k] = line
-    if lines is None:
-        lines = np.zeros((len(X), 6), dtype=X.dtype)
-    return lines, focal
+    stack, data = _common_stack(X, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lines, tests = cam._project(stack, *data)
+        hits = [(message, negligible_rows(
+                    v, lambda: _in_float_range(scale(), lines), eps))
+                for message, v, eps, scale in tests]
+    focal = {}
+    for message, hit in reversed(hits):
+        focal.update(dict.fromkeys(np.flatnonzero(hit).tolist(), message))
+        lines[hit] = 0
+    focal = dict(sorted(focal.items()))
+    if X.ndim == 2:
+        return lines, focal
+    if focal:
+        raise FocalPoint(focal[0])
+    return lines[0]
 
 
-def _reject_focal(v, message, scale):
-    """Raise FocalPoint(message) when the projection ``v`` is zero: exactly
-    for Fractions, else within FOCAL_EPS of ``scale()``, a float that is
-    only computed for float ``v``."""
-    if negligible(v, 1.0 if is_exact(v) else scale(), FOCAL_EPS):
-        raise FocalPoint(message)
-
-
-# Below this norm s of a point, s^4 and every coordinate of its secant
-# stay in the float range: each f_i of :func:`_secant` is at most 2 s^2
-# in size, and each coordinate (and partial sum) at most 6 s^4 < max.
-_SECANT_RANGE = (np.finfo(np.float64).max / 8) ** 0.25
-
-
-def _check_float_range(ok):
-    """Raise DegenerateInput naming the first point of a stack whose entry
-    of ``ok`` is False, that is, whose projection overflows the float
-    range."""
+def _in_float_range(scale, lines):
+    """``scale`` (one per row), once it and the norm of every row of
+    ``lines`` are finite; else DegenerateInput naming the first point
+    whose projection overflows the float range."""
+    ok = np.isfinite(scale) & np.isfinite(row_norms(lines))
     if not ok.all():
         raise DegenerateInput(
             "points[%d] is too large: its projection overflows the float "
             "range" % np.argmin(ok))
-
-
-def _pow(a, e):
-    """``a ** e``; for a float array, element by element through the
-    scalar ``**`` (libm ``pow``), which numpy's array power does not
-    round like."""
-    if isinstance(a, np.ndarray):
-        return (a.astype(object) ** e).astype(np.float64)
-    return a ** e
+    return scale
 
 
 @dataclass(frozen=True)
@@ -271,28 +251,20 @@ class Pinhole:
         object.__setattr__(self, "center", vec(self.center))
         if not np.any(self.center):
             raise DegenerateInput("pinhole center must be a point")
-        object.__setattr__(self, "_unit_center",
-                           unitize(as_float(_scaled_rows(self.center))))
+        object.__setattr__(self, "_scaled_center", _scaled_rows(self.center))
 
     kind = "pinhole"
     bidegree = (1, 0)
-    _focal_message = "world point coincides with the center"
 
     def project(self, x):
-        return _projections(self, x, self.center.dtype == np.float64)
+        return _projections(self, x, self.center)
 
-    def _reference_project(self, x):
-        try:
-            return line_from_points(self.center, x)
-        except DegenerateInput:
-            raise FocalPoint(self._focal_message) from None
-
-    def _float_project(self, X):
+    def _project(self, X, c):
         # line_from_points: the wedge, and its zero test against
         # norm(center) * norm(x)
-        lines = wedge(self.center, X)
-        scale = norm(self.center) * row_norms(X)
-        return lines, row_norms(lines) <= ZERO_EPS * scale
+        lines = wedge(c, X)
+        return lines, [("world point coincides with the center", lines,
+                        ZERO_EPS, lambda: norm(c) * row_norms(X))]
 
     def focal_residual(self, x) -> float:
         # sine of the angle between x and the center
@@ -300,18 +272,14 @@ class Pinhole:
             norm(self.center) * norm(vec(x)))
 
     def congruence_residual(self, p):
-        return _residuals(p, self._reference_residual, self._float_residuals)
+        return _residuals(self, p, self._scaled_center)
 
-    def _reference_residual(self, p):
-        c = proj_normalize(self.center)
-        return norm(primal_matrix(p) @ c) / (norm(p) * norm(c))
-
-    def _float_residuals(self, P):
-        return row_norms(np.matvec(_primal_stack(unitize_rows(P)),
-                                   self._unit_center))
+    def _residuals(self, P, center):
+        # |P c| / (|P| |c|), with an exact numerator for exact input
+        (U, n), (c, nc) = unit_rows(P), unit_rows(center)
+        return row_norms(as_float(np.matvec(_primal_stack(U), c))) / (n * nc)
 
     def payload(self):
-        from .numeric import vector_payload
         return {"type": "pinhole", "center": vector_payload(self.center)}
 
 
@@ -335,61 +303,48 @@ class TwoSlit:
                 raise InvalidSlit("slit is not on the line quadric")
         if negligible(incidence(unitize(s1), unitize(s2)), eps=1e-9):
             raise InvalidSlit("slits must be skew (they meet)")
-        object.__setattr__(self, "_unit_slits",
-                           tuple(unitize(as_float(_scaled_rows(s)))
-                                 for s in (s1, s2)))
+        object.__setattr__(self, "_scaled_slits",
+                           tuple(_scaled_rows(s) for s in (s1, s2)))
 
     kind = "two_slit"
     bidegree = (1, 1)
-    _focal_message = "world point lies on a slit"
-
-    def projection_matrix(self, x):
-        """P x x^T Q - Q x x^T P of one point, or of each row of an (N, 4)
-        float stack as (N, 4, 4) with the same 4x4 products."""
-        x = vec(x)
-        P, Q = primal_matrix(self.slit1), primal_matrix(self.slit2)
-        xxT = x[..., :, None] * x[..., None, :]     # np.outer of each row
-        return P @ xxT @ Q - Q @ xxT @ P
 
     def project(self, x):
-        return _projections(self, x,
-                            self.slit1.dtype == self.slit2.dtype == np.float64)
+        return _projections(self, x, self.slit1, self.slit2)
 
-    def _reference_project(self, x):
-        M = self.projection_matrix(x)
-        r = vec([M[2][3], -M[1][3], M[1][2], M[0][3], -M[0][2], M[0][1]])
-        _reject_focal(r, self._focal_message, lambda: norm(self.slit1)
-                      * norm(self.slit2) * norm(x) ** 2)
-        return r
-
-    def _float_project(self, X):
-        M = self.projection_matrix(X)
+    def _project(self, X, s1, s2):
+        M = _slit_matrix(X, s1, s2)
         lines = np.stack([M[:, 2, 3], -M[:, 1, 3], M[:, 1, 2], M[:, 0, 3],
                           -M[:, 0, 2], M[:, 0, 1]], axis=-1)
-        scale = norm(self.slit1) * norm(self.slit2) * _pow(row_norms(X), 2)
-        return lines, row_norms(lines) <= FOCAL_EPS * scale
+        return lines, [("world point lies on a slit", lines, FOCAL_EPS,
+                        lambda: norm(s1) * norm(s2) * power(row_norms(X), 2))]
 
     def focal_residual(self, x) -> float:
         return (point_line_residual(x, self.slit1)
                 * point_line_residual(x, self.slit2))
 
     def congruence_residual(self, p):
-        return _residuals(p, self._reference_residual, self._float_residuals)
+        return _residuals(self, p, *self._scaled_slits)
 
-    def _reference_residual(self, p):
-        return max(abs(incidence(p, s)) / (norm(p) * norm(s)) for s in
-                   map(proj_normalize, (self.slit1, self.slit2)))
-
-    def _float_residuals(self, P):
-        U = unitize_rows(P).T
-        s1, s2 = self._unit_slits
-        return np.maximum(np.abs(incidence(U, s1)), np.abs(incidence(U, s2)))
+    def _residuals(self, P, *slits):
+        # the larger |incidence(p, s)| / (|p| |s|) of the two slits, with
+        # an exact numerator for exact input
+        U, n = unit_rows(P)
+        return np.maximum(*[np.abs(as_float(incidence(U.T, s))) / (n * ns)
+                            for s, ns in map(unit_rows, slits)])
 
     def payload(self):
-        from .numeric import vector_payload
         return {"type": "two_slit",
                 "slits": [vector_payload(self.slit1),
                           vector_payload(self.slit2)]}
+
+
+def _slit_matrix(x, s1, s2):
+    """P x x^T Q - Q x x^T P of one point, or of each row of a stack as
+    (N, 4, 4) with the same 4x4 products, P and Q the slits' matrices."""
+    P, Q = primal_matrix(s1), primal_matrix(s2)
+    xxT = x[..., :, None] * x[..., None, :]     # np.outer of each row
+    return P @ xxT @ Q - Q @ xxT @ P
 
 
 def pushbroom_infinity_slit(p):
@@ -412,13 +367,9 @@ class Pushbroom(TwoSlit):
         TwoSlit.__init__(self, s, pushbroom_infinity_slit(s))
 
     kind = "pushbroom"
-
-    @property
-    def slit(self):
-        return self.slit1
+    slit = property(lambda self: self.slit1)
 
     def payload(self):
-        from .numeric import vector_payload
         return {"type": "pushbroom", "slit": vector_payload(self.slit)}
 
 
@@ -429,16 +380,17 @@ def _secant(x0, x1, x2, x3):
     f1 = x1 * x3 - x2 * x2
     f2 = x0 * x2 - x1 * x1
     f3 = x0 * x3 - x1 * x2
-    big = (x0 * _pow(x2, 3) + _pow(x1, 3) * x3 - 3 * x0 * x2 * x1 * x3
-           + _pow(x0, 2) * _pow(x3, 2))
+    big = (x0 * power(x2, 3) + power(x1, 3) * x3 - 3 * x0 * x2 * x1 * x3
+           + power(x0, 2) * power(x3, 2))
     return [f2 * f2, f2 * f3, big, f1 * f2, f1 * f3, f1 * f1]
 
 
 def secant_quadrics(p):
     """The five quadrics (beyond the line quadric) cutting out the secant
-    congruence of the standard twisted cubic."""
+    congruence of the standard twisted cubic (of each column of a (6, N)
+    stack, as (5, N))."""
     p01, p02, p03, p12, p13, p23 = vec(p)
-    return vec([
+    return np.array([
         p13 * p13 - p03 * p23 - p12 * p23,
         p12 * p13 - p02 * p23,
         p12 * p12 - p01 * p23,
@@ -450,8 +402,7 @@ def secant_quadrics(p):
 def secant_system(x):
     """6x6 bilinear system whose rank-5 nullvector is the secant through x
     (standard twisted cubic, normal coordinates)."""
-    x = vec(x)
-    x0, x1, x2, x3 = x
+    x0, x1, x2, x3 = x = vec(x)
     return np.array([
         [0, 0, 0, x3, -x2, x1],
         [0, 0, 0, x2, -x1, x0],
@@ -492,7 +443,6 @@ class TwistedCubic:
 
     kind = "twisted_cubic"
     bidegree = (1, 3)
-    _focal_message = "world point lies on the twisted cubic"
 
     def curve(self) -> RationalCurve:
         if self.homography is None:
@@ -504,49 +454,26 @@ class TwistedCubic:
             for i in range(4)))
 
     def project(self, x):
-        return _projections(self, x, True)
+        # with a homography the point goes through its float inverse
+        return _projections(self, x, self._inverse)
 
-    def _reference_project(self, x):
-        xn = x if self.homography is None else vec(
-            (self._inverse @ as_float(x)).tolist())
-        ell = vec(_secant(*xn))
-        _reject_focal(ell, self._focal_message, lambda: norm(xn) ** 4)
-        if self.homography is None:
-            return ell
-        return vec((self._line_map @ as_float(ell)).tolist())
-
-    def _float_project(self, X):
-        Xn = X if self._inverse is None else np.matvec(self._inverse, X)
-        with np.errstate(over="ignore"):
-            scale = row_norms(Xn)
-            _check_float_range(scale <= _SECANT_RANGE)
-            lines = np.stack(_secant(*Xn.T), axis=-1)
-            size = row_norms(lines)
-            hit = size <= FOCAL_EPS * _pow(scale, 4)
-            if self._line_map is not None:
-                lines = np.matvec(self._line_map, lines)
-                size = row_norms(lines)
-        _check_float_range(np.isfinite(size))
-        return lines, hit
-
-    def normalized_line(self, p):
-        if self.homography is None:
-            return vec(p)
-        return vec((self._line_inverse @ as_float(vec(p))).tolist())
+    def _project(self, X, inverse):
+        Xn = X if inverse is None else np.matvec(inverse, X)
+        ell = np.stack(_secant(*Xn.T), axis=-1)
+        lines = ell if self._line_map is None else np.matvec(self._line_map,
+                                                             ell)
+        return lines, [("world point lies on the twisted cubic", ell,
+                        FOCAL_EPS, lambda: power(row_norms(Xn), 4))]
 
     def focal_residual(self, x) -> float:
         xn = x if self.homography is None else self._inverse @ as_float(vec(x))
         return point_curve_residual(xn, TWISTED_CUBIC_CURVE)
 
     def congruence_residual(self, p):
-        return _residuals(p, self._reference_residual, self._float_residuals)
+        return _residuals(self, p)
 
-    def _reference_residual(self, p):
-        pn = unitize(as_float(self.normalized_line(p)))
-        vals = np.abs(as_float(secant_quadrics(pn)))
-        return float(max(np.max(vals), line_residual(pn)))
-
-    def _float_residuals(self, P):
+    def _residuals(self, P):
+        P = as_float(P)
         if self._line_inverse is not None:
             P = np.matvec(self._line_inverse, P)
         pn = unitize_rows(P)
@@ -564,7 +491,6 @@ class TwistedCubic:
     def payload(self):
         out = {"type": "twisted_cubic"}
         if self.homography is not None:
-            from .numeric import vector_payload
             out["homography"] = [vector_payload(row) for row in self.homography]
         return out
 
@@ -647,15 +573,8 @@ class Type3:
         object.__setattr__(self, "h", h)
 
     kind = "type3"
-
-    @property
-    def beta(self) -> int:
-        return len(self.g) - 1
-
-    @property
-    def bidegree(self):
-        return (1, self.beta)
-
+    beta = property(lambda self: len(self.g) - 1)
+    bidegree = property(lambda self: (1, self.beta))
     base_line = property(lambda self: vec([0.0, 0, 0, 0, 0, 1]))
 
     def curve(self) -> RationalCurve:
@@ -663,25 +582,12 @@ class Type3:
         return RationalCurve(
             (tuple(f) + (0,), (0,) + tuple(f), tuple(g), tuple(h)))
 
-    def curve_point(self, x):
-        x = vec(x)
-        fv = binary_eval(self.f, x[0], x[1])
-        return vec([x[0] * fv, x[1] * fv,
-                    binary_eval(self.g, x[0], x[1]),
-                    binary_eval(self.h, x[0], x[1])])
-
     def project(self, x):
-        return _projections(self, x)
+        return _projections(self, x, self.f, self.g, self.h)
 
-    def _reference_project(self, x):
-        y = self.curve_point(x)
-        _reject_focal(y, "world point lies on the base line",
-                      lambda: norm(x) ** self.beta
-                      * max(norm(self.f), norm(self.g), norm(self.h)))
-        try:
-            return line_from_points(x, y)
-        except DegenerateInput:
-            raise FocalPoint("world point lies on the curve") from None
+    def _project(self, X, *data):
+        return _pencil_project(X, data, self.beta,
+                               "world point lies on the curve")
 
     def focal_residual(self, x) -> float:
         x = as_float(vec(x))
@@ -689,10 +595,12 @@ class Type3:
         return min(on_line, point_curve_residual(x, self.curve()))
 
     def congruence_residual(self, p):
-        return _residuals(p, lambda q: _pencil_residual(q, self.curve_point))
+        return _residuals(self, p)
+
+    def _residuals(self, P):
+        return _pencil_residuals(P, (self.f, self.g, self.h))
 
     def payload(self):
-        from .numeric import vector_payload
         return {"type": "type3", "f": vector_payload(self.f),
                 "g": vector_payload(self.g), "h": vector_payload(self.h)}
 
@@ -721,65 +629,78 @@ class Type4:
         object.__setattr__(self, "h", h)
 
     kind = "type4"
-
-    @property
-    def beta(self) -> int:
-        return len(self.g) - 1
-
-    @property
-    def bidegree(self):
-        return (1, self.beta)
-
+    beta = property(lambda self: len(self.g) - 1)
+    bidegree = property(lambda self: (1, self.beta))
     base_line = property(lambda self: vec([0.0, 0, 0, 0, 0, 1]))
 
-    def target_point(self, x):
-        x = vec(x)
-        return vec([0, 0, binary_eval(self.g, x[0], x[1]),
-                    binary_eval(self.h, x[0], x[1])])
-
     def project(self, x):
-        return _projections(self, x)
+        return _projections(self, x, self.g, self.h)
 
-    def _reference_project(self, x):
-        y = self.target_point(x)
-        _reject_focal(y, "world point lies on the base line",
-                      lambda: norm(x) ** self.beta
-                      * max(norm(self.g), norm(self.h)))
-        try:
-            return line_from_points(x, y)
-        except DegenerateInput:
-            raise FocalPoint("world point maps into the base line") from None
+    def _project(self, X, *data):
+        return _pencil_project(X, (None, *data), self.beta,
+                               "world point maps into the base line")
 
     def focal_residual(self, x) -> float:
         x = as_float(vec(x))
         return norm(x[:2]) / norm(x)
 
     def congruence_residual(self, p):
-        return _residuals(p, lambda q: _pencil_residual(q, self.target_point))
+        return _residuals(self, p)
+
+    def _residuals(self, P):
+        return _pencil_residuals(P, (None, self.g, self.h))
 
     def payload(self):
-        from .numeric import vector_payload
         return {"type": "type4", "g": vector_payload(self.g),
                 "h": vector_payload(self.h)}
 
 
-def _pencil_residual(p, point_of) -> float:
-    """Membership residual of the Type3/Type4 congruence whose line in the
-    plane through L = V(x0, x1) with pencil parameter (s:t) passes through
-    ``point_of((s, t, 0, 0))``: p must meet L, its meets with x2 = 0 and
+def _curve_points(X, f, g, h):
+    """The point (s f : t f : g : h) of a Type3 curve at (s : t) = (x0 : x1)
+    of each row of a stack, or Type4's (0 : 0 : g : h) when f is None."""
+    s, t = X[:, 0], X[:, 1]
+    gv, hv = binary_eval(g, s, t), binary_eval(h, s, t)
+    if f is None:
+        zero = np.zeros_like(gv)
+        return np.stack([zero, zero, gv, hv], axis=-1)
+    fv = binary_eval(f, s, t)
+    return np.stack([s * fv, t * fv, gv, hv], axis=-1)
+
+
+def _pencil_project(X, data, beta, message):
+    """The Type3/Type4 projection of a stack, ``data`` = (f, g, h) with f
+    None for Type4: the join of each point x and its curve point Y at
+    (x0 : x1); x is focal on the base line L = V(x0, x1) (Y = 0) and, with
+    ``message``, where the join is 0."""
+    Y = _curve_points(X, *data)
+    lines = wedge(X, Y)
+    return lines, [
+        ("world point lies on the base line", Y, FOCAL_EPS,
+         lambda: power(row_norms(X), beta)
+         * max(norm(d) for d in data if d is not None)),
+        (message, lines, ZERO_EPS, lambda: row_norms(X) * row_norms(Y))]
+
+
+def _pencil_residuals(P, data):
+    """Residual of each line of a stack, in floats, in the Type3/Type4
+    congruence of ``data`` (as in :func:`_pencil_project`), whose line in
+    the plane through L with pencil parameter (s:t) passes through the
+    curve point at (s, t, 0, 0): p must meet L, its meets with x2 = 0 and
     x3 = 0 must share one (x0:x1), and it must pass through that point."""
-    pn = unitize(as_float(vec(p)))
-    c1 = np.array([pn[1], pn[3]])   # (p02, p12): meet with x2 = 0
-    c2 = np.array([pn[2], pn[4]])   # (p03, p13): meet with x3 = 0
-    x01 = c1 if norm(c1) >= norm(c2) else c2
-    if norm(x01) <= 1e-14:
-        return max(abs(pn[0]), line_residual(pn))
-    w = point_of(vec([x01[0], x01[1], 0.0, 0.0]))
-    vals = [abs(pn[0]), abs(pn[1] * pn[4] - pn[2] * pn[3]),
-            line_residual(pn)]
-    if norm(w) > 1e-14:
-        vals.append(point_line_residual(w, pn))
-    return max(vals)
+    pn = unitize_rows(as_float(P))
+    c1 = pn[:, [1, 3]]      # (p02, p12): meet with x2 = 0
+    c2 = pn[:, [2, 4]]      # (p03, p13): meet with x3 = 0
+    n1, n2 = row_norms(c1), row_norms(c2)
+    x01 = np.where((n1 >= n2)[:, None], c1, c2)
+    W = _curve_points(np.concatenate([x01, np.zeros_like(x01)], axis=1),
+                      *map(as_float, data))
+    r = np.maximum(np.abs(pn[:, 0]), line_residual(pn))
+    meets = np.maximum(n1, n2) > 1e-14
+    r[meets] = np.maximum(r[meets], np.abs(pn[meets, 1] * pn[meets, 4]
+                                           - pn[meets, 2] * pn[meets, 3]))
+    on = meets & (row_norms(W) > 1e-14)
+    r[on] = np.maximum(r[on], point_line_residual(W[on], pn[on]))
+    return r
 
 
 def reference_type3() -> Type3:
@@ -809,13 +730,17 @@ class PanoramicNC:
                                "use panoramic_fibers")
 
     def generator_values(self, p):
-        p = vec(p)
-        return vec([p[3], p[2] ** 2 - p[4] ** 2 - p[5] ** 2,
-                    plucker_quadric(p)])
+        """The generators at one line, or at each row of an (N, 6) stack."""
+        p = vec(p).T
+        return np.stack([p[3], power(p[2], 2) - power(p[4], 2)
+                         - power(p[5], 2), plucker_quadric(p)], axis=-1)
 
     def congruence_residual(self, p):
-        return _residuals(p, lambda q: float(np.max(np.abs(as_float(
-            self.generator_values(unitize(as_float(q))))))))
+        return _residuals(self, p)
+
+    def _residuals(self, P):
+        return np.max(np.abs(self.generator_values(unitize_rows(as_float(P)))),
+                      axis=-1)
 
     def focal_residual(self, x) -> float:
         x = unitize(as_float(vec(x)))
@@ -839,13 +764,17 @@ class PanoramicStereo:
                                "use panoramic_fibers")
 
     def generator_values(self, p):
-        p = vec(p)
-        return vec([p[2], p[3] ** 2 - p[1] ** 2 - p[0] ** 2,
-                    plucker_quadric(p)])
+        """The generators at one line, or at each row of an (N, 6) stack."""
+        p = vec(p).T
+        return np.stack([p[2], power(p[3], 2) - power(p[1], 2)
+                         - power(p[0], 2), plucker_quadric(p)], axis=-1)
 
     def congruence_residual(self, p):
-        return _residuals(p, lambda q: float(np.max(np.abs(as_float(
-            self.generator_values(unitize(as_float(q))))))))
+        return _residuals(self, p)
+
+    def _residuals(self, P):
+        return np.max(np.abs(self.generator_values(unitize_rows(as_float(P)))),
+                      axis=-1)
 
     def focal_residual(self, x) -> float:
         x = unitize(as_float(vec(x)))
@@ -880,7 +809,6 @@ def congruence_residual(cam, p):
 
 def camera_from_payload(data, exact: bool = False):
     """Build a camera from its JSON descriptor."""
-    from .numeric import parse_vector
     kind = data.get("type")
 
     def field(key):

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
+from fractions import Fraction
+from numbers import Rational, Real
 
 import numpy as np
 
@@ -21,8 +22,9 @@ from .errors import (DegenerateInput, FocalConfiguration, IsotropicDirection,
                      IsotropicPlane, IsotropicTangent, NotOnSurface,
                      SingularIntersection, SingularPoint)
 from .numeric import (DEFAULT_TOL, FORM_EPS, REAL_EPS, ZERO_EPS, as_float,
-                      binary_mul, binary_roots, compound2, is_exact,
-                      negligible, negligible_each, norm, realify, row_norms, unitize,
+                      binary_roots, compound2, format_scalar, is_exact,
+                      negligible_each, norm, parse_scalar, power,
+                      projective_distance, realify, row_norms, unitize,
                       unitize_rows, vec)
 from .plucker import (dual_line, line_from_planes, line_from_points,
                       meet_point, point_line_residual, points_on_line,
@@ -112,25 +114,19 @@ def _parse_exponents(key):
     return parts
 
 
-def _float_rows(x):
-    """A point or stack of points as a 2-d float array of at least float64
-    precision (integer and float32 input is widened)."""
-    X = np.atleast_2d(as_float(x))
-    return X.astype(np.result_type(X, np.float64), copy=False)
-
-
 @dataclass(frozen=True)
 class MirrorSurface:
     """Smooth surface V(f) for a homogeneous polynomial f of degree d with
     real coefficients, stored as {exponent 4-tuple: coefficient}.
 
-    Float and complex inputs are evaluated as stacks: every method takes
-    one point (or pair of points) or an (n, 4) stack of them, and loops
-    over the monomials, not over the points.  Exact (object) inputs take
-    the monomial loop over Python numbers, the reference of the float
-    path.  Both multiply in the same order, and a float input meets the
-    coefficient c as ``float(c)``, and ``float(c * e)`` in the gradient,
-    which is what Python's mixed Fraction-float product does.
+    Every method takes one point (or pair of points) or an (n, 4) stack
+    of them, and loops over the monomials, not over the points, with the
+    same array expressions on float (or complex) stacks and, when every
+    input and coefficient is exact, on Fraction stacks.  A float input
+    meets the coefficient c as ``float(c)``, and ``float(c * e)`` in the
+    gradient, which is what Python's mixed Fraction-float product does;
+    powers go through :func:`numeric.power`, which rounds as the scalar
+    ``**`` does.
     """
 
     degree: int
@@ -159,6 +155,11 @@ class MirrorSurface:
         object.__setattr__(self, "coeffs", tuple(sorted(table)))
         object.__setattr__(self, "_scale", max(abs(complex(v))
                                                for _, v in self.coeffs))
+        # the table for Fraction stacks, when every coefficient is rational
+        exact = all(isinstance(c, Rational) for _, c in self.coeffs)
+        object.__setattr__(self, "_exact_terms", tuple(
+            (expo, c, tuple(c * e for e in expo)) for expo, c in self.coeffs)
+            if exact else None)
         object.__setattr__(self, "_float_terms", tuple(
             (expo, float(c), tuple(float(c * e) for e in expo))
             for expo, c in self.coeffs))
@@ -166,47 +167,37 @@ class MirrorSurface:
     def scale(self) -> float:
         return self._scale
 
+    def _stacks(self, *points):
+        """The points as 2-d stacks of Fractions when every one and every
+        coefficient is exact, else of floats of at least float64 precision
+        (integer and float32 input is widened), with the coefficient table
+        and the zero of that number type."""
+        stacks = [np.atleast_2d(x) for x in points]
+        if self._exact_terms is not None and all(map(is_exact, stacks)):
+            return stacks, self._exact_terms, Fraction(0)
+        stacks = [as_float(x) for x in stacks]
+        return ([x.astype(np.result_type(x, np.float64), copy=False)
+                 for x in stacks], self._float_terms, 0.0)
+
     def evaluate(self, x):
         """f(x), or f of each row of an (n, 4) stack."""
         x = vec(x)
-        if is_exact(x):
-            total = 0
-            for expo, c in self.coeffs:
-                term = c
-                for xi, e in zip(x, expo):
-                    if e:
-                        term = term * xi ** e
-                total = total + term
-            return total
-        X = _float_rows(x)
-        total = np.zeros(len(X), dtype=X.dtype)
-        for expo, c, _ in self._float_terms:
+        (X,), terms, zero = self._stacks(x)
+        total = np.full(len(X), zero, dtype=X.dtype)
+        for expo, c, _ in terms:
             term = c
             for i, e in enumerate(expo):
                 if e:
-                    term = term * np.float_power(X[:, i], e)
+                    term = term * power(X[:, i], e)
             total += term
         return total if x.ndim == 2 else total[0]
 
     def gradient(self, x):
         """Gradient covector of f at x, or at each row of an (n, 4) stack."""
         x = vec(x)
-        if is_exact(x):
-            out = [0, 0, 0, 0]
-            for expo, c in self.coeffs:
-                for j in range(4):
-                    if expo[j] == 0:
-                        continue
-                    term = c * expo[j]
-                    for i in range(4):
-                        e = expo[i] - (1 if i == j else 0)
-                        if e:
-                            term = term * x[i] ** e
-                    out[j] = out[j] + term
-            return vec(out)
-        X = _float_rows(x)
-        out = np.zeros(X.shape, dtype=X.dtype)
-        for expo, _, factors in self._float_terms:
+        (X,), terms, zero = self._stacks(x)
+        out = np.full(X.shape, zero, dtype=X.dtype)
+        for expo, _, factors in terms:
             for j in range(4):
                 if expo[j] == 0:
                     continue
@@ -214,7 +205,7 @@ class MirrorSurface:
                 for i in range(4):
                     e = expo[i] - (1 if i == j else 0)
                     if e:
-                        term = term * np.float_power(X[:, i], e)
+                        term = term * power(X[:, i], e)
                 out[:, j] += term
         return out if x.ndim == 2 else out[0]
 
@@ -222,22 +213,14 @@ class MirrorSurface:
         """Binary form f(s*a + t*b) of degree d (coefficient vector), or
         the (n, d + 1) forms of two (n, 4) stacks of points."""
         a, b = vec(a), vec(b)
-        if is_exact(a) and is_exact(b):
-            total = np.array([0] * (self.degree + 1), dtype=object)
-            for expo, c in self.coeffs:
-                form = np.array([c], dtype=object)
-                for i in range(4):
-                    for _ in range(expo[i]):
-                        form = binary_mul(form, [a[i], b[i]])
-                total = total + form
-            return vec(total)
-        A, B = _float_rows(a), _float_rows(b)
-        total = np.zeros((len(A), self.degree + 1), dtype=np.result_type(A, B))
-        for expo, c, _ in self._float_terms:
+        (A, B), terms, zero = self._stacks(a, b)
+        total = np.full((len(A), self.degree + 1), zero,
+                        dtype=np.result_type(A, B))
+        for expo, c, _ in terms:
             form = [c]
             for i in range(4):
-                for _ in range(expo[i]):   # binary_mul(form, [a[i], b[i]])
-                    out = [0.0] * (len(form) + 1)
+                for _ in range(expo[i]):   # form * (a_i s + b_i t)
+                    out = [zero] * (len(form) + 1)
                     for k, f in enumerate(form):
                         out[k] = out[k] + f * A[:, i]
                         out[k + 1] = out[k + 1] + f * B[:, i]
@@ -246,7 +229,6 @@ class MirrorSurface:
         return total if a.ndim == 2 else total[0]
 
     def payload(self):
-        from .numeric import format_scalar
         return {"degree": self.degree,
                 "coeffs": {"%d%d%d%d" % e if max(e) < 10 else
                            ",".join(map(str, e)): format_scalar(v)
@@ -254,7 +236,6 @@ class MirrorSurface:
 
     @classmethod
     def from_payload(cls, data, exact: bool = False):
-        from .numeric import parse_scalar
         if not isinstance(data, dict) or "degree" not in data \
                 or not isinstance(data.get("coeffs"), dict):
             raise DegenerateInput(
@@ -370,7 +351,6 @@ def mirror_pair_residual(S: MirrorSurface, L, Lp,
     real contact points x of L with S of the projective distance between
     L' and the reflection of L at x.  Returns math.inf when L misses the
     surface in real points."""
-    from .numeric import projective_distance
     L = unitize(as_float(vec(L)))
     Lp = unitize(as_float(vec(Lp)))
     best = math.inf

@@ -24,12 +24,13 @@ from .errors import DegenerateInput
 
 __all__ = [
     "vec", "is_exact", "as_float", "norm", "unitize", "row_norms",
-    "unitize_rows",
+    "unitize_rows", "unit_rows", "power",
     "parse_scalar", "format_scalar", "parse_vector", "vector_payload",
     "proj_normalize", "projective_distance",
     "det3", "det4", "compound2", "exact_nullspace",
-    "binary_eval", "binary_mul", "binary_roots",
-    "realify", "negligible", "negligible_each", "DEFAULT_TOL", "ZERO_EPS", "FOCAL_EPS",
+    "binary_eval", "binary_roots",
+    "realify", "negligible", "negligible_each", "negligible_rows",
+    "DEFAULT_TOL", "ZERO_EPS", "FOCAL_EPS",
     "FORM_EPS", "REAL_EPS", "SVD_BUDGET",
 ]
 
@@ -108,6 +109,16 @@ def negligible_each(v, scale=1.0, eps: float = ZERO_EPS):
     return np.sqrt(a * a) <= eps * scale
 
 
+def negligible_rows(v, scale, eps: float = ZERO_EPS):
+    """:func:`negligible` of each row of a stack, as a boolean array:
+    Fraction rows are compared with 0 exactly, and a float row counts as
+    zero when its norm is at most ``eps`` times its entry of ``scale()``,
+    a callable, so that the scale is only computed for floats."""
+    if is_exact(v):
+        return np.all(np.asarray(v == 0, dtype=bool), axis=-1)
+    return row_norms(v) <= eps * scale()
+
+
 def as_float(a):
     """Lossy conversion of a possibly-exact array/scalar to float/complex;
     an exact value beyond the float range is a DegenerateInput."""
@@ -141,6 +152,26 @@ def unitize_rows(a):
     if not np.all(n):
         raise DegenerateInput("cannot normalize a zero vector")
     return a / n[..., None]
+
+
+def unit_rows(a):
+    """``(u, n)`` with ``u / n`` the rows of ``a`` at unit norm: for a
+    float stack its unitized rows and n = 1.0, for an exact stack the rows
+    unchanged and the float norm of each.  A product of exact ``u``s stays
+    exact, so it is 0.0 exactly where it vanishes, and dividing a float
+    result by 1.0 changes no bit."""
+    if is_exact(a):
+        return a, row_norms(as_float(a))
+    return unitize_rows(a), 1.0
+
+
+def power(a, e):
+    """``a ** e``; a float or complex array takes ``np.float_power``,
+    which rounds as the scalar ``**`` (libm ``pow``) does and numpy's
+    array ``**`` does not.  Fractions and scalars take ``**``."""
+    if isinstance(a, np.ndarray) and a.dtype != object:
+        return np.float_power(a, e)
+    return a ** e
 
 
 def unitize(a):
@@ -359,22 +390,12 @@ def exact_nullspace(m):
 # c[0..d] with  f(s,t) = sum_k c[k] * s^(d-k) * t^k.
 
 def binary_eval(coeffs, s, t):
+    """The form at (s : t); s and t may be arrays of values."""
     d = len(coeffs) - 1
     total = 0
     for k, c in enumerate(coeffs):
-        total = total + c * s ** (d - k) * t ** k
+        total = total + c * power(s, d - k) * power(t, k)
     return total
-
-
-def binary_mul(a, b):
-    """Product of two binary forms (coefficient convolution)."""
-    a = np.asarray(a, dtype=object) if is_exact(vec(a)) else np.asarray(a)
-    b = np.asarray(b, dtype=object) if is_exact(vec(b)) else np.asarray(b)
-    out = np.zeros(len(a) + len(b) - 1, dtype=object)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return vec(out.tolist())
 
 
 def binary_roots(coeffs, zero_tol: float = FORM_EPS):

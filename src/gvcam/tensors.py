@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import (BaseLocus, CoincidentCenters, DegenerateInput,
                      SingularStack)
-from .numeric import (as_float, binary_eval, compound2, det3, det4, is_exact,
-                      negligible, norm, unitize, vec)
+from .numeric import (as_float, binary_eval, compound2, det3, det4,
+                      exact_nullspace, format_scalar, is_exact, negligible,
+                      norm, parse_scalar, unitize, vec)
 from .plucker import dual_line, line_from_points, wedge
 
 __all__ = [
@@ -42,23 +43,24 @@ def _vec_matrix(m, shape, name):
     return m
 
 
-def _check_rank(m, r, name):
-    s = np.linalg.svd(as_float(m), compute_uv=False)
-    if s[r - 1] <= 1e-12 * s[0]:
-        raise DegenerateInput("%s must have rank %d" % (name, r))
+def _kernel(M, rank, name):
+    """Basis of the kernel of a rank-``rank`` matrix with four columns:
+    exact for Fractions, else the last right singular vectors."""
+    if is_exact(M):
+        ker = [vec(k) for k in exact_nullspace(M)]
+    else:
+        _, sv, vt = np.linalg.svd(as_float(M))
+        deficient = sv[rank - 1] <= 1e-12 * sv[0]
+        ker = [] if deficient else [vec(k) for k in vt[rank:]]
+    if len(ker) != 4 - rank:
+        raise DegenerateInput("%s must have rank %d" % (name, rank))
+    return ker
 
 
 def pinhole_center(A):
     """Kernel of a rank-3 3x4 matrix, as a world point."""
     A = _vec_matrix(A, (3, 4), "camera matrix")
-    if is_exact(A):
-        from .numeric import exact_nullspace
-        ker = exact_nullspace(A)
-        if len(ker) != 1:
-            raise DegenerateInput("camera matrix must have rank 3")
-        return vec(ker[0])
-    _check_rank(A, 3, "camera matrix")
-    return vec(np.linalg.svd(as_float(A))[2][3])
+    return _kernel(A, 3, "camera matrix")[0]
 
 
 def twoslit_kernels(A, B):
@@ -66,19 +68,8 @@ def twoslit_kernels(A, B):
     of B, as Pluecker vectors."""
     A = _vec_matrix(A, (2, 4), "first matrix")
     B = _vec_matrix(B, (2, 4), "second matrix")
-    out = []
-    for M in (A, B):
-        if is_exact(M):
-            from .numeric import exact_nullspace
-            ker = exact_nullspace(M)
-            if len(ker) != 2:
-                raise DegenerateInput("slit matrix must have rank 2")
-            out.append(line_from_points(vec(ker[0]), vec(ker[1])))
-        else:
-            _check_rank(M, 2, "slit matrix")
-            null = np.linalg.svd(as_float(M))[2][2:]
-            out.append(line_from_points(vec(null[0]), vec(null[1])))
-    return out[0], out[1]
+    return tuple(line_from_points(*_kernel(M, 2, "slit matrix"))
+                 for M in (A, B))
 
 
 def _reject_small(img, scale, what):
@@ -358,7 +349,6 @@ _TENSOR_SHAPES = {"fundamental": (3, 3), "quadrifocal": (2, 2, 2, 2),
 def tensor_payload(kind: str, T):
     """JSON-ready dict {"kind", "entries"} for a multifocal tensor; exact
     entries serialize as integer/rational strings, floats as floats."""
-    from .numeric import format_scalar
 
     def conv(a):
         if isinstance(a, np.ndarray) and a.ndim > 1:
@@ -376,8 +366,6 @@ def tensor_payload(kind: str, T):
 
 
 def tensor_from_payload(data, exact: bool = False):
-    from .numeric import parse_scalar
-
     def conv(a, shape):
         if not isinstance(a, list) or len(a) != shape[0]:
             raise DegenerateInput("entries do not form a %s tensor" % kind)

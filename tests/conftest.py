@@ -11,16 +11,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gvcam.cameras import (Pinhole, Pushbroom, TwistedCubic, TwoSlit,
-                           _residuals)
+from gvcam.cameras import (Pinhole, Pushbroom, TwistedCubic, TwoSlit, Type4,
+                           _residuals, _secant, _slit_matrix)
 from gvcam.catadioptric import conic_chord_points
 from gvcam.errors import DegenerateInput, FocalPoint
 from gvcam.multiimage import Transversal
-from gvcam.numeric import (as_float, norm, projective_distance, realify,
-                           unitize, vec)
+from gvcam.numeric import (FOCAL_EPS, as_float, binary_eval, negligible, norm,
+                           projective_distance, realify, unitize, vec)
 from gvcam.plucker import (incidence, line_from_planes, line_from_points,
-                           plucker_quadric, point_line_residual,
-                           primal_matrix)
+                           line_residual, plucker_quadric,
+                           point_line_residual, primal_matrix)
 
 
 def rand_point(rng, dim=4):
@@ -199,8 +199,10 @@ class DegreeTwoCongruence:
         return vec(vals)
 
     def congruence_residual(self, p):
-        return _residuals(p, lambda q: float(np.max(np.abs(as_float(
-            self.generator_values(unitize(as_float(q))))))))
+        return _residuals(self, p)
+
+    def _residuals(self, P):
+        return np.array([generator_residual(self, q) for q in P])
 
     def project(self, x):
         if self.line_points is None:
@@ -325,3 +327,83 @@ def _poly_vals_type4_reference(p):
         p03 ** 3 - p12 * p13 ** 2,
         p02 ** 2 * p03 - p12 ** 3,
     ]
+
+
+# --------------------------------------------------------------------------
+# scalar references of the camera kinds, one point or line at a time in
+# Python's scalar arithmetic: the stacked code must equal them bit for bit
+
+def _reject_focal(v, message, scale):
+    if negligible(v, 1.0 if v.dtype == object else scale(), FOCAL_EPS):
+        raise FocalPoint(message)
+
+
+def _join(x, y, message):
+    try:
+        return line_from_points(x, y)
+    except DegenerateInput:
+        raise FocalPoint(message) from None
+
+
+def reference_curve_point(cam, x):
+    """The Type3 curve point, or the Type4 target point, at (x0 : x1)."""
+    g, h = (binary_eval(c, x[0], x[1]) for c in (cam.g, cam.h))
+    if isinstance(cam, Type4):
+        return vec([0, 0, g, h])
+    fv = binary_eval(cam.f, x[0], x[1])
+    return vec([x[0] * fv, x[1] * fv, g, h])
+
+
+def reference_project(cam, x):
+    """The line of one point (a 1-d array), or FocalPoint."""
+    if isinstance(cam, Pinhole):
+        return _join(cam.center, x, "world point coincides with the center")
+    if isinstance(cam, TwoSlit):
+        M = _slit_matrix(x, cam.slit1, cam.slit2)
+        r = vec([M[2][3], -M[1][3], M[1][2], M[0][3], -M[0][2], M[0][1]])
+        _reject_focal(r, "world point lies on a slit", lambda: norm(cam.slit1)
+                      * norm(cam.slit2) * norm(x) ** 2)
+        return r
+    if isinstance(cam, TwistedCubic):
+        xn = x if cam.homography is None else vec(
+            (cam._inverse @ as_float(x)).tolist())
+        ell = vec(_secant(*xn))
+        _reject_focal(ell, "world point lies on the twisted cubic",
+                      lambda: norm(xn) ** 4)
+        if cam.homography is None:
+            return ell
+        return vec((cam._line_map @ as_float(ell)).tolist())
+    y, type4 = reference_curve_point(cam, x), isinstance(cam, Type4)
+    data = (cam.g, cam.h) if type4 else (cam.f, cam.g, cam.h)
+    _reject_focal(y, "world point lies on the base line",
+                  lambda: norm(x) ** cam.beta * max(map(norm, data)))
+    return _join(x, y, "world point maps into the base line" if type4
+                 else "world point lies on the curve")
+
+
+def pencil_residual(cam, p) -> float:
+    """The residual of one line in a Type3/Type4 congruence."""
+    pn = unitize(as_float(vec(p)))
+    c1 = np.array([pn[1], pn[3]])   # (p02, p12): meet with x2 = 0
+    c2 = np.array([pn[2], pn[4]])   # (p03, p13): meet with x3 = 0
+    x01 = c1 if norm(c1) >= norm(c2) else c2
+    if norm(x01) <= 1e-14:
+        return max(abs(pn[0]), line_residual(pn))
+    w = reference_curve_point(cam, vec([x01[0], x01[1], 0.0, 0.0]))
+    vals = [abs(pn[0]), abs(pn[1] * pn[4] - pn[2] * pn[3]),
+            line_residual(pn)]
+    if norm(w) > 1e-14:
+        vals.append(point_line_residual(w, pn))
+    return max(vals)
+
+
+def generator_residual(cam, q) -> float:
+    """Largest generator at one line, unitized (panoramic or any kind)."""
+    p = unitize(as_float(q))
+    if cam.kind == "panoramic_nc":
+        values = [p[3], p[2] ** 2 - p[4] ** 2 - p[5] ** 2, plucker_quadric(p)]
+    elif cam.kind == "panoramic_stereo":
+        values = [p[2], p[3] ** 2 - p[1] ** 2 - p[0] ** 2, plucker_quadric(p)]
+    else:
+        values = cam.generator_values(p)
+    return float(np.max(np.abs(vec(values))))

@@ -19,13 +19,15 @@ from gvcam.cameras import (TWISTED_CUBIC_CURVE, DegenerateCubic, FocalPoint,
                            sum_of_two_cubes)
 from gvcam.errors import (DegenerateInput, FocalConfiguration,
                           UnsupportedOrder)
-from gvcam.numeric import DEFAULT_TOL, compound2, norm, unitize, vec
+from gvcam.numeric import (DEFAULT_TOL, _scaled_rows, compound2, norm,
+                           unitize, vec)
 from gvcam.plucker import (incidence, line_from_points, plucker_quadric,
                            point_line_residual, point_on_line,
                            points_on_line, wedge)
 from conftest import (assert_proj_close, rand_line, rand_point,
                       rand_pushbroom, rand_rational_point, rand_skew_pair,
-                      rand_twisted_cubic, rand_twoslit)
+                      generator_residual, pencil_residual,
+                      rand_twisted_cubic, rand_twoslit, reference_project)
 
 E = np.eye(4)
 
@@ -118,6 +120,51 @@ def test_stacked_congruence_residual_equals_per_row(rows):
         assert cam.congruence_residual(stack).tobytes() == got.tobytes()
 
 
+# the Type3/Type4 kinds (one with exact data) and the panoramic kinds,
+# whose residuals always work in floats
+_FLOAT_RESIDUAL_CATALOG = [
+    reference_type3(), reference_type4(),
+    Type3((1.0, 0.5), (1.0, 0.2, 0.3), (0.0, 0.7, 1.0)),
+    Type4((1.0, 0.3, 0.0), (0.2, 0.0, 1.0)),
+    Type3(*(vec(c, exact=True) for c in ([1, 3], [1, 0, "2/3"],
+                                         [0, "5/2", 1]))),
+    PanoramicNC(), PanoramicStereo()]
+# lines spanned by e0, e1 and by e2, e3 (no meet with x2 = 0 or x3 = 0)
+_AXIS_LINES = [np.array(p, dtype=float) for p in
+               ([1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 2])]
+
+
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.lists(st.tuples(st.lists(_coords, min_size=8, max_size=8),
+                          st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)),
+                min_size=1, max_size=8))
+def test_stacked_residuals_equal_scalar_reference(rows):
+    """The Type3, Type4 and panoramic residuals of a stack are, bit for
+    bit, the scalar code of conftest row by row (pencil_residual,
+    generator_residual), for float lines and for the same lines in
+    Fractions: random lines, lines meeting the base line, the camera's
+    own lines and lines in no plane of the pencil."""
+    for cam in _FLOAT_RESIDUAL_CATALOG:
+        lines = list(_AXIS_LINES)
+        for coords, lam in rows:
+            x, y = np.array(coords[:4]), np.array(coords[4:])
+            for z in (y, y * [0, 0, 1, 1]):
+                if norm(wedge(x, z)) > 1e-3 * norm(x) * norm(z):
+                    lines.append(lam * wedge(x, z))
+            try:
+                lines.append(lam * cam.project(x))
+            except (FocalPoint, UnsupportedOrder):
+                pass
+        reference = (generator_residual if cam.kind.startswith("panoramic")
+                     else pencil_residual)
+        floats = np.array(lines)
+        fractions = vec([[Fraction(v) for v in p] for p in lines])
+        for stack in (floats, fractions):
+            got = congruence_residual(cam, stack)
+            want = np.array([reference(cam, _scaled_rows(p)) for p in stack])
+            assert got.tobytes() == want.tobytes(), cam.kind
+
+
 def test_exact_stack_goes_row_by_row():
     rng = np.random.default_rng(320)
     cam = Pinhole(vec([0, 0, 0, 1], exact=True))
@@ -190,14 +237,15 @@ def _focal_points(cam, s, t):
 
 def _assert_stack_projects_per_point(cam, stack):
     """cam.project of the stack is, bit for bit, the scalar reference of
-    each row (zeros and its message in a focal row), and so is the stack
-    of one of each row; a point alone returns that line or raises."""
+    each row (conftest.reference_project; zeros and its message in a focal
+    row), and so is the stack of one of each row; a point alone returns
+    that line or raises."""
     lines, focal = cam.project(stack)
     assert lines.shape == (len(stack), 6)
     for k, x in enumerate(stack):
         one, one_focal = cam.project(stack[k:k + 1])
         try:
-            want = cam._reference_project(x)
+            want = reference_project(cam, x)
         except FocalPoint as exc:
             assert focal[k] == one_focal[0] == str(exc), cam.kind
             assert not lines[k].any() and not one.any()
@@ -254,8 +302,9 @@ _EXACT_FOCAL = [[1, 2, 3, 4], [2, 1, 0, 0], [0, 0, 3, 1], [2, 1, 4, 0],
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
                 min_size=1, max_size=6))
 def test_exact_stacked_projection_equals_per_point(rows):
-    """A stack of Fractions is projected row by row through the scalar
-    reference: the same lines, focal rows and messages as point by point."""
+    """A stack of Fractions is projected in one pass to the same Fraction
+    lines, focal rows and messages as the scalar reference point by
+    point."""
     stack = vec(rows + _EXACT_FOCAL, exact=True)
     for cam in _EXACT_CATALOG:
         assert _assert_stack_projects_per_point(cam, stack), cam.kind

@@ -22,8 +22,7 @@ from gvcam.errors import (DegenerateInput, FocalConfiguration,
                           IsotropicDirection, IsotropicPlane,
                           IsotropicTangent, NotOnSurface,
                           SingularIntersection, SingularPoint)
-from gvcam.numeric import (as_float, binary_eval, binary_mul, norm,
-                           projective_distance, unitize, vec)
+from gvcam.numeric import binary_eval, norm, projective_distance, unitize, vec
 from gvcam.plucker import (dual_line, incidence, line_from_points, meet_point,
                            plucker_quadric, points_on_line, primal_matrix,
                            wedge)
@@ -376,17 +375,20 @@ def test_ellipsoid_parameterization():
 # the stacked float path
 
 
-def _absolute(S):
-    """S with every coefficient replaced by its absolute value: at |x| it
-    bounds the size of the terms that the float path rounds."""
-    return MirrorSurface(S.degree, {e: abs(c) for e, c in S.coeffs})
+def _binary_mul(a, b):
+    """Product of two binary forms (coefficient convolution)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return np.array(out, dtype=object)
 
 
 def _loop(S, x, b=None):
     """evaluate, gradient and restrict_to_line of S by the monomial loop
-    over Python numbers (the exact path's arithmetic) on float input: the
-    values the stacked float path must reproduce bit for bit."""
-    value, grad, form = 0, [0, 0, 0, 0], np.zeros(S.degree + 1)
+    over Python numbers, on float or Fraction input: the values the
+    stacked path must reproduce, bit for bit or exactly."""
+    value, grad, form = 0, [0, 0, 0, 0], np.zeros(S.degree + 1, dtype=object)
     for expo, c in S.coeffs:
         term = c
         for xi, e in zip(x, expo):
@@ -403,7 +405,7 @@ def _loop(S, x, b=None):
         piece = np.array([c], dtype=object)
         for i in range(4):
             for _ in range(expo[i]):
-                piece = binary_mul(piece, [x[i], b[i]])
+                piece = _binary_mul(piece, [x[i], b[i]])
         form = form + piece
     return value, np.array(grad), form
 
@@ -433,24 +435,25 @@ def test_stacked_mirror_kernel_matches_rows_and_exact_loop(S, pairs):
     assert np.array_equal(S.gradient(A), [S.gradient(a) for a in A])
     assert np.array_equal(S.restrict_to_line(A, B),
                           [S.restrict_to_line(a, b) for a, b in zip(A, B)])
-    # the float path agrees with the exact monomial loop: with its
-    # arithmetic on floats bit for bit, with Fractions to 1e-12
-    bound = _absolute(S)
-    for (a, b), af, bf in zip(pairs, A, B):
-        value, grad, form = _loop(S, af, bf)
-        assert S.evaluate(af) == value
-        assert np.array_equal(S.gradient(af), grad)
-        assert np.array_equal(S.restrict_to_line(af, bf), form)
-        ae, be = vec(a, exact=True), vec(b, exact=True)
-        size = float(bound.evaluate(np.abs(ae)))
-        assert abs(S.evaluate(af) - float(S.evaluate(ae))) <= 1e-12 * size
-        size = as_float(bound.gradient(np.abs(ae)))
-        assert np.all(np.abs(S.gradient(af) - as_float(S.gradient(ae)))
-                      <= 1e-12 * size)
-        size = as_float(bound.restrict_to_line(np.abs(ae), np.abs(be)))
-        assert np.all(np.abs(S.restrict_to_line(af, bf)
-                             - as_float(S.restrict_to_line(ae, be)))
-                      <= 1e-12 * size)
+    # the stacked path agrees with the monomial loop: on floats bit for
+    # bit, on Fractions exactly and in Fractions, for a stack and row by
+    # row
+    Ae = vec([a for a, _ in pairs], exact=True)
+    Be = vec([b for _, b in pairs], exact=True)
+    for X, Y in ((A, B), (Ae, Be)):
+        loops = [_loop(S, x, y) for x, y in zip(X, Y)]
+        stacked = (S.evaluate(X), S.gradient(X), S.restrict_to_line(X, Y))
+        for got, want in zip(stacked, zip(*loops)):
+            assert np.array_equal(got, np.array(want))
+        entries = [v for a in stacked for v in np.ravel(a)]
+        for (x, y), (value, grad, form) in zip(zip(X, Y), loops):
+            one = (S.evaluate(x), S.gradient(x), S.restrict_to_line(x, y))
+            assert one[0] == value
+            assert np.array_equal(one[1], grad)
+            assert np.array_equal(one[2], form)
+            entries += [one[0], *one[1], *one[2]]
+        if X is Ae:
+            assert all(isinstance(v, Fraction) for v in entries)
     # integer and float32 stacks are widened to float64 first
     for narrow in (np.int64, np.float32):
         An, Bn = A.astype(narrow), B.astype(narrow)

@@ -430,6 +430,47 @@ def test_cli_project_huge_float_points_on_twisted_cubic(capsys, tmp_path):
             assert "float range" in err["message"]
 
 
+def test_cli_project_exact_huge_point_on_moved_twisted_cubic(capsys,
+                                                             tmp_path):
+    """Under --exact a twisted cubic with a homography projects in floats;
+    a 10**200-sized point overflows there and exits 2 naming it, where it
+    wrote NaN lines before."""
+    rig = [{"type": "pinhole", "center": [0, 0, 0, 1]},
+           {"type": "twisted_cubic",
+            "homography": [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0],
+                           [0, 0, 1, 1]]}]
+    scene = write_json(tmp_path / "huge.json", {
+        "version": 1, "rig": rig, "points": [[1, 2, 3, 1],
+                                             [10 ** 200, 2, 3, 1]]})
+    rc, err = _check_error(capsys, ["project", "--exact", "--scene", scene])
+    assert rc == 2 and err == {
+        "error": "DegenerateInput",
+        "message": "points[1] is too large: its projection overflows the "
+                   "float range"}
+
+
+def test_cli_project_huge_float_points_on_pinhole_and_two_slit(capsys,
+                                                               tmp_path):
+    """A float point whose pinhole or two-slit focal test overflows exits
+    2 naming it: it is neither a FocalPoint at the centre nor a NaN line;
+    the rig projects its other points as before."""
+    pinhole = {"type": "pinhole", "center": [0, 0, 0, 1]}
+    rigs = ([pinhole, {"type": "pinhole", "center": [1, 0, 0, 1]}],
+            [pinhole, {"type": "two_slit", "slits": [[1, 0, 0, 0, 0, 0],
+                                                     [0, 0, 0, 0, 0, 1]]}])
+    for k, rig in enumerate(rigs):
+        points = [[1, 2, 3, 1], [2, -1, 1, 1]]
+        scene = write_json(tmp_path / ("rig%d.json" % k),
+                           {"version": 1, "rig": rig, "points": points})
+        rc, out = run_cli(capsys, ["project", "--scene", scene])
+        assert rc == 0 and "error" not in out
+        scene = write_json(tmp_path / ("huge%d.json" % k), {
+            "version": 1, "rig": rig, "points": points + [[1e300, 1, 1, 1]]})
+        rc, err = _check_error(capsys, ["project", "--scene", scene])
+        assert rc == 2 and err["error"] == "DegenerateInput", rig
+        assert err["message"].startswith("points[2] is too large"), err
+
+
 def test_cli_check_exact_names_huge_generators(capsys, tmp_path):
     """A concurrency rejection under --exact whose worst generator is
     beyond the float range is named, with the residual's exact string."""
