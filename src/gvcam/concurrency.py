@@ -11,8 +11,10 @@ An n-tuple of lines passes through one common point exactly when
 Ten probe points suffice for the full minimal generating set; four
 (the standard basis) already decide concurrency together with the
 pairwise conditions, which is what :func:`concurrent_by_generators`
-uses.  The numerical alternative is a rank test on the stacked primal
-matrices (:func:`find_common_point`).
+uses.  The numerical decision (:func:`find_common_point`) takes the
+least-squares point of the stacked primal matrices and accepts when every
+line passes within ``tol`` of it, which costs O(n); the generators are
+the certificate that names a rejection.
 
 :func:`evaluate_generators` takes one tuple or a stack of tuples, and
 evaluates every real one, of floats or of Fractions, in one array pass
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import AmbiguousPencil, InvalidN
 from . import numeric
 from .numeric import (DEFAULT_TOL, as_float, format_scalar, is_exact,
-                      negligible_each, unitize_rows, vec)
+                      negligible_each, row_norms, unitize_rows, vec)
 from .plucker import _primal_stack, incidence, primal_matrix
 
 __all__ = [
@@ -216,13 +218,15 @@ def worst_generators(reports):
     (name, |value|) of the first largest value (or NaN), or ("", 0.0) when
     every value is zero.  Fractions are compared exactly, and the largest
     is rounded to a float if it is a normal one, else kept exact.
-    ``hypot`` rounds as the scalar ``abs(complex(v))`` does, and ``np.abs``
-    may not."""
+    On complex values ``hypot`` rounds as the scalar ``abs(complex(v))``
+    does, and ``np.abs`` may not; on real ones both are exact, and
+    ``np.abs`` works in place on the stacked copy."""
     if not reports:
         return []
     values = np.stack([rep.values for rep in reports])
     exact = is_exact(values)
-    r = np.abs(values) if exact else np.hypot(values.real, values.imag)
+    r = (np.hypot(values.real, values.imag) if np.iscomplexobj(values)
+         else np.abs(values, out=values))
     index = np.argmax(r, axis=1).tolist()
     names = reports[0].names
     worst = []
@@ -255,8 +259,13 @@ def evaluate_generators(lines):
     if np.iscomplexobj(L):
         values = [_reference_generators(t) for t in L]
     else:
-        # the plane columns, the gathered triples and the minors of a tuple
-        step = max(1, numeric.SVD_BUDGET // (40 * n + 200 * comb(n, 3)))
+        # what _generators holds at its peak, per tuple (measured with
+        # tracemalloc for n = 2..16): the gathered pairs and their
+        # products, the plane columns, and per triple the gathered
+        # columns, the four minors with their temporaries, their absolute
+        # values and the picked one
+        step = max(1, numeric.SVD_BUDGET // (16 * comb(n + 1, 2) + 40 * n
+                                             + 256 * comb(n, 3)))
         values = [v for k in range(0, m, step)
                   for v in _generators(L[k:k + step])]
     reports = [GeneratorReport(names, v) for v in values]
@@ -289,19 +298,19 @@ def _tuple_stack(lines):
 def find_common_point(lines, tol: float = DEFAULT_TOL):
     """Common point of the lines, or None.
 
-    Stacks the primal matrices (each unit-normalized) into a 4n x 4 system;
-    the lines are concurrent iff the smallest singular value is negligible
-    against the next one, and the common point is the corresponding right
-    singular vector.  For n > 3 the decision is cross-checked triple-wise:
-    a tuple is concurrent iff every triple is.  Exact input takes an exact
-    nullspace instead.
+    Stacks the primal matrices P_i of the unit-normalized lines into a
+    4n x 4 system and takes its last right singular vector x as the
+    candidate point.  The lines are concurrent iff every line passes
+    through x: ``max_i |P_i x| <= tol``.  Each residual is the norm of the
+    plane joining line i with the unit point x, so the rule is O(n), free
+    of every line's scale, and the same at every n.  Exact input takes an
+    exact nullspace instead.
 
     ``lines`` may also be an (M, n, 6) stack of M tuples; the result is
     then a list of M points or Nones.  One tuple is a stack of one.  The
-    systems of all float tuples go through one batched SVD call, and the
-    C(n, 3) triples of every concurrent tuple through one more (per chunk
-    of tuples, when the stack exceeds ``numeric.SVD_BUDGET``); each tuple
-    of Fractions takes the exact nullspace.
+    systems of all float tuples go through one batched SVD call (per
+    chunk of tuples, when the stack exceeds ``numeric.SVD_BUDGET``); each
+    tuple of Fractions takes the exact nullspace.
 
     Raises AmbiguousPencil when the nullspace is (numerically) at least
     2-dimensional, e.g. for repeated lines.
@@ -310,8 +319,8 @@ def find_common_point(lines, tol: float = DEFAULT_TOL):
     m, n = L.shape[:2]
     if n < 2:
         raise InvalidN("need at least two lines, got %d" % n)
-    # U of each 4n x 4 system and the 12 x 4 triples bound the memory
-    step = max(1, numeric.SVD_BUDGET // (16 * n * n + 48 * comb(n, 3)))
+    # the unitized lines, the blocks, LAPACK's copy of them and U
+    step = max(1, numeric.SVD_BUDGET // (64 * n))
     if is_exact(L):
         points = [_find_common_point_exact(t) for t in L]
     elif m > step:
@@ -320,18 +329,15 @@ def find_common_point(lines, tol: float = DEFAULT_TOL):
     else:
         blocks = _primal_stack(unitize_rows(L).reshape(-1, 6)).reshape(
             m, n, 4, 4)
-        _, s, vt = np.linalg.svd(blocks.reshape(m, 4 * n, 4))
+        _, s, vt = np.linalg.svd(blocks.reshape(m, 4 * n, 4),
+                                 full_matrices=False)
         if np.any(s[:, 2] <= tol * s[:, 0]):
             raise AmbiguousPencil(
                 "solution space is at least 2-dimensional (repeated lines?)")
-        found = s[:, 3] <= tol * s[:, 2]
-        if n > 3 and found.any():
-            _, triples = _index_tables(n)
-            st = np.linalg.svd(blocks[found][:, triples].reshape(-1, 12, 4),
-                               compute_uv=False)
-            st = st.reshape(-1, len(triples), 4)
-            found[found] = ~np.any(st[..., 3] > tol * st[..., 2], axis=1)
-        points = [v if ok else None for v, ok in zip(vt[:, -1], found)]
+        x = vt[:, -1]
+        residuals = row_norms(np.matvec(blocks, x[:, None]))     # (m, n)
+        found = np.max(residuals, axis=1) <= tol
+        points = [v if ok else None for v, ok in zip(x, found)]
     return points[0] if single else points
 
 

@@ -184,7 +184,8 @@ def triangulate(rig, lines, tol: float = DEFAULT_TOL) -> TriangulationResult:
     n = L.shape[1]
     if n < 2:
         raise InvalidN("triangulation needs at least two lines")
-    step = max(1, numeric.SVD_BUDGET // (16 * n * n))     # U of each system
+    # the unitized lines, the blocks, LAPACK's copy of them and U
+    step = max(1, numeric.SVD_BUDGET // (64 * n))
     if len(L) > step:
         parts = [triangulate(None, L[k:k + step], tol)
                  for k in range(0, len(L), step)]
@@ -192,7 +193,7 @@ def triangulate(rig, lines, tol: float = DEFAULT_TOL) -> TriangulationResult:
             point=np.concatenate([r.point for r in parts]),
             residual=np.concatenate([r.residual for r in parts]))
     rows = _primal_stack(unitize_rows(L).reshape(-1, 6))
-    _, s, vt = np.linalg.svd(rows.reshape(len(L), -1, 4))
+    _, s, vt = np.linalg.svd(rows.reshape(len(L), -1, 4), full_matrices=False)
     if np.any(s[:, 2] <= tol * s[:, 0]):
         raise AmbiguousPencil("stacked system has a 2-dimensional "
                               "near-nullspace; point not unique")

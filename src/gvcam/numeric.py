@@ -50,10 +50,12 @@ FORM_EPS = 1e-13
 #: Relative imaginary part below which a complex value counts as real.
 REAL_EPS = 1e-7
 
-#: Float64 elements (16 MiB) that one batched pass over a stack of tuples
+#: Float64 elements (4 MiB) that one batched pass over a stack of tuples
 #: (SVDs or generators) may gather; a longer stack goes through in chunks
 #: of tuples, with the same values, since each tuple is computed alone.
-SVD_BUDGET = 1 << 21
+#: At this size ``gvcam project`` on 10^4 points peaks under 80 MiB, and
+#: its generator pass runs faster than in 16 MiB chunks.
+SVD_BUDGET = 1 << 19
 
 
 def vec(data, exact: bool | None = None):
@@ -145,10 +147,32 @@ def row_norms(a):
     return np.sqrt(np.vecdot(a, a))
 
 
+#: Row norms whose squares neither under- nor overflow, with room for the
+#: sum of a few of them.
+_SQUARABLE = (1e-150, 1e150)
+
+
 def unitize_rows(a):
     """Each row of a float stack scaled to unit norm, as :func:`unitize`
-    scales one vector."""
-    n = row_norms(a)
+    scales one vector.  A row whose computed norm lies outside
+    :data:`_SQUARABLE` (0 and inf included) is first multiplied by the
+    power of two that brings its largest coordinate into [0.5, 1), which
+    is exact, so that its squares neither under- nor overflow; every other
+    row is divided by its norm as computed."""
+    with np.errstate(over="ignore"):        # such a row is rescaled below
+        n = row_norms(a)
+    far = ~((n >= _SQUARABLE[0]) & (n <= _SQUARABLE[1]))
+    if np.any(far):
+        shape = np.shape(a)
+        a = np.array(a, dtype=np.result_type(a, 1.0))   # a copy
+        a = a.reshape(-1, shape[-1])
+        n, far = n.reshape(-1), far.reshape(-1)
+        _, e = np.frexp(np.max(np.abs(a[far]), axis=-1))
+        # in two factors, neither of which overflows for subnormal rows
+        a[far] *= np.ldexp(1.0, -e // 2)[:, None]
+        a[far] *= np.ldexp(1.0, -e - -e // 2)[:, None]
+        n[far] = row_norms(a[far])
+        a, n = a.reshape(shape), n.reshape(shape[:-1])
     if not np.all(n):
         raise DegenerateInput("cannot normalize a zero vector")
     return a / n[..., None]

@@ -7,6 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gvcam.concurrency import (AmbiguousPencil, GeneratorReport, InvalidN,
                                PROBE_POINTS, _generators,
@@ -16,7 +17,8 @@ from gvcam.concurrency import (AmbiguousPencil, GeneratorReport, InvalidN,
                                generator_counts, multidegree,
                                quadric_generators, trilinear_transversal,
                                worst_generators)
-from gvcam.numeric import DEFAULT_TOL, negligible, norm, unitize, vec
+from gvcam.numeric import (DEFAULT_TOL, SVD_BUDGET, negligible, norm,
+                           unitize, vec)
 from gvcam.plucker import incidence, line_from_points, primal_matrix, wedge
 from conftest import (assert_proj_close, lines_through, rand_line, rand_point,
                       rand_rational_point, rational_lines_through)
@@ -327,7 +329,7 @@ def test_stacked_reports_equal_single_tuple_calls(monkeypatch):
             alone = [evaluate_generators(t) for t in group]
             whole = evaluate_generators(stack)
             chunked = []
-            for budget in (1, 1000):    # 1 tuple a pass; 3 at n = 3
+            for budget in (1, 1000):    # 1 tuple a pass; 2 at n = 3
                 with monkeypatch.context() as m:
                     m.setattr(numeric, "SVD_BUDGET", budget)
                     chunked.append(evaluate_generators(stack))
@@ -501,25 +503,20 @@ def test_exact_and_complex_generators_take_scalar_values():
             assert _values(rep, "cubic") == list(want.values())
 
 
-def _per_triple_common_point(lines, tol=DEFAULT_TOL):
-    """find_common_point's float path with one SVD per triple; returns the
-    point (or None) and which check decided."""
+def _per_line_common_point(lines, tol=DEFAULT_TOL):
+    """find_common_point's float rule on one tuple, line by line: the last
+    right singular vector of the stacked system, or None unless every
+    unitized line passes within ``tol`` of it."""
     lines = [unitize(p) for p in lines]
-    stack = np.vstack([primal_matrix(p) for p in lines])
-    _, s, vt = np.linalg.svd(stack)
-    if s[3] > tol * s[2]:
-        return None, "stack"
-    for trip in combinations(range(len(lines)), 3):
-        sub = np.vstack([primal_matrix(lines[i]) for i in trip])
-        st = np.linalg.svd(sub, compute_uv=False)
-        if st[3] > tol * st[2]:
-            return None, "triple"
-    return vt[-1], "accepted"
+    _, s, vt = np.linalg.svd(np.vstack([primal_matrix(p) for p in lines]))
+    assert s[2] > tol * s[0]
+    x = vt[-1]
+    return x if max(norm(primal_matrix(p) @ x) for p in lines) <= tol else None
 
 
-def test_batched_triple_check_matches_per_triple_loop():
+def test_stacked_decision_matches_per_line_loop():
     rng = np.random.default_rng(214)
-    outcomes = set()
+    verdicts = {}
     for n in range(4, 9):
         for eps in (0.0, 1e-3, 1e-8, 1e-10):
             for _ in range(6):
@@ -527,11 +524,66 @@ def test_batched_triple_check_matches_per_triple_loop():
                 d = rng.standard_normal(6)
                 k = int(rng.integers(n))
                 lines[k] = lines[k] + (eps / norm(d)) * d
-                want, outcome = _per_triple_common_point(lines)
+                want = _per_line_common_point(lines)
                 got = find_common_point(lines)
-                outcomes.add(outcome)
+                verdicts.setdefault(eps, set()).add(want is not None)
                 if want is None:
                     assert got is None
                 else:
                     assert got is not None and np.array_equal(got, want)
-    assert outcomes == {"stack", "triple", "accepted"}
+    # |P_d x| <= |d| for a unit point x, so a line moved by at most tol
+    # still passes within tol of the least-squares point
+    assert verdicts == {0.0: {True}, 1e-10: {True}, 1e-8: {True},
+                        1e-3: {False}}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.integers(2, 64), st.integers(0, 2 ** 32 - 1),
+       st.floats(-2.0, 0.0), st.floats(0.0, 3.0), st.data())
+def test_per_line_rule_is_scale_free_and_separates_moves(n, seed, near, far,
+                                                         data):
+    """Lines through one point, the first translated by delta at right
+    angles to itself and to the second (so those two lie delta apart):
+    delta <= 1e-2 * tol passes and delta >= 1e3 * tol does not, whatever
+    the scale of each line and whatever n."""
+    rng = np.random.default_rng(seed)
+    c = np.r_[1.0, rng.uniform(-1.0, 1.0, 3)]
+    dirs = [unitize(rng.standard_normal(3)) for _ in range(n)]
+    u = np.cross(dirs[0], dirs[1])
+    assume(norm(u) > 0.1)
+    u = unitize(u)
+    scales = np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=n,
+                                         max_size=n)))
+    for delta, passes in ((0.0, True),
+                          (10.0 ** near * 1e-2 * DEFAULT_TOL, True),
+                          (10.0 ** far * 1e3 * DEFAULT_TOL, False)):
+        moved = c + np.r_[0.0, delta * u]
+        lines = np.array([line_from_points(c if i else moved, np.r_[0.0, d])
+                          for i, d in enumerate(dirs)])
+        x = find_common_point(lines)
+        assert (x is not None) == passes
+        scaled = find_common_point(lines * 10.0 ** scales[:, None])
+        assert (scaled is not None) == passes
+        if passes:
+            assert_proj_close(scaled, c, 1e-6)
+
+
+def test_stack_within_budget_takes_one_svd_call(monkeypatch):
+    """No per-triple (or other second) SVD: one batched call decides every
+    tuple of an (M, n, 6) stack that fits the budget."""
+    rng = np.random.default_rng(215)
+    n, m = 6, 40
+    assert m * 64 * n <= SVD_BUDGET
+    L = np.array([lines_through(rng, n)[0] for _ in range(m)])
+    L[::2, 0] = [rand_line(rng) for _ in range(m // 2)]
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    points = find_common_point(L)
+    assert calls == [(m, 4 * n, 4)]
+    assert [p is None for p in points] == [k % 2 == 0 for k in range(m)]

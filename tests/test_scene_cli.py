@@ -327,6 +327,10 @@ def test_cli_observation_defects_name_the_item(capsys, tmp_path):
     off = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
     off["observations"][1][1] = [1, 0, 0, 0, 0, 1]
     cases["off_quadric"] = (off, "observations[1][1]")
+    # its squares overflow: unitized without care, it is a zero row
+    huge = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+    huge["observations"][1][1] = [1e200, 0, 0, 0, 0, 1e200]
+    cases["huge_off_quadric"] = (huge, "observations[1][1]")
     # integer coordinates, so that --exact reads them too
     cases["zero"] = ({"version": 1, "rig": [
         {"type": "pinhole", "center": [1, 0, 0, 0]},
@@ -347,6 +351,26 @@ def test_cli_observation_defects_name_the_item(capsys, tmp_path):
                 message = err["message"]
                 assert message.startswith(where), (name, err)
                 assert message[len(where)] in ": ", (name, err)
+
+
+def test_cli_check_is_free_of_line_scale_at_the_float_range_ends(
+        capsys, tmp_path):
+    """Observed lines scaled by 2**-700 (about 1e-211, whose squares
+    underflow) or 2**700 (about 5e210, whose squares overflow) load as
+    lines and give the report of the unscaled scene, bit for bit."""
+    reports = []
+    for scale in (1.0, 2.0 ** -700, 2.0 ** 700):
+        data = mixed_scene_dict([[1, 1, 1, 1], [2, 0, 1, 1]])
+        data["observations"] = [[[scale * v for v in line] for line in item]
+                                for item in data["observations"]]
+        scene = write_json(tmp_path / "scaled.json", data)
+        for command in ("check", "triangulate"):
+            rc, out = run_cli(capsys, [command, "--scene", scene])
+            assert rc == 0, (scale, command)
+            reports.append(out)
+    assert reports[0::2] == [reports[0]] * 3
+    assert reports[1::2] == [reports[1]] * 3
+    assert '"point"' in reports[0]
 
 
 def test_cli_point_defects_name_the_point(capsys, tmp_path):
