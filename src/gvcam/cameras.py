@@ -48,11 +48,10 @@ import numpy as np
 from .errors import (DegenerateInput, FocalPoint, IllConditioned,
                      InvalidSlit, DegenerateCubic, UnsupportedOrder)
 from .numeric import (DEFAULT_TOL, FOCAL_EPS, ZERO_EPS, _scaled_rows, as_float,
-                      binary_eval, binary_roots, compound2, is_exact,
+                      binary_eval, binary_roots, common_type, compound2,
                       negligible, negligible_rows, norm, parse_vector, power,
-                      row_norms, unit_rows, unitize, unitize_rows, vec,
-                      vector_payload)
-from .plucker import (_primal_stack, incidence, line_residual,
+                      row_norms, unitize, vec, vector_payload)
+from .plucker import (incidence, incidence_residual, line_residual,
                       plucker_quadric, point_line_residual, primal_matrix,
                       wedge)
 
@@ -175,26 +174,15 @@ def point_curve_residual(x, curve: RationalCurve) -> float:
 HOMOGRAPHY_EPS = 1e-12
 
 
-def _common_stack(x, data):
-    """``x`` (one row or a stack) as a C-contiguous 2-d stack, and the
-    camera's ``data`` (a tuple of arrays; None stands for no array), in one
-    number type: Fractions when x and every array are exact, else floats
-    (``as_float`` of each), which is what Python's mixed Fraction-float
-    arithmetic gives."""
-    X = np.atleast_2d(x)
-    if not (is_exact(X) and all(is_exact(d) for d in data if d is not None)):
-        X, data = as_float(X), [as_float(d) for d in data]
-    return np.ascontiguousarray(X), data
-
-
 def _residuals(cam, p, *data):
     """Congruence residual of one line, or of each row of an (N, 6) stack:
-    ``cam._residuals`` of the stack and ``data`` in one number type (see
-    :func:`_common_stack`), each exact row first divided exactly by its
-    largest coordinate."""
+    ``cam._residuals`` of the stack as a C-contiguous 2-d array and of the
+    camera's ``data`` (arrays, or None for no array), all in one number
+    type (:func:`numeric.common_type`), each exact row first divided
+    exactly by its largest coordinate."""
     P = _scaled_rows(vec(p))
-    stack, data = _common_stack(P, data)
-    r = cam._residuals(stack, *data)
+    r = cam._residuals(*common_type(np.ascontiguousarray(np.atleast_2d(P)),
+                                    *data))
     return r if P.ndim == 2 else float(r[0])
 
 
@@ -202,18 +190,18 @@ def _projections(cam, x, *data):
     """``cam``'s line of one point, or ``(lines, focal)`` for an (N, 4)
     stack (see the module docstring).
 
-    ``cam._project`` takes the stack and ``data`` in one number type (see
-    :func:`_common_stack`) and returns the lines and its focal tests, in
-    order of priority: (message, v, eps, scale) for the rows where the
-    stack ``v`` is zero (:func:`numeric.negligible_rows`).  A float point
-    whose line has no finite norm, or whose scale in a test is not finite,
-    is too large for the float range: DegenerateInput names it, and it is
-    not a focal point.
+    ``cam._project`` takes the stack and ``data`` as ``cam._residuals``
+    does (see :func:`_residuals`), and returns the lines and its focal
+    tests, in order of priority: (message, v, eps, scale) for the rows
+    where the stack ``v`` is zero (:func:`numeric.negligible_rows`).  A
+    float point whose line has no finite norm, or whose scale in a test is
+    not finite, is too large for the float range: DegenerateInput names
+    it, and it is not a focal point.
     """
     X = vec(x)
-    stack, data = _common_stack(X, data)
+    args = common_type(np.ascontiguousarray(np.atleast_2d(X)), *data)
     with np.errstate(over="ignore", invalid="ignore"):
-        lines, tests = cam._project(stack, *data)
+        lines, tests = cam._project(*args)
         hits = [(message, negligible_rows(
                     v, lambda: _in_float_range(scale(), lines), eps))
                 for message, v, eps, scale in tests]
@@ -275,9 +263,7 @@ class Pinhole:
         return _residuals(self, p, self._scaled_center)
 
     def _residuals(self, P, center):
-        # |P c| / (|P| |c|), with an exact numerator for exact input
-        (U, n), (c, nc) = unit_rows(P), unit_rows(center)
-        return row_norms(as_float(np.matvec(_primal_stack(U), c))) / (n * nc)
+        return point_line_residual(center, P)
 
     def payload(self):
         return {"type": "pinhole", "center": vector_payload(self.center)}
@@ -298,6 +284,8 @@ class TwoSlit:
         s1, s2 = vec(self.slit1), vec(self.slit2)
         object.__setattr__(self, "slit1", s1)
         object.__setattr__(self, "slit2", s2)
+        # unitize scales floats without overflow and keeps Fractions, which
+        # negligible compares with zero exactly
         for s in (s1, s2):
             if not negligible(plucker_quadric(unitize(s)), eps=1e-9):
                 raise InvalidSlit("slit is not on the line quadric")
@@ -327,11 +315,10 @@ class TwoSlit:
         return _residuals(self, p, *self._scaled_slits)
 
     def _residuals(self, P, *slits):
-        # the larger |incidence(p, s)| / (|p| |s|) of the two slits, with
-        # an exact numerator for exact input
-        U, n = unit_rows(P)
-        return np.maximum(*[np.abs(as_float(incidence(U.T, s))) / (n * ns)
-                            for s, ns in map(unit_rows, slits)])
+        # the larger incidence residual of the two slits, from one call
+        # that broadcasts each line against both
+        return np.max(incidence_residual(P[:, None], np.stack(slits)),
+                      axis=1)
 
     def payload(self):
         return {"type": "two_slit",
@@ -476,7 +463,7 @@ class TwistedCubic:
         P = as_float(P)
         if self._line_inverse is not None:
             P = np.matvec(self._line_inverse, P)
-        pn = unitize_rows(P)
+        pn = unitize(P)
         vals = np.abs(secant_quadrics(pn.T))
         return np.maximum(np.max(vals, axis=0), line_residual(pn))
 
@@ -687,7 +674,7 @@ def _pencil_residuals(P, data):
     the plane through L with pencil parameter (s:t) passes through the
     curve point at (s, t, 0, 0): p must meet L, its meets with x2 = 0 and
     x3 = 0 must share one (x0:x1), and it must pass through that point."""
-    pn = unitize_rows(as_float(P))
+    pn = unitize(as_float(P))
     c1 = pn[:, [1, 3]]      # (p02, p12): meet with x2 = 0
     c2 = pn[:, [2, 4]]      # (p03, p13): meet with x3 = 0
     n1, n2 = row_norms(c1), row_norms(c2)
@@ -731,15 +718,15 @@ class PanoramicNC:
 
     def generator_values(self, p):
         """The generators at one line, or at each row of an (N, 6) stack."""
-        p = vec(p).T
-        return np.stack([p[3], power(p[2], 2) - power(p[4], 2)
-                         - power(p[5], 2), plucker_quadric(p)], axis=-1)
+        c = vec(p).T
+        return np.stack([c[3], power(c[2], 2) - power(c[4], 2)
+                         - power(c[5], 2), plucker_quadric(c.T)], axis=-1)
 
     def congruence_residual(self, p):
         return _residuals(self, p)
 
     def _residuals(self, P):
-        return np.max(np.abs(self.generator_values(unitize_rows(as_float(P)))),
+        return np.max(np.abs(self.generator_values(unitize(as_float(P)))),
                       axis=-1)
 
     def focal_residual(self, x) -> float:
@@ -765,15 +752,15 @@ class PanoramicStereo:
 
     def generator_values(self, p):
         """The generators at one line, or at each row of an (N, 6) stack."""
-        p = vec(p).T
-        return np.stack([p[2], power(p[3], 2) - power(p[1], 2)
-                         - power(p[0], 2), plucker_quadric(p)], axis=-1)
+        c = vec(p).T
+        return np.stack([c[2], power(c[3], 2) - power(c[1], 2)
+                         - power(c[0], 2), plucker_quadric(c.T)], axis=-1)
 
     def congruence_residual(self, p):
         return _residuals(self, p)
 
     def _residuals(self, P):
-        return np.max(np.abs(self.generator_values(unitize_rows(as_float(P)))),
+        return np.max(np.abs(self.generator_values(unitize(as_float(P)))),
                       axis=-1)
 
     def focal_residual(self, x) -> float:

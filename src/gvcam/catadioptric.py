@@ -24,8 +24,7 @@ from .errors import (DegenerateInput, FocalConfiguration, IsotropicDirection,
 from .numeric import (DEFAULT_TOL, FORM_EPS, REAL_EPS, ZERO_EPS, as_float,
                       binary_roots, compound2, format_scalar, is_exact,
                       negligible_each, norm, parse_scalar, power,
-                      projective_distance, realify, row_norms, unitize,
-                      unitize_rows, vec)
+                      projective_distance, realify, row_norms, unitize, vec)
 from .plucker import (dual_line, line_from_planes, line_from_points,
                       meet_point, point_line_residual, points_on_line,
                       primal_matrix)
@@ -267,7 +266,7 @@ def tangent_plane(S: MirrorSurface, x, tol: float = DEFAULT_TOL):
     """Gradient covector of S at a smooth surface point, or at each point
     of an (n, 4) stack (the first bad point raises)."""
     x = as_float(vec(x))
-    xu = unitize_rows(np.atleast_2d(x))
+    xu = unitize(np.atleast_2d(x))
     val = np.abs(S.evaluate(xu)) / S.scale()
     bad = np.flatnonzero(val > tol)
     if bad.size:
@@ -308,7 +307,7 @@ def line_surface_points(S: MirrorSurface, L, real_tol: float = REAL_EPS):
     """
     L = as_float(vec(L))
     d = S.degree
-    a, b = points_on_line(unitize_rows(np.atleast_2d(L)))
+    a, b = points_on_line(unitize(np.atleast_2d(L)))
     forms = S.restrict_to_line(a, b)
     whole = row_norms(forms) <= FORM_EPS * S.scale() * np.float_power(
         np.maximum(row_norms(a), row_norms(b)), d)

@@ -34,8 +34,8 @@ from .catadioptric import (MirrorSurface, line_surface_points, reflect_line,
 from .errors import (AmbiguousPencil, DegenerateInput, GeometryError,
                      IllConditioned, UnsupportedOrder)
 from .numeric import (DEFAULT_TOL, _scaled_rows, as_float, format_scalar,
-                      is_exact, unitize_rows, vector_payload)
-from .plucker import line_residual, plucker_quadric
+                      is_exact, unitize, vector_payload)
+from .plucker import line_residual
 from .scene import (_list, _vector, load_json, load_observations,
                     load_points, load_scene, mirror_lines)
 
@@ -260,14 +260,6 @@ def _value(v, newline):
 # --------------------------------------------------------------------------
 # commands
 
-def _quadric_residuals(lines):
-    """Distance from the Pluecker quadric of each row of a stack of lines:
-    1.0 or 0.0 for exact rows, the unitized |quadric| for float rows."""
-    if is_exact(lines):
-        return (plucker_quadric(lines.T) != 0).astype(float)
-    return line_residual(unitize_rows(lines))
-
-
 def cmd_project(args) -> int:
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     points = load_points(args.points, scene, exact=args.exact)
@@ -297,7 +289,8 @@ def cmd_project(args) -> int:
         # the residuals of the camera's lines at once
         quadric = congruence = iter(())
         if hit.any():
-            quadric = iter(vector_payload(_quadric_residuals(lines[hit])))
+            quadric = iter(vector_payload(
+                line_residual(unitize(lines[hit]))))
             congruence = iter(vector_payload(
                 congruence_residual(cam, lines[hit])))
         column = []

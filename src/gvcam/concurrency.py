@@ -38,8 +38,8 @@ import numpy as np
 from .errors import AmbiguousPencil, InvalidN
 from . import numeric
 from .numeric import (DEFAULT_TOL, as_float, format_scalar, is_exact,
-                      negligible_each, row_norms, unitize_rows, vec)
-from .plucker import _primal_stack, incidence, primal_matrix
+                      negligible_each, row_norms, unitize, vec)
+from .plucker import incidence, primal_matrix
 
 __all__ = [
     "PROBE_POINTS", "quadric_generators", "cubic_generators",
@@ -172,9 +172,8 @@ def _generators(L):
     """
     m, n = L.shape[:2]
     (i, j), triples = _index_tables(n)
-    quadrics = incidence(np.moveaxis(L[:, i], -1, 0),
-                         np.moveaxis(L[:, j], -1, 0))
-    cols = _primal_stack(L.reshape(-1, 6)).reshape(m, n, 4, 4) @ _PROBES.T
+    quadrics = incidence(L[:, i], L[:, j])
+    cols = primal_matrix(L) @ _PROBES.T
     stack = cols[:, triples].transpose(3, 2, 0, 1, 4)  # (row, line, M, T, u)
     minors = np.array(_signed_minors(stack))           # (4, M, T, u)
     pick = np.argmax(minors != 0 if is_exact(L) else np.abs(minors), axis=0)
@@ -254,8 +253,7 @@ def evaluate_generators(lines):
     if n < 2:
         raise InvalidN("need at least two lines, got %d" % n)
     names = _generator_names(n)
-    if not is_exact(L):
-        L = unitize_rows(L)
+    L = unitize(L)
     if np.iscomplexobj(L):
         values = [_reference_generators(t) for t in L]
     else:
@@ -316,29 +314,42 @@ def find_common_point(lines, tol: float = DEFAULT_TOL):
     2-dimensional, e.g. for repeated lines.
     """
     L, single = _tuple_stack(lines)
-    m, n = L.shape[:2]
+    n = L.shape[1]
     if n < 2:
         raise InvalidN("need at least two lines, got %d" % n)
-    # the unitized lines, the blocks, LAPACK's copy of them and U
-    step = max(1, numeric.SVD_BUDGET // (64 * n))
     if is_exact(L):
         points = [_find_common_point_exact(t) for t in L]
-    elif m > step:
-        points = [x for k in range(0, m, step)
-                  for x in find_common_point(L[k:k + step], tol)]
     else:
-        blocks = _primal_stack(unitize_rows(L).reshape(-1, 6)).reshape(
-            m, n, 4, 4)
-        _, s, vt = np.linalg.svd(blocks.reshape(m, 4 * n, 4),
+        points = []
+        for blocks, _, vt in _svd_chunks(
+                L, tol, "solution space is at least 2-dimensional "
+                "(repeated lines?)"):
+            x = vt[:, -1]
+            residuals = row_norms(np.matvec(blocks, x[:, None]))  # (m, n)
+            found = np.max(residuals, axis=1) <= tol
+            points += [v if ok else None for v, ok in zip(x, found)]
+    return points[0] if single else points
+
+
+def _svd_chunks(L, tol, message):
+    """``(blocks, s, vt)`` of each chunk of an (M, n, 6) float stack of
+    tuples of lines, in order: the primal matrices of the unitized lines
+    as (m, n, 4, 4) and the singular values and right singular vectors of
+    each tuple's stacked 4n x 4 system.  A chunk holds as many tuples as
+    ``numeric.SVD_BUDGET`` allows; each tuple is computed alone, so the
+    values do not depend on it.  Raises AmbiguousPencil(``message``) when
+    a tuple's system has a 2-dimensional near-nullspace (s[2] <= tol s[0]).
+    """
+    m, n = L.shape[:2]
+    # the unitized lines, the blocks, LAPACK's copy of them and U
+    step = max(1, numeric.SVD_BUDGET // (64 * n))
+    for k in range(0, m, step):
+        blocks = primal_matrix(unitize(L[k:k + step]))
+        _, s, vt = np.linalg.svd(blocks.reshape(len(blocks), 4 * n, 4),
                                  full_matrices=False)
         if np.any(s[:, 2] <= tol * s[:, 0]):
-            raise AmbiguousPencil(
-                "solution space is at least 2-dimensional (repeated lines?)")
-        x = vt[:, -1]
-        residuals = row_norms(np.matvec(blocks, x[:, None]))     # (m, n)
-        found = np.max(residuals, axis=1) <= tol
-        points = [v if ok else None for v, ok in zip(x, found)]
-    return points[0] if single else points
+            raise AmbiguousPencil(message)
+        yield blocks, s, vt
 
 
 def _find_common_point_exact(lines):

@@ -16,15 +16,13 @@ from math import comb
 
 import numpy as np
 
-from .concurrency import _tuple_stack, find_common_point
-from .errors import (AmbiguousPencil, DegenerateConfiguration,
-                     DegenerateInput, InvalidN)
+from .concurrency import _svd_chunks, _tuple_stack, find_common_point
+from .errors import DegenerateConfiguration, DegenerateInput, InvalidN
 from .numeric import (DEFAULT_TOL, as_float, binary_roots,
-                      projective_distance, realify, unitize, unitize_rows,
-                      vec)
-from .plucker import (_primal_stack, incidence, join_plane, line_from_planes,
-                      line_from_points, line_residual, point_line_residual,
-                      points_on_line, primal_matrix)
+                      projective_distance, realify, unitize, vec)
+from .plucker import (incidence, incidence_residual, join_plane,
+                      line_from_planes, line_from_points, line_residual,
+                      point_line_residual, points_on_line, primal_matrix)
 from . import cameras as _cameras, numeric
 from .cameras import (Pinhole, TwoSlit, congruence_residual,
                       line_curve_residual)
@@ -80,8 +78,7 @@ def _pairwise_focal_warnings(a, b, ia, ib, tol):
             out.append("%s: center lies on a focal curve" % tag)
     for ln in _focal_lines(a):
         for ln2 in _focal_lines(b):
-            if abs(incidence(unitize(as_float(ln)),
-                             unitize(as_float(ln2)))) <= tol:
+            if incidence_residual(ln, ln2) <= tol:
                 out.append("%s: focal lines meet" % tag)
         crv = _focal_curve(b)
         if crv is not None and line_curve_residual(ln, crv) <= tol:
@@ -184,30 +181,20 @@ def triangulate(rig, lines, tol: float = DEFAULT_TOL) -> TriangulationResult:
     n = L.shape[1]
     if n < 2:
         raise InvalidN("triangulation needs at least two lines")
-    # the unitized lines, the blocks, LAPACK's copy of them and U
-    step = max(1, numeric.SVD_BUDGET // (64 * n))
-    if len(L) > step:
-        parts = [triangulate(None, L[k:k + step], tol)
-                 for k in range(0, len(L), step)]
-        return TriangulationResult(
-            point=np.concatenate([r.point for r in parts]),
-            residual=np.concatenate([r.residual for r in parts]))
-    rows = _primal_stack(unitize_rows(L).reshape(-1, 6))
-    _, s, vt = np.linalg.svd(rows.reshape(len(L), -1, 4), full_matrices=False)
-    if np.any(s[:, 2] <= tol * s[:, 0]):
-        raise AmbiguousPencil("stacked system has a 2-dimensional "
-                              "near-nullspace; point not unique")
+    parts = [(vt[:, 3], s[:, 3]) for _, s, vt in _svd_chunks(
+        L, tol, "stacked system has a 2-dimensional near-nullspace; point "
+        "not unique")]
+    point, residual = (np.concatenate(v) for v in zip(*parts))
     if single:
-        return TriangulationResult(point=vt[0, 3], residual=float(s[0, 3]))
-    return TriangulationResult(point=vt[:, 3], residual=s[:, 3])
+        return TriangulationResult(point=point[0], residual=float(residual[0]))
+    return TriangulationResult(point=point, residual=residual)
 
 
 def epipolar_residual(cam2, p, q) -> float:
     """Membership residual of q in the epipolar set of p for camera 2:
     q must lie in camera 2's congruence and meet p."""
-    pu = unitize(as_float(vec(p)))
     qu = unitize(as_float(vec(q)))
-    return max(congruence_residual(cam2, qu), abs(float(incidence(pu, qu))))
+    return max(congruence_residual(cam2, qu), float(incidence_residual(p, q)))
 
 
 def epipolar_degree(beta2: int) -> int:
@@ -254,7 +241,7 @@ def common_transversals(l1, l2, l3, l4, tol: float = DEFAULT_TOL):
             raise DegenerateInput("input is not a line (quadric residual)")
     for i in range(3):
         for j in range(i + 1, 3):
-            if abs(incidence(ls[i], ls[j])) <= tol:
+            if incidence_residual(ls[i], ls[j]) <= tol:
                 raise DegenerateConfiguration(
                     "lines %d and %d are not skew" % (i + 1, j + 1))
     P1, P2 = primal_matrix(ls[0]), primal_matrix(ls[1])

@@ -10,6 +10,14 @@ Two numeric regimes coexist:
 Everything in this module is polynomial, so the same code path serves
 both regimes; only norms and tolerance comparisons force a conversion
 to float.  Rationals serialize as ``"a/b"`` strings.
+
+:func:`common_type` is the one place that decides the number type of a
+computation on several arrays: Fractions when every array is exact, else
+floats.  :func:`unitize` scales each row of a float vector or stack to
+unit norm without over- or underflow and returns exact arrays unchanged;
+:func:`unit_rows` gives the scale-free form a residual needs in either
+type (unitized floats, or exact rows scaled by their largest coordinate
+together with their float norms).
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .errors import DegenerateInput
 
 __all__ = [
     "vec", "is_exact", "as_float", "norm", "unitize", "row_norms",
-    "unitize_rows", "unit_rows", "power",
+    "unit_rows", "common_type", "power", "multiply",
     "parse_scalar", "format_scalar", "parse_vector", "vector_payload",
     "proj_normalize", "projective_distance",
     "det3", "det4", "compound2", "exact_nullspace",
@@ -152,41 +160,57 @@ def row_norms(a):
 _SQUARABLE = (1e-150, 1e150)
 
 
-def unitize_rows(a):
-    """Each row of a float stack scaled to unit norm, as :func:`unitize`
-    scales one vector.  A row whose computed norm lies outside
-    :data:`_SQUARABLE` (0 and inf included) is first multiplied by the
-    power of two that brings its largest coordinate into [0.5, 1), which
-    is exact, so that its squares neither under- nor overflow; every other
-    row is divided by its norm as computed."""
+def unitize(a):
+    """Each row of a float vector or stack scaled to unit Euclidean norm.
+    A row whose computed norm lies outside :data:`_SQUARABLE` (0 and inf
+    included) is first multiplied by the power of two that brings its
+    largest coordinate into [0.5, 1), which is exact, so that its squares
+    neither under- nor overflow; every other row is divided by its norm as
+    computed.  Exact arrays are returned unchanged (their residuals are
+    tested against exact zero, not a tolerance)."""
+    a = vec(a)
+    if is_exact(a):
+        return a
     with np.errstate(over="ignore"):        # such a row is rescaled below
         n = row_norms(a)
-    far = ~((n >= _SQUARABLE[0]) & (n <= _SQUARABLE[1]))
-    if np.any(far):
+    # .all(), as np.all costs more than the rest of this on one vector
+    squarable = (n >= _SQUARABLE[0]) & (n <= _SQUARABLE[1])
+    if not squarable.all():
         shape = np.shape(a)
         a = np.array(a, dtype=np.result_type(a, 1.0))   # a copy
         a = a.reshape(-1, shape[-1])
-        n, far = n.reshape(-1), far.reshape(-1)
+        n, far = np.reshape(n, -1), ~np.reshape(squarable, -1)
         _, e = np.frexp(np.max(np.abs(a[far]), axis=-1))
         # in two factors, neither of which overflows for subnormal rows
         a[far] *= np.ldexp(1.0, -e // 2)[:, None]
         a[far] *= np.ldexp(1.0, -e - -e // 2)[:, None]
         n[far] = row_norms(a[far])
         a, n = a.reshape(shape), n.reshape(shape[:-1])
-    if not np.all(n):
-        raise DegenerateInput("cannot normalize a zero vector")
+        if not n.all():                 # a zero row is never squarable
+            raise DegenerateInput("cannot normalize a zero vector")
     return a / n[..., None]
 
 
 def unit_rows(a):
     """``(u, n)`` with ``u / n`` the rows of ``a`` at unit norm: for a
-    float stack its unitized rows and n = 1.0, for an exact stack the rows
-    unchanged and the float norm of each.  A product of exact ``u``s stays
-    exact, so it is 0.0 exactly where it vanishes, and dividing a float
-    result by 1.0 changes no bit."""
+    float stack its unitized rows and n = 1.0, for an exact stack its rows
+    divided exactly by their largest coordinate (:func:`_scaled_rows`) and
+    the float norm of each.  A product of exact ``u``s stays exact, so it
+    is 0.0 exactly where it vanishes, and dividing a float result by 1.0
+    changes no bit."""
     if is_exact(a):
+        a = _scaled_rows(a)
         return a, row_norms(as_float(a))
-    return unitize_rows(a), 1.0
+    return unitize(a), 1.0
+
+
+def common_type(*arrays):
+    """The arrays in one number type, as a list: unchanged when every one
+    is exact, else :func:`as_float` of each, which is what Python's mixed
+    Fraction-float arithmetic gives.  None stands for no array."""
+    if all(is_exact(a) for a in arrays if a is not None):
+        return list(arrays)
+    return [as_float(a) for a in arrays]
 
 
 def power(a, e):
@@ -198,19 +222,16 @@ def power(a, e):
     return a ** e
 
 
-def unitize(a):
-    """Scale a float vector/matrix to unit Euclidean norm.
-
-    Exact arrays are returned unchanged (their residuals are tested against
-    exact zero, not a tolerance).
-    """
-    a = vec(a)
-    if is_exact(a):
-        return a
-    n = norm(a)
-    if n == 0.0:
-        raise DegenerateInput("cannot normalize a zero vector")
-    return a / n
+def multiply(a, b):
+    """``a * b``; two complex arrays are multiplied on their real and
+    imaginary parts, (ac - bd) + (ad + bc)i, which rounds as numpy's scalar
+    complex multiply does and its vectorized array loop does not."""
+    if not (np.iscomplexobj(a) and np.iscomplexobj(b)):
+        return a * b
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def _scaled_rows(a):

@@ -26,8 +26,9 @@ import math
 import numpy as np
 
 from .errors import DegenerateInput
-from .numeric import (DEFAULT_TOL, is_exact, negligible, norm, row_norms,
-                      unitize, unitize_rows, vec)
+from .numeric import (DEFAULT_TOL, ZERO_EPS, _scaled_rows, as_float,
+                      common_type, is_exact, multiply, negligible, norm,
+                      row_norms, unit_rows, vec)
 
 __all__ = [
     "wedge", "line_from_points", "line_from_planes", "dual_line",
@@ -45,14 +46,13 @@ _WEDGE_I, _WEDGE_J = (np.array(v) for v in zip(*LINE_COORD_PAIRS))
 
 def wedge(x, y):
     """Bilinear wedge x ^ y of two 4-vectors in Pluecker order, with no
-    check that the result is nonzero.  When either is an (n, 4) stack (the
-    other broadcast against it), the (n, 6) wedges row by row, with the
-    same products and differences."""
-    x, y = vec(x), vec(y)
-    if x.ndim == y.ndim == 1:
-        return vec([x[i] * y[j] - x[j] * y[i] for i, j in LINE_COORD_PAIRS])
+    check that the result is nonzero; of each row when either is a stack
+    (the other broadcast against it).  Both are first put in one number
+    type (:func:`numeric.common_type`); complex products round as the
+    scalar ones do (:func:`numeric.multiply`)."""
+    x, y = common_type(vec(x), vec(y))
     i, j = _WEDGE_I, _WEDGE_J
-    return x[..., i] * y[..., j] - x[..., j] * y[..., i]
+    return multiply(x[..., i], y[..., j]) - multiply(x[..., j], y[..., i])
 
 
 def line_from_points(x, y):
@@ -77,76 +77,63 @@ def dual_line(p):
 
     Applying it twice is the identity.  It swaps the primal and dual
     descriptions of the same line, and exchanges the roles of the primal
-    and dual matrices."""
+    and dual matrices.  Of each row of a stack."""
+    return _signed(p, _STAR)
+
+
+def _signed_table(entries):
+    """Indices into ``(p, -p, 0)`` (13 values) of an array whose entries
+    are given as signed coordinate numbers: +k is p[k - 1], -k is
+    -p[k - 1], and 0 is zero."""
+    t = np.array(entries)
+    table = np.where(t > 0, t - 1, np.where(t < 0, 5 - t, 12))
+    table.flags.writeable = False
+    return table
+
+
+# coordinate k is p[k - 1] of (p01, p02, p03, p12, p13, p23)
+_STAR = _signed_table((6, -5, 4, 3, -2, 1))
+_PRIMAL = _signed_table(((0, 6, -5, 4),
+                         (-6, 0, 3, -2),
+                         (5, -3, 0, 1),
+                         (-4, 2, -1, 0)))
+_DUAL = _signed_table(((0, 1, 2, 3),
+                       (-1, 0, 4, 5),
+                       (-2, -4, 0, 6),
+                       (-3, -5, -6, 0)))
+
+
+def _signed(p, table):
+    """The array of ``table`` of a line, or of each row of a stack, in the
+    line's number type (negation is exact)."""
     p = vec(p)
-    return vec([p[5], -p[4], p[3], p[2], -p[1], p[0]])
+    return np.concatenate([p, -p, np.zeros_like(p[..., :1])],
+                          axis=-1)[..., table]
 
 
 def primal_matrix(p):
-    """Skew matrix P with kernel = points of the line; P @ x = join plane."""
-    p = vec(p)
-    p01, p02, p03, p12, p13, p23 = p
-    rows = [
-        [0, p23, -p13, p12],
-        [-p23, 0, p03, -p02],
-        [p13, -p03, 0, p01],
-        [-p12, p02, -p01, 0],
-    ]
-    return np.array(rows, dtype=p.dtype)
+    """Skew matrix P with kernel = points of the line; P @ x = join plane.
+    Of each row of a stack of lines, as (..., 4, 4)."""
+    return _signed(p, _PRIMAL)
 
 
 def dual_matrix(p):
     """Skew matrix P* with kernel = planes through the line; P* @ u = meet
-    point.  Identical to ``primal_matrix(dual_line(p))``."""
-    p = vec(p)
-    p01, p02, p03, p12, p13, p23 = p
-    rows = [
-        [0, p01, p02, p03],
-        [-p01, 0, p12, p13],
-        [-p02, -p12, 0, p23],
-        [-p03, -p13, -p23, 0],
-    ]
-    return np.array(rows, dtype=p.dtype)
-
-
-def _layout(matrix):
-    """Row, column, coordinate index and sign of the twelve nonzero entries
-    of ``matrix`` (:func:`primal_matrix` or :func:`dual_matrix`), read off
-    the matrix of the line (1, ..., 6)."""
-    m = matrix(np.arange(1, 7))
-    rows, cols = np.nonzero(m)
-    entries = m[rows, cols]
-    layout = (rows, cols, np.abs(entries) - 1, np.sign(entries))
-    for a in layout:
-        a.flags.writeable = False
-    return layout
-
-
-_PRIMAL_LAYOUT, _DUAL_LAYOUT = _layout(primal_matrix), _layout(dual_matrix)
-
-
-def _stack(L, layout):
-    """The matrix with ``layout`` of every row of an (n, 6) stack of floats
-    or of Fractions, as (n, 4, 4) with the same entries (multiplying by the
-    integer signs +-1 is exact and keeps Fractions)."""
-    rows, cols, coords, signs = layout
-    M = np.zeros((len(L), 4, 4), dtype=L.dtype)
-    M[:, rows, cols] = L[:, coords] * signs
-    return M
-
-
-def _primal_stack(L):
-    return _stack(L, _PRIMAL_LAYOUT)
+    point.  Identical to ``primal_matrix(dual_line(p))``; of each row of a
+    stack of lines, as (..., 4, 4)."""
+    return _signed(p, _DUAL)
 
 
 def plucker_quadric(p):
-    """Quadratic form whose vanishing characterizes actual lines."""
+    """Quadratic form whose vanishing characterizes actual lines (of each
+    row of a stack)."""
     p = vec(p)
-    return p[2] * p[3] - p[1] * p[4] + p[0] * p[5]
+    return (p[..., 2] * p[..., 3] - p[..., 1] * p[..., 4]
+            + p[..., 0] * p[..., 5])
 
 
 def incidence(p, q):
-    """trace(primal_matrix(p) @ dual_matrix(q)).
+    """trace(primal_matrix(p) @ dual_matrix(q)), row by row for stacks.
 
     Vanishes exactly when the two lines meet (equivalently are coplanar).
     Equals -2 * (p01*q23 - p02*q13 + p03*q12 + p12*q03 - p13*q02 + p23*q01),
@@ -154,8 +141,9 @@ def incidence(p, q):
     incidence(p, p) = -4 * plucker_quadric(p).
     """
     p, q = vec(p), vec(q)
-    return -2 * (p[0] * q[5] - p[1] * q[4] + p[2] * q[3]
-                 + p[3] * q[2] - p[4] * q[1] + p[5] * q[0])
+    return -2 * (p[..., 0] * q[..., 5] - p[..., 1] * q[..., 4]
+                 + p[..., 2] * q[..., 3] + p[..., 3] * q[..., 2]
+                 - p[..., 4] * q[..., 1] + p[..., 5] * q[..., 0])
 
 
 def join_plane(p, x):
@@ -175,99 +163,100 @@ def meet_point(p, u):
 
 
 # --- membership residuals ----------------------------------------------------
+#
+# Each residual is its relation evaluated on the inputs at unit norm, so it
+# does not depend on their projective scale.  The inputs are put in one
+# number type and scaled by numeric.unit_rows: floats are unitized, exact
+# rows keep an exact numerator (0.0 exactly where the relation vanishes)
+# that is divided by their float norms.  A vector gives one value, stacks
+# (broadcast against each other) one value per row.
+
+def _unit(*arrays):
+    return [unit_rows(a) for a in common_type(*map(vec, arrays))]
+
 
 def point_line_residual(x, p):
-    """Norm of primal_matrix(p) @ x after unitizing both inputs; for an
-    (n, 4) float stack of points and an (n, 6) one of lines, the n norms
-    row by row (each equal to the call on that row)."""
-    x, p = vec(x), vec(p)
-    if x.ndim == 2:
-        return row_norms(np.matvec(_primal_stack(unitize_rows(p)),
-                                   unitize_rows(x)))
-    return norm(primal_matrix(unitize(p)) @ unitize(x))
+    """|primal_matrix(p) @ x| at unit norm."""
+    (X, nx), (U, n) = _unit(x, p)
+    return row_norms(as_float(np.matvec(primal_matrix(U), X))) / (n * nx)
 
 
-def plane_line_residual(u, p) -> float:
-    """Norm of dual_matrix(p) @ u after unitizing both inputs."""
-    return norm(dual_matrix(unitize(p)) @ unitize(vec(u)))
+def plane_line_residual(u, p):
+    """|dual_matrix(p) @ u| at unit norm."""
+    (V, nu), (U, n) = _unit(u, p)
+    return row_norms(as_float(np.matvec(dual_matrix(U), V))) / (n * nu)
 
 
-def incidence_residual(p, q) -> float:
-    return abs(float(np.abs(incidence(unitize(p), unitize(q)))))
+def incidence_residual(p, q):
+    """|incidence(p, q)| at unit norm."""
+    (U, n), (V, nq) = _unit(p, q)
+    return np.abs(as_float(incidence(U, V))) / (n * nq)
 
 
 def line_residual(p):
-    """|quadric| on the unitized vector: distance-like measure from the
-    variety of actual lines; for an (n, 6) float stack, the n values row by
-    row."""
-    p = vec(p)
-    if p.ndim == 2:
-        return np.abs(plucker_quadric(unitize_rows(p).T))
-    return abs(float(np.abs(plucker_quadric(unitize(p)))))
+    """|plucker_quadric(p)| at unit norm: distance-like measure from the
+    variety of actual lines."""
+    ((U, n),) = _unit(p)
+    return np.abs(as_float(plucker_quadric(U))) / (n * n)
 
 
 def point_on_line(x, p, tol: float = DEFAULT_TOL) -> bool:
-    x, p = vec(x), vec(p)
-    if is_exact(x) and is_exact(p):
+    """Exact inputs are tested against exact zero, others by
+    :func:`point_line_residual` against ``tol``."""
+    x, p = common_type(vec(x), vec(p))
+    if is_exact(x):
         return bool(np.all(primal_matrix(p) @ x == 0))
-    return point_line_residual(x, p) <= tol
+    return bool(point_line_residual(x, p) <= tol)
 
 
 def plane_contains_line(u, p, tol: float = DEFAULT_TOL) -> bool:
-    u, p = vec(u), vec(p)
-    if is_exact(u) and is_exact(p):
+    """Exact inputs are tested against exact zero, others by
+    :func:`plane_line_residual` against ``tol``."""
+    u, p = common_type(vec(u), vec(p))
+    if is_exact(u):
         return bool(np.all(dual_matrix(p) @ u == 0))
-    return plane_line_residual(u, p) <= tol
+    return bool(plane_line_residual(u, p) <= tol)
 
 
 def points_on_line(p):
-    """Two independent points spanning the line.
+    """Two independent points spanning the line, or (..., 4) stacks of
+    them for a stack of lines, in the line's number type.
 
     The columns of the dual matrix are the meets of ``p`` with the four
     coordinate planes, hence points of the line (zero when the line lies in
-    that plane); any two independent ones span it.  Exact lines take the
-    first independent pair.  Float lines take the longest column and the
-    one most orthogonal to it (the first on ties), of one line or of each
-    row of an (n, 6) stack, which gives (n, 4) stacks of points.
+    that plane); any two independent ones span it.  The longest column is
+    taken, with the one most orthogonal to it (the first on ties), both
+    chosen on floats (exact lines are first scaled by their largest
+    coordinate, then rounded).
     """
-    p = vec(p)
-    if is_exact(p):
-        dm = dual_matrix(p)
-        cols = [vec([dm[r][c] for r in range(4)]) for c in range(4)]
-
-        def _indep(a, b):
-            return any(a[i] * b[j] - a[j] * b[i] != 0
-                       for i in range(4) for j in range(i + 1, 4))
-
-        cols = [c for c in cols if any(x != 0 for x in c)]
-        for k, a in enumerate(cols):
-            for b in cols[k + 1:]:
-                if _indep(a, b):
-                    return a, b
-        raise DegenerateInput("vector does not span a line")
-    P = np.atleast_2d(p)
-    rows = np.arange(len(P))
-    cols = np.ascontiguousarray(np.swapaxes(_stack(P, _DUAL_LAYOUT), 1, 2))
-    norms = row_norms(cols)
+    cols = np.swapaxes(dual_matrix(_scaled_rows(vec(p))), -1, -2)
+    shape = cols.shape[:-1]             # of the points
+    cols = cols.reshape(-1, 4, 4)
+    F = np.ascontiguousarray(as_float(cols))
+    rows = np.arange(len(F))
+    norms = row_norms(F)
     order = np.argsort(-norms, axis=1)
-    a, na = cols[rows, order[:, 0]], norms[rows, order[:, 0]]
-    if not np.all(na):
+    first = order[:, 0]
+    na = norms[rows, first]
+    if not na.all():
         raise DegenerateInput("vector does not span a line")
-    au = a / na[:, None]
-    best, best_score = np.zeros_like(a), np.full(len(P), -1.0)
+    au = F[rows, first] / na[:, None]
+    second, best_score = first, np.full(len(F), -1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
         for k in range(1, 4):
-            c, n = cols[rows, order[:, k]], norms[rows, order[:, k]]
-            cu = c / n[:, None]
+            j = order[:, k]
+            n = norms[rows, j]
+            cu = F[rows, j] / n[:, None]
             # the component of cu orthogonal to a; vecdot conjugates its
             # first operand, and conj() undoes that, so this is au @ cu
             score = row_norms(cu - np.vecdot(au.conj(), cu)[:, None] * au)
             better = (n != 0) & (score > best_score)
-            best = np.where(better[:, None], c, best)
+            second = np.where(better, j, second)
             best_score = np.where(better, score, best_score)
-    if not np.all(best_score >= 1e-12):
+    if not (best_score >= ZERO_EPS).all():
         raise DegenerateInput("vector does not span a line")
-    return (a, best) if p.ndim == 2 else (a[0], best[0])
+    return (cols[rows, first].reshape(shape),
+            cols[rows, second].reshape(shape))
 
 
 def _reject_zero(out, message, *context):

@@ -28,8 +28,8 @@ import numpy as np
 from .cameras import Pinhole, TwoSlit, camera_from_payload
 from .catadioptric import MirrorSurface
 from .errors import DegenerateInput
-from .numeric import (DEFAULT_TOL, as_float, is_exact, negligible_each,
-                      parse_vector, projective_distance, unitize_rows, vec)
+from .numeric import (DEFAULT_TOL, as_float, negligible_each,
+                      parse_vector, projective_distance, unitize, vec)
 from .plucker import plucker_quadric
 from .tensors import pinhole_center, twoslit_kernels
 
@@ -144,9 +144,7 @@ def _check_line(lines, tol, what):
     bad = np.argwhere(~np.any(lines != 0, axis=-1))
     why = "is the zero vector, not a line"
     if not len(bad):
-        if not is_exact(lines):
-            lines = unitize_rows(lines)
-        q = plucker_quadric(np.moveaxis(lines, -1, 0))
+        q = plucker_quadric(unitize(lines))
         bad = np.argwhere(~negligible_each(q, eps=max(tol, 1e-10)))
         why = "is not a line (quadric residual exceeds tolerance)"
     if len(bad):

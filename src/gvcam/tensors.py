@@ -33,8 +33,6 @@ __all__ = [
     "tensor_from_payload",
 ]
 
-_COMPL3 = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-
 
 def _vec_matrix(m, shape, name):
     m = vec(m)
@@ -196,19 +194,27 @@ def class_beta_fiber(f, g, h, u, v):
 # --------------------------------------------------------------------------
 # multifocal tensors
 
+def _multifocal(mats):
+    """The tensor T with T[i, j, ...] = (-1)^{i+j+...} det4 of the rows of
+    ``mats`` left after dropping row i of the first matrix, row j of the
+    second, and so on (four rows of four columns); of object dtype when
+    any matrix is exact."""
+    exact = any(is_exact(M) for M in mats)
+    T = np.empty([len(M) for M in mats], dtype=object if exact else None)
+    for idx in np.ndindex(T.shape):
+        rows = [row for M, i in zip(mats, idx)
+                for r, row in enumerate(M) if r != i]
+        T[idx] = (-1) ** sum(idx) * det4(rows)
+    return vec(T)
+
+
 def fundamental_matrix(A, B):
     """3x3 tensor F with F[l, i] = (-1)^{i+l} det[A_j; A_k; B_m; B_n],
     (j,k) and (m,n) the increasing complements of i and l, oriented so
     that (Bx)^T F (Ax) = 0."""
     A = _vec_matrix(A, (3, 4), "first camera")
     B = _vec_matrix(B, (3, 4), "second camera")
-    F = np.empty((3, 3), dtype=object if is_exact(A) or is_exact(B) else None)
-    for l in range(3):
-        m, n = _COMPL3[l]
-        for i in range(3):
-            j, k = _COMPL3[i]
-            F[l, i] = (-1) ** (i + l) * det4([A[j], A[k], B[m], B[n]])
-    F = vec(F)
+    F = _multifocal([A, B]).T
     if negligible(F, norm(A) ** 2 * norm(B) ** 2):
         raise CoincidentCenters("cameras share their center")
     return F
@@ -218,17 +224,8 @@ def quadrifocal_tensor(A, B, C, D):
     """2x2x2x2 tensor of two two-slit cameras (A,B), (C,D):
     f[i,j,k,l] = (-1)^{i+j+k+l} det[A_other(i); B_other(j); C_other(k);
     D_other(l)]; contracting with (Ax, Bx, Cx, Dx) gives zero."""
-    mats = [_vec_matrix(M, (2, 4), "slit matrix") for M in (A, B, C, D)]
-    exact = any(is_exact(M) for M in mats)
-    T = np.empty((2, 2, 2, 2), dtype=object if exact else None)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    T[i, j, k, l] = (-1) ** (i + j + k + l) * det4(
-                        [mats[0][1 - i], mats[1][1 - j],
-                         mats[2][1 - k], mats[3][1 - l]])
-    return vec(T)
+    return _multifocal([_vec_matrix(M, (2, 4), "slit matrix")
+                        for M in (A, B, C, D)])
 
 
 def quadrifocal_residual(T, u, v, w, z) -> float:
@@ -248,15 +245,7 @@ def mixed_epipolar_tensor(A, B, C):
     A = _vec_matrix(A, (3, 4), "pinhole matrix")
     B = _vec_matrix(B, (2, 4), "first slit matrix")
     C = _vec_matrix(C, (2, 4), "second slit matrix")
-    exact = is_exact(A) or is_exact(B) or is_exact(C)
-    T = np.empty((3, 2, 2), dtype=object if exact else None)
-    for i in range(3):
-        l, m = _COMPL3[i]
-        for j in range(2):
-            for k in range(2):
-                T[i, j, k] = (-1) ** (i + j + k) * det4(
-                    [A[l], A[m], B[1 - j], C[1 - k]])
-    return vec(T)
+    return _multifocal([A, B, C])
 
 
 def mixed_residual(T, u, v, w) -> float:

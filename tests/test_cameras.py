@@ -364,6 +364,21 @@ def test_twoslit_focal_and_validation():
         TwoSlit(p, vec([1.0, 1, 0, 0, 0, 0]))             # not a line
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 10 ** 400])
+def test_twoslit_slits_are_checked_at_any_scale(scale):
+    """Slits e0 v e1 and e2 v e3 scaled by 1e+-200 (floats whose squares
+    leave the float range) or by 10^400 (exact) make a valid camera, and
+    meeting slits are rejected at the same scales."""
+    exact = isinstance(scale, int)
+    p, q, r = (vec(v, exact=exact) * scale for v in ((1, 0, 0, 0, 0, 0),
+                                                     (0, 0, 0, 0, 0, 1),
+                                                     (0, 1, 0, 0, 0, 0)))
+    cam = TwoSlit(p, q)
+    assert cam.congruence_residual(vec([0, 1, 1, 1, 1, 0])) == 0.0
+    with pytest.raises(InvalidSlit):
+        TwoSlit(p, r)                       # e0 v e1 and e0 v e2 meet
+
+
 def test_twoslit_projection_meets_both_slits():
     rng = np.random.default_rng(304)
     for _ in range(25):

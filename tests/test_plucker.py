@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gvcam.errors import DegenerateInput, IllConditioned
-from gvcam.numeric import norm, unitize, vec
+from gvcam.numeric import DEFAULT_TOL, norm, unitize, vec
 from gvcam.plucker import (LINE_COORD_PAIRS, dual_line, dual_matrix,
                            incidence, incidence_residual, join_plane,
                            line_from_planes, line_from_points, line_residual,
                            meet_point, plane_contains_line,
                            plane_line_residual, plucker_quadric,
                            point_line_residual, point_on_line, points_on_line,
-                           primal_matrix)
+                           primal_matrix, wedge)
 from conftest import (assert_proj_close, lines_through, rand_line,
                       rand_point, rand_rational_point)
 
@@ -222,3 +223,106 @@ def test_degenerate_inputs_raise():
     p = vec([1.0, 0, 0, 0, 0, 0])            # span(e0,e1)
     with pytest.raises(DegenerateInput):
         meet_point(p, np.array([0.0, 0, 0, 1]))
+
+
+# --- scale-free residuals, of one vector or a stack --------------------------
+
+# the line through (1:2:3:1) and (2:-1:1:1)
+_P = line_from_points(np.array([1.0, 2, 3, 1]), np.array([2.0, -1, 1, 1]))
+
+
+def _exact(v, scale=1):
+    return np.array([Fraction(x) * scale for x in v], dtype=object)
+
+
+def test_exact_point_is_unitized_at_any_scale():
+    """An exact point against a float line is judged at unit norm, as the
+    float point is: 10^9 (1:2:3:1) lies on the line, and 10^-12 (1:2:3:1)
+    does not lie on a line moved by 1e-3 away from it."""
+    x = np.array([1, 2, 3, 1])
+    big = _exact(x, 10 ** 9)
+    assert point_line_residual(big, _P) <= 1e-15
+    assert point_on_line(big, _P)
+    q = _P + 1e-3 * np.eye(6)[5]
+    tiny = _exact(x, Fraction(1, 10 ** 12))
+    far = point_line_residual(x.astype(float), q)
+    assert far > 1e-5
+    assert point_line_residual(tiny, q) == pytest.approx(far, rel=1e-12)
+    assert not point_on_line(tiny, q)
+
+
+def test_exact_plane_is_unitized_at_any_scale():
+    # the plane x2 + x3 = 0 does not contain the line e2 v e3
+    plane = _exact([0, 0, 1, 1], Fraction(1, 10 ** 12))
+    line = np.eye(6)[5]
+    assert plane_line_residual(plane, line) == pytest.approx(1.0)
+    assert not plane_contains_line(plane, line)
+
+
+@pytest.mark.parametrize("e", [-6, 0, 6, 400])
+def test_exact_non_line_residual_is_free_of_scale(e):
+    """k (e0 v e1 + e2 v e3) is no line at any k = 10^e: its residual is
+    that of the unit vector, 1/2, not k^2."""
+    k = Fraction(10) ** e
+    assert line_residual(_exact([k, 0, 0, 0, 0, k])) == pytest.approx(0.5)
+
+
+def test_float_residuals_survive_huge_coordinates():
+    """A float row whose squares overflow is unitized by a power of two
+    first, alone as in a stack."""
+    x = np.array([5.0, -7, 1, 2])
+    want = point_line_residual(x, _P)
+    assert want == pytest.approx(0.199, abs=1e-3)
+    assert point_line_residual(1e200 * x, _P) == want
+    assert point_line_residual((1e200 * x)[None], _P[None])[0] == want
+    huge = np.array([1e200, 0, 0, 0, 0, 1e200])
+    assert line_residual(huge) == pytest.approx(0.5)
+
+
+_SMALL = st.lists(st.integers(-9, 9), min_size=4, max_size=4).filter(any)
+
+
+def _relations(rows, exact):
+    """Each residual function with its stacks of arguments, one row per
+    drawn row: the relation holds when ``meet`` is set, and is generic
+    otherwise."""
+    cast = _exact if exact else (lambda v: np.array(v, dtype=float))
+    pts, lines, planes, others, quads = [], [], [], [], []
+    for x, y, z, w, meet in rows:
+        x, y, z, w = map(cast, (x, y, z, w))
+        p = wedge(x, y)
+        pts.append(x if meet else w)
+        lines.append(p)
+        planes.append(primal_matrix(p) @ (z if meet else w))
+        others.append(wedge(x if meet else w, z))
+        quads.append(p if meet else np.concatenate([x, y[:2]]))
+    stack = lambda a: np.array(a, dtype=object if exact else float)
+    P = stack(lines)
+    return [(point_line_residual, (stack(pts), P)),
+            (plane_line_residual, (stack(planes), P)),
+            (incidence_residual, (P, stack(others))),
+            (line_residual, (stack(quads),))]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.lists(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL, st.booleans()),
+                min_size=1, max_size=5),
+       st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+       st.booleans())
+def test_residual_of_one_row_equals_its_row_of_the_stack_at_any_scale(
+        rows, powers, exact):
+    """Each residual of one vector equals its row of the stacked call, bit
+    for bit, and rescaling any input by 10^k, k in [-6, 6], keeps its
+    verdict against DEFAULT_TOL, for floats and for Fractions."""
+    relations = _relations(rows, exact)
+    for _, args in relations:
+        assume(all(np.all(np.any(a != 0, axis=-1)) for a in args))
+    for f, args in relations:
+        stacked = f(*args)
+        for i in range(len(rows)):
+            single = f(*(a[i] for a in args))
+            assert np.float64(single).tobytes() == stacked[i].tobytes(), f
+        scales = [Fraction(10) ** k if exact else 10.0 ** k for k in powers]
+        moved = f(*(a * lam for a, lam in zip(args, scales)))
+        np.testing.assert_array_equal(moved <= DEFAULT_TOL,
+                                      stacked <= DEFAULT_TOL, err_msg=str(f))
