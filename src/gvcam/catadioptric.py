@@ -154,6 +154,8 @@ class MirrorSurface:
         object.__setattr__(self, "coeffs", tuple(sorted(table)))
         object.__setattr__(self, "_scale", max(abs(complex(v))
                                                for _, v in self.coeffs))
+        if not self._scale:
+            raise DegenerateInput("every coefficient of the surface is zero")
         # the table for Fraction stacks, when every coefficient is rational
         exact = all(isinstance(c, Rational) for _, c in self.coeffs)
         object.__setattr__(self, "_exact_terms", tuple(
@@ -239,11 +241,10 @@ class MirrorSurface:
                 or not isinstance(data.get("coeffs"), dict):
             raise DegenerateInput(
                 "surface payload needs 'degree' and a 'coeffs' object")
-        try:
-            degree = int(data["degree"])
-        except (TypeError, ValueError, OverflowError):
+        degree = data["degree"]
+        if type(degree) is not int:
             raise DegenerateInput("surface 'degree' must be an integer, "
-                                  "got %r" % (data["degree"],)) from None
+                                  "got %r" % (degree,))
         return cls(degree, {k: parse_scalar(v, exact=exact)
                             for k, v in data["coeffs"].items()})
 

@@ -6,11 +6,15 @@ are written in their shortest round-trip form (at most 17 significant
 digits), keys are sorted, and timing is omitted unless explicitly
 requested.  A JSON report has the bytes that ``json.dumps`` writes with
 ``indent=2`` and ``sort_keys=True``, streamed to its destination a block
-of rows at a time.
+of rows at a time.  The commands whose reports grow with their input
+(``project``, ``check``, ``triangulate``, surface-mode ``reflect``) hand
+their rows to the writer as column blocks of result arrays
+(:class:`_Rows`), not as a dict per row.
 
 Exit codes: 0 success; 1 a membership/correspondence check rejected;
 2 usage, parse, or scene errors; 3 numerical failure (ill-conditioned or
-ambiguous input).
+ambiguous input).  Any other exception is a bug, and leaves as a
+traceback.
 """
 
 from __future__ import annotations
@@ -132,6 +136,59 @@ def _report(args, **extra):
     return rep
 
 
+# rows of a top-level list joined into one chunk of a JSON report
+_BLOCK_ROWS = 256
+
+# the encoder whose output _json_chunks reproduces; it writes every value
+# that has no fast path
+_INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
+
+# the newline and indent of a row of a top-level list, of a value in such a
+# row, and of an element of such a value
+_ROW, _FIELD, _ITEM = "\n    ", "\n      ", "\n        "
+
+
+class _Rows:
+    """The rows of a report list as column blocks, which
+    :func:`_json_chunks` writes without a dict per row.
+
+    A block is one kind of row: a dict from each of its keys to a column,
+    which is
+
+    - a float64 array of one value ``(N,)`` or one vector ``(N, k)`` per
+      row, or an integer array ``(N,)``;
+    - a list of any JSON values, one per row (another array is read as
+      its ``tolist()``);
+    - any other value, a constant that every row holds.
+
+    ``kinds`` gives the block of each row, in order; the rows of a block
+    come in its own order.  A single block needs no ``kinds``.
+    """
+
+    def __init__(self, *blocks, kinds=None):
+        if kinds is None:
+            (block,) = blocks
+            kinds = np.zeros(next(len(c) for c in block.values()
+                                  if isinstance(c, (list, np.ndarray))),
+                             dtype=np.intp)
+        self.blocks, self.kinds = blocks, kinds
+
+    def __len__(self):
+        return len(self.kinds)
+
+    def __iter__(self):
+        """Each row as a dict, in order (for a CSV report)."""
+        counts = np.bincount(self.kinds, minlength=len(self.blocks)).tolist()
+        rows = []
+        for block, count in zip(self.blocks, counts):
+            columns = [c.tolist() if isinstance(c, np.ndarray) else
+                       c if isinstance(c, list) else [c] * count
+                       for c in block.values()]
+            rows.append(iter([dict(zip(block, row))
+                              for row in zip(*columns)]).__next__)
+        return (rows[k]() for k in self.kinds.tolist())
+
+
 def _emit(report, args) -> None:
     """Write ``report`` to ``--out`` or stdout: as CSV of its results, or
     as JSON streamed in chunks by :func:`_json_chunks`.
@@ -141,7 +198,7 @@ def _emit(report, args) -> None:
     error, such as a numpy integer), which leaves the output truncated.
     """
     if args.format == "csv":
-        rows = report.get("results", [])
+        rows = list(report.get("results", []))
         keys = []
         for row in rows:
             for k in row:
@@ -164,73 +221,134 @@ def _emit(report, args) -> None:
         sys.stdout.writelines(chunks)
 
 
-# rows of a top-level list joined into one chunk of a JSON report
-_BLOCK_ROWS = 256
-
-# the encoder whose output _json_chunks reproduces; it writes every value
-# that has no fast path
-_INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
-
-
 def _json_chunks(report):
     """The text that ``json.dumps`` writes for a report dict with
     ``indent=2`` and ``sort_keys=True``, and a newline, as a sequence of
     chunks.
 
-    Each list value of the report is written _BLOCK_ROWS rows per chunk.
-    A dict row is filled into a template made once per key tuple: the
-    sorted keys with their indented ``"key": `` prefixes.  Strings, ints,
-    bools, None, finite floats and nonempty lists of finite floats are
-    written directly, with the reprs that ``json`` itself uses; any other
-    value (NaN, an infinity, a nested container, a tuple, a numpy scalar,
-    an empty list or dict, a dict with keys that are not strings) is
-    written by the ``json`` encoder and re-indented to its depth.
+    Each list or :class:`_Rows` value of the report is written
+    _BLOCK_ROWS rows per chunk, a dict row as a block of one row.  A block
+    is filled into one ``%`` template of its sorted keys, in which its
+    constants are written once.  The floats and ints of a slice of an
+    array column are written in one pass, ``repr`` of its ``tolist()``
+    split into values (and the indent of a vector spliced in by one
+    ``str.replace``), as ``json`` writes them; a float that is not JSON
+    (NaN, an infinity) goes to the ``json`` encoder, as do the values of a
+    list column that :func:`_value` cannot write directly, each alone.
     """
-    top = _template(tuple(report), "\n  ")
-    if top is None:
+    if not report or not all(type(k) is str for k in report):
         yield _INDENTED.encode(report) + "\n"
         return
-    templates = {}                      # row template by key tuple
-    head = "{"
-    for key, prefix in top:
+    head, comma = "{", ""
+    for key in sorted(report):
         value = report[key]
-        if type(value) is not list or not value:
-            head += prefix + _value(value, "\n  ")
+        head += "%s\n  %s: " % (comma, encode_basestring_ascii(key))
+        comma = ","
+        if type(value) not in (list, _Rows) or not len(value):
+            head += "[]" if type(value) is _Rows else _value(value, "\n  ")
             continue
-        yield head + prefix + "["
-        for start in range(0, len(value), _BLOCK_ROWS):
-            yield ("\n    " if start == 0 else ",\n    ") + ",\n    ".join(
-                [_row(row, templates)
-                 for row in value[start:start + _BLOCK_ROWS]])
+        yield head + "["
+        sep = _ROW
+        for texts in _row_texts(value):
+            yield sep + ("," + _ROW).join(texts)
+            sep = "," + _ROW
         head = "\n  ]"
     yield head + "\n}\n"
 
 
-def _template(keys, newline):
-    """(key, its prefix) pairs of a dict with ``keys`` in sorted order,
-    where a prefix is ``,`` (but for the first), ``newline`` and
-    ``"key": ``; None when there are no keys or one is not a string."""
-    if not keys or not all(type(k) is str for k in keys):
+def _row_texts(rows):
+    """The texts of a list or :class:`_Rows` of rows at indent four,
+    _BLOCK_ROWS at a time."""
+    if type(rows) is list:
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            yield [_row(row) for row in rows[start:start + _BLOCK_ROWS]]
+        return
+    writers = [_block_writer(block) for block in rows.blocks]
+    done = [0] * len(writers)               # rows written of each block
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        kinds = rows.kinds[start:start + _BLOCK_ROWS]
+        counts = np.bincount(kinds, minlength=len(writers)).tolist()
+        texts = []
+        for b, count in enumerate(counts):
+            texts.append(iter(writers[b](done[b], done[b] + count)).__next__)
+            done[b] += count
+        yield [texts[k]() for k in kinds.tolist()]
+
+
+def _row(row):
+    """The text of one element of a top-level list: a dict with string
+    keys as a block of one row, anything else as a value."""
+    write = type(row) is dict and _block_writer(
+        {k: [v] for k, v in row.items()})
+    return write(0, 1)[0] if write else _value(row, _ROW)
+
+
+def _block_writer(block):
+    """The function that writes rows ``start`` to ``stop`` (exclusive) of a
+    block (see :class:`_Rows`) as a list of texts; None when the block has
+    no keys or a key that is not a string."""
+    if not block or not all(type(k) is str for k in block):
         return None
-    template = [(k, ",%s%s: " % (newline, encode_basestring_ascii(k)))
-                for k in sorted(keys)]
-    template[0] = template[0][0], template[0][1][1:]
-    return template
+    fields, columns = [], []
+    for key in sorted(block):
+        column = block[key]
+        field = ",%s%s: " % (_FIELD,
+                             encode_basestring_ascii(key).replace("%", "%%"))
+        array = isinstance(column, np.ndarray)
+        floats = array and column.dtype == np.float64
+        if array and column.ndim == 1 and (floats or
+                                           column.dtype.kind in "iu"):
+            columns.append((column, _numbers))
+            field += "%s"
+        elif floats and column.ndim == 2 and column.shape[1]:
+            columns.append((column, _vectors))
+            field += "[%s%%s%s]" % (_ITEM, _FIELD)
+        elif array or type(column) is list:
+            columns.append((column.tolist() if array else column, _values))
+            field += "%s"
+        else:
+            field += _value(column, _FIELD).replace("%", "%%")
+        fields.append(field)
+    template = "{%s%s}" % ("".join(fields)[1:], _ROW)
+
+    def write(start, stop):
+        if stop <= start:
+            return []
+        if not columns:
+            return [template % ()] * (stop - start)
+        return [template % row for row in zip(
+            *[text(column[start:stop]) for column, text in columns])]
+    return write
 
 
-def _row(row, templates):
-    """The text of one element of a top-level list, whose indent is four
-    spaces."""
-    if type(row) is dict:
-        keys = tuple(row)
-        try:
-            template = templates[keys]
-        except KeyError:
-            template = templates[keys] = _template(keys, "\n      ")
-        if template is not None:
-            return "{%s\n    }" % "".join([prefix + _value(row[k], "\n      ")
-                                           for k, prefix in template])
-    return _value(row, "\n    ")
+def _numbers(a):
+    """The JSON text of each value of a nonempty 1-d float or int array."""
+    text = repr(a.tolist())
+    return _finite(text[1:-1].split(", "), text, ", ")
+
+
+def _vectors(a):
+    """The JSON text of the elements of each row of a nonempty 2-d float
+    array, at the indent of an element of a row's value."""
+    text = repr(a.tolist())[2:-2].replace(", ", "," + _ITEM)
+    return _finite(text.split("],%s[" % _ITEM), text, "," + _ITEM)
+
+
+def _finite(texts, text, sep):
+    """``texts``, the float reprs of ``text`` joined by ``sep`` in each,
+    with every one that JSON spells otherwise (nan, inf, -inf) written by
+    the ``json`` encoder."""
+    if "n" not in text:
+        return texts
+    return [t if "n" not in t else sep.join([
+        x if "n" not in x else _INDENTED.encode(float(x))
+        for x in t.split(sep)]) for t in texts]
+
+
+def _values(values):
+    """The JSON text of each value of a list, at the indent of a value in
+    a row."""
+    return [_value(v, _FIELD) for v in values]
 
 
 def _value(v, newline):
@@ -265,19 +383,19 @@ def cmd_project(args) -> int:
     points = load_points(args.points, scene, exact=args.exact)
     n, m = len(points), len(scene.cameras)
     # each point's line in each camera where it has one (ok), as floats
-    # (exact lines scaled by numeric._scaled_rows) and as given
+    # (exact lines scaled by numeric._scaled_rows) and as given, with its
+    # residuals; else the error that names why it has none
     floats = np.zeros((n, m, 6))
     fractions = np.zeros((n, m, 6), dtype=object)
+    quadric, congruence = np.zeros((n, m)), np.zeros((n, m))
+    error, message = np.empty((n, m), object), np.empty((n, m), object)
     ok = np.zeros((n, m), dtype=bool)
     exact = np.zeros(m, dtype=bool)
-    columns = []                        # per camera, its row of each point
     for i, cam in enumerate(scene.cameras):
         try:
             lines, focal = cam.project(points)
         except UnsupportedOrder as exc:
-            columns.append([{"item": j, "camera": i,
-                             "error": type(exc).__name__,
-                             "message": str(exc)} for j in range(n)])
+            error[:, i], message[:, i] = type(exc).__name__, str(exc)
             continue
         hit = np.ones(n, dtype=bool)
         hit[list(focal)] = False
@@ -286,29 +404,27 @@ def cmd_project(args) -> int:
         if is_exact(lines):
             exact[i] = True
             fractions[:, i] = lines
-        # the residuals of the camera's lines at once
-        quadric = congruence = iter(())
         if hit.any():
-            quadric = iter(vector_payload(
-                line_residual(unitize(lines[hit]))))
-            congruence = iter(vector_payload(
-                congruence_residual(cam, lines[hit])))
-        column = []
-        for j, line in enumerate(vector_payload(lines)):
-            if j in focal:
-                column.append({"item": j, "camera": i, "error": "FocalPoint",
-                               "message": focal[j]})
-            else:
-                column.append({"item": j, "camera": i, "line": line,
-                               "quadric_residual": next(quadric),
-                               "congruence_residual": next(congruence)})
-        columns.append(column)
-    rows = [row for item in zip(*columns) for row in item]
+            quadric[hit, i] = line_residual(unitize(lines[hit]))
+            congruence[hit, i] = congruence_residual(cam, lines[hit])
+        for j, text in focal.items():
+            error[j, i], message[j, i] = "FocalPoint", text
+    line = floats[ok]
+    if exact.any():
+        line = vector_payload(np.where(exact[:, None], fractions, floats)[ok])
+    # a row per point and camera, in that order
+    (j, i), (fj, fi) = np.nonzero(ok), np.nonzero(~ok)
+    rows = _Rows({"item": j, "camera": i, "line": line,
+                  "quadric_residual": quadric[ok],
+                  "congruence_residual": congruence[ok]},
+                 {"item": fj, "camera": fi, "error": error[~ok].tolist(),
+                  "message": message[~ok].tolist()},
+                 kinds=(~ok).ravel().astype(np.intp))
     # the generators of the tuples of each size at once, exact when every
     # line of the tuple is (as concurrency._tuple_stack decides)
     sizes = ok.sum(axis=1)
     exact_tuple = ~np.any(ok & ~exact, axis=1)
-    checks = []
+    items, tops = [np.zeros(0, dtype=np.intp)], []
     for size in sorted(set(sizes[sizes >= 2].tolist())):
         for is_exact_tuple, source in ((False, floats), (True, fractions)):
             chosen = (sizes == size) & (exact_tuple == is_exact_tuple)
@@ -316,12 +432,13 @@ def cmd_project(args) -> int:
                 continue
             reports = concurrency.evaluate_generators(
                 source[chosen][ok[chosen]].reshape(-1, size, 6))
-            checks += [{"item": j,
-                        "max_generator_residual": format_scalar(top)}
-                       for j, (_, top) in zip(
-                           np.flatnonzero(chosen).tolist(),
-                           concurrency.worst_generators(reports))]
-    checks.sort(key=lambda row: row["item"])
+            items.append(np.flatnonzero(chosen))
+            tops += [format_scalar(top)
+                     for _, top in concurrency.worst_generators(reports)]
+    item = np.concatenate(items)
+    order = np.argsort(item).tolist()
+    checks = _Rows({"item": item[order],
+                    "max_generator_residual": [tops[k] for k in order]})
     _emit(_report(args, results=rows, tuple_checks=checks), args)
     return 0
 
@@ -332,7 +449,8 @@ def cmd_check(args) -> int:
                               tol=args.tol)
     points, residuals = multiimage.correspond(scene.cameras, items,
                                               tol=args.tol)
-    rejected = [k for k, x in enumerate(points) if x is None]
+    kinds = np.array([x is None for x in points], dtype=np.intp)
+    rejected = np.flatnonzero(kinds).tolist()
     # a rejection is named by the first strict maximum of its congruence
     # residuals when that exceeds tol, else by its worst generator
     named = {}
@@ -343,16 +461,16 @@ def cmd_check(args) -> int:
     concurrent = [k for k in rejected if k not in named]
     reports = concurrency.evaluate_generators(items[concurrent])
     named.update(zip(concurrent, concurrency.worst_generators(reports)))
-    rows = []
-    for k, point in enumerate(points):
-        if point is not None:
-            rows.append({"item": k, "accepted": True,
-                         "point": vector_payload(point), "violated": None})
-        else:
-            name, residual = named[k]
-            rows.append({"item": k, "accepted": False, "point": None,
-                         "violated": name,
-                         "residual": format_scalar(residual)})
+    found = np.array([x for x in points if x is not None]).reshape(-1, 4)
+    violations = [named[k] for k in rejected]
+    rows = _Rows({"item": np.flatnonzero(kinds == 0), "accepted": True,
+                  "point": (found if found.dtype == np.float64
+                            else vector_payload(found)),
+                  "violated": None},
+                 {"item": np.flatnonzero(kinds), "accepted": False,
+                  "point": None, "violated": [name for name, _ in violations],
+                  "residual": [format_scalar(r) for _, r in violations]},
+                 kinds=kinds)
     _emit(_report(args, results=rows), args)
     return 1 if rejected else 0
 
@@ -362,8 +480,8 @@ def cmd_triangulate(args) -> int:
     items = load_observations(args.observations, scene, exact=args.exact,
                               tol=args.tol)
     res = multiimage.triangulate(scene.cameras, items, tol=args.tol)
-    rows = [{"item": k, "point": x, "residual": r} for k, (x, r) in
-            enumerate(zip(res.point.tolist(), res.residual.tolist()))]
+    rows = _Rows({"item": np.arange(len(items)), "point": res.point,
+                  "residual": res.residual})
     _emit(_report(args, results=rows), args)
     return 0
 
@@ -447,17 +565,17 @@ def cmd_reflect(args) -> int:
         tol = max(args.tol, 1e-6)
         lines = mirror_lines(data.get("lines", []), tol=tol)
         points, owner = line_surface_points(surf, lines)
-        contacts = iter(zip(
-            points.tolist(), tangent_plane(surf, points, tol=tol).tolist(),
-            specular_pair(surf, points, lines[owner], tol=tol).tolist()))
-        counts = np.bincount(owner, minlength=len(lines)).tolist()
-        for i, count in enumerate(counts):
-            if not count:
-                rows.append({"kind": "specular", "index": i, "contacts": 0})
-            for _ in range(count):
-                x, g, r = next(contacts)
-                rows.append({"kind": "specular", "index": i, "contact": x,
-                             "tangent": g, "reflected": r})
+        # a row per contact (points come in the order of their lines), or
+        # one for a line that meets no contact
+        counts = np.bincount(owner, minlength=len(lines))
+        rows = _Rows({"kind": "specular",
+                      "index": np.flatnonzero(counts == 0), "contacts": 0},
+                     {"kind": "specular", "index": owner, "contact": points,
+                      "tangent": tangent_plane(surf, points, tol=tol),
+                      "reflected": specular_pair(surf, points, lines[owner],
+                                                 tol=tol)},
+                     kinds=np.repeat(counts > 0,
+                                     np.maximum(counts, 1)).astype(np.intp))
     _emit(_report(args, results=rows), args)
     return 0
 
@@ -499,7 +617,7 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         _fail(exc)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         _fail(exc)
         return 2
 

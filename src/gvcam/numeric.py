@@ -15,9 +15,8 @@ to float.  Rationals serialize as ``"a/b"`` strings.
 computation on several arrays: Fractions when every array is exact, else
 floats.  :func:`unitize` scales each row of a float vector or stack to
 unit norm without over- or underflow and returns exact arrays unchanged;
-:func:`unit_rows` gives the scale-free form a residual needs in either
-type (unitized floats, or exact rows scaled by their largest coordinate
-together with their float norms).
+:func:`_scaled_rows` divides each exact row by its largest coordinate, so
+that it rounds to floats without overflow.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from .errors import DegenerateInput
 
 __all__ = [
     "vec", "is_exact", "as_float", "norm", "unitize", "row_norms",
-    "unit_rows", "common_type", "power", "multiply",
+    "common_type", "power", "multiply",
     "parse_scalar", "format_scalar", "parse_vector", "vector_payload",
     "proj_normalize", "projective_distance",
     "det3", "det4", "compound2", "exact_nullspace",
@@ -189,19 +188,6 @@ def unitize(a):
         if not n.all():                 # a zero row is never squarable
             raise DegenerateInput("cannot normalize a zero vector")
     return a / n[..., None]
-
-
-def unit_rows(a):
-    """``(u, n)`` with ``u / n`` the rows of ``a`` at unit norm: for a
-    float stack its unitized rows and n = 1.0, for an exact stack its rows
-    divided exactly by their largest coordinate (:func:`_scaled_rows`) and
-    the float norm of each.  A product of exact ``u``s stays exact, so it
-    is 0.0 exactly where it vanishes, and dividing a float result by 1.0
-    changes no bit."""
-    if is_exact(a):
-        a = _scaled_rows(a)
-        return a, row_norms(as_float(a))
-    return unitize(a), 1.0
 
 
 def common_type(*arrays):

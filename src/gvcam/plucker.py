@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateInput
 from .numeric import (DEFAULT_TOL, ZERO_EPS, _scaled_rows, as_float,
                       common_type, is_exact, multiply, negligible, norm,
-                      row_norms, unit_rows, vec)
+                      row_norms, unitize, vec)
 
 __all__ = [
     "wedge", "line_from_points", "line_from_planes", "dual_line",
@@ -166,13 +166,25 @@ def meet_point(p, u):
 #
 # Each residual is its relation evaluated on the inputs at unit norm, so it
 # does not depend on their projective scale.  The inputs are put in one
-# number type and scaled by numeric.unit_rows: floats are unitized, exact
-# rows keep an exact numerator (0.0 exactly where the relation vanishes)
-# that is divided by their float norms.  A vector gives one value, stacks
-# (broadcast against each other) one value per row.
+# number type by _one_type, then scaled by _unit: floats are unitized,
+# exact rows keep an exact numerator (0.0 exactly where the relation
+# vanishes) that is divided by their float norms.  A vector gives one
+# value, stacks (broadcast against each other) one value per row.
+
+def _one_type(*arrays):
+    """The arrays in one number type (:func:`numeric.common_type`), each
+    exact row first divided exactly by its largest coordinate
+    (:func:`numeric._scaled_rows`), so that an exact row rounded to floats
+    neither overflows nor depends on its scale."""
+    return common_type(*(_scaled_rows(vec(a)) for a in arrays))
+
 
 def _unit(*arrays):
-    return [unit_rows(a) for a in common_type(*map(vec, arrays))]
+    """``(u, n)`` of each array in one type, with ``u / n`` its rows at
+    unit norm: unitized floats and n = 1.0 (dividing by it changes no
+    bit), or the scaled exact rows and their float norms."""
+    return [(a, row_norms(as_float(a))) if is_exact(a) else (unitize(a), 1.0)
+            for a in _one_type(*arrays)]
 
 
 def point_line_residual(x, p):
@@ -203,7 +215,7 @@ def line_residual(p):
 def point_on_line(x, p, tol: float = DEFAULT_TOL) -> bool:
     """Exact inputs are tested against exact zero, others by
     :func:`point_line_residual` against ``tol``."""
-    x, p = common_type(vec(x), vec(p))
+    x, p = _one_type(x, p)
     if is_exact(x):
         return bool(np.all(primal_matrix(p) @ x == 0))
     return bool(point_line_residual(x, p) <= tol)
@@ -212,7 +224,7 @@ def point_on_line(x, p, tol: float = DEFAULT_TOL) -> bool:
 def plane_contains_line(u, p, tol: float = DEFAULT_TOL) -> bool:
     """Exact inputs are tested against exact zero, others by
     :func:`plane_line_residual` against ``tol``."""
-    u, p = common_type(vec(u), vec(p))
+    u, p = _one_type(u, p)
     if is_exact(u):
         return bool(np.all(dual_matrix(p) @ u == 0))
     return bool(plane_line_residual(u, p) <= tol)

@@ -225,11 +225,14 @@ def _observations(values, exact, tol):
 
 def mirror_lines(values, tol: float = DEFAULT_TOL):
     """The ``lines`` of a surface-mode ``reflect`` input as one (n, 6)
-    float64 stack, each on the Pluecker quadric; a defect names the index
-    of its line."""
-    L = np.array([_vector(row, 6, False, "lines[%d]" % i)
-                  for i, row in enumerate(_list(values, "'lines'"))])
-    L = L.reshape(-1, 6)
+    float64 stack, each on the Pluecker quadric.  Lines of plain numbers
+    are read in one pass; anything else (rational strings, any defect) is
+    read line by line, and a defect is named by its index, ``lines[i]``."""
+    items = _list(values, "'lines'")
+    L = _number_stack(items, 2, 6)
+    if L is None:
+        L = np.array([_vector(row, 6, False, "lines[%d]" % i)
+                      for i, row in enumerate(items)]).reshape(-1, 6)
     _check_line(L, tol, "lines")
     return L
 

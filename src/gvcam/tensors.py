@@ -366,7 +366,7 @@ def tensor_from_payload(data, exact: bool = False):
         raise DegenerateInput("a tensor payload must be an object, got %r"
                               % (data,))
     kind = data.get("kind")
-    if kind not in _TENSOR_SHAPES:
-        raise DegenerateInput("unknown tensor kind %r" % kind)
+    if type(kind) is not str or kind not in _TENSOR_SHAPES:
+        raise DegenerateInput("unknown tensor kind %r" % (kind,))
     entries = conv(data.get("entries"), _TENSOR_SHAPES[kind])
     return kind, vec(entries, exact=exact or None)

@@ -251,6 +251,16 @@ def test_exact_point_is_unitized_at_any_scale():
     assert not point_on_line(tiny, q)
 
 
+def test_exact_point_beyond_the_float_range_against_a_float_line():
+    """An exact point is scaled by its largest coordinate before it meets
+    a float line: 10^400 (1:1:0:0) lies on e0 v e1, with residual 0."""
+    x = vec([10 ** 400, 10 ** 400, 0, 0], exact=True)
+    p = line_from_points(np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
+    assert point_on_line(x, p)
+    assert point_line_residual(x, p) == 0.0
+    assert plane_contains_line(vec([0, 0, 10 ** 400, 0], exact=True), p)
+
+
 def test_exact_plane_is_unitized_at_any_scale():
     # the plane x2 + x3 = 0 does not contain the line e2 v e3
     plane = _exact([0, 0, 1, 1], Fraction(1, 10 ** 12))

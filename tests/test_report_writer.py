@@ -101,3 +101,68 @@ def test_out_file_and_stdout_get_the_same_bytes(capsys, tmp_path):
     report = json.loads(out)
     assert len(report["results"]) > 2 * cli._BLOCK_ROWS
     assert dumped(report) == out
+
+
+# --- column blocks ---------------------------------------------------------
+
+SPECIAL = [float("nan"), INF, -INF, -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1,
+           1.7976931348623157e308, -2.5e-310]
+# values of a list column: ints beyond 2^64, exact values as Fraction
+# strings, None, floats, strings and nested values
+ODD = [2 ** 64, -2 ** 70 - 1, 3 ** 200, "1/3", str(Fraction(10 ** 400, 7)),
+       None, True, "é", "%s", 1.5, float("nan"), [1.0, -INF], [], {},
+       {"a": [None, "1/2"]}, (1, 2)]
+COLUMNS = ["floats", "vectors", "ints", "values", "constant"]
+
+
+def _column(kind, n, rng):
+    """A column of ``kind`` for n rows, drawn with ``rng``."""
+    def floats(shape):
+        special = np.array(SPECIAL)[rng.integers(len(SPECIAL), size=shape)]
+        normal = rng.standard_normal(shape) * 10.0 ** rng.integers(
+            -30, 30, size=shape)
+        return np.where(rng.random(shape) < 0.3, special, normal)
+    if kind == "floats":
+        return floats(n)
+    if kind == "vectors":
+        return floats((n, int(rng.integers(1, 7))))
+    if kind == "ints":
+        return rng.integers(-2 ** 62, 2 ** 62, size=n)
+    if kind == "values":
+        return [ODD[k] for k in rng.integers(len(ODD), size=n)]
+    # a list would be a column; any other value is a constant
+    constants = [v for v in ODD if type(v) is not list]
+    return constants[int(rng.integers(len(constants)))]
+
+
+def _dict_rows(block, n):
+    """The rows of a block as dicts."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else
+               c if isinstance(c, list) else [c] * n for c in block.values()]
+    return [dict(zip(block, row)) for row in zip(*columns)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(st.dictionaries(keys | st.sampled_from(["contact", "index"]),
+                                st.sampled_from(COLUMNS), min_size=1,
+                                max_size=5),
+                min_size=2, max_size=3),
+       st.sampled_from([0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS,
+                        cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS - 1,
+                        2 * cli._BLOCK_ROWS, 2 * cli._BLOCK_ROWS + 3]),
+       st.integers(0, 2 ** 32 - 1))
+def test_column_blocks_equal_json_dumps_of_their_rows(layouts, n, seed):
+    """Blocks of two or three row kinds, interleaved by an index array
+    over about one or two chunks of rows, are written as ``json.dumps``
+    writes the same rows as dicts, and read back as those dicts."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.integers(len(layouts), size=n)
+    counts = np.bincount(kinds, minlength=len(layouts))
+    blocks = [{key: _column(kind, count, rng) for key, kind in layout.items()}
+              for layout, count in zip(layouts, counts)]
+    parts = [iter(_dict_rows(block, count))
+             for block, count in zip(blocks, counts)]
+    rows = [next(parts[k]) for k in kinds]
+    report = {"command": "x", "results": cli._Rows(*blocks, kinds=kinds)}
+    assert written(report) == dumped(dict(report, results=rows))
+    assert json.dumps(list(report["results"])) == json.dumps(rows)

@@ -21,7 +21,7 @@ from gvcam.catadioptric import (MirrorSurface, line_surface_points,
 from gvcam.numeric import unitize
 from gvcam.plucker import line_from_points, plucker_quadric, points_on_line
 from gvcam.scene import (load_observations, load_points, load_scene,
-                         scene_from_dict)
+                         mirror_lines, scene_from_dict)
 
 PINHOLE_MATRIX = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]   # center e3
 PINHOLE_MATRIX_2 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]  # center e2
@@ -792,6 +792,36 @@ def test_cli_reflect_rejects_malformed_lines(capsys, tmp_path):
         assert err["message"].startswith("lines[2]")
 
 
+_E0E1 = [1, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([1, 0, True, 0, 0, 0], "booleans are not coordinates"),
+    ([1, 0, None, 0, 0, 0], "cannot parse scalar None"),
+    ([1, 0, "x", 0, 0, 0], "cannot parse rational 'x'"),
+    ([1, 0, float("nan"), 0, 0, 0], "coordinates must be finite, got nan"),
+    ([1, 0, float("inf"), 0, 0, 0], "coordinates must be finite, got inf"),
+    ([1, 0, -float("inf"), 0, 0, 0],
+     "coordinates must be finite, got -inf"),
+    ([1, 0, 10 ** 400, 0, 0, 0],
+     "integer coordinate of 1329 bits exceeds the float range"),
+    ([1, 0, 0, 0, 0], "expected a vector of length 6, got shape (5,)"),
+    ([1, 0, 0, 0, 0, 0, 0], "expected a vector of length 6, got shape (7,)"),
+    (5, "a coordinate vector must be a list, got 5"),
+])
+def test_mirror_line_defects_name_the_line(bad, message):
+    """Lines of plain numbers are read in one pass; any other line sends
+    the whole list through the line-by-line reader, whose message names
+    the line."""
+    with pytest.raises(DegenerateInput) as info:
+        mirror_lines([_E0E1, bad, _E0E1])
+    assert str(info.value) == "lines[1]: " + message
+    # the same numbers, rational strings beside plain ones
+    np.testing.assert_array_equal(
+        mirror_lines([_E0E1, ["1/3", 0, 0, 0, 0, 0]]),
+        [_E0E1, [1 / 3, 0, 0, 0, 0, 0]])
+
+
 def test_cli_reflect_accepts_rounded_lines(capsys, tmp_path):
     """Lines rounded to seven digits miss the Pluecker quadric by more than
     the default tolerance; they are checked at the reflection's 1e-6."""
@@ -889,6 +919,8 @@ def test_cli_usage_and_io_errors(capsys, tmp_path):
          "entries"),
         (["invariant", "--tensor"], {"kind": "mixed",
                                      "entries": [[1, 2], [3]]}, "entries"),
+        (["invariant", "--tensor"], {"kind": ["mixed"], "entries": []},
+         "tensor kind"),
         (["reflect", "--input"],
          {"surface": dict(sphere, degree="x"), "lines": [line]}, "degree"),
         (["reflect", "--input"],
