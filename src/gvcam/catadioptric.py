@@ -242,6 +242,8 @@ class MirrorSurface:
             raise DegenerateInput(
                 "surface payload needs 'degree' and a 'coeffs' object")
         degree = data["degree"]
+        if type(degree) is float and degree.is_integer():
+            degree = int(degree)        # a whole number written as 2.0
         if type(degree) is not int:
             raise DegenerateInput("surface 'degree' must be an integer, "
                                   "got %r" % (degree,))

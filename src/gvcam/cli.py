@@ -9,12 +9,14 @@ requested.  A JSON report has the bytes that ``json.dumps`` writes with
 of rows at a time.  The commands whose reports grow with their input
 (``project``, ``check``, ``triangulate``, surface-mode ``reflect``) hand
 their rows to the writer as column blocks of result arrays
-(:class:`_Rows`), not as a dict per row.
+(:class:`_Rows`), not as a dict per row; the other commands' lists of
+dict rows are made into the same blocks, one per tuple of keys.
 
 Exit codes: 0 success; 1 a membership/correspondence check rejected;
 2 usage, parse, or scene errors; 3 numerical failure (ill-conditioned or
-ambiguous input).  Any other exception is a bug, and leaves as a
-traceback.
+ambiguous input); 4 a bug.  Any other exception is a bug: :func:`main`
+lets it escape, and the ``gvcam`` entry point (:func:`run`) prints its
+traceback on stderr and exits 4.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .plucker import line_residual
 from .scene import (_list, _vector, load_json, load_observations,
                     load_points, load_scene, mirror_lines)
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "run", "build_parser"]
 
 
 def _default_tol() -> float:
@@ -227,9 +229,10 @@ def _json_chunks(report):
     chunks.
 
     Each list or :class:`_Rows` value of the report is written
-    _BLOCK_ROWS rows per chunk, a dict row as a block of one row.  A block
-    is filled into one ``%`` template of its sorted keys, in which its
-    constants are written once.  The floats and ints of a slice of an
+    _BLOCK_ROWS rows per chunk; a list of dict rows is first made into
+    blocks of list columns, one per tuple of keys (:func:`_dict_blocks`).
+    A block is filled into one ``%`` template of its sorted keys, in
+    which its constants are written once.  The floats and ints of a slice of an
     array column are written in one pass, ``repr`` of its ``tolist()``
     split into values (and the indent of a vector spliced in by one
     ``str.replace``), as ``json`` writes them; a float that is not JSON
@@ -260,9 +263,13 @@ def _row_texts(rows):
     """The texts of a list or :class:`_Rows` of rows at indent four,
     _BLOCK_ROWS at a time."""
     if type(rows) is list:
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            yield [_row(row) for row in rows[start:start + _BLOCK_ROWS]]
-        return
+        blocks = _dict_blocks(rows)
+        if blocks is None:
+            for start in range(0, len(rows), _BLOCK_ROWS):
+                yield [_value(row, _ROW)
+                       for row in rows[start:start + _BLOCK_ROWS]]
+            return
+        rows = blocks
     writers = [_block_writer(block) for block in rows.blocks]
     done = [0] * len(writers)               # rows written of each block
     for start in range(0, len(rows), _BLOCK_ROWS):
@@ -275,20 +282,28 @@ def _row_texts(rows):
         yield [texts[k]() for k in kinds.tolist()]
 
 
-def _row(row):
-    """The text of one element of a top-level list: a dict with string
-    keys as a block of one row, anything else as a value."""
-    write = type(row) is dict and _block_writer(
-        {k: [v] for k, v in row.items()})
-    return write(0, 1)[0] if write else _value(row, _ROW)
+def _dict_blocks(rows):
+    """A list of dict rows as :class:`_Rows`, a block of list columns for
+    each tuple of keys; None unless every row is a dict with string keys
+    (then each row is written as a value)."""
+    if not all(type(row) is dict for row in rows):
+        return None
+    index = {}
+    kinds = [index.setdefault(keys, len(index)) for keys in map(tuple, rows)]
+    if not all(keys and all(type(k) is str for k in keys) for keys in index):
+        return None
+    kinds = np.array(kinds, dtype=np.intp)
+    blocks = []
+    for b, keys in enumerate(index):
+        group = rows if len(index) == 1 else [
+            rows[i] for i in np.flatnonzero(kinds == b).tolist()]
+        blocks.append({k: [row[k] for row in group] for k in keys})
+    return _Rows(*blocks, kinds=kinds)
 
 
 def _block_writer(block):
     """The function that writes rows ``start`` to ``stop`` (exclusive) of a
-    block (see :class:`_Rows`) as a list of texts; None when the block has
-    no keys or a key that is not a string."""
-    if not block or not all(type(k) is str for k in block):
-        return None
+    block (see :class:`_Rows`) as a list of texts."""
     fields, columns = [], []
     for key in sorted(block):
         column = block[key]
@@ -361,11 +376,10 @@ def _value(v, newline):
         return int.__repr__(v)
     elif kind is list:
         if v and all(type(x) is float for x in v):
-            text = repr(v)              # float.__repr__ of each element
-            if "n" not in text:         # no nan, inf or -inf
-                inner = newline + "  "
-                return "[%s%s%s]" % (
-                    inner, text[1:-1].replace(", ", "," + inner), newline)
+            inner = newline + "  "
+            text = repr(v)[1:-1].replace(", ", "," + inner)
+            return "[%s%s%s]" % (
+                inner, _finite([text], text, "," + inner)[0], newline)
     elif kind is str:
         return encode_basestring_ascii(v)
     elif v is None:
@@ -627,5 +641,17 @@ def _fail(exc) -> None:
         {"error": type(exc).__name__, "message": str(exc)}) + "\n")
 
 
+def run(argv=None) -> int:
+    """The ``gvcam`` program: :func:`main`, with an exception that escapes
+    it (a bug) printed as a traceback and exit code 4, so that a crash is
+    not read as a rejected check (exit 1)."""
+    try:
+        return main(argv)
+    except Exception:
+        import traceback
+        traceback.print_exc()
+        return 4
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

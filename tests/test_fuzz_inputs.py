@@ -182,3 +182,19 @@ def test_malformed_surfaces_are_named(tmp_path, surface, message):
         assert cli.main(["reflect", "--input", str(path)]) == 2
     assert json.loads(err.getvalue()) == {"error": "DegenerateInput",
                                           "message": message}
+
+
+def test_whole_number_degree_is_read_as_integer(tmp_path):
+    """A surface degree written as a whole float (2.0) is the integer 2."""
+    reports = []
+    for degree in (2, 2.0):
+        path = tmp_path / "mirror.json"
+        path.write_text(json.dumps({"surface": {"degree": degree,
+                                                "coeffs": SPHERE},
+                                    "lines": [[0, 0, 1, 0, 0, 0]]}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["reflect", "--input", str(path)]) == 0
+        reports.append(out.getvalue())
+    assert reports[0] == reports[1]
+    assert '"contact"' in reports[0]

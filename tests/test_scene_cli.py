@@ -944,3 +944,21 @@ def test_cli_usage_and_io_errors(capsys, tmp_path):
             capsys, argv + [write_json(tmp_path / ("in%d.json" % k), data)])
         assert rc == 2 and err["error"] == "DegenerateInput", (data, err)
         assert field in err["message"], (data, err)
+
+
+def test_program_exits_4_on_a_bug(capsys, monkeypatch):
+    """``cli.run`` passes on the exit code of ``cli.main``; an exception
+    that escapes ``main`` (a bug, not a rejected input) exits 4 with its
+    traceback on stderr, apart from exit 1 of a rejected check."""
+    assert cli.run(["multidegree", "2"]) == 0
+    assert cli.run(["no-such-command"]) == 2
+
+    def broken(args):
+        raise KeyError("a bug")
+    monkeypatch.setitem(cli._COMMANDS, "multidegree", broken)
+    capsys.readouterr()
+    with pytest.raises(KeyError):
+        cli.main(["multidegree", "2"])
+    assert cli.run(["multidegree", "2"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "KeyError: 'a bug'" in err
