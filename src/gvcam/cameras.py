@@ -95,51 +95,36 @@ TWISTED_CUBIC_CURVE = RationalCurve((
     (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)))
 
 
-def _candidate_roots(forms, zero_tol=1e-12):
-    """Likely common roots of a family of binary forms: union of roots of
-    two fixed generic combinations (deterministic)."""
-    forms = [as_float(vec(f)).astype(complex) for f in forms]
-    rng = np.random.default_rng(20240817)
-    cands = []
-    for _ in range(2):
-        w = rng.standard_normal(len(forms)) + 1j * rng.standard_normal(len(forms))
-        combo = sum(wi * fi for wi, fi in zip(w, forms))
-        if norm(combo) <= zero_tol * max(norm(f) for f in forms):
-            continue
-        cands.extend(binary_roots(combo))
-    return cands
-
-
-def _system_residual(forms, s, t) -> float:
-    scale = max(norm(f) for f in forms)
-    m = abs(complex(s)) ** 2 + abs(complex(t)) ** 2
-    su, tu = s / m ** 0.5, t / m ** 0.5
-    return max(abs(complex(binary_eval(f, su, tu))) for f in forms) / scale
+#: Size, relative to the largest form, of a combination with no roots.
+COMBINATION_EPS = 1e-12
+#: Size, relative to the curve, below which all forms vanish: x is on it.
+VANISHING_EPS = 1e-14
 
 
 def _forms_residual(forms, curve: RationalCurve) -> float:
-    """Smallest joint residual of the binary forms over their candidate
-    common roots; 0.0 when every form vanishes (next to the curve's
-    scale) or no candidate is left."""
-    if max(norm(f) for f in forms) <= 1e-14 * curve.scale():
+    """Smallest joint residual of the binary forms (rows) at the roots of
+    two fixed generic combinations of them; 0.0 when every form vanishes
+    (next to the curve's scale) or no candidate is left."""
+    scale = float(np.max(row_norms(forms)))
+    if scale <= VANISHING_EPS * curve.scale():
         return 0.0
-    cands = _candidate_roots(forms)
-    if not cands:
+    g = np.random.default_rng(20240817).standard_normal((2, 2, len(forms)))
+    combos = (g[:, 0] + 1j * g[:, 1]) @ forms
+    combos[row_norms(combos) <= COMBINATION_EPS * scale] = 0
+    s, t, found = binary_roots(combos)
+    if not found.any():
         return 0.0
-    return min(_system_residual(forms, s, t) for (s, t) in cands)
+    m = np.sqrt(np.abs(s[found]) ** 2 + np.abs(t[found]) ** 2)
+    values = binary_eval(forms.T[..., None], s[found] / m, t[found] / m)
+    return float(np.min(np.max(np.abs(values), axis=0))) / scale
 
 
 def line_curve_residual(p, curve: RationalCurve) -> float:
     """How far the line is from meeting the curve: minimal joint residual
     of the four incidence forms (P * X(s,t)) over candidate parameters."""
     p = unitize(as_float(vec(p)))
-    P = primal_matrix(p)
-    forms = [
-        [sum(P[i][j] * curve.coords[j][k] for j in range(4))
-         for k in range(curve.degree + 1)]
-        for i in range(4)
-    ]
-    return _forms_residual(forms, curve)
+    return _forms_residual(primal_matrix(p) @ as_float(vec(curve.coords)),
+                           curve)
 
 
 def line_meets_curve(p, curve: RationalCurve, tol: float = DEFAULT_TOL) -> bool:
@@ -158,12 +143,9 @@ def point_curve_residual(x, curve: RationalCurve) -> float:
     """Distance-like residual of a point from the curve: the six wedge
     forms x_i X_j(s,t) - x_j X_i(s,t) share a root iff x is on it."""
     x = unitize(as_float(vec(x)))
-    forms = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            forms.append([x[i] * curve.coords[j][k] - x[j] * curve.coords[i][k]
-                          for k in range(curve.degree + 1)])
-    return _forms_residual(forms, curve)
+    X = as_float(vec(curve.coords))
+    i, j = np.triu_indices(4, 1)
+    return _forms_residual(x[i, None] * X[j] - x[j, None] * X[i], curve)
 
 
 # --------------------------------------------------------------------------
@@ -507,9 +489,8 @@ def sum_of_two_cubes(x, tol: float = DEFAULT_TOL):
     if abs(disc) <= tol * norm(quad) ** 2:
         raise DegenerateCubic("repeated linear form (secant degenerates "
                               "to a tangent)")
-    roots = binary_roots(quad)
-    params = np.array([[roots[0][0], roots[0][1]],
-                       [roots[1][0], roots[1][1]]])
+    s, t, _ = binary_roots(quad)
+    params = np.stack([s, t], axis=1)
     cols = np.array([
         [s ** 3, s ** 2 * t, s * t ** 2, t ** 3] for (s, t) in params
     ]).T

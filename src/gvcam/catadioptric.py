@@ -40,6 +40,12 @@ __all__ = [
 #: a surface point counts as singular.
 SINGULAR_EPS = 1e-10
 
+#: Highest surface degree read.  Past it the float roots of a line's
+#: restriction stop lying on the surface: over 100 random lines on
+#: x1^d + x2^d / 2 = x0^d the worst residual is 2e-9 at d = 24, 7e-9 at 32
+#: and 0.4 at 48.  It also bounds the work, which grows as d^3 per line.
+MAX_DEGREE = 24
+
 
 def _spatial_square(a):
     return a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
@@ -136,8 +142,9 @@ class MirrorSurface:
             items = coeffs.items()
         else:
             items = coeffs
-        if degree < 1:
-            raise DegenerateInput("a surface needs degree >= 1")
+        if not 1 <= degree <= MAX_DEGREE:
+            raise DegenerateInput("a surface needs a degree from 1 to %d"
+                                  % MAX_DEGREE)
         table = []
         for key, val in items:
             expo = _parse_exponents(key) if isinstance(key, str) else tuple(key)
@@ -295,18 +302,15 @@ def specular_pair(S: MirrorSurface, x, L, tol: float = DEFAULT_TOL):
                                "isotropic") from None
 
 
-def line_surface_points(S: MirrorSurface, L, real_tol: float = REAL_EPS):
-    """Real intersection points of a line with the surface, via roots of
-    the degree-d restriction of f to the line.
+def line_surface_points(S: MirrorSurface, L):
+    """Real intersection points of a line with the surface: the real roots
+    of the degree-d restriction of f to the line, the forms of all lines
+    found by one :func:`numeric.binary_roots` call.
 
     One line gives the list of its points.  An (n, 6) stack gives the pair
     (points, rows): the (m, 4) points of all lines, line by line, and the
-    line index of each.  The roots of all lines come from one batched
-    eigenvalue call on their companion matrices, as ``np.roots`` finds
-    them; lines whose root set ``np.roots`` would not see that way (a
-    leading coefficient within ``FORM_EPS``, a trailing exact zero, a
-    non-finite form) are solved by :func:`binary_roots` one at a time, and
-    a line lying on the surface gives its two spanning points.
+    line index of each.  A line lying on the surface gives its two
+    spanning points.
     """
     L = as_float(vec(L))
     d = S.degree
@@ -314,34 +318,18 @@ def line_surface_points(S: MirrorSurface, L, real_tol: float = REAL_EPS):
     forms = S.restrict_to_line(a, b)
     whole = row_norms(forms) <= FORM_EPS * S.scale() * np.float_power(
         np.maximum(row_norms(a), row_norms(b)), d)
-    # binary_roots' normalization, for every line at once
-    c = forms.astype(complex)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = c / np.max(np.abs(c), axis=1)[:, None]
-    solo = (whole | (np.abs(c[:, 0]) <= FORM_EPS) | (c[:, -1] == 0)
-            | ~np.all(np.isfinite(c), axis=1))
-    # one slot per root, at least two for the lines on the surface
-    width = max(d, 2)
-    s = np.zeros((len(c), width), dtype=complex)
-    t = np.ones((len(c), width), dtype=complex)
-    found = np.zeros((len(c), width), dtype=bool)
-    batch = ~solo
-    companion = np.zeros((np.count_nonzero(batch), d, d), dtype=complex)
-    companion[:, 0, :] = -c[batch, 1:] / c[batch, :1]
-    companion[:, np.arange(1, d), np.arange(d - 1)] = 1
-    s[batch, :d] = np.linalg.eigvals(companion)
-    found[batch, :d] = True
-    for i in np.flatnonzero(solo & ~whole):
-        for k, root in enumerate(binary_roots(forms[i].astype(complex))):
-            s[i, k], t[i, k] = root
-            found[i, k] = True
+    forms[whole] = 0                    # finds no root
+    s, t, found = binary_roots(forms)
+    if d == 1:      # a slot for the second spanning point of a whole line
+        s, t, found = (np.pad(x, ((0, 0), (0, 1)), constant_values=v)
+                       for x, v in zip((s, t, found), (0, 1, False)))
     m = np.maximum(np.abs(s), np.abs(t))
-    real = found & ~(np.abs(s.imag) / m > real_tol) \
-        & ~(np.abs(t.imag) / m > real_tol)
+    real = found & ~(np.abs(s.imag) / m > REAL_EPS) \
+        & ~(np.abs(t.imag) / m > REAL_EPS)
     points = (s.real[..., None] * a[:, None, :]
               + t.real[..., None] * b[:, None, :])
     points[whole, 0], points[whole, 1] = a[whole], b[whole]
-    real[whole] = np.arange(width) < 2
+    real[whole] = np.arange(s.shape[1]) < 2
     if L.ndim == 2:
         return points[real], np.nonzero(real)[0]
     return list(points[0, real[0]])
@@ -389,8 +377,10 @@ def conic_chord_points(qmat, carrier):
     a = z1 @ Q @ z1
     b = 2.0 * (z1 @ Q @ z2)
     c = z2 @ Q @ z2
-    roots = binary_roots(np.array([a, b, c]))
-    return [vec(realify(s * z1 + t * z2)[0]) for s, t in roots]
+    s, t, found = binary_roots(np.array([a, b, c]))
+    if not found.all():
+        raise DegenerateInput("the line lies on the conic")
+    return [vec(realify(si * z1 + ti * z2)[0]) for si, ti in zip(s, t)]
 
 
 def panoramic_fibers(cam, x, tol: float = DEFAULT_TOL):

@@ -397,10 +397,10 @@ def cmd_project(args) -> int:
     points = load_points(args.points, scene, exact=args.exact)
     n, m = len(points), len(scene.cameras)
     # each point's line in each camera where it has one (ok), as floats
-    # (exact lines scaled by numeric._scaled_rows) and as given, with its
-    # residuals; else the error that names why it has none
+    # (exact lines scaled by numeric._scaled_rows) and, under --exact, as
+    # given, with its residuals; else the error that names why it has none
     floats = np.zeros((n, m, 6))
-    fractions = np.zeros((n, m, 6), dtype=object)
+    fractions = np.zeros((n, m, 6), dtype=object) if args.exact else None
     quadric, congruence = np.zeros((n, m)), np.zeros((n, m))
     error, message = np.empty((n, m), object), np.empty((n, m), object)
     ok = np.zeros((n, m), dtype=bool)
@@ -439,8 +439,10 @@ def cmd_project(args) -> int:
     sizes = ok.sum(axis=1)
     exact_tuple = ~np.any(ok & ~exact, axis=1)
     items, tops = [np.zeros(0, dtype=np.intp)], []
+    sources = (((False, floats), (True, fractions)) if args.exact
+               else ((False, floats),))
     for size in sorted(set(sizes[sizes >= 2].tolist())):
-        for is_exact_tuple, source in ((False, floats), (True, fractions)):
+        for is_exact_tuple, source in sources:
             chosen = (sizes == size) & (exact_tuple == is_exact_tuple)
             if not chosen.any():
                 continue

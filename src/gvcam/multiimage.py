@@ -34,6 +34,10 @@ __all__ = [
     "linear_generator_counts", "LinearGeneratorCounts",
 ]
 
+#: Size below which the transversals' quadratic vanishes; absolute, as its
+#: coefficients are products of unitized lines.
+TRANSVERSAL_EPS = 1e-12
+
 
 class FocalOverlapWarning(UserWarning):
     """Advisory: two cameras in a rig may share focal points, so the
@@ -257,12 +261,12 @@ def common_transversals(l1, l2, l3, l4, tol: float = DEFAULT_TOL):
     cb = f(1.0, 1.0) - ca - cc
     coeffs = np.array([ca, cb, cc])
     scale = float(np.max(np.abs(coeffs)))
-    if scale <= 1e-12:
+    if scale <= TRANSVERSAL_EPS:
         raise DegenerateConfiguration(
             "every transversal of the first three lines meets the fourth")
     roots = binary_roots(coeffs / scale)
     out = []
-    for s, t in roots:
+    for s, t in zip(roots[0].tolist(), roots[1].tolist()):
         line, real = realify(transversal_at(s, t))
         out.append(Transversal(line=vec(line), parameter=(s, t),
                                is_real=real))

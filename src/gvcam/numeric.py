@@ -429,27 +429,44 @@ def binary_eval(coeffs, s, t):
     return total
 
 
-def binary_roots(coeffs, zero_tol: float = FORM_EPS):
-    """Projective roots of a binary form as a list of (s, t) pairs.
+def binary_roots(coeffs):
+    """Projective roots (s[k] : t[k]), where found[k], of a binary form of
+    degree d, or of each row of an (n, d + 1) stack: arrays (s, t, found)
+    of shape (d,) or (n, d).
 
-    Finite roots come from the companion matrix of the dehomogenized
-    polynomial (``numpy.roots``); leading coefficients within ``zero_tol``
-    of 0 (relative to the largest coefficient) are roots at (1:0).
+    Scaled by its largest coefficient, a form has a root at (1 : 0) per
+    leading coefficient within ``FORM_EPS`` of 0, at (0 : 1) per trailing
+    exact zero, and (s : 1) per eigenvalue of the companion matrix of the
+    rest, bit for bit as ``numpy.roots`` finds them (which overflows on a
+    subnormal form), one ``eigvals`` call per count of leading and trailing
+    zeros.  A zero form finds no root; a non-finite one is DegenerateInput.
     """
-    c = as_float(vec(coeffs)).astype(complex)
-    scale = float(np.max(np.abs(c)))
-    if scale == 0.0:
-        raise DegenerateInput("zero binary form has no root set")
-    c = c / scale
-    lead = 0
-    while lead < len(c) - 1 and abs(c[lead]) <= zero_tol:
-        lead += 1
-    roots = [(1.0 + 0j, 0j)] * lead
-    tail = c[lead:]
-    if len(tail) > 1:
-        for r in np.roots(tail):
-            roots.append((complex(r), 1.0 + 0j))
-    elif abs(tail[0]) <= zero_tol:
-        raise DegenerateInput("zero binary form has no root set")
-    return roots
-
+    c = np.atleast_2d(as_float(vec(coeffs))).astype(complex)
+    if not np.all(np.isfinite(c)):
+        raise DegenerateInput("a binary form has a non-finite coefficient")
+    d = c.shape[1] - 1
+    scale = np.max(np.abs(c), axis=1, keepdims=True)
+    # 1 / scale (in numpy's complex division) would overflow below 2^-1000
+    tiny = scale[:, 0] < 2.0 ** -1000
+    c[tiny] *= 2.0 ** 1000
+    scale[tiny] *= 2.0 ** 1000
+    live = scale[:, 0] > 0
+    np.divide(c, scale, out=c, where=live[:, None])
+    # zero rows count no leading and no trailing zeros
+    lead = np.argmin(np.abs(c) <= FORM_EPS, axis=1)
+    trail = np.argmax(c[:, ::-1] != 0, axis=1)
+    s = (np.arange(d) < lead[:, None]).astype(complex)
+    t = 1 - s
+    todo = live & (lead + trail < d)
+    for lo, tr in sorted(set(zip(lead[todo].tolist(), trail[todo].tolist()))):
+        k = d - lo - tr
+        rows = np.flatnonzero(todo & (lead == lo) & (trail == tr))
+        p = c[rows, lo:d + 1 - tr]
+        companion = np.zeros((len(rows), k, k), dtype=complex)
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1
+        s[rows, lo:lo + k] = np.linalg.eigvals(companion)
+    found = np.repeat(live[:, None], d, axis=1)
+    if np.ndim(coeffs) == 1:
+        return s[0], t[0], found[0]
+    return s, t, found

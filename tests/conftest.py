@@ -16,8 +16,9 @@ from gvcam.cameras import (Pinhole, Pushbroom, TwistedCubic, TwoSlit, Type4,
 from gvcam.catadioptric import conic_chord_points
 from gvcam.errors import DegenerateInput, FocalPoint
 from gvcam.multiimage import Transversal
-from gvcam.numeric import (FOCAL_EPS, as_float, binary_eval, negligible, norm,
-                           projective_distance, realify, unitize, vec)
+from gvcam.numeric import (FOCAL_EPS, FORM_EPS, as_float, binary_eval,
+                           negligible, norm, projective_distance, realify,
+                           unitize, vec)
 from gvcam.plucker import (incidence, line_from_planes, line_from_points,
                            line_residual, plucker_quadric,
                            point_line_residual, primal_matrix)
@@ -327,6 +328,28 @@ def _poly_vals_type4_reference(p):
         p03 ** 3 - p12 * p13 ** 2,
         p02 ** 2 * p03 - p12 ** 3,
     ]
+
+
+# --------------------------------------------------------------------------
+# one binary form at a time, through numpy.roots: the stacked
+# numeric.binary_roots must equal it bit for bit
+
+def reference_binary_roots(coeffs):
+    """Projective roots of one binary form as a list of (s, t) pairs."""
+    c = as_float(vec(coeffs)).astype(complex)
+    scale = float(np.max(np.abs(c)))
+    if scale == 0.0:
+        raise DegenerateInput("zero binary form has no root set")
+    c = c / scale
+    lead = 0
+    while lead < len(c) - 1 and abs(c[lead]) <= FORM_EPS:
+        lead += 1
+    roots = [(1.0 + 0j, 0j)] * lead
+    tail = c[lead:]
+    if len(tail) > 1:
+        for r in np.roots(tail):
+            roots.append((complex(r), 1.0 + 0j))
+    return roots
 
 
 # --------------------------------------------------------------------------

@@ -171,10 +171,15 @@ SPHERE = {"2000": -1, "0200": 1, "0020": 1, "0002": 1}
      "surface 'degree' must be an integer, got 2.5"),
     ({"degree": True, "coeffs": {"1000": 1}},
      "surface 'degree' must be an integer, got True"),
+] + [
+    ({"degree": d, "coeffs": {"%d,0,0,0" % d: -1, "0,%d,0,0" % d: 1}},
+     "a surface needs a degree from 1 to 24")
+    for d in (10 ** 400, 10 ** 30, 3000)
 ])
 def test_malformed_surfaces_are_named(tmp_path, surface, message):
     """A surface whose coefficients are all zero, or whose degree is not
-    an integer, is refused before any reflection is computed."""
+    an integer or is out of range, is refused before any reflection is
+    computed."""
     path = tmp_path / "mirror.json"
     path.write_text(json.dumps({"surface": surface, "lines": [LINE]}))
     err = io.StringIO()
