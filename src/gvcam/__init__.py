@@ -4,55 +4,9 @@ Lines in P^3 in Pluecker coordinates, concurrency tests via explicit
 generator polynomials, a catalog of order-one line-congruence cameras,
 multi-view correspondence and baselines, multifocal tensors for the
 photographic models, and specular reflection for catadioptric setups.
+
+Every name is imported from its module (``gvcam.plucker``,
+``gvcam.cameras``, ...); importing the package loads none of them.
 """
 
-from . import errors
-from .plucker import (
-    line_from_points, line_from_planes, dual_line,
-    primal_matrix, dual_matrix, plucker_quadric, incidence,
-    join_plane, meet_point, point_on_line, plane_contains_line,
-)
-from .concurrency import (
-    find_common_point, concurrent_by_generators, evaluate_generators,
-    multidegree, generator_counts,
-)
-from .cameras import (
-    Pinhole, TwoSlit, Pushbroom, TwistedCubic, Type3, Type4,
-    PanoramicNC, PanoramicStereo, project, bidegree,
-    congruence_residual, focal_residual, camera_from_payload,
-)
-from .multiimage import (
-    CameraRig, correspond, triangulate, epipolar_residual,
-    baselines_linear, common_transversals, baseline_count, epipolar_degree,
-    linear_generator_counts,
-)
-from .tensors import (
-    fundamental_matrix, quadrifocal_tensor, mixed_epipolar_tensor,
-    sextic_invariant, pinhole_fiber, twoslit_fiber,
-)
-from .catadioptric import (
-    MirrorSurface, reflect_point, reflect_line, tangent_plane,
-    specular_pair, mirror_pair_residual, panoramic_fibers,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "errors",
-    "line_from_points", "line_from_planes", "dual_line",
-    "primal_matrix", "dual_matrix", "plucker_quadric", "incidence",
-    "join_plane", "meet_point", "point_on_line", "plane_contains_line",
-    "find_common_point", "concurrent_by_generators", "evaluate_generators",
-    "multidegree", "generator_counts",
-    "Pinhole", "TwoSlit", "Pushbroom", "TwistedCubic", "Type3", "Type4",
-    "PanoramicNC", "PanoramicStereo", "project", "bidegree",
-    "congruence_residual", "focal_residual", "camera_from_payload",
-    "CameraRig", "correspond", "triangulate", "epipolar_residual",
-    "baselines_linear", "common_transversals", "baseline_count",
-    "epipolar_degree", "linear_generator_counts",
-    "fundamental_matrix", "quadrifocal_tensor", "mixed_epipolar_tensor",
-    "sextic_invariant", "pinhole_fiber", "twoslit_fiber",
-    "MirrorSurface", "reflect_point", "reflect_line", "tangent_plane",
-    "specular_pair", "mirror_pair_residual", "panoramic_fibers",
-    "__version__",
-]

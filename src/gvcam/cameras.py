@@ -57,8 +57,8 @@ from .plucker import (incidence, incidence_residual, line_residual,
 
 __all__ = [
     "Pinhole", "TwoSlit", "Pushbroom", "TwistedCubic", "Type3", "Type4",
-    "PanoramicNC", "PanoramicStereo", "RationalCurve", "project", "bidegree",
-    "focal_residual", "congruence_residual", "line_meets_curve",
+    "PanoramicNC", "PanoramicStereo", "RationalCurve", "project",
+    "congruence_residual", "line_meets_curve",
     "line_curve_residual", "point_curve_residual", "sum_of_two_cubes",
     "secant_quadrics", "secant_system", "pushbroom_infinity_slit",
     "camera_from_payload", "reference_type3", "reference_type4",
@@ -414,13 +414,11 @@ class TwistedCubic:
     bidegree = (1, 3)
 
     def curve(self) -> RationalCurve:
+        # H moves the standard curve's forms (unit vectors) to its rows
         if self.homography is None:
             return TWISTED_CUBIC_CURVE
-        H = as_float(self.homography)
-        return RationalCurve(tuple(
-            tuple(sum(H[i][j] * TWISTED_CUBIC_CURVE.coords[j][k]
-                      for j in range(4)) for k in range(4))
-            for i in range(4)))
+        return RationalCurve(tuple(map(tuple,
+                                       as_float(self.homography).tolist())))
 
     def project(self, x):
         # with a homography the point goes through its float inverse
@@ -719,30 +717,18 @@ class PanoramicNC:
 
 
 @dataclass(frozen=True)
-class PanoramicStereo:
+class PanoramicStereo(PanoramicNC):
     """Dual of :class:`PanoramicNC`: lines meeting the line at infinity
     V(x0, x3) and tangent... rather, the order-two family whose duals form
     the non-central congruence; bidegree (2, 2)."""
 
     kind = "panoramic_stereo"
-    bidegree = (2, 2)
-
-    def project(self, x):
-        raise UnsupportedOrder("order-two congruence: two lines per point; "
-                               "use panoramic_fibers")
 
     def generator_values(self, p):
         """The generators at one line, or at each row of an (N, 6) stack."""
         c = vec(p).T
         return np.stack([c[2], power(c[3], 2) - power(c[1], 2)
                          - power(c[0], 2), plucker_quadric(c.T)], axis=-1)
-
-    def congruence_residual(self, p):
-        return _residuals(self, p)
-
-    def _residuals(self, P):
-        return np.max(np.abs(self.generator_values(unitize(as_float(P)))),
-                      axis=-1)
 
     def focal_residual(self, x) -> float:
         x = unitize(as_float(vec(x)))
@@ -753,20 +739,13 @@ class PanoramicStereo:
 
 
 # --------------------------------------------------------------------------
-# functional facade
+# functional forms of the two camera methods, which the benchmark tracer
+# wraps by name
 
 def project(cam, x):
     """The line of one point, or ``(lines, focal)`` for an (N, 4) stack of
     points (see the module docstring)."""
     return cam.project(x)
-
-
-def bidegree(cam):
-    return tuple(cam.bidegree)
-
-
-def focal_residual(cam, x) -> float:
-    return cam.focal_residual(x)
 
 
 def congruence_residual(cam, p):

@@ -148,6 +148,9 @@ class MirrorSurface:
         table = []
         for key, val in items:
             expo = _parse_exponents(key) if isinstance(key, str) else tuple(key)
+            if any(e > MAX_DEGREE for e in expo):   # not echoed: may be huge
+                raise DegenerateInput("a monomial exponent exceeds %d"
+                                      % MAX_DEGREE)
             if sum(expo) != degree:
                 raise DegenerateInput(
                     "monomial %s does not have degree %d" % (expo, degree))

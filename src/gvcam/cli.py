@@ -7,10 +7,9 @@ digits), keys are sorted, and timing is omitted unless explicitly
 requested.  A JSON report has the bytes that ``json.dumps`` writes with
 ``indent=2`` and ``sort_keys=True``, streamed to its destination a block
 of rows at a time.  The commands whose reports grow with their input
-(``project``, ``check``, ``triangulate``, surface-mode ``reflect``) hand
-their rows to the writer as column blocks of result arrays
-(:class:`_Rows`), not as a dict per row; the other commands' lists of
-dict rows are made into the same blocks, one per tuple of keys.
+(``project``, ``check``, ``triangulate``, ``reflect``) hand their rows
+to the writer as column blocks of result arrays (:class:`_Rows`), not as
+a dict per row; the other commands write a few dict rows.
 
 Exit codes: 0 success; 1 a membership/correspondence check rejected;
 2 usage, parse, or scene errors; 3 numerical failure (ill-conditioned or
@@ -42,10 +41,13 @@ from .errors import (AmbiguousPencil, DegenerateInput, GeometryError,
 from .numeric import (DEFAULT_TOL, _scaled_rows, as_float, format_scalar,
                       is_exact, unitize, vector_payload)
 from .plucker import line_residual
-from .scene import (_list, _vector, load_json, load_observations,
+from .scene import (_stack, _vector, load_json, load_observations,
                     load_points, load_scene, mirror_lines)
 
 __all__ = ["main", "run", "build_parser"]
+
+#: Floor of ``reflect``'s surface tolerance: float contacts miss it by ~1e-9.
+MIRROR_TOL = 1e-6
 
 
 def _default_tol() -> float:
@@ -229,15 +231,15 @@ def _json_chunks(report):
     chunks.
 
     Each list or :class:`_Rows` value of the report is written
-    _BLOCK_ROWS rows per chunk; a list of dict rows is first made into
-    blocks of list columns, one per tuple of keys (:func:`_dict_blocks`).
-    A block is filled into one ``%`` template of its sorted keys, in
-    which its constants are written once.  The floats and ints of a slice of an
-    array column are written in one pass, ``repr`` of its ``tolist()``
-    split into values (and the indent of a vector spliced in by one
-    ``str.replace``), as ``json`` writes them; a float that is not JSON
-    (NaN, an infinity) goes to the ``json`` encoder, as do the values of a
-    list column that :func:`_value` cannot write directly, each alone.
+    _BLOCK_ROWS rows per chunk; each row of a list is written by
+    :func:`_value`.  A block of :class:`_Rows` is filled into one ``%``
+    template of its sorted keys, in which its constants are written once.
+    The floats and ints of a slice of an array column are written in one
+    pass, ``repr`` of its ``tolist()`` split into values (and the indent of
+    a vector spliced in by one ``str.replace``), as ``json`` writes them; a
+    float that is not JSON (NaN, an infinity) goes to the ``json`` encoder,
+    as do the values of a list column that :func:`_value` cannot write
+    directly, each alone.
     """
     if not report or not all(type(k) is str for k in report):
         yield _INDENTED.encode(report) + "\n"
@@ -263,13 +265,10 @@ def _row_texts(rows):
     """The texts of a list or :class:`_Rows` of rows at indent four,
     _BLOCK_ROWS at a time."""
     if type(rows) is list:
-        blocks = _dict_blocks(rows)
-        if blocks is None:
-            for start in range(0, len(rows), _BLOCK_ROWS):
-                yield [_value(row, _ROW)
-                       for row in rows[start:start + _BLOCK_ROWS]]
-            return
-        rows = blocks
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            yield [_value(row, _ROW)
+                   for row in rows[start:start + _BLOCK_ROWS]]
+        return
     writers = [_block_writer(block) for block in rows.blocks]
     done = [0] * len(writers)               # rows written of each block
     for start in range(0, len(rows), _BLOCK_ROWS):
@@ -280,25 +279,6 @@ def _row_texts(rows):
             texts.append(iter(writers[b](done[b], done[b] + count)).__next__)
             done[b] += count
         yield [texts[k]() for k in kinds.tolist()]
-
-
-def _dict_blocks(rows):
-    """A list of dict rows as :class:`_Rows`, a block of list columns for
-    each tuple of keys; None unless every row is a dict with string keys
-    (then each row is written as a value)."""
-    if not all(type(row) is dict for row in rows):
-        return None
-    index = {}
-    kinds = [index.setdefault(keys, len(index)) for keys in map(tuple, rows)]
-    if not all(keys and all(type(k) is str for k in keys) for keys in index):
-        return None
-    kinds = np.array(kinds, dtype=np.intp)
-    blocks = []
-    for b, keys in enumerate(index):
-        group = rows if len(index) == 1 else [
-            rows[i] for i in np.flatnonzero(kinds == b).tolist()]
-        blocks.append({k: [row[k] for row in group] for k in keys})
-    return _Rows(*blocks, kinds=kinds)
 
 
 def _block_writer(block):
@@ -566,19 +546,22 @@ def cmd_reflect(args) -> int:
     if not isinstance(data, dict) or ("plane" in data) == ("surface" in data):
         raise DegenerateInput(
             "reflect input needs exactly one of 'plane' or 'surface'")
-    rows = []
     if "plane" in data:
         H = _vector(data["plane"], 4, args.exact, "plane")
+        blocks = []
         for kind, length, reflect in (("point", 4, reflect_point),
                                       ("line", 6, reflect_line)):
             key = kind + "s"
-            for i, v in enumerate(_list(data.get(key, []), repr(key))):
-                v = _vector(v, length, args.exact, "%s[%d]" % (key, i))
-                rows.append({"kind": kind, "index": i,
-                             "reflected": vector_payload(reflect(H, v))})
+            V = _stack(data.get(key, []), length, args.exact, key)
+            if len(V):      # an isotropic plane that reflects nothing is fine
+                V = reflect(H, V)
+            blocks.append({"kind": kind, "index": np.arange(len(V)),
+                           "reflected": vector_payload(V) if args.exact else V})
+        rows = _Rows(*blocks, kinds=np.repeat(
+            [0, 1], [len(b["index"]) for b in blocks]))
     else:
         surf = MirrorSurface.from_payload(data["surface"], exact=args.exact)
-        tol = max(args.tol, 1e-6)
+        tol = max(args.tol, MIRROR_TOL)
         lines = mirror_lines(data.get("lines", []), tol=tol)
         points, owner = line_surface_points(surf, lines)
         # a row per contact (points come in the order of their lines), or

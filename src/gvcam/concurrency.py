@@ -63,10 +63,7 @@ def _signed_minors(m):
     """The four signed 3x3 minors of a 4x3 stack (cofactors along rows)."""
     out = []
     for drop in range(4):
-        rows = [m[r] for r in range(4) if r != drop]
-        d = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-             - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-             + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+        d = numeric.det3([m[r] for r in range(4) if r != drop])
         out.append(d if drop % 2 == 0 else -d)
     return out
 

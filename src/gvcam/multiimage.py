@@ -60,11 +60,7 @@ def _focal_points(cam):
 
 
 def _focal_curve(cam):
-    if cam.kind == "twisted_cubic":
-        return cam.curve()
-    if cam.kind == "type3":
-        return cam.curve()
-    return None
+    return cam.curve() if cam.kind in ("twisted_cubic", "type3") else None
 
 
 def _pairwise_focal_warnings(a, b, ia, ib, tol):

@@ -38,6 +38,11 @@ __all__ = ["Scene", "load_scene", "scene_from_dict", "load_points",
 
 SCENE_VERSION = 1
 
+#: A given center or slit may differ from its float matrix kernel by this.
+MATCH_EPS = 1e-8
+#: Floor of the quadric test: a float line read from text is off by rounding.
+QUADRIC_FLOOR = 1e-10
+
 
 def load_json(path):
     if path == "-":
@@ -75,7 +80,8 @@ def _camera_with_matrices(data, exact):
         center = pinhole_center(A)
         if "center" in data:
             given = parse_vector(data["center"], 4, exact)
-            if projective_distance(as_float(given), as_float(center)) > 1e-8:
+            if (projective_distance(as_float(given), as_float(center))
+                    > MATCH_EPS):
                 raise DegenerateInput(
                     "pinhole center does not match the matrix kernel")
             center = given
@@ -86,8 +92,8 @@ def _camera_with_matrices(data, exact):
         if "slits" in data:
             s1 = parse_vector(data["slits"][0], 6, exact)
             s2 = parse_vector(data["slits"][1], 6, exact)
-            if (projective_distance(as_float(s1), as_float(k1)) > 1e-8 or
-                    projective_distance(as_float(s2), as_float(k2)) > 1e-8):
+            if (projective_distance(as_float(s1), as_float(k1)) > MATCH_EPS or
+                    projective_distance(as_float(s2), as_float(k2)) > MATCH_EPS):
                 raise DegenerateInput(
                     "two-slit slits do not match the matrix kernels")
             k1, k2 = s1, s2
@@ -139,13 +145,14 @@ def _vector(values, length, exact, what):
 def _check_line(lines, tol, what):
     """Raise DegenerateInput unless every line of a stack ((n, 6),
     (N, n, 6), ...) is nonzero and lies on the Pluecker quadric: exactly
-    for Fractions, within max(tol, 1e-10) after unitizing for floats.  The
-    message names the first bad line by its indices, zero lines first."""
+    for Fractions, within max(tol, QUADRIC_FLOOR) after unitizing for
+    floats.  The message names the first bad line by its indices, zero
+    lines first."""
     bad = np.argwhere(~np.any(lines != 0, axis=-1))
     why = "is the zero vector, not a line"
     if not len(bad):
         q = plucker_quadric(unitize(lines))
-        bad = np.argwhere(~negligible_each(q, eps=max(tol, 1e-10)))
+        bad = np.argwhere(~negligible_each(q, eps=max(tol, QUADRIC_FLOOR)))
         why = "is not a line (quadric residual exceeds tolerance)"
     if len(bad):
         raise DegenerateInput("%s%s %s" % (
@@ -174,21 +181,29 @@ def _number_stack(items, ndim, length):
     return L
 
 
-def _points(values, exact):
-    """World points as one (N, 4) array, of float64 or, under ``exact``,
-    of Fractions, none of them the zero vector.
+def _stack(values, length, exact, what):
+    """The vectors of the list ``values`` (named ``what``) as one
+    (N, ``length``) array, of float64 or, under ``exact``, of Fractions.
 
-    In float mode, points of plain numbers are read in one pass.  Anything
-    else (exact mode, rational strings, any defect) is read point by point
-    with :func:`parse_vector` into the same array, and a defect is named
-    by its index, ``points[k]``.
+    In float mode, vectors of plain numbers are read in one pass.  Anything
+    else (exact mode, rational strings, any defect) is read vector by
+    vector with :func:`parse_vector` into the same array, and a defect is
+    named by its index, ``what[k]``.
     """
-    items = _list(values, "'points'")
-    X = None if exact else _number_stack(items, 2, 4)
+    items = _list(values, repr(what))
+    X = None if exact else _number_stack(items, 2, length)
     if X is None:
-        X = np.empty((len(items), 4), dtype=object if exact else np.float64)
+        X = np.empty((len(items), length),
+                     dtype=object if exact else np.float64)
         for k, x in enumerate(items):
-            X[k] = _vector(x, 4, exact, "points[%d]" % k)
+            X[k] = _vector(x, length, exact, "%s[%d]" % (what, k))
+    return X
+
+
+def _points(values, exact):
+    """World points as one (N, 4) :func:`_stack`, none of them the zero
+    vector."""
+    X = _stack(values, 4, exact, "points")
     bad = np.flatnonzero(~np.any(X != 0, axis=1))
     if len(bad):
         raise DegenerateInput("points[%d] is the zero vector, not a point"
@@ -200,10 +215,9 @@ def _observations(values, exact, tol):
     """Observed line tuples as one (N, n, 6) array, of float64 or, under
     ``exact``, of Fractions, each line on the Pluecker quadric.
 
-    In float mode, items of plain numbers are read in one pass.  Anything
-    else (exact mode, rational strings, any defect) is read line by line
-    with :func:`parse_vector` into the same array, and a defect is named
-    by its indices, ``observations[k][i]``.
+    In float mode, items of plain numbers are read in one pass; else each
+    item is read as a :func:`_stack`, and a defect is named by its indices,
+    ``observations[k][i]``.
     """
     items = _list(values, "'observations'")
     L = None if exact else _number_stack(items, 3, 6)
@@ -216,23 +230,15 @@ def _observations(values, exact, tol):
                 raise DegenerateInput(
                     "observations[%d] has %d lines, observations[0] has %d"
                     % (k, len(item), n))
-            for i, line in enumerate(item):
-                L[k, i] = _vector(line, 6, exact,
-                                  "observations[%d][%d]" % (k, i))
+            L[k] = _stack(item, 6, exact, "observations[%d]" % k)
     _check_line(L, tol, "observations")
     return L
 
 
 def mirror_lines(values, tol: float = DEFAULT_TOL):
     """The ``lines`` of a surface-mode ``reflect`` input as one (n, 6)
-    float64 stack, each on the Pluecker quadric.  Lines of plain numbers
-    are read in one pass; anything else (rational strings, any defect) is
-    read line by line, and a defect is named by its index, ``lines[i]``."""
-    items = _list(values, "'lines'")
-    L = _number_stack(items, 2, 6)
-    if L is None:
-        L = np.array([_vector(row, 6, False, "lines[%d]" % i)
-                      for i, row in enumerate(items)]).reshape(-1, 6)
+    float64 :func:`_stack`, each on the Pluecker quadric."""
+    L = _stack(values, 6, False, "lines")
     _check_line(L, tol, "lines")
     return L
 

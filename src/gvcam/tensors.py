@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (BaseLocus, CoincidentCenters, DegenerateInput,
                      SingularStack)
 from .numeric import (as_float, binary_eval, compound2, det3, det4,
-                      exact_nullspace, format_scalar, is_exact, negligible,
-                      norm, parse_scalar, unitize, vec)
+                      exact_nullspace, is_exact, negligible, norm,
+                      parse_scalar, unitize, vec, vector_payload)
 from .plucker import dual_line, line_from_points, wedge
 
 __all__ = [
@@ -32,6 +32,9 @@ __all__ = [
     "sextic_invariant", "sextic_relative", "sextic_terms", "tensor_payload",
     "tensor_from_payload",
 ]
+
+#: Relative singular value below which a float matrix is rank-deficient.
+RANK_EPS = 1e-12
 
 
 def _vec_matrix(m, shape, name):
@@ -48,7 +51,7 @@ def _kernel(M, rank, name):
         ker = [vec(k) for k in exact_nullspace(M)]
     else:
         _, sv, vt = np.linalg.svd(as_float(M))
-        deficient = sv[rank - 1] <= 1e-12 * sv[0]
+        deficient = sv[rank - 1] <= RANK_EPS * sv[0]
         ker = [] if deficient else [vec(k) for k in vt[rank:]]
     if len(ker) != 4 - rank:
         raise DegenerateInput("%s must have rank %d" % (name, rank))
@@ -141,7 +144,7 @@ def twoslit_fiber(pair, u, v):
     stack = np.vstack([A, B])
     if not is_exact(stack):
         s = np.linalg.svd(as_float(stack), compute_uv=False)
-        if s[3] <= 1e-12 * s[0]:
+        if s[3] <= RANK_EPS * s[0]:
             raise SingularStack("stacked [A; B] is singular "
                                 "(slits meet or matrices degenerate)")
     D = compound2(_inverse4(stack))
@@ -338,20 +341,12 @@ _TENSOR_SHAPES = {"fundamental": (3, 3), "quadrifocal": (2, 2, 2, 2),
 def tensor_payload(kind: str, T):
     """JSON-ready dict {"kind", "entries"} for a multifocal tensor; exact
     entries serialize as integer/rational strings, floats as floats."""
-
-    def conv(a):
-        if isinstance(a, np.ndarray) and a.ndim > 1:
-            return [conv(row) for row in a]
-        if isinstance(a, np.ndarray):
-            return [format_scalar(x) for x in a.tolist()]
-        return format_scalar(a)
-
     if kind not in _TENSOR_SHAPES:
         raise DegenerateInput("unknown tensor kind %r" % kind)
     T = vec(T)
     if T.shape != _TENSOR_SHAPES[kind]:
         raise DegenerateInput("entries do not form a %s tensor" % kind)
-    return {"kind": kind, "entries": conv(T)}
+    return {"kind": kind, "entries": vector_payload(T)}
 
 
 def tensor_from_payload(data, exact: bool = False):

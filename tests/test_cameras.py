@@ -11,8 +11,8 @@ from gvcam.cameras import (TWISTED_CUBIC_CURVE, DegenerateCubic, FocalPoint,
                            IllConditioned, InvalidSlit, PanoramicNC,
                            PanoramicStereo, Pinhole, Pushbroom, RationalCurve,
                            TwistedCubic, TwoSlit, Type3, Type4,
-                           bidegree, camera_from_payload, congruence_residual,
-                           focal_residual, line_curve_residual,
+                           camera_from_payload, congruence_residual,
+                           line_curve_residual,
                            line_meets_curve, point_curve_residual, project,
                            pushbroom_infinity_slit, reference_type3,
                            reference_type4, secant_quadrics, secant_system,
@@ -623,14 +623,14 @@ def test_type3_validation():
 
 def test_bidegrees():
     rng = np.random.default_rng(316)
-    assert bidegree(Pinhole(rand_point(rng))) == (1, 0)
-    assert bidegree(rand_twoslit(rng)) == (1, 1)
-    assert bidegree(rand_pushbroom(rng)) == (1, 1)
-    assert bidegree(TwistedCubic()) == (1, 3)
-    assert bidegree(reference_type3()) == (1, 3)
-    assert bidegree(reference_type4()) == (1, 3)
-    assert bidegree(PanoramicNC()) == (2, 2)
-    assert bidegree(PanoramicStereo()) == (2, 2)
+    assert Pinhole(rand_point(rng)).bidegree == (1, 0)
+    assert rand_twoslit(rng).bidegree == (1, 1)
+    assert rand_pushbroom(rng).bidegree == (1, 1)
+    assert TwistedCubic().bidegree == (1, 3)
+    assert reference_type3().bidegree == (1, 3)
+    assert reference_type4().bidegree == (1, 3)
+    assert PanoramicNC().bidegree == (2, 2)
+    assert PanoramicStereo().bidegree == (2, 2)
 
 
 def test_panoramic_cameras_reject_projection():
@@ -724,7 +724,7 @@ def test_module_level_dispatch():
     p = project(cam, x)
     assert point_on_line(x, p)
     assert congruence_residual(cam, p) <= 1e-9
-    assert focal_residual(cam, x) > 0
+    assert cam.focal_residual(x) > 0
 
 
 _SINGULAR_H = np.array([[1.0, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1],

@@ -18,7 +18,7 @@ from gvcam.cameras import Pinhole, TwoSlit
 from gvcam.errors import DegenerateInput
 from gvcam.catadioptric import (MirrorSurface, line_surface_points,
                                 specular_pair, tangent_plane)
-from gvcam.numeric import unitize
+from gvcam.numeric import unitize, vec, vector_payload
 from gvcam.plucker import line_from_points, plucker_quadric, points_on_line
 from gvcam.scene import (load_observations, load_points, load_scene,
                          mirror_lines, scene_from_dict)
@@ -702,6 +702,42 @@ def test_cli_reflect_plane(capsys, tmp_path):
                                                "surface": {"degree": 2,
                                                            "coeffs": {}}})
     assert cli.main(["reflect", "--input", both]) == 2
+
+
+def test_cli_reflect_plane_matches_per_vector_calls(capsys, tmp_path):
+    """Plane mode reflects its points and lines as stacks, past two writer
+    blocks: the report is ``json.dumps`` of the rows that ``reflect_point``
+    and ``reflect_line`` give one vector at a time, in float mode and under
+    ``--exact``.  An isotropic plane with nothing to reflect is no error."""
+    from gvcam.catadioptric import reflect_line, reflect_point
+    rng = np.random.default_rng(23)
+    n = 2 * cli._BLOCK_ROWS + 3
+    inputs = {
+        (): {"plane": [0.5, -1.25, 3.0, 0.75],
+             "points": rng.standard_normal((n, 4)).tolist(),
+             "lines": (rng.standard_normal((n, 6)) * 1e3).tolist()},
+        ("--exact",): {"plane": [2, -1, "3/7", 1],
+                       "points": rng.integers(-50, 50, (n, 4)).tolist(),
+                       "lines": [["%d/%d" % (a, b) for a, b in row] for row in
+                                 rng.integers(1, 50, (n, 6, 2)).tolist()]}}
+    for flags, payload in inputs.items():
+        exact = bool(flags)
+        H = vec(payload["plane"], exact)
+        rows = [{"kind": kind, "index": i,
+                 "reflected": vector_payload(reflect(H, vec(v, exact)))}
+                for kind, reflect in (("point", reflect_point),
+                                      ("line", reflect_line))
+                for i, v in enumerate(payload[kind + "s"])]
+        path = write_json(tmp_path / "plane.json", payload)
+        rc, out = run_cli(capsys, ["reflect", "--input", path, *flags])
+        assert rc == 0
+        report = dict(json.loads(out), results=rows)
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    for payload in ({"plane": [1, 0, 0, 0]},
+                    {"plane": [1, 0, 0, 0], "points": [], "lines": []}):
+        path = write_json(tmp_path / "isotropic.json", payload)
+        rc, out = run_cli(capsys, ["reflect", "--input", path])
+        assert rc == 0 and json.loads(out)["results"] == []
 
 
 def test_cli_reflect_surface(capsys, tmp_path):
