@@ -46,6 +46,9 @@ SINGULAR_EPS = 1e-10
 #: and 0.4 at 48.  It also bounds the work, which grows as d^3 per line.
 MAX_DEGREE = 24
 
+#: Characters of a malformed exponent key quoted in its error message.
+KEY_ECHO = 32
+
 
 def _spatial_square(a):
     return a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
@@ -63,15 +66,11 @@ def direction_cos(x, y):
     return float(num / math.sqrt(_spatial_square(x) * _spatial_square(y)))
 
 
-@dataclass(frozen=True)
 class ReflectionMap:
     """Reflection across a non-isotropic plane, with its 4x4 point action
-    and 6x6 line action precomputed.  A float (n, 4) stack of planes gives
-    stacks of actions, which act row by row on stacks of points or lines."""
-
-    plane: np.ndarray
-    matrix: np.ndarray
-    line_matrix: np.ndarray
+    ``matrix`` and 6x6 line action ``line_matrix`` precomputed.  A float
+    (n, 4) stack of planes gives stacks of actions, which act row by row on
+    stacks of points or lines."""
 
     def __init__(self, plane):
         H = vec(plane)
@@ -83,9 +82,7 @@ class ReflectionMap:
         normal[..., 0] = 0
         rho = (np.asarray(s)[..., None, None] * np.eye(4, dtype=H.dtype)
                - 2 * (normal[..., :, None] * H[..., None, :]))
-        object.__setattr__(self, "plane", H)
-        object.__setattr__(self, "matrix", rho)
-        object.__setattr__(self, "line_matrix", compound2(rho))
+        self.plane, self.matrix, self.line_matrix = H, rho, compound2(rho)
 
     # contiguous operands, so that a stacked matvec rounds as ``@`` does
     def point(self, y):
@@ -113,9 +110,10 @@ def _parse_exponents(key):
     try:
         parts = tuple(map(int, key.split(",") if "," in key else key))
     except ValueError:
-        raise DegenerateInput("bad exponent key %r" % (key,)) from None
+        parts = ()
     if len(parts) != 4 or any(e < 0 for e in parts):
-        raise DegenerateInput("bad exponent key %r" % (key,))
+        shown = key if len(key) <= KEY_ECHO else key[:KEY_ECHO] + "..."
+        raise DegenerateInput("bad exponent key %r" % (shown,))
     return parts
 
 

@@ -1,18 +1,23 @@
 """Command-line interface: scene files in, JSON/CSV reports out.
 
 Every subcommand is a thin adapter over the library; no numerical logic
-lives here.  Reports are deterministic for a fixed scene and seed: floats
-are written in their shortest round-trip form (at most 17 significant
-digits), keys are sorted, and timing is omitted unless explicitly
-requested.  A JSON report has the bytes that ``json.dumps`` writes with
-``indent=2`` and ``sort_keys=True``, streamed to its destination a block
-of rows at a time.  The commands whose reports grow with their input
+lives here.  Each command imports the library modules it uses on first
+use, inside its own function, so a process loads only what its command
+runs: ``import gvcam.cli`` alone loads ``errors`` and ``numeric``.
+
+Reports are deterministic for a fixed scene and seed: floats are written
+in their shortest round-trip form (at most 17 significant digits), keys
+are sorted, and timing is omitted unless explicitly requested.  A JSON
+report has the bytes that ``json.dumps`` writes with ``indent=2`` and
+``sort_keys=True``, streamed to its destination a block of rows at a
+time.  The commands whose reports grow with their input
 (``project``, ``check``, ``triangulate``, ``reflect``) hand their rows
 to the writer as column blocks of result arrays (:class:`_Rows`), not as
 a dict per row; the other commands write a few dict rows.
 
 Exit codes: 0 success; 1 a membership/correspondence check rejected;
-2 usage, parse, or scene errors; 3 numerical failure (ill-conditioned or
+2 usage, parse, or scene errors, and a ``--tol`` or ``GVCAM_TOL`` that is
+NaN, negative or infinite; 3 numerical failure (ill-conditioned or
 ambiguous input); 4 a bug.  Any other exception is a bug: :func:`main`
 lets it escape, and the ``gvcam`` entry point (:func:`run`) prints its
 traceback on stderr and exits 4.
@@ -21,7 +26,6 @@ traceback on stderr and exits 4.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -32,17 +36,10 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import concurrency, multiimage, tensors
-from .cameras import congruence_residual
-from .catadioptric import (MirrorSurface, line_surface_points, reflect_line,
-                           reflect_point, specular_pair, tangent_plane)
 from .errors import (AmbiguousPencil, DegenerateInput, GeometryError,
                      IllConditioned, UnsupportedOrder)
 from .numeric import (DEFAULT_TOL, _scaled_rows, as_float, format_scalar,
                       is_exact, unitize, vector_payload)
-from .plucker import line_residual
-from .scene import (_stack, _vector, load_json, load_observations,
-                    load_points, load_scene, mirror_lines)
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -50,14 +47,32 @@ __all__ = ["main", "run", "build_parser"]
 MIRROR_TOL = 1e-6
 
 
-def _default_tol() -> float:
-    env = os.environ.get("GVCAM_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        return float(env)
-    except ValueError:
-        raise DegenerateInput("GVCAM_TOL must be a float, got %r" % env)
+def _tolerance(given) -> float:
+    """``--tol`` when given, else ``GVCAM_TOL`` when set, else DEFAULT_TOL;
+    a NaN, negative or infinite value is refused, naming its source."""
+    if given is not None:
+        tol, source = given, "--tol"
+    else:
+        env = os.environ.get("GVCAM_TOL")
+        if env is None:
+            return DEFAULT_TOL
+        try:
+            tol, source = float(env), "GVCAM_TOL"
+        except ValueError:
+            raise DegenerateInput("GVCAM_TOL must be a float, got %r" % env)
+    if not 0 <= tol < float("inf"):             # NaN fails both
+        raise DegenerateInput("%s must be a finite number >= 0, got %r"
+                              % (source, tol))
+    return tol
+
+
+def __getattr__(name):
+    # bench/selfcheck.py reads cli.congruence_residual, a name this module
+    # held before each command imported its own modules
+    if name == "congruence_residual":
+        from .cameras import congruence_residual
+        return congruence_residual
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
 
 
 @functools.cache
@@ -208,6 +223,7 @@ def _emit(report, args) -> None:
             for k in row:
                 if k not in keys:
                     keys.append(k)
+        import csv
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=keys)
         writer.writeheader()
@@ -373,6 +389,10 @@ def _value(v, newline):
 # commands
 
 def cmd_project(args) -> int:
+    from .cameras import congruence_residual
+    from .concurrency import evaluate_generators, worst_generators
+    from .plucker import line_residual
+    from .scene import load_points, load_scene
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     points = load_points(args.points, scene, exact=args.exact)
     n, m = len(points), len(scene.cameras)
@@ -426,11 +446,11 @@ def cmd_project(args) -> int:
             chosen = (sizes == size) & (exact_tuple == is_exact_tuple)
             if not chosen.any():
                 continue
-            reports = concurrency.evaluate_generators(
+            reports = evaluate_generators(
                 source[chosen][ok[chosen]].reshape(-1, size, 6))
             items.append(np.flatnonzero(chosen))
             tops += [format_scalar(top)
-                     for _, top in concurrency.worst_generators(reports)]
+                     for _, top in worst_generators(reports)]
     item = np.concatenate(items)
     order = np.argsort(item).tolist()
     checks = _Rows({"item": item[order],
@@ -440,11 +460,13 @@ def cmd_project(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .concurrency import evaluate_generators, worst_generators
+    from .multiimage import correspond
+    from .scene import load_observations, load_scene
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     items = load_observations(args.observations, scene, exact=args.exact,
                               tol=args.tol)
-    points, residuals = multiimage.correspond(scene.cameras, items,
-                                              tol=args.tol)
+    points, residuals = correspond(scene.cameras, items, tol=args.tol)
     kinds = np.array([x is None for x in points], dtype=np.intp)
     rejected = np.flatnonzero(kinds).tolist()
     # a rejection is named by the first strict maximum of its congruence
@@ -455,8 +477,8 @@ def cmd_check(args) -> int:
         if residuals[k][i] > args.tol:
             named[k] = "congruence[%d]" % i, residuals[k][i]
     concurrent = [k for k in rejected if k not in named]
-    reports = concurrency.evaluate_generators(items[concurrent])
-    named.update(zip(concurrent, concurrency.worst_generators(reports)))
+    reports = evaluate_generators(items[concurrent])
+    named.update(zip(concurrent, worst_generators(reports)))
     found = np.array([x for x in points if x is not None]).reshape(-1, 4)
     violations = [named[k] for k in rejected]
     rows = _Rows({"item": np.flatnonzero(kinds == 0), "accepted": True,
@@ -472,10 +494,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_triangulate(args) -> int:
+    from .multiimage import triangulate
+    from .scene import load_observations, load_scene
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     items = load_observations(args.observations, scene, exact=args.exact,
                               tol=args.tol)
-    res = multiimage.triangulate(scene.cameras, items, tol=args.tol)
+    res = triangulate(scene.cameras, items, tol=args.tol)
     rows = _Rows({"item": np.arange(len(items)), "point": res.point,
                   "residual": res.residual})
     _emit(_report(args, results=rows), args)
@@ -483,11 +507,12 @@ def cmd_triangulate(args) -> int:
 
 
 def cmd_baselines(args) -> int:
+    from .multiimage import baselines_linear
+    from .scene import load_scene
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     if len(scene.cameras) != 2:
         raise DegenerateInput("baselines needs a rig of exactly 2 cameras")
-    found = multiimage.baselines_linear(scene.cameras[0], scene.cameras[1],
-                                        tol=args.tol)
+    found = baselines_linear(scene.cameras[0], scene.cameras[1], tol=args.tol)
     rows = []
     for i, t in enumerate(found):
         rows.append({"index": i, "line": vector_payload(t.line),
@@ -510,6 +535,8 @@ def _matrices_by_kind(scene, kind, count):
 
 
 def cmd_tensor(args) -> int:
+    from . import tensors
+    from .scene import load_scene
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     if args.kind == "fundamental":
         (a,), (b,) = _matrices_by_kind(scene, "pinhole", 2)
@@ -526,6 +553,8 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_invariant(args) -> int:
+    from . import tensors
+    from .scene import load_json
     data = load_json(args.tensor)
     if isinstance(data, dict) and "tensor" in data:  # a cmd_tensor report
         data = data["tensor"]
@@ -542,6 +571,10 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_reflect(args) -> int:
+    from .catadioptric import (MirrorSurface, line_surface_points,
+                               reflect_line, reflect_point, specular_pair,
+                               tangent_plane)
+    from .scene import _stack, _vector, load_json, mirror_lines
     data = load_json(args.input)
     if not isinstance(data, dict) or ("plane" in data) == ("surface" in data):
         raise DegenerateInput(
@@ -580,7 +613,8 @@ def cmd_reflect(args) -> int:
 
 
 def cmd_multidegree(args) -> int:
-    poly = concurrency.multidegree(args.n)
+    from .concurrency import multidegree
+    poly = multidegree(args.n)
     rows = [{"n": args.n, "terms": poly.term_strings(),
              "coefficient_sum": poly.coefficient_sum,
              "term_count": len(poly.terms)}]
@@ -607,7 +641,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        args.tol = args.tol if args.tol is not None else _default_tol()
+        args.tol = _tolerance(args.tol)
         args._t0 = time.perf_counter()
         return _COMMANDS[args.command](args)
     except (IllConditioned, AmbiguousPencil) as exc:

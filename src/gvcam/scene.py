@@ -15,6 +15,10 @@ Camera descriptors are the payloads produced by the camera classes;
 pinhole and two-slit cameras may instead (or additionally) carry
 photographic matrices (``"matrix"``: 3x4, ``"matrices"``: pair of 2x4),
 from which the geometric data is derived and cross-checked.
+
+The camera, tensor and mirror modules are imported where a rig entry, a
+matrix or a surface is read, so a command loads only the ones its input
+needs.
 """
 
 from __future__ import annotations
@@ -25,13 +29,10 @@ from itertools import chain
 
 import numpy as np
 
-from .cameras import Pinhole, TwoSlit, camera_from_payload
-from .catadioptric import MirrorSurface
 from .errors import DegenerateInput
 from .numeric import (DEFAULT_TOL, as_float, negligible_each,
                       parse_vector, projective_distance, unitize, vec)
 from .plucker import plucker_quadric
-from .tensors import pinhole_center, twoslit_kernels
 
 __all__ = ["Scene", "load_scene", "scene_from_dict", "load_points",
            "load_observations", "load_json", "mirror_lines"]
@@ -68,6 +69,7 @@ def _parse_matrix(rows, shape, exact):
 
 def _camera_with_matrices(data, exact):
     """Build (geometric camera, photographic matrices or None)."""
+    from .cameras import Pinhole, TwoSlit, camera_from_payload
     if not isinstance(data, dict):
         raise DegenerateInput("a rig entry must be an object, got %r"
                               % (data,))
@@ -76,6 +78,7 @@ def _camera_with_matrices(data, exact):
             raise DegenerateInput("%r must be a pair" % key)
     kind = data.get("type")
     if kind == "pinhole" and "matrix" in data:
+        from .tensors import pinhole_center
         A = _parse_matrix(data["matrix"], (3, 4), exact)
         center = pinhole_center(A)
         if "center" in data:
@@ -87,6 +90,7 @@ def _camera_with_matrices(data, exact):
             center = given
         return Pinhole(center), (A,)
     if kind == "two_slit" and "matrices" in data:
+        from .tensors import twoslit_kernels
         A, B = (_parse_matrix(m, (2, 4), exact) for m in data["matrices"])
         k1, k2 = twoslit_kernels(A, B)
         if "slits" in data:
@@ -127,8 +131,11 @@ def scene_from_dict(data, exact: bool = False,
         desc.append(entry)
     points = _points(data.get("points", []), exact)
     observations = _observations(data.get("observations", []), exact, tol)
-    surfaces = tuple(MirrorSurface.from_payload(s, exact=exact)
-                     for s in _list(data.get("surfaces", []), "'surfaces'"))
+    surfaces = ()
+    if "surfaces" in data:
+        from .catadioptric import MirrorSurface
+        surfaces = tuple(MirrorSurface.from_payload(s, exact=exact)
+                         for s in _list(data["surfaces"], "'surfaces'"))
     return Scene(version=version, cameras=tuple(cams), matrices=tuple(mats),
                  points=points, observations=observations, surfaces=surfaces,
                  descriptors=tuple(desc))

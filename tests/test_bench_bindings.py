@@ -67,3 +67,28 @@ def test_traced_project_counts_one_call_per_camera(tmp_path, capsys):
     metrics = tracer.metrics()
     assert metrics["cameras.project.calls"] == len(rig)
     assert metrics["scene.points_parsed"] == 0
+
+
+def test_traced_reflect_sees_the_mirror_kernels(tmp_path, capsys):
+    """gvcam reflect imports the catadioptric functions when it runs, so it
+    calls the tracer's wrappers: one ``line_surface_points`` and one
+    ``specular_pair`` call for all lines.  ``cli.congruence_residual``
+    still names the camera function, which bench/selfcheck.py reads."""
+    tracer = runpy.run_path(str(TRACER))["Tracer"]()
+    cli = importlib.import_module("gvcam.cli")
+    cameras = importlib.import_module("gvcam.cameras")
+    assert cli.congruence_residual is cameras.congruence_residual
+    mirror = tmp_path / "mirror.json"
+    mirror.write_text(json.dumps({
+        "surface": {"degree": 2, "coeffs": {"2000": -1, "0200": 1,
+                                            "0020": 1, "0002": 1}},
+        "lines": [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]]}))
+    tracer.install()
+    try:
+        assert cli.main(["reflect", "--input", str(mirror)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.metrics()
+    assert metrics["catadioptric.surface_points.calls"] == 1
+    assert metrics["catadioptric.specular.calls"] == 1

@@ -178,11 +178,19 @@ SPHERE = {"2000": -1, "0200": 1, "0020": 1, "0002": 1}
 ] + [
     ({"degree": 2, "coeffs": {"%d,0,0,0" % 10 ** 400: -1, "0200": 1}},
      "a monomial exponent exceeds 24"),
+] + [
+    # a malformed key is quoted by its first 32 characters
+    ({"degree": 2, "coeffs": {key: -1, "0200": 1}},
+     "bad exponent key %r" % (key[:32] + "...",))
+    for key in ("-" + "9" * 400 + ",0,0,0",     # a huge negative exponent
+                "9" * 5000 + ",0,0,0",          # past int()'s digit limit
+                "x" * 3000)                     # not a number
 ])
 def test_malformed_surfaces_are_named(tmp_path, surface, message):
     """A surface whose coefficients are all zero, whose degree is not an
-    integer or is out of range, or with an exponent beyond any degree read,
-    is refused before any reflection is computed."""
+    integer or is out of range, with an exponent beyond any degree read, or
+    with a malformed exponent key, is refused before any reflection is
+    computed, in a message of a bounded length."""
     path = tmp_path / "mirror.json"
     path.write_text(json.dumps({"surface": surface, "lines": [LINE]}))
     err = io.StringIO()
@@ -190,6 +198,7 @@ def test_malformed_surfaces_are_named(tmp_path, surface, message):
         assert cli.main(["reflect", "--input", str(path)]) == 2
     assert json.loads(err.getvalue()) == {"error": "DegenerateInput",
                                           "message": message}
+    assert len(message) < 200
 
 
 def test_whole_number_degree_is_read_as_integer(tmp_path):

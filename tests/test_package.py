@@ -1,11 +1,15 @@
-"""The package layout: ``import gvcam`` loads no module of its own, and
-every public name is imported from the module that defines it."""
+"""The package layout: ``import gvcam`` loads no module of its own, a
+command loads only the modules it runs, and every public name is imported
+from the module that defines it."""
 
 import importlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import gvcam
 
@@ -13,13 +17,21 @@ PACKAGE = pathlib.Path(gvcam.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
-def test_import_gvcam_loads_no_submodule():
+def _loaded(code):
+    """The gvcam modules (without the package prefix) in ``sys.modules``
+    after a fresh interpreter runs ``code``, and the lines ``code``
+    printed."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, gvcam; print(sorted(m for m in "
-         "sys.modules if m.startswith('gvcam.')))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert loaded.strip() == "[]"
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n%s\nprint(json.dumps("
+         "sorted(m[6:] for m in sys.modules if m.startswith('gvcam.'))))"
+         % code], env=env, capture_output=True, text=True, check=True).stdout
+    *printed, modules = out.strip().split("\n")
+    return set(json.loads(modules)), printed
+
+
+def test_import_gvcam_loads_no_submodule():
+    assert _loaded("import gvcam")[0] == set()
 
 
 def test_every_public_name_resolves():
@@ -28,3 +40,73 @@ def test_every_public_name_resolves():
         module = importlib.import_module("gvcam." + name)
         for attr in getattr(module, "__all__", ()):
             assert hasattr(module, attr), "gvcam.%s.%s" % (name, attr)
+
+
+def test_import_cli_loads_only_errors_and_numeric():
+    assert _loaded("import gvcam.cli")[0] == {"cli", "errors", "numeric"}
+
+
+PINHOLE = {"type": "pinhole", "center": [0, 0, 0, 1]}
+TWO_SLIT = {"type": "two_slit",
+            "slits": [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1]]}
+# a rig without photographic matrices, the point (1:2:3:1) and its images
+RIG = {"version": 1, "rig": [PINHOLE, TWO_SLIT], "points": [[1, 2, 3, 1]],
+       "observations": [[[0, 0, -1, 0, -2, -3], [0, -3, -1, -6, -2, 0]]]}
+MATRICES = {"version": 1, "rig": [
+    {"type": "pinhole", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0],
+                                   [0, 0, 1, 0]]},
+    {"type": "two_slit", "matrices": [[[1, 0, 0, 0], [0, 1, 0, 0]],
+                                      [[0, 0, 1, 0], [0, 0, 0, 1]]]}]}
+PINHOLES = {"version": 1, "rig": [PINHOLE, {"type": "pinhole",
+                                            "center": [0, 0, 1, 0]}]}
+MIRROR = {"surface": {"degree": 2, "coeffs": {"2000": -1, "0200": 1,
+                                             "0020": 1, "0002": 1}},
+          "lines": [[0, 0, 1, 0, 0, 0]]}
+
+# command, its arguments after the input files are written, the modules
+# it must load and the modules it must not load
+COMMANDS = [
+    ("project", ["--scene", "rig.json"], {"scene", "cameras", "concurrency"},
+     {"multiimage", "tensors", "catadioptric"}),
+    ("check", ["--scene", "rig.json"], {"multiimage", "concurrency"},
+     {"tensors", "catadioptric"}),
+    ("triangulate", ["--scene", "rig.json"], {"multiimage"},
+     {"tensors", "catadioptric"}),
+    ("baselines", ["--scene", "pinholes.json"], {"multiimage"},
+     {"tensors", "catadioptric"}),
+    ("tensor", ["--kind", "mixed", "--scene", "matrices.json"], {"tensors"},
+     {"concurrency", "multiimage", "catadioptric"}),
+    ("invariant", ["--tensor", "tensor.json"], {"tensors"},
+     {"cameras", "concurrency", "multiimage", "catadioptric"}),
+    ("reflect", ["--input", "mirror.json"], {"plucker", "catadioptric"},
+     {"cameras", "concurrency", "multiimage", "tensors"}),
+    ("multidegree", ["3"], {"concurrency"},
+     {"scene", "cameras", "multiimage", "tensors", "catadioptric"}),
+]
+
+
+@pytest.mark.parametrize("command, arguments, loads, skips", COMMANDS,
+                         ids=[case[0] for case in COMMANDS])
+def test_command_loads_only_its_modules(tmp_path, command, arguments,
+                                        loads, skips):
+    """A fresh process that runs ``<command> --help`` and then the command
+    on a tiny input loads the modules the command uses and not the ones it
+    does not; each exits 0."""
+    from gvcam import cli
+    for name, data in (("rig", RIG), ("matrices", MATRICES),
+                       ("pinholes", PINHOLES), ("mirror", MIRROR)):
+        (tmp_path / (name + ".json")).write_text(json.dumps(data))
+    tensor = tmp_path / "tensor.json"
+    assert cli.main(["tensor", "--kind", "mixed", "--scene",
+                     str(tmp_path / "matrices.json"),
+                     "--out", str(tensor)]) == 0
+    argv = [command] + [str(tmp_path / a) if a.endswith(".json") else a
+                        for a in arguments]
+    modules, printed = _loaded(
+        "import contextlib, io\nfrom gvcam import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(%r), cli.main(%r)]\n"
+        "print(codes)" % ([command, "--help"], argv))
+    assert printed == ["[0, 0]"], (command, printed)
+    assert loads <= modules, (command, sorted(modules))
+    assert not skips & modules, (command, sorted(modules))

@@ -247,6 +247,42 @@ def test_cli_tolerance_sources(capsys, tmp_path, monkeypatch, mixed_scene):
     assert cli.main(["check", "--scene", mixed_scene]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+def test_cli_refuses_a_tolerance_not_finite_and_nonnegative(
+        capsys, tmp_path, monkeypatch, mixed_scene, value):
+    """A NaN, negative or infinite ``--tol`` or ``GVCAM_TOL`` is a usage
+    error that names its source, before any command reads it."""
+    mirror = write_json(tmp_path / "mirror.json", {
+        "surface": {"degree": 2, "coeffs": {"2000": -1, "0200": 1,
+                                            "0020": 1, "0002": 1}},
+        "lines": [[0, 0, 1, 0, 0, 0]]})
+    monkeypatch.delenv("GVCAM_TOL", raising=False)
+    for argv in (["check", "--scene", mixed_scene],
+                 ["reflect", "--input", mirror]):
+        assert cli.main(argv + ["--tol=" + value]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DegenerateInput",
+            "message": "--tol must be a finite number >= 0, got %r"
+                       % float(value)}
+        monkeypatch.setenv("GVCAM_TOL", value)
+        assert cli.main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "DegenerateInput",
+            "message": "GVCAM_TOL must be a finite number >= 0, got %r"
+                       % float(value)}
+        monkeypatch.delenv("GVCAM_TOL")
+
+
+def test_cli_tolerance_zero_is_allowed(capsys, monkeypatch, mixed_scene):
+    """A tolerance of 0 is read, from the flag and from the environment."""
+    monkeypatch.delenv("GVCAM_TOL", raising=False)
+    rc, out = run_cli(capsys, ["check", "--scene", mixed_scene, "--tol", "0"])
+    assert rc in (0, 1) and json.loads(out)["tol"] == 0.0
+    monkeypatch.setenv("GVCAM_TOL", "0")
+    rc, out = run_cli(capsys, ["multidegree", "2"])
+    assert rc == 0 and json.loads(out)["tol"] == 0.0
+
+
 def test_cli_triangulate(capsys, tmp_path, mixed_scene):
     rc, out = run_cli(capsys, ["triangulate", "--scene", mixed_scene])
     assert rc == 0
