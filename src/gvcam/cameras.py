@@ -37,11 +37,17 @@ their residuals are floats, with an exact numerator for the pinhole and
 two-slit kinds (so that exact members give 0.0), and computed from the
 rounded lines for the others.  The panoramic kinds raise UnsupportedOrder
 from ``project``.
+
+Every kind is a :class:`_Camera`: it declares ``kind``, ``bidegree`` and
+``fields`` (its descriptor's keys besides ``"type"``, attributes left out
+of ``payload()`` when None), and sets ``_data`` and ``_scaled``, the
+arrays that ``project`` and ``congruence_residual`` pass on to its
+``_project`` and ``_residuals``.  Its focal locus, which ``multiimage``
+reads, is ``focal_points``, ``focal_lines`` (tuples) and ``focal_curve``
+(a :class:`RationalCurve`, or None).  Type3 and Type4 share ``_Pencil``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,17 +73,15 @@ __all__ = [
 # --------------------------------------------------------------------------
 # rational curves in P^3 (rows = binary forms for the four coordinates)
 
-@dataclass(frozen=True)
 class RationalCurve:
     """Parameterized rational curve (s:t) -> P^3, one binary-form
     coefficient vector per coordinate, all of the same degree."""
 
-    coords: tuple
-
-    def __post_init__(self):
-        degs = {len(c) for c in self.coords}
-        if len(self.coords) != 4 or len(degs) != 1:
+    def __init__(self, coords):
+        degs = {len(c) for c in coords}
+        if len(coords) != 4 or len(degs) != 1:
             raise DegenerateInput("curve needs four forms of equal degree")
+        self.coords = coords
 
     @property
     def degree(self) -> int:
@@ -154,6 +158,23 @@ def point_curve_residual(x, curve: RationalCurve) -> float:
 #: Relative size up to which |det H| / ||H||_2^4 counts as a singular
 #: homography; at unit spectral norm the bound is on |det H| itself.
 HOMOGRAPHY_EPS = 1e-12
+#: Line-quadric value of a unitized slit, and incidence of two, that
+#: counts as zero; relative, since unitized slits have norm 1.
+SLIT_EPS = 1e-9
+#: Apolar quadratic of a perfect cube; relative, as the cubic is unitized.
+PERFECT_CUBE_EPS = 1e-12
+#: Largest two-cube reconstruction residual; relative, as above.
+TWO_CUBES_EPS = 1e-9
+#: Imaginary part of two-cube parameters and weights dropped as rounding;
+#: absolute, in binary_roots' scaling and in the caller's scaling of x.
+IMAGINARY_EPS = 1e-9
+#: Type4 minors of (g, h) that count as zero: relative to norm(g) * norm(h),
+#: or absolute below the floor, so that a zero g or h is proportional.
+PROPORTIONAL_EPS = 1e-12
+PROPORTIONAL_FLOOR = 1e-300
+#: Zero of a unitized line's meets with x2 = 0 and x3 = 0 (relative) and
+#: of its Type3/Type4 curve point (absolute, in the scale of f, g and h).
+PENCIL_EPS = 1e-14
 
 
 def _residuals(cam, p, *data):
@@ -211,23 +232,42 @@ def _in_float_range(scale, lines):
     return scale
 
 
-@dataclass(frozen=True)
-class Pinhole:
+class _Camera:
+    """The protocol every camera kind shares (see the module docstring)."""
+
+    fields = ()
+    focal_points = focal_lines = ()
+    focal_curve = None
+    _data = _scaled = ()
+
+    def project(self, x):
+        return _projections(self, x, *self._data)
+
+    def congruence_residual(self, p):
+        return _residuals(self, p, *self._scaled)
+
+    def payload(self):
+        out = {"type": self.kind}
+        for name in self.fields:
+            value = getattr(self, name)
+            if value is not None:
+                out[name] = vector_payload(value)
+        return out
+
+
+class Pinhole(_Camera):
     """Lines through a fixed center; bidegree (1, 0)."""
-
-    center: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", vec(self.center))
-        if not np.any(self.center):
-            raise DegenerateInput("pinhole center must be a point")
-        object.__setattr__(self, "_scaled_center", _scaled_rows(self.center))
 
     kind = "pinhole"
     bidegree = (1, 0)
+    fields = ("center",)
 
-    def project(self, x):
-        return _projections(self, x, self.center)
+    def __init__(self, center):
+        self.center = vec(center)
+        if not np.any(self.center):
+            raise DegenerateInput("pinhole center must be a point")
+        self._data = self.focal_points = (self.center,)
+        self._scaled = (_scaled_rows(self.center),)
 
     def _project(self, X, c):
         # line_from_points: the wedge, and its zero test against
@@ -241,46 +281,33 @@ class Pinhole:
         return norm(wedge(self.center, x)) / (
             norm(self.center) * norm(vec(x)))
 
-    def congruence_residual(self, p):
-        return _residuals(self, p, self._scaled_center)
-
     def _residuals(self, P, center):
         return point_line_residual(center, P)
 
-    def payload(self):
-        return {"type": "pinhole", "center": vector_payload(self.center)}
 
-
-@dataclass(frozen=True)
-class TwoSlit:
+class TwoSlit(_Camera):
     """Transversals of two skew lines; bidegree (1, 1).
 
     The image of x is the meet of the planes (x v slit1) and (x v slit2),
     computed as the primal extraction of  P x x^T Q - Q x x^T P.
     """
 
-    slit1: np.ndarray
-    slit2: np.ndarray
+    kind = "two_slit"
+    bidegree = (1, 1)
+    fields = ("slits",)
+    slits = focal_lines = property(lambda self: self._data)
 
-    def __post_init__(self):
-        s1, s2 = vec(self.slit1), vec(self.slit2)
-        object.__setattr__(self, "slit1", s1)
-        object.__setattr__(self, "slit2", s2)
+    def __init__(self, slit1, slit2):
+        s1, s2 = self._data = (vec(slit1), vec(slit2))
+        self.slit1, self.slit2 = s1, s2
         # unitize scales floats without overflow and keeps Fractions, which
         # negligible compares with zero exactly
         for s in (s1, s2):
-            if not negligible(plucker_quadric(unitize(s)), eps=1e-9):
+            if not negligible(plucker_quadric(unitize(s)), eps=SLIT_EPS):
                 raise InvalidSlit("slit is not on the line quadric")
-        if negligible(incidence(unitize(s1), unitize(s2)), eps=1e-9):
+        if negligible(incidence(unitize(s1), unitize(s2)), eps=SLIT_EPS):
             raise InvalidSlit("slits must be skew (they meet)")
-        object.__setattr__(self, "_scaled_slits",
-                           tuple(_scaled_rows(s) for s in (s1, s2)))
-
-    kind = "two_slit"
-    bidegree = (1, 1)
-
-    def project(self, x):
-        return _projections(self, x, self.slit1, self.slit2)
+        self._scaled = tuple(_scaled_rows(s) for s in (s1, s2))
 
     def _project(self, X, s1, s2):
         M = _slit_matrix(X, s1, s2)
@@ -293,19 +320,11 @@ class TwoSlit:
         return (point_line_residual(x, self.slit1)
                 * point_line_residual(x, self.slit2))
 
-    def congruence_residual(self, p):
-        return _residuals(self, p, *self._scaled_slits)
-
     def _residuals(self, P, *slits):
         # the larger incidence residual of the two slits, from one call
         # that broadcasts each line against both
         return np.max(incidence_residual(P[:, None], np.stack(slits)),
                       axis=1)
-
-    def payload(self):
-        return {"type": "two_slit",
-                "slits": [vector_payload(self.slit1),
-                          vector_payload(self.slit2)]}
 
 
 def _slit_matrix(x, s1, s2):
@@ -323,10 +342,13 @@ def pushbroom_infinity_slit(p):
     return vec([0, 0, 0, p[2], -p[1], p[0]])
 
 
-@dataclass(frozen=True, init=False)
 class Pushbroom(TwoSlit):
     """Two-slit camera whose second slit is the orthogonal line at
     infinity; determined by the finite slit alone."""
+
+    kind = "pushbroom"
+    fields = ("slit",)
+    slit = property(lambda self: self.slit1)
 
     def __init__(self, slit):
         s = vec(slit)
@@ -334,12 +356,6 @@ class Pushbroom(TwoSlit):
             raise InvalidSlit("pushbroom slit must be finite "
                               "(direction part nonzero)")
         TwoSlit.__init__(self, s, pushbroom_infinity_slit(s))
-
-    kind = "pushbroom"
-    slit = property(lambda self: self.slit1)
-
-    def payload(self):
-        return {"type": "pushbroom", "slit": vector_payload(self.slit)}
 
 
 def _secant(x0, x1, x2, x3):
@@ -382,36 +398,35 @@ def secant_system(x):
     ], dtype=x.dtype)
 
 
-@dataclass(frozen=True)
-class TwistedCubic:
+class TwistedCubic(_Camera):
     """Secants of a twisted cubic; bidegree (1, 3).
 
     ``homography`` (optional, invertible 4x4) moves the standard curve
     (s^3 : s^2 t : s t^2 : t^3); projection conjugates through it.
     """
 
-    homography: np.ndarray | None = None
+    kind = "twisted_cubic"
+    bidegree = (1, 3)
+    fields = ("homography",)
 
-    def __post_init__(self):
+    def __init__(self, homography=None):
         # float H^-1, compound2(H^-1) and compound2(H), or None without H
         consts = (None, None, None)
-        if self.homography is not None:
-            H = vec(self.homography)
-            if H.shape != (4, 4):
+        if homography is not None:
+            homography = vec(homography)
+            if homography.shape != (4, 4):
                 raise DegenerateInput("homography must be 4x4")
-            Hf = as_float(H)
+            Hf = as_float(homography)
             if (abs(np.linalg.det(Hf))
                     <= HOMOGRAPHY_EPS * np.linalg.norm(Hf, 2) ** 4):
                 raise DegenerateInput("homography must be invertible")
-            object.__setattr__(self, "homography", H)
             inverse = np.linalg.inv(Hf)
             consts = (inverse, compound2(inverse), compound2(Hf))
-        for name, value in zip(("_inverse", "_line_inverse", "_line_map"),
-                               consts):
-            object.__setattr__(self, name, value)
-
-    kind = "twisted_cubic"
-    bidegree = (1, 3)
+        self.homography = homography
+        self._inverse, self._line_inverse, self._line_map = consts
+        # with a homography the point goes through its float inverse
+        self._data = (self._inverse,)
+        self.focal_curve = self.curve()
 
     def curve(self) -> RationalCurve:
         # H moves the standard curve's forms (unit vectors) to its rows
@@ -419,10 +434,6 @@ class TwistedCubic:
             return TWISTED_CUBIC_CURVE
         return RationalCurve(tuple(map(tuple,
                                        as_float(self.homography).tolist())))
-
-    def project(self, x):
-        # with a homography the point goes through its float inverse
-        return _projections(self, x, self._inverse)
 
     def _project(self, X, inverse):
         Xn = X if inverse is None else np.matvec(inverse, X)
@@ -435,9 +446,6 @@ class TwistedCubic:
     def focal_residual(self, x) -> float:
         xn = x if self.homography is None else self._inverse @ as_float(vec(x))
         return point_curve_residual(xn, TWISTED_CUBIC_CURVE)
-
-    def congruence_residual(self, p):
-        return _residuals(self, p)
 
     def _residuals(self, P):
         P = as_float(P)
@@ -454,12 +462,6 @@ class TwistedCubic:
             return secant_system(x)
         xn = self._inverse @ as_float(vec(x))
         return secant_system(xn) @ self._line_inverse
-
-    def payload(self):
-        out = {"type": "twisted_cubic"}
-        if self.homography is not None:
-            out["homography"] = [vector_payload(row) for row in self.homography]
-        return out
 
 
 def sum_of_two_cubes(x, tol: float = DEFAULT_TOL):
@@ -481,7 +483,7 @@ def sum_of_two_cubes(x, tol: float = DEFAULT_TOL):
     m1 = x0 * x3 - x1 * x2
     m2 = x0 * x2 - x1 * x1
     quad = np.array([m0, -m1, m2])
-    if norm(quad) <= 1e-12:
+    if norm(quad) <= PERFECT_CUBE_EPS:
         raise DegenerateCubic("cubic is a perfect cube (point on the curve)")
     disc = m1 * m1 - 4 * m0 * m2
     if abs(disc) <= tol * norm(quad) ** 2:
@@ -495,11 +497,12 @@ def sum_of_two_cubes(x, tol: float = DEFAULT_TOL):
     weights, *_ = np.linalg.lstsq(cols, xs.astype(complex), rcond=None)
     recon = cols @ weights
     err = norm(recon - xs)
-    if err > 1e-9:
+    if err > TWO_CUBES_EPS:
         raise DegenerateCubic("two-cube reconstruction failed (residual %.2e)"
                               % err)
     weights = weights * norm(x)     # weights for the caller's scaling of x
-    if np.max(np.abs(params.imag)) < 1e-9 and np.max(np.abs(weights.imag)) < 1e-9:
+    if (np.max(np.abs(params.imag)) < IMAGINARY_EPS
+            and np.max(np.abs(weights.imag)) < IMAGINARY_EPS):
         params, weights = params.real, weights.real
     return params, weights
 
@@ -511,114 +514,106 @@ def _binary_coeffs(values, name):
     return c
 
 
-@dataclass(frozen=True)
-class Type3:
+class _Pencil(_Camera):
+    """What Type3 and Type4 share: the line of x lies in the plane through
+    the base line L = V(x0, x1) with pencil parameter (x0 : x1), and joins
+    x to the curve point (s f : t f : g : h) at (s : t) = (x0 : x1), which
+    is (0 : 0 : g : h) on L for Type4 (f None); ``_data`` = (f, g, h)."""
+
+    beta = property(lambda self: len(self.g) - 1)
+    bidegree = property(lambda self: (1, self.beta))
+    fields = ("f", "g", "h")
+
+    def __init__(self, f, g, h):
+        g = _binary_coeffs(g, "g")
+        h = _binary_coeffs(h, "h")
+        if len(g) != len(h):
+            raise DegenerateInput("g and h must have equal degree")
+        self.f, self.g, self.h = self._data = self._scaled = (f, g, h)
+        self.base_line = vec([0.0, 0, 0, 0, 0, 1])
+        self.focal_lines = (self.base_line,)
+
+    def focal_residual(self, x) -> float:
+        x = as_float(vec(x))
+        return norm(x[:2]) / norm(x)
+
+    def _project(self, X, *data):
+        """x is focal on the base line (Y = 0) and, with the kind's
+        ``_join`` message, where the join of x and Y is 0."""
+        Y = _curve_points(X, *data)
+        lines = wedge(X, Y)
+        return lines, [
+            ("world point lies on the base line", Y, FOCAL_EPS,
+             lambda: power(row_norms(X), self.beta)
+             * max(norm(d) for d in data if d is not None)),
+            (self._join, lines, ZERO_EPS, lambda: row_norms(X) * row_norms(Y))]
+
+    def _residuals(self, P, *data):
+        """In floats: p must meet L, its meets with x2 = 0 and x3 = 0 must
+        share one (x0:x1), and p must pass through the curve point there."""
+        pn = unitize(as_float(P))
+        c1 = pn[:, [1, 3]]      # (p02, p12): meet with x2 = 0
+        c2 = pn[:, [2, 4]]      # (p03, p13): meet with x3 = 0
+        n1, n2 = row_norms(c1), row_norms(c2)
+        x01 = np.where((n1 >= n2)[:, None], c1, c2)
+        W = _curve_points(np.concatenate([x01, np.zeros_like(x01)], axis=1),
+                          *map(as_float, data))
+        r = np.maximum(np.abs(pn[:, 0]), line_residual(pn))
+        meets = np.maximum(n1, n2) > PENCIL_EPS
+        r[meets] = np.maximum(r[meets], np.abs(pn[meets, 1] * pn[meets, 4]
+                                               - pn[meets, 2] * pn[meets, 3]))
+        on = meets & (row_norms(W) > PENCIL_EPS)
+        r[on] = np.maximum(r[on], point_line_residual(W[on], pn[on]))
+        return r
+
+
+class Type3(_Pencil):
     """Lines meeting the base line L = V(x0, x1) and the curve
     X(s:t) = (s f : t f : g : h), with deg f = beta - 1, deg g = deg h = beta.
 
     X meets L at the beta-1 roots of f; bidegree (1, beta).
     """
 
-    f: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
+    kind = "type3"
+    _join = "world point lies on the curve"
 
-    def __post_init__(self):
-        f = _binary_coeffs(self.f, "f")
-        g = _binary_coeffs(self.g, "g")
-        h = _binary_coeffs(self.h, "h")
-        if len(g) != len(h):
-            raise DegenerateInput("g and h must have equal degree")
-        if len(f) != len(g) - 1:
+    def __init__(self, f, g, h):
+        f = _binary_coeffs(f, "f")
+        _Pencil.__init__(self, f, g, h)
+        if len(f) != len(self.g) - 1:
             raise DegenerateInput("deg f must be deg g - 1")
         if norm(f) == 0:
             raise DegenerateInput("f == 0 defines a Type4 camera; "
                                   "use Type4(g, h)")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
-
-    kind = "type3"
-    beta = property(lambda self: len(self.g) - 1)
-    bidegree = property(lambda self: (1, self.beta))
-    base_line = property(lambda self: vec([0.0, 0, 0, 0, 0, 1]))
+        self.focal_curve = self.curve()
 
     def curve(self) -> RationalCurve:
         f, g, h = self.f, self.g, self.h
         return RationalCurve(
             (tuple(f) + (0,), (0,) + tuple(f), tuple(g), tuple(h)))
 
-    def project(self, x):
-        return _projections(self, x, self.f, self.g, self.h)
-
-    def _project(self, X, *data):
-        return _pencil_project(X, data, self.beta,
-                               "world point lies on the curve")
-
     def focal_residual(self, x) -> float:
-        x = as_float(vec(x))
-        on_line = norm(x[:2]) / norm(x)
-        return min(on_line, point_curve_residual(x, self.curve()))
-
-    def congruence_residual(self, p):
-        return _residuals(self, p)
-
-    def _residuals(self, P):
-        return _pencil_residuals(P, (self.f, self.g, self.h))
-
-    def payload(self):
-        return {"type": "type3", "f": vector_payload(self.f),
-                "g": vector_payload(self.g), "h": vector_payload(self.h)}
+        return min(_Pencil.focal_residual(self, x),
+                   point_curve_residual(x, self.focal_curve))
 
 
-@dataclass(frozen=True)
-class Type4:
+class Type4(_Pencil):
     """Degenerate class: focal locus is the base line L = V(x0, x1) doubled.
     A line of the congruence lies in a plane through L and passes through
     the point (0 : 0 : g : h) of L picked by the plane's pencil parameter."""
 
-    g: np.ndarray
-    h: np.ndarray
+    kind = "type4"
+    _join = "world point maps into the base line"
 
-    def __post_init__(self):
-        g = _binary_coeffs(self.g, "g")
-        h = _binary_coeffs(self.h, "h")
-        if len(g) != len(h):
-            raise DegenerateInput("g and h must have equal degree")
-        gf, hf = as_float(vec(g)), as_float(vec(h))
+    def __init__(self, g, h):
+        _Pencil.__init__(self, None, g, h)
+        gf, hf = as_float(vec(self.g)), as_float(vec(self.h))
         minors = np.outer(gf, hf) - np.outer(hf, gf)
-        if norm(minors) <= 1e-12 * max(norm(gf) * norm(hf), 1e-300):
+        if norm(minors) <= PROPORTIONAL_EPS * max(norm(gf) * norm(hf),
+                                                  PROPORTIONAL_FLOOR):
             raise DegenerateInput(
                 "g and h are proportional: the target point is constant "
                 "and the congruence degenerates")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
-
-    kind = "type4"
-    beta = property(lambda self: len(self.g) - 1)
-    bidegree = property(lambda self: (1, self.beta))
-    base_line = property(lambda self: vec([0.0, 0, 0, 0, 0, 1]))
-
-    def project(self, x):
-        return _projections(self, x, self.g, self.h)
-
-    def _project(self, X, *data):
-        return _pencil_project(X, (None, *data), self.beta,
-                               "world point maps into the base line")
-
-    def focal_residual(self, x) -> float:
-        x = as_float(vec(x))
-        return norm(x[:2]) / norm(x)
-
-    def congruence_residual(self, p):
-        return _residuals(self, p)
-
-    def _residuals(self, P):
-        return _pencil_residuals(P, (None, self.g, self.h))
-
-    def payload(self):
-        return {"type": "type4", "g": vector_payload(self.g),
-                "h": vector_payload(self.h)}
 
 
 def _curve_points(X, f, g, h):
@@ -633,42 +628,6 @@ def _curve_points(X, f, g, h):
     return np.stack([s * fv, t * fv, gv, hv], axis=-1)
 
 
-def _pencil_project(X, data, beta, message):
-    """The Type3/Type4 projection of a stack, ``data`` = (f, g, h) with f
-    None for Type4: the join of each point x and its curve point Y at
-    (x0 : x1); x is focal on the base line L = V(x0, x1) (Y = 0) and, with
-    ``message``, where the join is 0."""
-    Y = _curve_points(X, *data)
-    lines = wedge(X, Y)
-    return lines, [
-        ("world point lies on the base line", Y, FOCAL_EPS,
-         lambda: power(row_norms(X), beta)
-         * max(norm(d) for d in data if d is not None)),
-        (message, lines, ZERO_EPS, lambda: row_norms(X) * row_norms(Y))]
-
-
-def _pencil_residuals(P, data):
-    """Residual of each line of a stack, in floats, in the Type3/Type4
-    congruence of ``data`` (as in :func:`_pencil_project`), whose line in
-    the plane through L with pencil parameter (s:t) passes through the
-    curve point at (s, t, 0, 0): p must meet L, its meets with x2 = 0 and
-    x3 = 0 must share one (x0:x1), and it must pass through that point."""
-    pn = unitize(as_float(P))
-    c1 = pn[:, [1, 3]]      # (p02, p12): meet with x2 = 0
-    c2 = pn[:, [2, 4]]      # (p03, p13): meet with x3 = 0
-    n1, n2 = row_norms(c1), row_norms(c2)
-    x01 = np.where((n1 >= n2)[:, None], c1, c2)
-    W = _curve_points(np.concatenate([x01, np.zeros_like(x01)], axis=1),
-                      *map(as_float, data))
-    r = np.maximum(np.abs(pn[:, 0]), line_residual(pn))
-    meets = np.maximum(n1, n2) > 1e-14
-    r[meets] = np.maximum(r[meets], np.abs(pn[meets, 1] * pn[meets, 4]
-                                           - pn[meets, 2] * pn[meets, 3]))
-    on = meets & (row_norms(W) > 1e-14)
-    r[on] = np.maximum(r[on], point_line_residual(W[on], pn[on]))
-    return r
-
-
 def reference_type3() -> Type3:
     """The worked beta = 3 example: f = s^2 - t^2, g = s^3, h = t^3.
     Its curve meets the base line at (0:0:1:1) and (0:0:1:-1)."""
@@ -681,8 +640,7 @@ def reference_type4() -> Type4:
     return Type4(g=(1.0, 0.0, 0.0, 0.0), h=(0.0, 0.0, 0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class PanoramicNC:
+class PanoramicNC(_Camera):
     """Order-two congruence of lines meeting the axis V(x1, x2) and the
     unit circle in the plane x3 = 0; bidegree (2, 2).  Has no single-line
     projection; use the fiber machinery instead."""
@@ -701,9 +659,6 @@ class PanoramicNC:
         return np.stack([c[3], power(c[2], 2) - power(c[4], 2)
                          - power(c[5], 2), plucker_quadric(c.T)], axis=-1)
 
-    def congruence_residual(self, p):
-        return _residuals(self, p)
-
     def _residuals(self, P):
         return np.max(np.abs(self.generator_values(unitize(as_float(P)))),
                       axis=-1)
@@ -712,11 +667,7 @@ class PanoramicNC:
         x = unitize(as_float(vec(x)))
         return abs((x[1] ** 2 + x[2] ** 2) * x[3] ** 2)
 
-    def payload(self):
-        return {"type": "panoramic_nc"}
 
-
-@dataclass(frozen=True)
 class PanoramicStereo(PanoramicNC):
     """Dual of :class:`PanoramicNC`: lines meeting the line at infinity
     V(x0, x3) and tangent... rather, the order-two family whose duals form
@@ -733,9 +684,6 @@ class PanoramicStereo(PanoramicNC):
     def focal_residual(self, x) -> float:
         x = unitize(as_float(vec(x)))
         return abs(x[0] ** 2 * (x[0] ** 2 - x[1] ** 2 - x[2] ** 2))
-
-    def payload(self):
-        return {"type": "panoramic_stereo"}
 
 
 # --------------------------------------------------------------------------

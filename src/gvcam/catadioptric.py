@@ -12,7 +12,6 @@ other across the tangent plane there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational, Real
 
@@ -117,7 +116,6 @@ def _parse_exponents(key):
     return parts
 
 
-@dataclass(frozen=True)
 class MirrorSurface:
     """Smooth surface V(f) for a homogeneous polynomial f of degree d with
     real coefficients, stored as {exponent 4-tuple: coefficient}.
@@ -129,11 +127,8 @@ class MirrorSurface:
     meets the coefficient c as ``float(c)``, and ``float(c * e)`` in the
     gradient, which is what Python's mixed Fraction-float product does;
     powers go through :func:`numeric.power`, which rounds as the scalar
-    ``**`` does.
+    ``**`` does.  ``coeffs`` holds sorted ((e0, e1, e2, e3), value) pairs.
     """
-
-    degree: int
-    coeffs: tuple  # of ((e0,e1,e2,e3), value) pairs
 
     def __init__(self, degree, coeffs):
         if isinstance(coeffs, dict):
@@ -158,20 +153,19 @@ class MirrorSurface:
             table.append((expo, val))
         if not table:
             raise DegenerateInput("surface needs at least one coefficient")
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "coeffs", tuple(sorted(table)))
-        object.__setattr__(self, "_scale", max(abs(complex(v))
-                                               for _, v in self.coeffs))
+        self.degree = int(degree)
+        self.coeffs = tuple(sorted(table))
+        self._scale = max(abs(complex(v)) for _, v in self.coeffs)
         if not self._scale:
             raise DegenerateInput("every coefficient of the surface is zero")
         # the table for Fraction stacks, when every coefficient is rational
         exact = all(isinstance(c, Rational) for _, c in self.coeffs)
-        object.__setattr__(self, "_exact_terms", tuple(
-            (expo, c, tuple(c * e for e in expo)) for expo, c in self.coeffs)
-            if exact else None)
-        object.__setattr__(self, "_float_terms", tuple(
+        self._exact_terms = tuple(
+            (expo, c, tuple(c * e for e in expo)) for expo, c in self.coeffs
+        ) if exact else None
+        self._float_terms = tuple(
             (expo, float(c), tuple(float(c * e) for e in expo))
-            for expo, c in self.coeffs))
+            for expo, c in self.coeffs)
 
     def scale(self) -> float:
         return self._scale

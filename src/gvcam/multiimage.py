@@ -11,7 +11,7 @@ with multiplicity over the complex numbers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 import numpy as np
@@ -23,9 +23,9 @@ from .numeric import (DEFAULT_TOL, as_float, binary_roots,
 from .plucker import (incidence, incidence_residual, join_plane,
                       line_from_planes, line_from_points, line_residual,
                       point_line_residual, points_on_line, primal_matrix)
-from . import cameras as _cameras, numeric
+from . import numeric
 from .cameras import (Pinhole, TwoSlit, congruence_residual,
-                      line_curve_residual)
+                      line_curve_residual, point_curve_residual)
 
 __all__ = [
     "CameraRig", "FocalOverlapWarning", "Transversal", "TriangulationResult",
@@ -37,6 +37,10 @@ __all__ = [
 #: Size below which the transversals' quadratic vanishes; absolute, as its
 #: coefficients are products of unitized lines.
 TRANSVERSAL_EPS = 1e-12
+#: Projective distance up to which two transversals are one double root;
+#: relative, as the distance is scale-free; a double root splits by about
+#: the square root of the float rounding, 1.5e-8.
+DOUBLE_ROOT_EPS = 1e-7
 
 
 class FocalOverlapWarning(UserWarning):
@@ -44,51 +48,30 @@ class FocalOverlapWarning(UserWarning):
     correspondence theory's disjointness hypothesis can fail."""
 
 
-def _focal_lines(cam):
-    """Lines contained in the camera's focal locus (best effort)."""
-    if isinstance(cam, TwoSlit):
-        return [cam.slit1, cam.slit2]
-    if cam.kind in ("type3", "type4"):
-        return [cam.base_line]
-    return []
-
-
-def _focal_points(cam):
-    if isinstance(cam, Pinhole):
-        return [cam.center]
-    return []
-
-
-def _focal_curve(cam):
-    return cam.curve() if cam.kind in ("twisted_cubic", "type3") else None
-
-
 def _pairwise_focal_warnings(a, b, ia, ib, tol):
     out = []
     tag = "cameras %d/%d" % (ia, ib)
-    for x in _focal_points(a):
-        for y in _focal_points(b):
+    crv = b.focal_curve
+    for x in a.focal_points:
+        for y in b.focal_points:
             if projective_distance(x, y) <= tol:
                 out.append("%s: coincident centers" % tag)
-        for ln in _focal_lines(b):
+        for ln in b.focal_lines:
             if point_line_residual(x, ln) <= tol:
                 out.append("%s: center lies on a focal line" % tag)
-        crv = _focal_curve(b)
-        if crv is not None and _cameras.point_curve_residual(x, crv) <= tol:
+        if crv is not None and point_curve_residual(x, crv) <= tol:
             out.append("%s: center lies on a focal curve" % tag)
-    for ln in _focal_lines(a):
-        for ln2 in _focal_lines(b):
+    for ln in a.focal_lines:
+        for ln2 in b.focal_lines:
             if incidence_residual(ln, ln2) <= tol:
                 out.append("%s: focal lines meet" % tag)
-        crv = _focal_curve(b)
         if crv is not None and line_curve_residual(ln, crv) <= tol:
             out.append("%s: focal line meets a focal curve" % tag)
     return out
 
 
-@dataclass(frozen=True)
 class CameraRig:
-    """Ordered, immutable collection of cameras.
+    """Ordered collection of cameras.
 
     Disjointness of the focal loci (the hypothesis under which the joint
     image determines the world point) is checked pairwise where we know
@@ -96,11 +79,8 @@ class CameraRig:
     overlapping-focus rigs are still meaningful objects.
     """
 
-    cameras: tuple
-    focal_warnings: tuple = ()
-
     def __init__(self, cameras, tol: float = DEFAULT_TOL, warn: bool = True):
-        cams = tuple(cameras)
+        self.cameras = cams = tuple(cameras)
         if not cams:
             raise InvalidN("a rig needs at least one camera")
         notes = []
@@ -110,11 +90,9 @@ class CameraRig:
                     _pairwise_focal_warnings(cams[i], cams[j], i, j, tol))
                 notes.extend(
                     _pairwise_focal_warnings(cams[j], cams[i], j, i, tol))
-        notes = tuple(dict.fromkeys(notes))
-        object.__setattr__(self, "cameras", cams)
-        object.__setattr__(self, "focal_warnings", notes)
+        self.focal_warnings = tuple(dict.fromkeys(notes))
         if warn:
-            for msg in notes:
+            for msg in self.focal_warnings:
                 warnings.warn(msg, FocalOverlapWarning, stacklevel=2)
 
     def __len__(self):
@@ -156,10 +134,7 @@ def correspond(rig, lines, tol: float = DEFAULT_TOL):
     return points[0] if single else (points, residuals)
 
 
-@dataclass(frozen=True)
-class TriangulationResult:
-    point: np.ndarray
-    residual: float
+TriangulationResult = namedtuple("TriangulationResult", "point residual")
 
 
 def triangulate(rig, lines, tol: float = DEFAULT_TOL) -> TriangulationResult:
@@ -215,16 +190,11 @@ def baseline_count(beta1: int, beta2: int) -> int:
 # --------------------------------------------------------------------------
 # transversals and linear baselines
 
-@dataclass(frozen=True)
-class Transversal:
-    """One common transversal: its coordinates (complex when is_real is
-    False), the (s:t) parameter on the third input line, reality flag, and
-    root multiplicity."""
-
-    line: np.ndarray
-    parameter: tuple
-    is_real: bool
-    multiplicity: int = 1
+#: One common transversal: its coordinates (complex when is_real is
+#: False), the (s:t) parameter on the third input line, reality flag, and
+#: root multiplicity.
+Transversal = namedtuple("Transversal", "line parameter is_real multiplicity",
+                         defaults=(1,))
 
 
 def common_transversals(l1, l2, l3, l4, tol: float = DEFAULT_TOL):
@@ -269,53 +239,40 @@ def common_transversals(l1, l2, l3, l4, tol: float = DEFAULT_TOL):
     if len(out) == 2:
         d = projective_distance(np.asarray(out[0].line, dtype=complex),
                                 np.asarray(out[1].line, dtype=complex))
-        if d < 1e-7:
-            out = [Transversal(line=out[0].line, parameter=out[0].parameter,
-                               is_real=out[0].is_real, multiplicity=2)]
+        if d < DOUBLE_ROOT_EPS:
+            out = [out[0]._replace(multiplicity=2)]
     return out
 
 
 def baselines_linear(cam1, cam2, tol: float = DEFAULT_TOL):
     """Common lines of two cameras from the linear part of the catalog
-    (pinhole, two-slit, pushbroom), in closed form."""
-    kinds = []
+    (pinhole, two-slit, pushbroom), in closed form from their centers and
+    slits, which are their focal points and lines."""
     for cam in (cam1, cam2):
-        if isinstance(cam, Pinhole):
-            kinds.append("pinhole")
-        elif isinstance(cam, TwoSlit):
-            kinds.append("slits")
-        else:
+        if not isinstance(cam, (Pinhole, TwoSlit)):
             raise DegenerateInput(
                 "closed-form baselines cover pinhole/two-slit/pushbroom "
                 "cameras only, got %r" % cam.kind)
-
-    if kinds == ["pinhole", "pinhole"]:
+    centers = cam1.focal_points + cam2.focal_points
+    slits = cam1.focal_lines + cam2.focal_lines
+    if len(centers) == 2:
         try:
-            line = line_from_points(cam1.center, cam2.center)
+            line = line_from_points(*centers)
         except DegenerateInput:
             raise DegenerateConfiguration("coincident centers") from None
-        return [Transversal(line=line, parameter=(None, None), is_real=True)]
-
-    if "pinhole" in kinds:
-        ph, sl = (cam1, cam2) if kinds[0] == "pinhole" else (cam2, cam1)
-        s1, s2 = sl.slit1, sl.slit2
+    elif centers:
         try:
-            line = line_from_planes(join_plane(s1, ph.center),
-                                    join_plane(s2, ph.center))
+            line = line_from_planes(*(join_plane(s, *centers) for s in slits))
         except DegenerateInput:
             raise DegenerateConfiguration(
                 "pinhole center lies on a slit") from None
-        return [Transversal(line=line, parameter=(None, None), is_real=True)]
+    else:
+        return common_transversals(*slits, tol=tol)
+    return [Transversal(line=line, parameter=(None, None), is_real=True)]
 
-    return common_transversals(cam1.slit1, cam1.slit2, cam2.slit1, cam2.slit2,
-                               tol=tol)
 
-
-@dataclass(frozen=True)
-class LinearGeneratorCounts:
-    linear: int
-    quadratic: int
-    cubic: int
+LinearGeneratorCounts = namedtuple("LinearGeneratorCounts",
+                                   "linear quadratic cubic")
 
 
 def linear_generator_counts(n1: int, n2: int) -> LinearGeneratorCounts:

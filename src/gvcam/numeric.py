@@ -297,8 +297,11 @@ def parse_vector(values, length: int | None = None, exact: bool = False):
 
 def vector_payload(v):
     """JSON payload for a coordinate vector (list of formatted scalars), or
-    the list of payloads of the rows of a stack; a float64 array is its own
-    payload, as :func:`format_scalar` of a float64 is the identity."""
+    the list of payloads of the rows of a stack or of a tuple of vectors; a
+    float64 array is its own payload, as :func:`format_scalar` of a float64
+    is the identity."""
+    if isinstance(v, tuple):
+        return [vector_payload(row) for row in v]
     v = np.asarray(v)
     if v.dtype == np.float64:
         return v.tolist()

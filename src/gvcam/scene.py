@@ -24,7 +24,7 @@ needs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 import numpy as np
@@ -105,15 +105,11 @@ def _camera_with_matrices(data, exact):
     return camera_from_payload(data, exact=exact), None
 
 
-@dataclass(frozen=True)
-class Scene:
-    version: int
-    cameras: tuple
-    matrices: tuple          # per camera: tuple of arrays, or None
-    points: np.ndarray       # (N, 4): float64, or Fractions if exact
-    observations: np.ndarray  # (N, n, 6): float64, or Fractions if exact
-    surfaces: tuple = ()
-    descriptors: tuple = ()  # echo of the input camera payloads
+#: A loaded scene: ``matrices`` per camera (a tuple of arrays, or None),
+#: ``points`` (N, 4) and ``observations`` (N, n, 6), float64 or Fractions
+#: if exact, and ``descriptors``, the echo of the input camera payloads.
+Scene = namedtuple("Scene", "version cameras matrices points observations "
+                   "surfaces descriptors", defaults=((), ()))
 
 
 def scene_from_dict(data, exact: bool = False,

@@ -1,6 +1,7 @@
 """The order-one camera catalog: projections, congruence membership,
 focal behavior, and the degree-two panoramic congruences."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,8 @@ from gvcam.cameras import (TWISTED_CUBIC_CURVE, DegenerateCubic, FocalPoint,
                            sum_of_two_cubes)
 from gvcam.errors import (DegenerateInput, FocalConfiguration,
                           UnsupportedOrder)
-from gvcam.numeric import (DEFAULT_TOL, _scaled_rows, compound2, norm,
-                           unitize, vec)
+from gvcam.numeric import (DEFAULT_TOL, _scaled_rows, compound2, is_exact,
+                           norm, unitize, vec)
 from gvcam.plucker import (incidence, line_from_points, plucker_quadric,
                            point_line_residual, point_on_line,
                            points_on_line, wedge)
@@ -715,6 +716,14 @@ def test_camera_payload_roundtrip():
         except (FocalPoint, UnsupportedOrder):
             continue
         assert_proj_close(a, clone.project(x), 1e-10)
+    # the exact catalog, and the float-residual one (of which only a Type3
+    # has exact data), give back the same payload through JSON
+    for cam, exact in ([(cam, True) for cam in _EXACT_CATALOG]
+                       + [(cam, is_exact(getattr(cam, "g", None)))
+                          for cam in _FLOAT_RESIDUAL_CATALOG]):
+        text = json.dumps(cam.payload())
+        clone = camera_from_payload(json.loads(text), exact=exact)
+        assert json.dumps(clone.payload()) == text, cam.kind
 
 
 def test_module_level_dispatch():

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gvcam.cameras import (FocalPoint, Pinhole, TwoSlit, congruence_residual,
-                           reference_type3)
+from gvcam.cameras import (FocalPoint, Pinhole, TwistedCubic, TwoSlit,
+                           congruence_residual, reference_type3,
+                           reference_type4)
 from gvcam.concurrency import find_common_point
 from gvcam.errors import (AmbiguousPencil, DegenerateConfiguration,
                           DegenerateInput, InvalidN)
@@ -212,7 +213,39 @@ def test_triangulate_residuals_and_recovery():
         assert_proj_close(res.point, x, 1e-8)
 
 
+def _slits(a, b, c, d):
+    return TwoSlit(line_from_points(a, b), line_from_points(c, d))
+
+
+# one rig per focal-overlap message, with the warnings it gives
+_FOCAL_OVERLAP_RIGS = [
+    ([Pinhole(E[0]), Pinhole(2 * E[0])],
+     ("cameras 0/1: coincident centers", "cameras 1/0: coincident centers")),
+    ([_slits(*E), reference_type4()],
+     ("cameras 0/1: focal lines meet", "cameras 1/0: focal lines meet")),
+    ([Pinhole(E[0]), TwistedCubic()],
+     ("cameras 0/1: center lies on a focal curve",)),
+    ([Pinhole([0, 0, 1, 1]), reference_type3()],
+     ("cameras 0/1: center lies on a focal line",
+      "cameras 0/1: center lies on a focal curve")),
+    ([_slits(E[0], E[1] + E[2], E[1] + E[3], 0.3 * E[1] + E[2] - E[3]),
+      TwistedCubic()],
+     ("cameras 0/1: focal line meets a focal curve",)),
+    ([Pinhole([1, 2, 3, 4]), _slits(*E)], ()),
+]
+
+
 def test_focal_overlap_warning():
+    swap = str.maketrans("01", "10")
+    for cams, expected in _FOCAL_OVERLAP_RIGS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rig = CameraRig(cams)
+        assert rig.focal_warnings == expected
+        assert [str(w.message) for w in caught] == list(expected)
+        # the other order gives the same messages with the indices swapped
+        assert (sorted(CameraRig(cams[::-1], warn=False).focal_warnings)
+                == sorted(m.translate(swap) for m in expected))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rig = CameraRig([Pinhole(E[0]),

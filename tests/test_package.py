@@ -34,6 +34,14 @@ def test_import_gvcam_loads_no_submodule():
     assert _loaded("import gvcam")[0] == set()
 
 
+def test_no_module_loads_dataclasses():
+    """Importing every gvcam module leaves ``dataclasses`` unloaded, so no
+    command pays for its import and decorators."""
+    code = "import %s\nprint('dataclasses' in sys.modules)" % ", ".join(
+        "gvcam." + name for name in MODULES)
+    assert _loaded(code)[1] == ["False"]
+
+
 def test_every_public_name_resolves():
     assert "cli" in MODULES and "cameras" in MODULES
     for name in MODULES:

@@ -15,6 +15,7 @@ import pytest
 from conftest import assert_proj_close
 from gvcam import cli, multiimage
 from gvcam.cameras import Pinhole, TwoSlit
+from gvcam.concurrency import MAX_MULTIDEGREE_N
 from gvcam.errors import DegenerateInput
 from gvcam.catadioptric import (MirrorSurface, line_surface_points,
                                 specular_pair, tangent_plane)
@@ -917,6 +918,9 @@ def test_cli_multidegree(capsys):
     assert row["terms"][0] == "4*t1^3*t2^3*t3^2*t4"
     assert sum(t.startswith("8*") for t in row["terms"]) == 4
     assert cli.main(["multidegree", "1"]) == 2
+    # the report grows as n^4: an n past the cap is refused, not computed
+    assert cli.main(["multidegree", str(MAX_MULTIDEGREE_N + 1)]) == 2
+    assert "n <= %d" % MAX_MULTIDEGREE_N in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
