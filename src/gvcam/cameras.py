@@ -57,9 +57,9 @@ from .numeric import (DEFAULT_TOL, FOCAL_EPS, ZERO_EPS, _scaled_rows, as_float,
                       binary_eval, binary_roots, common_type, compound2,
                       negligible, negligible_rows, norm, parse_vector, power,
                       row_norms, unitize, vec, vector_payload)
-from .plucker import (incidence, incidence_residual, line_residual,
-                      plucker_quadric, point_line_residual, primal_matrix,
-                      wedge)
+from .plucker import (dual_line, incidence, incidence_residual,
+                      line_residual, plucker_quadric, point_line_residual,
+                      primal_matrix, wedge)
 
 __all__ = [
     "Pinhole", "TwoSlit", "Pushbroom", "TwistedCubic", "Type3", "Type4",
@@ -647,7 +647,6 @@ class PanoramicNC(_Camera):
 
     kind = "panoramic_nc"
     bidegree = (2, 2)
-    axis = property(lambda self: vec([0.0, 0, 1, 0, 0, 0]))
 
     def project(self, x):
         raise UnsupportedOrder("order-two congruence: two lines per point; "
@@ -669,17 +668,17 @@ class PanoramicNC(_Camera):
 
 
 class PanoramicStereo(PanoramicNC):
-    """Dual of :class:`PanoramicNC`: lines meeting the line at infinity
-    V(x0, x3) and tangent... rather, the order-two family whose duals form
-    the non-central congruence; bidegree (2, 2)."""
+    """Dual congruence of :class:`PanoramicNC`: the lines whose duals
+    (:func:`plucker.dual_line`) lie in it.  They meet the line V(x0, x3)
+    and lie in a tangent plane of the cone x1^2 + x2^2 = x0^2 with apex
+    (0 : 0 : 0 : 1); bidegree (2, 2)."""
 
     kind = "panoramic_stereo"
 
     def generator_values(self, p):
-        """The generators at one line, or at each row of an (N, 6) stack."""
-        c = vec(p).T
-        return np.stack([c[2], power(c[3], 2) - power(c[1], 2)
-                         - power(c[0], 2), plucker_quadric(c.T)], axis=-1)
+        """:class:`PanoramicNC`'s generators at the dual of one line, or of
+        each row of an (N, 6) stack (negation and reordering are exact)."""
+        return PanoramicNC.generator_values(self, dual_line(p))
 
     def focal_residual(self, x) -> float:
         x = unitize(as_float(vec(x)))

@@ -118,7 +118,8 @@ def _parse_exponents(key):
 
 class MirrorSurface:
     """Smooth surface V(f) for a homogeneous polynomial f of degree d with
-    real coefficients, stored as {exponent 4-tuple: coefficient}.
+    real coefficients, given as a dict {exponents: coefficient} whose keys
+    are 4-tuples or payload keys such as "2000".
 
     Every method takes one point (or pair of points) or an (n, 4) stack
     of them, and loops over the monomials, not over the points, with the
@@ -131,15 +132,11 @@ class MirrorSurface:
     """
 
     def __init__(self, degree, coeffs):
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = coeffs
         if not 1 <= degree <= MAX_DEGREE:
             raise DegenerateInput("a surface needs a degree from 1 to %d"
                                   % MAX_DEGREE)
         table = []
-        for key, val in items:
+        for key, val in coeffs.items():
             expo = _parse_exponents(key) if isinstance(key, str) else tuple(key)
             if any(e > MAX_DEGREE for e in expo):   # not echoed: may be huge
                 raise DegenerateInput("a monomial exponent exceeds %d"
@@ -382,10 +379,12 @@ def panoramic_fibers(cam, x, tol: float = DEFAULT_TOL):
     """The two congruence lines through a generic point of an order-two
     panoramic camera.
 
-    Non-central variant: lines meeting the axis V(x1,x2) and the circle
-    {x3 = 0, x1^2 + x2^2 = x0^2}; the plane through x and the axis cuts
-    the circle in two points, joined back to x.  Stereo variant: duals of
-    the non-central lines lying in the plane with x's coordinates.
+    Both kinds join an apex to the two points where a plane through it
+    cuts the circle {x3 = 0, x1^2 + x2^2 = x0^2}.  Non-central variant
+    (lines meeting the axis V(x1,x2) and the circle): the apex is x and
+    the plane joins x to the axis.  Stereo variant: the duals of the
+    non-central lines lying in the plane u = x, whose apex is the point
+    where u meets the axis.
     FocalConfiguration on the focal quartic, where the count degenerates.
     """
     kind = getattr(cam, "kind", None)
@@ -395,22 +394,14 @@ def panoramic_fibers(cam, x, tol: float = DEFAULT_TOL):
     if cam.focal_residual(x) <= ZERO_EPS:
         raise FocalConfiguration("point lies on the focal quartic")
     axis, qmat, plane = _nc_data()
-
-    if kind == "panoramic_nc":
-        pi = primal_matrix(axis) @ x          # plane through x and the axis
-        carrier = line_from_planes(pi, plane)
-        fibers = []
-        for w in conic_chord_points(qmat, carrier):
-            fibers.append(line_from_points(
-                x.astype(w.dtype) if np.iscomplexobj(w) else x, w))
-        return [vec(f) for f in fibers]
-
-    # stereo: find the non-central lines lying in the plane u = x, dualize
-    u = x
-    y0 = meet_point(axis, u)                  # axis point in the plane
-    carrier = line_from_planes(u, plane)
+    stereo = kind == "panoramic_stereo"
+    if stereo:
+        apex, through = meet_point(axis, x), x
+    else:
+        apex, through = x, primal_matrix(axis) @ x
     fibers = []
-    for w in conic_chord_points(qmat, carrier):
-        y0c = y0.astype(w.dtype) if np.iscomplexobj(w) else y0
-        fibers.append(dual_line(line_from_points(y0c, w)))
-    return [vec(f) for f in fibers]
+    for w in conic_chord_points(qmat, line_from_planes(through, plane)):
+        f = line_from_points(apex.astype(w.dtype) if np.iscomplexobj(w)
+                             else apex, w)
+        fibers.append(vec(dual_line(f) if stereo else f))
+    return fibers

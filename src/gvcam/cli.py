@@ -370,12 +370,6 @@ def _value(v, newline):
             return float.__repr__(v)
     elif kind is int:
         return int.__repr__(v)
-    elif kind is list:
-        if v and all(type(x) is float for x in v):
-            inner = newline + "  "
-            text = repr(v)[1:-1].replace(", ", "," + inner)
-            return "[%s%s%s]" % (
-                inner, _finite([text], text, "," + inner)[0], newline)
     elif kind is str:
         return encode_basestring_ascii(v)
     elif v is None:

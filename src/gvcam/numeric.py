@@ -33,7 +33,7 @@ __all__ = [
     "vec", "is_exact", "as_float", "norm", "unitize", "row_norms",
     "common_type", "power", "multiply",
     "parse_scalar", "format_scalar", "parse_vector", "vector_payload",
-    "proj_normalize", "projective_distance",
+    "projective_distance",
     "det3", "det4", "compound2", "exact_nullspace",
     "binary_eval", "binary_roots",
     "realify", "negligible", "negligible_each", "negligible_rows",
@@ -222,12 +222,17 @@ def multiply(a, b):
 
 def _scaled_rows(a):
     """An exact vector or stack with each row divided exactly by its
-    largest coordinate (:func:`proj_normalize`): a row then carries no
-    projective scale, and its coordinates round to floats without
+    coordinate of largest magnitude (which becomes 1): a row then carries
+    no projective scale, and its coordinates round to floats without
     overflow.  Float input is returned as it is."""
     if not is_exact(a):
         return a
-    rows = [proj_normalize(row) for row in a.reshape(-1, a.shape[-1])]
+    rows = []
+    for row in a.reshape(-1, a.shape[-1]):
+        pivot = max(row, key=abs)
+        if pivot == 0:
+            raise DegenerateInput("zero vector has no projective class")
+        rows.append([x / pivot for x in row])
     return np.array(rows, dtype=object).reshape(a.shape)
 
 
@@ -311,20 +316,6 @@ def vector_payload(v):
 
 
 # --- projective comparisons -------------------------------------------------
-
-def proj_normalize(v):
-    """Divide by the coordinate of largest magnitude (it becomes 1)."""
-    v = vec(v)
-    if is_exact(v):
-        pivot = max(v, key=lambda x: abs(x))
-        if pivot == 0:
-            raise DegenerateInput("zero vector has no projective class")
-        return np.array([x / pivot for x in v], dtype=object)
-    i = int(np.argmax(np.abs(v)))
-    if v[i] == 0:
-        raise DegenerateInput("zero vector has no projective class")
-    return v / v[i]
-
 
 def projective_distance(u, v) -> float:
     """min(|u/|u| - v/|v||, |u/|u| + v/|v||): 0 iff projectively equal."""

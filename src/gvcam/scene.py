@@ -68,7 +68,8 @@ def _parse_matrix(rows, shape, exact):
 
 
 def _camera_with_matrices(data, exact):
-    """Build (geometric camera, photographic matrices or None)."""
+    """Build (geometric camera, photographic matrices or None); a center
+    or slits given with the matrices must match their kernels."""
     from .cameras import Pinhole, TwoSlit, camera_from_payload
     if not isinstance(data, dict):
         raise DegenerateInput("a rig entry must be an object, got %r"
@@ -79,30 +80,26 @@ def _camera_with_matrices(data, exact):
     kind = data.get("type")
     if kind == "pinhole" and "matrix" in data:
         from .tensors import pinhole_center
-        A = _parse_matrix(data["matrix"], (3, 4), exact)
-        center = pinhole_center(A)
-        if "center" in data:
-            given = parse_vector(data["center"], 4, exact)
-            if (projective_distance(as_float(given), as_float(center))
-                    > MATCH_EPS):
-                raise DegenerateInput(
-                    "pinhole center does not match the matrix kernel")
-            center = given
-        return Pinhole(center), (A,)
-    if kind == "two_slit" and "matrices" in data:
+        mats = (_parse_matrix(data["matrix"], (3, 4), exact),)
+        camera, kernels, length = Pinhole, [pinhole_center(*mats)], 4
+        given = [data["center"]] if "center" in data else None
+        message = "pinhole center does not match the matrix kernel"
+    elif kind == "two_slit" and "matrices" in data:
         from .tensors import twoslit_kernels
-        A, B = (_parse_matrix(m, (2, 4), exact) for m in data["matrices"])
-        k1, k2 = twoslit_kernels(A, B)
-        if "slits" in data:
-            s1 = parse_vector(data["slits"][0], 6, exact)
-            s2 = parse_vector(data["slits"][1], 6, exact)
-            if (projective_distance(as_float(s1), as_float(k1)) > MATCH_EPS or
-                    projective_distance(as_float(s2), as_float(k2)) > MATCH_EPS):
-                raise DegenerateInput(
-                    "two-slit slits do not match the matrix kernels")
-            k1, k2 = s1, s2
-        return TwoSlit(k1, k2), (A, B)
-    return camera_from_payload(data, exact=exact), None
+        mats = tuple(_parse_matrix(m, (2, 4), exact)
+                     for m in data["matrices"])
+        camera, kernels, length = TwoSlit, twoslit_kernels(*mats), 6
+        given = data.get("slits")
+        message = "two-slit slits do not match the matrix kernels"
+    else:
+        return camera_from_payload(data, exact=exact), None
+    if given is not None:
+        given = [parse_vector(v, length, exact) for v in given]
+        if any(projective_distance(as_float(g), as_float(k)) > MATCH_EPS
+               for g, k in zip(given, kernels)):
+            raise DegenerateInput(message)
+        kernels = given
+    return camera(*kernels), mats
 
 
 #: A loaded scene: ``matrices`` per camera (a tuple of arrays, or None),

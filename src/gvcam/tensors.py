@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import (BaseLocus, CoincidentCenters, DegenerateInput,
                      SingularStack)
-from .numeric import (as_float, binary_eval, compound2, det3, det4,
-                      exact_nullspace, is_exact, negligible, norm,
-                      parse_scalar, unitize, vec, vector_payload)
+from .numeric import (as_float, binary_eval, det4, exact_nullspace,
+                      is_exact, negligible, norm, parse_scalar, unitize, vec,
+                      vector_payload)
 from .plucker import dual_line, line_from_points, wedge
 
 __all__ = [
@@ -116,43 +116,27 @@ def pinhole_fiber(A, w):
     return _reject_small(out, norm(A) ** 2 * norm(w), "image point has no fiber")
 
 
-def _inverse4(m):
-    if not is_exact(m):
-        return np.linalg.inv(as_float(m))
-    d = det4(m)
-    if d == 0:
-        raise SingularStack("stacked matrix is singular")
-    adj = np.empty((4, 4), dtype=object)
-    idx = (0, 1, 2, 3)
-    for i in range(4):
-        rows = [r for r in idx if r != i]
-        for j in range(4):
-            cols = [c for c in idx if c != j]
-            minor = [[m[r][c] for c in cols] for r in rows]
-            adj[j, i] = (-1) ** (i + j) * det3(minor)
-    return adj / d if adj.dtype != object else np.array(
-        [[adj[a][b] / d for b in range(4)] for a in range(4)], dtype=object)
-
-
 def twoslit_fiber(pair, u, v):
-    """Viewing line of a two-slit pair over the image point (u, v):
-    the bilinear combination u0v0 D[:,1] + u0v1 D[:,2] + u1v0 D[:,3]
-    + u1v1 D[:,4] of columns of the second compound of [A; B]^{-1}."""
+    """Viewing line of a two-slit pair over the image point (u, v): the
+    meet of the plane u1 A0 - u0 A1, where Ax is proportional to u, and
+    the plane v1 B0 - v0 B1, where Bx is proportional to v."""
     A, B = pair
     A = _vec_matrix(A, (2, 4), "first matrix")
     B = _vec_matrix(B, (2, 4), "second matrix")
     stack = np.vstack([A, B])
-    if not is_exact(stack):
+    if is_exact(stack):
+        singular = det4(stack) == 0
+    else:
         s = np.linalg.svd(as_float(stack), compute_uv=False)
-        if s[3] <= RANK_EPS * s[0]:
-            raise SingularStack("stacked [A; B] is singular "
-                                "(slits meet or matrices degenerate)")
-    D = compound2(_inverse4(stack))
+        singular = s[3] <= RANK_EPS * s[0]
+    if singular:
+        raise SingularStack("stacked [A; B] is singular "
+                            "(slits meet or matrices degenerate)")
     u, v = vec(u), vec(v)
-    out = vec(u[0] * v[0] * D[:, 1] + u[0] * v[1] * D[:, 2]
-              + u[1] * v[0] * D[:, 3] + u[1] * v[1] * D[:, 4])
-    return _reject_small(out, float(np.max(np.abs(as_float(D))))
-                         * norm(u) * norm(v), "image point has no fiber")
+    out = dual_line(wedge(u[1] * A[0] - u[0] * A[1],
+                          v[1] * B[0] - v[0] * B[1]))
+    return _reject_small(out, norm(A) * norm(B) * norm(u) * norm(v),
+                         "image point has no fiber")
 
 
 _CANON_A = np.array([[1.0, 0, 0, 0], [0.0, 1, 0, 0]])

@@ -490,6 +490,15 @@ def test_secant_system_rank_five_and_nullvector():
         except FocalPoint:
             continue
         assert_proj_close(vt[-1], p, 1e-9)
+    # a twisted cubic moved by a homography: the system is pulled back
+    moved = rand_twisted_cubic(rng)
+    for _ in range(10):
+        x = rand_point(rng)
+        M = moved.system(x)
+        s = np.linalg.svd(M, compute_uv=False)
+        assert s[4] > 1e6 * max(s[5], 1e-300)
+        p = moved.project(x)
+        assert norm(M @ p) <= 1e-9 * s[0] * norm(p)
 
 
 def test_secant_quadrics_vanish_on_projections():

@@ -212,6 +212,24 @@ def test_line_contained_in_surface():
         assert abs(cone.evaluate(unitize(p))) <= 1e-12
 
 
+def test_plane_mirror_contacts():
+    """A degree-1 surface, the plane x3 = 0: a line crossing it has one
+    contact, and a line lying in it gives its two spanning points."""
+    plane = MirrorSurface(1, {(0, 0, 0, 1): 1})
+    crossing = line_from_points(np.array([1., 0, 0, 1]),
+                                np.array([1., 1, 0, -1]))
+    (p,) = line_surface_points(plane, crossing)
+    assert abs(p[3]) <= 1e-12 * norm(p)
+    assert point_line_residual(p, crossing) <= 1e-12
+    lying = line_from_points(np.array([1., 0, 0, 0]), np.array([1., 1, 1, 0]))
+    pts = line_surface_points(plane, lying)
+    assert len(pts) == 2
+    for p in pts:
+        assert p[3] == 0
+        assert point_line_residual(p, lying) <= 1e-12
+    assert norm(wedge(*pts)) > 0.1 * norm(pts[0]) * norm(pts[1])
+
+
 def test_tangent_plane_errors():
     S = unit_sphere()
     with pytest.raises(NotOnSurface):

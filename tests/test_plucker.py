@@ -261,6 +261,24 @@ def test_exact_point_beyond_the_float_range_against_a_float_line():
     assert plane_contains_line(vec([0, 0, 10 ** 400, 0], exact=True), p)
 
 
+def test_exact_point_and_plane_against_an_exact_line():
+    """Both inputs exact: decided by exact zero tests, also at 10^400,
+    where a point or a plane 10^-400 off the line would round onto it."""
+    big = 10 ** 400
+    p = vec([big, 0, 0, 0, 0, 0], exact=True)      # e0 v e1
+    assert point_on_line(vec([big, big + 1, 0, 0], exact=True), p)
+    assert not point_on_line(vec([big, big, 1, 0], exact=True), p)
+    assert plane_contains_line(vec([0, 0, big, 1], exact=True), p)
+    assert not plane_contains_line(vec([1, 0, big, 0], exact=True), p)
+    q = line_from_points(vec([1, 2, 3, 1], exact=True),
+                         vec([2, -1, 1, 1], exact=True))
+    assert point_on_line(vec([3, 1, 4, 2], exact=True), q)
+    assert not point_on_line(vec([3, 1, 4, 3], exact=True), q)
+    assert plane_contains_line(join_plane(q, vec([0, 0, 0, 1], exact=True)),
+                               q)
+    assert not plane_contains_line(vec([1, 0, 0, 0], exact=True), q)
+
+
 def test_exact_plane_is_unitized_at_any_scale():
     # the plane x2 + x3 = 0 does not contain the line e2 v e3
     plane = _exact([0, 0, 1, 1], Fraction(1, 10 ** 12))

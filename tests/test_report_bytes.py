@@ -101,6 +101,10 @@ SCENES = {
                                                    "0020": 1, "0002": 1}},
                 "lines": [[1, 0, 0, 0, 0, 0], [1, 2, 2, 0, 0, 0],
                           [0, 0, 0, 0, 0, 1]]},
+    # the degree-1 surface x3 = 0; a line crossing it, and one lying in it
+    "reflect_degree1": {"surface": {"degree": 1, "coeffs": {"0001": 1}},
+                        "lines": [[1, 0, -2, 0, -1, 0],
+                                  [1, 0, 0, 0, 0, 0]]},
     # a mirror plane with points and lines
     "reflect_plane": {"plane": [1, 2, 0, 1],
                       "points": [[1, 0, 0, 0], [1, 2, 3, 1]],
@@ -173,6 +177,9 @@ REPORTS = {
     "reflect": (["reflect", "--input"], "reflect", 0,
                 "236c7b7f7bbdc864d7d30d8a9c5da20c"
                 "ba00458003c16574ed3dd8e387e88263"),
+    "reflect_degree1": (["reflect", "--input"], "reflect_degree1", 0,
+                        "8a86f1e98c00aba431ad213f8d0d9c4b"
+                        "c05d28f539e4c057521342509ebcbda1"),
     "reflect_plane": (["reflect", "--input"], "reflect_plane", 0,
                       "252c28dd6b2a59d8442fa1c3a42e9f9a"
                       "c8e20056666b12fbd314104676d680c3"),

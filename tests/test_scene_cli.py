@@ -100,6 +100,29 @@ def test_scene_cross_checks_matrix_against_geometry(tmp_path):
     assert ok.cameras[0].kind == "two_slit"
 
 
+def test_scene_keeps_given_geometry_and_names_a_mismatch():
+    """A center or slits given with the matrices are kept as given when
+    they match the kernels; a mismatch, also of the second slit alone, is
+    named per kind."""
+    scene = scene_from_dict({"version": 1, "rig": [
+        {"type": "pinhole", "matrix": PINHOLE_MATRIX, "center": [0, 0, 0, 2]},
+        {"type": "two_slit", "matrices": TWOSLIT_MATRICES,
+         "slits": [[0, 0, 0, 0, 0, 2], [3, 0, 0, 0, 0, 0]]}]})
+    assert scene.cameras[0].center.tolist() == [0, 0, 0, 2]
+    assert [s.tolist() for s in scene.cameras[1].slits] == [
+        [0, 0, 0, 0, 0, 2], [3, 0, 0, 0, 0, 0]]
+    assert [len(m) for m in scene.matrices] == [1, 2]
+    for entry, message in (
+            ({"type": "pinhole", "matrix": PINHOLE_MATRIX,
+              "center": [0, 0, 1, 0]},
+             "pinhole center does not match the matrix kernel"),
+            ({"type": "two_slit", "matrices": TWOSLIT_MATRICES,
+              "slits": [[0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1]]},
+             "two-slit slits do not match the matrix kernels")):
+        with pytest.raises(DegenerateInput, match=message):
+            scene_from_dict({"version": 1, "rig": [entry]})
+
+
 def test_scene_structural_errors():
     with pytest.raises(DegenerateInput):
         scene_from_dict([1, 2, 3])

@@ -16,7 +16,7 @@ from conftest import assert_proj_close, rand_point
 from gvcam.cameras import Pinhole, TwoSlit
 from gvcam.errors import (BaseLocus, CoincidentCenters, DegenerateInput,
                           SingularStack)
-from gvcam.numeric import is_exact, norm, unitize
+from gvcam.numeric import as_float, det4, is_exact, norm, unitize, vec
 from gvcam.plucker import incidence, points_on_line, primal_matrix
 from gvcam.tensors import (class_beta_fiber, class_beta_project,
                            fundamental_matrix, mixed_epipolar_tensor,
@@ -164,6 +164,37 @@ def test_twoslit_singular_stack_rejected():
     B = np.array([[1., 1, 0, 0], [0., 2, 0, 0]])
     with pytest.raises(SingularStack):
         twoslit_fiber((A, B), np.array([1., 0]), np.array([1., 0]))
+
+
+def test_twoslit_fiber_exact(rng):
+    """Integer pairs as Fractions: the fiber is exact, has the projective
+    class of the float fiber and contains the preimage point; a singular
+    stack and a zero image point are refused exactly."""
+    checked = 0
+    while checked < 10:
+        A, B = vec(rng.integers(-5, 6, (2, 2, 4)), exact=True)
+        x = vec(rng.integers(-5, 6, 4), exact=True)
+        if det4(np.vstack([A, B])) == 0:
+            continue
+        try:
+            u, v = twoslit_project((A, B), x)
+        except BaseLocus:
+            continue
+        line = twoslit_fiber((A, B), u, v)
+        assert is_exact(line)
+        assert not np.any(primal_matrix(line) @ x)
+        floats = twoslit_fiber((as_float(A), as_float(B)), as_float(u),
+                               as_float(v))
+        assert_proj_close(as_float(line), floats, 1e-12)
+        checked += 1
+    A = vec([[1, 0, 0, 0], [0, 1, 0, 0]], exact=True)
+    e0 = vec([1, 0], exact=True)
+    with pytest.raises(SingularStack):
+        twoslit_fiber((A, vec([[1, 1, 0, 0], [0, 2, 0, 0]], exact=True)),
+                      e0, e0)
+    B = vec([[0, 0, 1, 0], [0, 0, 0, 1]], exact=True)
+    with pytest.raises(BaseLocus):
+        twoslit_fiber((A, B), vec([0, 0], exact=True), e0)
 
 
 def test_twoslit_project_base_locus():
