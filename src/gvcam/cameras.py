@@ -55,7 +55,7 @@ from .errors import (DegenerateInput, FocalPoint, IllConditioned,
                      InvalidSlit, DegenerateCubic, UnsupportedOrder)
 from .numeric import (DEFAULT_TOL, FOCAL_EPS, ZERO_EPS, _scaled_rows, as_float,
                       binary_eval, binary_roots, common_type, compound2,
-                      negligible, negligible_rows, norm, parse_vector, power,
+                      negligible, norm, parse_vector, power,
                       row_norms, unitize, vec, vector_payload)
 from .plucker import (dual_line, incidence, incidence_residual,
                       line_residual, plucker_quadric, point_line_residual,
@@ -196,17 +196,18 @@ def _projections(cam, x, *data):
     ``cam._project`` takes the stack and ``data`` as ``cam._residuals``
     does (see :func:`_residuals`), and returns the lines and its focal
     tests, in order of priority: (message, v, eps, scale) for the rows
-    where the stack ``v`` is zero (:func:`numeric.negligible_rows`).  A
-    float point whose line has no finite norm, or whose scale in a test is
-    not finite, is too large for the float range: DegenerateInput names
-    it, and it is not a focal point.
+    where the stack ``v`` is zero (:func:`numeric.negligible` of each row,
+    which calls ``scale`` only for floats).  A float point whose line has
+    no finite norm, or whose scale in a test is not finite, is too large
+    for the float range: DegenerateInput names it, and it is not a focal
+    point.
     """
     X = vec(x)
     args = common_type(np.ascontiguousarray(np.atleast_2d(X)), *data)
     with np.errstate(over="ignore", invalid="ignore"):
         lines, tests = cam._project(*args)
-        hits = [(message, negligible_rows(
-                    v, lambda: _in_float_range(scale(), lines), eps))
+        hits = [(message, negligible(
+                    v, lambda: _in_float_range(scale(), lines), eps, axis=-1))
                 for message, v, eps, scale in tests]
     focal = {}
     for message, hit in reversed(hits):
@@ -352,7 +353,7 @@ class Pushbroom(TwoSlit):
 
     def __init__(self, slit):
         s = vec(slit)
-        if negligible(s[:3], norm(s)):
+        if negligible(s[:3], lambda: norm(s)):
             raise InvalidSlit("pushbroom slit must be finite "
                               "(direction part nonzero)")
         TwoSlit.__init__(self, s, pushbroom_infinity_slit(s))
@@ -582,7 +583,7 @@ class Type3(_Pencil):
         _Pencil.__init__(self, f, g, h)
         if len(f) != len(self.g) - 1:
             raise DegenerateInput("deg f must be deg g - 1")
-        if norm(f) == 0:
+        if negligible(f, eps=0.0):      # norm(f) == 0 for floats
             raise DegenerateInput("f == 0 defines a Type4 camera; "
                                   "use Type4(g, h)")
         self.focal_curve = self.curve()
@@ -607,10 +608,11 @@ class Type4(_Pencil):
 
     def __init__(self, g, h):
         _Pencil.__init__(self, None, g, h)
-        gf, hf = as_float(vec(self.g)), as_float(vec(self.h))
-        minors = np.outer(gf, hf) - np.outer(hf, gf)
-        if norm(minors) <= PROPORTIONAL_EPS * max(norm(gf) * norm(hf),
-                                                  PROPORTIONAL_FLOOR):
+        g, h = common_type(self.g, self.h)
+        minors = np.outer(g, h) - np.outer(h, g)
+        if negligible(minors, lambda: max(norm(g) * norm(h),
+                                          PROPORTIONAL_FLOOR),
+                      PROPORTIONAL_EPS):
             raise DegenerateInput(
                 "g and h are proportional: the target point is constant "
                 "and the congruence degenerates")

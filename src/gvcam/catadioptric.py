@@ -22,7 +22,7 @@ from .errors import (DegenerateInput, FocalConfiguration, IsotropicDirection,
                      SingularIntersection, SingularPoint)
 from .numeric import (DEFAULT_TOL, FORM_EPS, REAL_EPS, ZERO_EPS, as_float,
                       binary_roots, compound2, format_scalar, is_exact,
-                      negligible_each, norm, parse_scalar, power,
+                      negligible, norm, parse_scalar, power,
                       projective_distance, realify, row_norms, unitize, vec)
 from .plucker import (dual_line, line_from_planes, line_from_points,
                       meet_point, point_line_residual, points_on_line,
@@ -74,8 +74,8 @@ class ReflectionMap:
     def __init__(self, plane):
         H = vec(plane)
         s = _spatial_square(H.T)
-        if np.any(negligible_each(s, np.float_power(row_norms(as_float(H)),
-                                                    2))):
+        if np.any(negligible(s, lambda: np.float_power(row_norms(H), 2),
+                             axis=())):
             raise IsotropicPlane("plane normal squares to zero")
         normal = H.copy()
         normal[..., 0] = 0
@@ -375,7 +375,7 @@ def conic_chord_points(qmat, carrier):
     return [vec(realify(si * z1 + ti * z2)[0]) for si, ti in zip(s, t)]
 
 
-def panoramic_fibers(cam, x, tol: float = DEFAULT_TOL):
+def panoramic_fibers(cam, x):
     """The two congruence lines through a generic point of an order-two
     panoramic camera.
 

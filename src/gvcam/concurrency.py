@@ -38,7 +38,7 @@ import numpy as np
 from .errors import AmbiguousPencil, InvalidN
 from . import numeric
 from .numeric import (DEFAULT_TOL, as_float, format_scalar, is_exact,
-                      negligible_each, row_norms, unitize, vec)
+                      negligible, row_norms, unitize, vec)
 from .plucker import incidence, primal_matrix
 
 __all__ = [
@@ -269,8 +269,8 @@ def concurrent_by_generators(lines, tol: float = DEFAULT_TOL) -> bool:
     values = evaluate_generators(lines).values
     q = comb(len(lines) + 1, 2)
     cubics = values[q:].reshape(-1, len(PROBE_POINTS))[:, :4]
-    return bool(np.all(negligible_each(values[:q], eps=tol))
-                and np.all(negligible_each(cubics, eps=tol)))
+    return bool(np.all(negligible(values[:q], eps=tol, axis=()))
+                and np.all(negligible(cubics, eps=tol, axis=())))
 
 
 def _tuple_stack(lines):
@@ -378,9 +378,6 @@ class MultidegreePolynomial(namedtuple("MultidegreePolynomial", "n terms")):
                 factors.append("t%d" % i if e == 1 else "t%d^%d" % (i, e))
             out.append("%d*%s" % (self.terms[expo], "*".join(factors)))
         return out
-
-    def __str__(self):
-        return " + ".join(self.term_strings())
 
 
 def multidegree(n: int) -> MultidegreePolynomial:

@@ -95,12 +95,6 @@ class CameraRig:
             for msg in self.focal_warnings:
                 warnings.warn(msg, FocalOverlapWarning, stacklevel=2)
 
-    def __len__(self):
-        return len(self.cameras)
-
-    def project(self, x):
-        return [cam.project(x) for cam in self.cameras]
-
 
 def correspond(rig, lines, tol: float = DEFAULT_TOL):
     """Accept or reject a tuple of image lines.

@@ -16,7 +16,9 @@ computation on several arrays: Fractions when every array is exact, else
 floats.  :func:`unitize` scales each row of a float vector or stack to
 unit norm without over- or underflow and returns exact arrays unchanged;
 :func:`_scaled_rows` divides each exact row by its largest coordinate, so
-that it rounds to floats without overflow.
+that it rounds to floats without overflow.  :func:`negligible` is the one
+zero test, of a whole array, of each entry or of each row: exact with
+Fractions, relative to a scale for floats, which it computes only then.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = [
     "projective_distance",
     "det3", "det4", "compound2", "exact_nullspace",
     "binary_eval", "binary_roots",
-    "realify", "negligible", "negligible_each", "negligible_rows",
+    "realify", "negligible",
     "DEFAULT_TOL", "ZERO_EPS", "FOCAL_EPS",
     "FORM_EPS", "REAL_EPS", "SVD_BUDGET",
 ]
@@ -96,36 +98,30 @@ def is_exact(a) -> bool:
     )
 
 
-def negligible(v, scale: float = 1.0, eps: float = ZERO_EPS) -> bool:
-    """True when ``v`` (a scalar or an array) is zero.
+def negligible(v, scale=None, eps: float = ZERO_EPS, axis=None):
+    """Whether ``v`` is zero: the whole of it when ``axis`` is None (a
+    bool), or as a boolean array each entry (``axis=()``) or each row of a
+    stack (``axis=-1``).
 
-    Fractions are compared with 0 exactly and ``scale`` is ignored; floats
-    and complexes count as zero when ``norm(v) <= eps * scale``.
+    A Fraction is compared with 0 and with nothing else.  A float or
+    complex counts as zero when its norm (:func:`norm` of the whole,
+    ``sqrt(a * a)`` of an entry, :func:`row_norms` of a row) is at most
+    ``eps`` times ``scale()``, 1 when ``scale`` is omitted.  ``scale`` is
+    a callable, run only for floats, so that an exact path never takes a
+    float norm; its value may be an array that broadcasts against the
+    verdicts (one scale per row, say).
     """
     if is_exact(v):
-        return all(x == 0 for x in np.ravel(v))
-    return norm(v) <= eps * scale
-
-
-def negligible_each(v, scale=1.0, eps: float = ZERO_EPS):
-    """:func:`negligible` of each element of an array, as a boolean array;
-    ``scale`` may be an array that broadcasts against ``v`` (one scale per
-    row, say), and is ignored for Fractions."""
-    if is_exact(v):
-        return np.asarray(v == 0, dtype=bool)
-    a = np.abs(v)
-    # norm(v_i), bit for bit, also where a * a under- or overflows
-    return np.sqrt(a * a) <= eps * scale
-
-
-def negligible_rows(v, scale, eps: float = ZERO_EPS):
-    """:func:`negligible` of each row of a stack, as a boolean array:
-    Fraction rows are compared with 0 exactly, and a float row counts as
-    zero when its norm is at most ``eps`` times its entry of ``scale()``,
-    a callable, so that the scale is only computed for floats."""
-    if is_exact(v):
-        return np.all(np.asarray(v == 0, dtype=bool), axis=-1)
-    return row_norms(v) <= eps * scale()
+        zero = np.asarray(v == 0, dtype=bool)
+        return bool(zero.all()) if axis is None else zero.all(axis=axis)
+    bound = eps * (1.0 if scale is None else scale())
+    if axis is None:
+        return norm(v) <= bound
+    if axis == ():
+        a = np.abs(v)
+        # norm(v_i), bit for bit, also where a * a under- or overflows
+        return np.sqrt(a * a) <= bound
+    return row_norms(v) <= bound
 
 
 def as_float(a):

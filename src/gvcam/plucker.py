@@ -21,8 +21,6 @@ float arrays and exact rational (Fraction) arrays.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DegenerateInput
@@ -58,7 +56,8 @@ def wedge(x, y):
 def line_from_points(x, y):
     """Pluecker vector of the line joining two distinct points."""
     p = wedge(x, y)
-    _reject_zero(p, "points are projectively equal", x, y)
+    if negligible(p, lambda: norm(x) * norm(y)):
+        raise DegenerateInput("points are projectively equal")
     return p
 
 
@@ -150,7 +149,8 @@ def join_plane(p, x):
     """Plane spanned by line ``p`` and a point ``x`` not on it."""
     p, x = vec(p), vec(x)
     u = primal_matrix(p) @ x
-    _reject_zero(u, "point lies on the line; join is undefined", p, x)
+    if negligible(u, lambda: norm(p) * norm(x)):
+        raise DegenerateInput("point lies on the line; join is undefined")
     return u
 
 
@@ -158,7 +158,8 @@ def meet_point(p, u):
     """Point where line ``p`` crosses a plane ``u`` not containing it."""
     p, u = vec(p), vec(u)
     x = dual_matrix(p) @ u
-    _reject_zero(x, "plane contains the line; meet is undefined", p, u)
+    if negligible(x, lambda: norm(p) * norm(u)):
+        raise DegenerateInput("plane contains the line; meet is undefined")
     return x
 
 
@@ -269,11 +270,3 @@ def points_on_line(p):
         raise DegenerateInput("vector does not span a line")
     return (cols[rows, first].reshape(shape),
             cols[rows, second].reshape(shape))
-
-
-def _reject_zero(out, message, *context):
-    # an exact result is compared with zero; no float norm is taken, so
-    # coordinates beyond the float range are fine
-    scale = 1.0 if is_exact(out) else math.prod(norm(c) for c in context)
-    if negligible(out, scale):
-        raise DegenerateInput(message)

@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DegenerateInput
-from .numeric import (DEFAULT_TOL, as_float, negligible_each,
+from .numeric import (DEFAULT_TOL, as_float, negligible,
                       parse_vector, projective_distance, unitize, vec)
 from .plucker import plucker_quadric
 
@@ -152,7 +152,7 @@ def _check_line(lines, tol, what):
     why = "is the zero vector, not a line"
     if not len(bad):
         q = plucker_quadric(unitize(lines))
-        bad = np.argwhere(~negligible_each(q, eps=max(tol, QUADRIC_FLOOR)))
+        bad = np.argwhere(~negligible(q, eps=max(tol, QUADRIC_FLOOR), axis=()))
         why = "is not a line (quadric residual exceeds tolerance)"
     if len(bad):
         raise DegenerateInput("%s%s %s" % (

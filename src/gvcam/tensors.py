@@ -73,18 +73,14 @@ def twoslit_kernels(A, B):
                  for M in (A, B))
 
 
-def _reject_small(img, scale, what):
-    if negligible(img, scale):
-        raise BaseLocus(what)
-    return img
-
-
 def pinhole_project(A, x):
     """Image point Ax in P^2."""
     A = _vec_matrix(A, (3, 4), "camera matrix")
     x = vec(x)
-    return _reject_small(vec(A @ x), norm(A) * norm(x),
-                         "point is the camera center")
+    img = vec(A @ x)
+    if negligible(img, lambda: norm(A) * norm(x)):
+        raise BaseLocus("point is the camera center")
+    return img
 
 
 def twoslit_project(pair, x):
@@ -93,8 +89,11 @@ def twoslit_project(pair, x):
     A = _vec_matrix(A, (2, 4), "first matrix")
     B = _vec_matrix(B, (2, 4), "second matrix")
     x = vec(x)
-    u = _reject_small(vec(A @ x), norm(A) * norm(x), "point on the first slit")
-    v = _reject_small(vec(B @ x), norm(B) * norm(x), "point on the second slit")
+    u, v = vec(A @ x), vec(B @ x)
+    if negligible(u, lambda: norm(A) * norm(x)):
+        raise BaseLocus("point on the first slit")
+    if negligible(v, lambda: norm(B) * norm(x)):
+        raise BaseLocus("point on the second slit")
     return u, v
 
 
@@ -113,7 +112,9 @@ def pinhole_fiber(A, w):
     d01 = wedge(A[0], A[1])
     out = vec(w[0] * dual_line(d12) - w[1] * dual_line(d02)
               + w[2] * dual_line(d01))
-    return _reject_small(out, norm(A) ** 2 * norm(w), "image point has no fiber")
+    if negligible(out, lambda: norm(A) ** 2 * norm(w)):
+        raise BaseLocus("image point has no fiber")
+    return out
 
 
 def twoslit_fiber(pair, u, v):
@@ -135,12 +136,13 @@ def twoslit_fiber(pair, u, v):
     u, v = vec(u), vec(v)
     out = dual_line(wedge(u[1] * A[0] - u[0] * A[1],
                           v[1] * B[0] - v[0] * B[1]))
-    return _reject_small(out, norm(A) * norm(B) * norm(u) * norm(v),
-                         "image point has no fiber")
+    if negligible(out, lambda: norm(A) * norm(B) * norm(u) * norm(v)):
+        raise BaseLocus("image point has no fiber")
+    return out
 
 
-_CANON_A = np.array([[1.0, 0, 0, 0], [0.0, 1, 0, 0]])
-_CANON_B = np.array([[0.0, 0, 1, 0], [0.0, 0, 0, 1]])
+_CANON_A = [[1, 0, 0, 0], [0, 1, 0, 0]]
+_CANON_B = [[0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 def class_beta_project(f, g, h, x, A=None, B=None):
@@ -148,20 +150,25 @@ def class_beta_project(f, g, h, x, A=None, B=None):
     V(x0,x1) and curve (s f : t f : g : h): image in P^1 x P^1 is
     (Ax, (g(Ax) - f(Ax) B_1 x, h(Ax) - f(Ax) B_2 x)).
 
-    A and B default to the coordinate selections ((x0,x1), (x2,x3));
-    custom choices change image coordinates, not the fibers.
+    A and B default to the coordinate selections ((x0,x1), (x2,x3)), in
+    the number type of x; custom choices change image coordinates, not
+    the fibers.
     """
-    A = _CANON_A if A is None else _vec_matrix(A, (2, 4), "A")
-    B = _CANON_B if B is None else _vec_matrix(B, (2, 4), "B")
     f, g, h = vec(f), vec(g), vec(h)
     x = vec(x)
-    u = _reject_small(vec(A @ x), norm(A) * norm(x), "point on the base line")
+    exact = is_exact(x)
+    A = vec(_CANON_A, exact) if A is None else _vec_matrix(A, (2, 4), "A")
+    B = vec(_CANON_B, exact) if B is None else _vec_matrix(B, (2, 4), "B")
+    u = vec(A @ x)
+    if negligible(u, lambda: norm(A) * norm(x)):
+        raise BaseLocus("point on the base line")
     fv = binary_eval(f, u[0], u[1])
     w = B @ x
     v = vec([binary_eval(g, u[0], u[1]) - fv * w[0],
              binary_eval(h, u[0], u[1]) - fv * w[1]])
-    v = _reject_small(v, norm(x) ** len(g) * max(norm(f), norm(g), norm(h)),
-                      "point on the focal curve")
+    if negligible(v, lambda: (norm(x) ** len(g)
+                              * max(norm(f), norm(g), norm(h)))):
+        raise BaseLocus("point on the focal curve")
     return u, v
 
 
@@ -202,7 +209,7 @@ def fundamental_matrix(A, B):
     A = _vec_matrix(A, (3, 4), "first camera")
     B = _vec_matrix(B, (3, 4), "second camera")
     F = _multifocal([A, B]).T
-    if negligible(F, norm(A) ** 2 * norm(B) ** 2):
+    if negligible(F, lambda: norm(A) ** 2 * norm(B) ** 2):
         raise CoincidentCenters("cameras share their center")
     return F
 

@@ -357,7 +357,7 @@ def reference_binary_roots(coeffs):
 # Python's scalar arithmetic: the stacked code must equal them bit for bit
 
 def _reject_focal(v, message, scale):
-    if negligible(v, 1.0 if v.dtype == object else scale(), FOCAL_EPS):
+    if negligible(v, scale, FOCAL_EPS):
         raise FocalPoint(message)
 
 

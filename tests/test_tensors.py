@@ -359,6 +359,23 @@ def test_class_beta_fiber_contains_point_line_and_curve(rng):
         assert on_line(line, curve_point) <= 1e-8
 
 
+def test_class_beta_default_matrices_follow_the_point_type():
+    f, g, h = ([Fraction(c) for c in coeffs]
+               for coeffs in ([1, 2], [1, 0, 1], [0, 1, -3]))
+    x = vec([2, Fraction(1, 3), 5, -7], exact=True)
+    A = vec([[1, 0, 0, 0], [0, 1, 0, 0]], exact=True)
+    B = vec([[0, 0, 1, 0], [0, 0, 0, 1]], exact=True)
+    default, canonical = (class_beta_project(f, g, h, x),
+                          class_beta_project(f, g, h, x, A, B))
+    for got, want in zip(default, canonical):
+        assert [type(c) for c in got] == [Fraction, Fraction]
+        assert got.tolist() == want.tolist()
+    float_default = class_beta_project(*(as_float(vec(c)) for c in (f, g, h)),
+                                       as_float(x))
+    for got in float_default:
+        assert got.dtype == np.float64
+
+
 def test_class_beta_rejects_base_line_points():
     with pytest.raises(BaseLocus):
         class_beta_project([1, 0], [1, 0, 1], [0, 1, 0], [0, 0, 1, 1])
