@@ -583,7 +583,7 @@ class Type3(_Pencil):
         _Pencil.__init__(self, f, g, h)
         if len(f) != len(self.g) - 1:
             raise DegenerateInput("deg f must be deg g - 1")
-        if negligible(f, eps=0.0):      # norm(f) == 0 for floats
+        if not np.any(f):               # norm(f) may underflow to 0
             raise DegenerateInput("f == 0 defines a Type4 camera; "
                                   "use Type4(g, h)")
         self.focal_curve = self.curve()

@@ -384,7 +384,7 @@ def _value(v, newline):
 
 def cmd_project(args) -> int:
     from .cameras import congruence_residual
-    from .concurrency import evaluate_generators, worst_generators
+    from .concurrency import worst_of_stack
     from .plucker import line_residual
     from .scene import load_points, load_scene
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
@@ -432,7 +432,7 @@ def cmd_project(args) -> int:
     # line of the tuple is (as concurrency._tuple_stack decides)
     sizes = ok.sum(axis=1)
     exact_tuple = ~np.any(ok & ~exact, axis=1)
-    items, tops = [np.zeros(0, dtype=np.intp)], []
+    items, tops = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
     sources = (((False, floats), (True, fractions)) if args.exact
                else ((False, floats),))
     for size in sorted(set(sizes[sizes >= 2].tolist())):
@@ -440,21 +440,21 @@ def cmd_project(args) -> int:
             chosen = (sizes == size) & (exact_tuple == is_exact_tuple)
             if not chosen.any():
                 continue
-            reports = evaluate_generators(
-                source[chosen][ok[chosen]].reshape(-1, size, 6))
             items.append(np.flatnonzero(chosen))
-            tops += [format_scalar(top)
-                     for _, top in worst_generators(reports)]
+            tops.append(worst_of_stack(
+                source[chosen][ok[chosen]].reshape(-1, size, 6))[1])
     item = np.concatenate(items)
-    order = np.argsort(item).tolist()
-    checks = _Rows({"item": item[order],
-                    "max_generator_residual": [tops[k] for k in order]})
+    order = np.argsort(item)
+    top = np.concatenate(tops)[order]       # objects if a top is exact
+    if top.dtype == object:
+        top = [format_scalar(t) for t in top.tolist()]
+    checks = _Rows({"item": item[order], "max_generator_residual": top})
     _emit(_report(args, results=rows, tuple_checks=checks), args)
     return 0
 
 
 def cmd_check(args) -> int:
-    from .concurrency import evaluate_generators, worst_generators
+    from .concurrency import worst_of_stack
     from .multiimage import correspond
     from .scene import load_observations, load_scene
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
@@ -471,8 +471,8 @@ def cmd_check(args) -> int:
         if residuals[k][i] > args.tol:
             named[k] = "congruence[%d]" % i, residuals[k][i]
     concurrent = [k for k in rejected if k not in named]
-    reports = evaluate_generators(items[concurrent])
-    named.update(zip(concurrent, worst_generators(reports)))
+    names, tops = worst_of_stack(items[concurrent])
+    named.update(zip(concurrent, zip(names, tops.tolist())))
     found = np.array([x for x in points if x is not None]).reshape(-1, 4)
     violations = [named[k] for k in rejected]
     rows = _Rows({"item": np.flatnonzero(kinds == 0), "accepted": True,

@@ -20,7 +20,9 @@ the certificate that names a rejection.
 evaluates every real one, of floats or of Fractions, in one array pass
 (:func:`_generators`) with the same expressions as the scalar per-triple
 functions, so the values are identical; complex tuples take the scalar
-functions, which are the reference.
+functions, which are the reference.  The certificate of a float stack,
+the largest generator of each tuple, takes the magnitudes of the same
+pass (:func:`worst_of_stack`) and builds no report per tuple.
 
 The multidegree of the concurrency variety with respect to the n line
 factors is also computed here, as an explicit integer polynomial.
@@ -44,9 +46,9 @@ from .plucker import incidence, primal_matrix
 __all__ = [
     "PROBE_POINTS", "quadric_generators", "cubic_generators",
     "trilinear_transversal", "coplanarity_cubics", "evaluate_generators",
-    "GeneratorReport", "worst_generators", "concurrent_by_generators",
-    "find_common_point", "multidegree", "MultidegreePolynomial",
-    "generator_counts",
+    "GeneratorReport", "worst_generators", "worst_of_stack",
+    "concurrent_by_generators", "find_common_point", "multidegree",
+    "MultidegreePolynomial", "generator_counts",
 ]
 
 #: Probe points: the four basis points followed by the six pairwise sums.
@@ -146,7 +148,10 @@ def _index_tables(n: int):
 def _generator_names(n: int):
     """The generator names of n lines, in value order: ``quadric[i][j]``
     for the pairs i <= j, then ``cubic[i][j][k][u]`` for the triples in
-    ``combinations`` order and the probes in :data:`PROBE_POINTS` order."""
+    ``combinations`` order and the probes in :data:`PROBE_POINTS` order.
+    Raises InvalidN for fewer than two lines."""
+    if n < 2:
+        raise InvalidN("need at least two lines, got %d" % n)
     (i, j), triples = _index_tables(n)
     return (tuple("quadric[%d][%d]" % p for p in zip(i.tolist(), j.tolist()))
             + tuple("cubic[%d][%d][%d][%d]" % (*t, u)
@@ -154,28 +159,45 @@ def _generator_names(n: int):
                     for u in range(len(PROBE_POINTS))))
 
 
-def _generators(L):
+def _generators(L, magnitudes=False):
     """Every generator of each tuple of an (M, n, 6) stack of unitized
-    floats or of Fractions, as (M, G) values in name order.
+    floats or of Fractions, as (M, G) values in name order, or with
+    ``magnitudes`` (floats only) their ``np.abs``, bit for bit.
 
     The scalar expressions are reused on arrays: :func:`incidence` for the
     quadrics and :func:`_signed_minors` for the cubics, with the same
     operands in the same order, so every value equals the scalar path's.
     Each entry of ``P @ u`` adds at most two nonzero products (a probe has
     at most two nonzero entries, 1 or 2, so the products are exact), hence
-    one stacked matmul rounds as the per-probe ones do.  The canonical
-    minor is the first largest (as ``max`` takes it) for floats and the
-    first nonzero for Fractions, as :func:`_canonical_minor` picks it.
+    one stacked matmul rounds as the per-probe ones do; its columns are
+    gathered as (row, line, T, M, u), so that the minors read contiguous
+    operands.  The canonical minor is the first largest for floats (so its
+    magnitude is the largest of the four, or NaN, as ``argmax`` picks a
+    NaN) and the first nonzero for Fractions, as :func:`_canonical_minor`
+    picks it.
     """
-    m, n = L.shape[:2]
-    (i, j), triples = _index_tables(n)
+    (i, j), triples = _index_tables(L.shape[1])
     quadrics = incidence(L[:, i], L[:, j])
-    cols = primal_matrix(L) @ _PROBES.T
-    stack = cols[:, triples].transpose(3, 2, 0, 1, 4)  # (row, line, M, T, u)
-    minors = np.array(_signed_minors(stack))           # (4, M, T, u)
-    pick = np.argmax(minors != 0 if is_exact(L) else np.abs(minors), axis=0)
-    cubics = np.take_along_axis(minors, pick[None], 0)[0]
-    return np.concatenate([quadrics, cubics.reshape(m, -1)], axis=1)
+    cols = (primal_matrix(L) @ _PROBES.T).transpose(2, 1, 0, 3)
+    minors = np.array(_signed_minors(np.take(cols, triples.T, axis=1)))
+    if magnitudes:                                  # minors: (4, T, M, u)
+        quadrics, cubics = np.abs(quadrics), np.max(np.abs(minors), axis=0)
+    else:
+        pick = np.argmax(minors != 0 if is_exact(L) else np.abs(minors), 0)
+        cubics = np.take_along_axis(minors, pick[None], 0)[0]
+    return np.concatenate(
+        [quadrics, cubics.transpose(1, 0, 2).reshape(len(L), -1)], axis=1)
+
+
+def _chunks(L):
+    """The slices of an (M, n, 6) stack that :func:`_generators` takes."""
+    m, n = L.shape[:2]
+    # the peak of _generators per tuple (tracemalloc, n = 2..16): pairs,
+    # plane columns, and per triple the gathered columns, the four minors
+    # with their temporaries, their magnitudes and the picked one
+    step = max(1, numeric.SVD_BUDGET // (16 * comb(n + 1, 2) + 40 * n
+                                         + 256 * comb(n, 3)))
+    return (L[k:k + step] for k in range(0, m, step))
 
 
 def _reference_generators(lines):
@@ -242,25 +264,32 @@ def evaluate_generators(lines):
     from its scalar one).
     """
     L, single = _tuple_stack(lines)
-    m, n = L.shape[:2]
-    if n < 2:
-        raise InvalidN("need at least two lines, got %d" % n)
-    names = _generator_names(n)
+    names = _generator_names(L.shape[1])
     L = unitize(L)
     if np.iscomplexobj(L):
         values = [_reference_generators(t) for t in L]
     else:
-        # what _generators holds at its peak, per tuple (measured with
-        # tracemalloc for n = 2..16): the gathered pairs and their
-        # products, the plane columns, and per triple the gathered
-        # columns, the four minors with their temporaries, their absolute
-        # values and the picked one
-        step = max(1, numeric.SVD_BUDGET // (16 * comb(n + 1, 2) + 40 * n
-                                             + 256 * comb(n, 3)))
-        values = [v for k in range(0, m, step)
-                  for v in _generators(L[k:k + step])]
+        values = [v for chunk in _chunks(L) for v in _generators(chunk)]
     reports = [GeneratorReport(names, v) for v in values]
     return reports[0] if single else reports
+
+
+def worst_of_stack(L):
+    """``worst_generators(evaluate_generators(L))`` of an (M, n, 6) stack,
+    bit for bit, as a list of names and an array of |values|: float64 from
+    one pass over the magnitudes of a float stack, with no report; objects
+    for an exact or complex stack."""
+    names = _generator_names(L.shape[1])
+    if is_exact(L) or np.iscomplexobj(L):
+        worst = worst_generators(evaluate_generators(L))
+        worst = np.array(worst, dtype=object).reshape(-1, 2)
+        return worst[:, 0].tolist(), worst[:, 1]
+    r = np.concatenate([np.zeros((0, len(names)))] + [
+        _generators(chunk, magnitudes=True) for chunk in _chunks(unitize(L))])
+    index = np.argmax(r, axis=1)
+    tops = r[np.arange(len(r)), index]
+    return ([names[k] if top else "" for k, top in
+             zip(index.tolist(), tops.tolist())], tops)
 
 
 def concurrent_by_generators(lines, tol: float = DEFAULT_TOL) -> bool:

@@ -263,7 +263,7 @@ def parse_scalar(value, exact: bool = False):
 
 
 def format_scalar(value):
-    """Render a scalar for JSON: rationals as strings, floats at 17 digits."""
+    """Render a scalar for JSON: rationals as strings, floats as floats."""
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else str(value.numerator)
     if isinstance(value, Integral):
@@ -273,7 +273,7 @@ def format_scalar(value):
     ):
         return {"re": format_scalar(float(value.real)),
                 "im": format_scalar(float(value.imag))}
-    return float(format(float(value), ".17g"))
+    return float(value)
 
 
 def parse_vector(values, length: int | None = None, exact: bool = False):

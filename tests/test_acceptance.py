@@ -18,20 +18,20 @@ import pytest
 from conftest import (ELLIPSOID_FOCI, ellipsoid_point, five_baseline_fixture,
                       forward_tuple, lines_through, rand_line,
                       rand_mixed_rig, rand_pinhole, rand_point,
-                      rand_pushbroom, rand_skew_pair, rand_twisted_cubic,
+                      rand_pushbroom, rand_twisted_cubic,
                       rand_twoslit, rational_lines_through)
 from gvcam import cli, concurrency, multiimage
-from gvcam.cameras import (Pinhole, Pushbroom, TwistedCubic, TwoSlit,
-                           congruence_residual, pushbroom_infinity_slit,
-                           reference_type3, reference_type4, secant_system)
+from gvcam.cameras import (TwistedCubic, TwoSlit, congruence_residual,
+                           pushbroom_infinity_slit, reference_type3,
+                           reference_type4, secant_system)
 from gvcam.cameras import PanoramicNC, PanoramicStereo
 from gvcam.catadioptric import (panoramic_fibers, point_line_residual,
                                 reference_ellipsoid, reflect_line,
                                 specular_pair)
 from gvcam.errors import FocalPoint
 from gvcam.numeric import norm, projective_distance, unitize
-from gvcam.plucker import (incidence, line_from_points, meet_point,
-                           plucker_quadric, primal_matrix)
+from gvcam.plucker import (incidence, line_from_points, plucker_quadric,
+                           primal_matrix)
 from gvcam.tensors import (fundamental_matrix, mixed_epipolar_tensor,
                            mixed_residual, quadrifocal_residual,
                            quadrifocal_tensor, sextic_relative)

@@ -16,7 +16,7 @@ from gvcam.cameras import (TWISTED_CUBIC_CURVE, DegenerateCubic, FocalPoint,
                            line_curve_residual,
                            line_meets_curve, point_curve_residual, project,
                            pushbroom_infinity_slit, reference_type3,
-                           reference_type4, secant_quadrics, secant_system,
+                           reference_type4, secant_quadrics,
                            sum_of_two_cubes)
 from gvcam.errors import (DegenerateInput, FocalConfiguration,
                           UnsupportedOrder)
@@ -26,7 +26,7 @@ from gvcam.plucker import (incidence, line_from_points, plucker_quadric,
                            point_line_residual, point_on_line,
                            points_on_line, wedge)
 from conftest import (assert_proj_close, rand_line, rand_point,
-                      rand_pushbroom, rand_rational_point, rand_skew_pair,
+                      rand_pushbroom, rand_rational_point,
                       generator_residual, pencil_residual,
                       rand_twisted_cubic, rand_twoslit, reference_project)
 
@@ -629,6 +629,17 @@ def test_type3_validation():
         Type3(np.zeros(3), g, h)                # f must not vanish
     with pytest.raises(DegenerateInput):
         Type4(g, 2.0 * g)                       # dependent pencil
+
+
+def test_type3_takes_a_tiny_f_and_refuses_an_exact_zero():
+    """f == 0 is tested entry by entry: a float f whose norm underflows
+    (1e-200 squares to 0) is still a Type3 camera."""
+    g, h = [1, 0, 0], [0, 0, 1]
+    for f in ([1e-200, 0], [1e-100, 0], [Fraction(1, 10**400), 0]):
+        assert Type3(f, g, h).kind == "type3"
+    for f in ([0, 0], [0.0, -0.0], [Fraction(0), Fraction(0)]):
+        with pytest.raises(DegenerateInput, match="Type4"):
+            Type3(f, g, h)
 
 
 def test_bidegrees():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (ELLIPSOID_FOCI, assert_proj_close, ellipsoid_point,
-                      rand_line, rand_point)
+                      rand_point)
 from gvcam.cameras import PanoramicNC, PanoramicStereo, Pinhole
 from gvcam.catadioptric import (MirrorSurface, ReflectionMap, direction_cos,
                                 line_surface_points, mirror_pair_residual,
@@ -24,8 +24,7 @@ from gvcam.errors import (DegenerateInput, FocalConfiguration,
                           SingularIntersection, SingularPoint)
 from gvcam.numeric import binary_eval, norm, projective_distance, unitize, vec
 from gvcam.plucker import (dual_line, incidence, line_from_points, meet_point,
-                           plucker_quadric, points_on_line, primal_matrix,
-                           wedge)
+                           plucker_quadric, primal_matrix, wedge)
 
 AXIS = np.array([0., 0, 1, 0, 0, 0])  # the line x1 = x2 = 0
 

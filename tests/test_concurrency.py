@@ -16,7 +16,7 @@ from gvcam.concurrency import (AmbiguousPencil, GeneratorReport, InvalidN,
                                evaluate_generators, find_common_point,
                                generator_counts, multidegree,
                                quadric_generators, trilinear_transversal,
-                               worst_generators)
+                               worst_generators, worst_of_stack)
 from gvcam.numeric import (DEFAULT_TOL, SVD_BUDGET, negligible, norm,
                            unitize, vec)
 from gvcam.plucker import incidence, line_from_points, primal_matrix, wedge
@@ -259,7 +259,6 @@ def test_generator_report_payload_keys():
 def test_camera_projection_tuples_are_concurrent():
     """Lines produced by projecting one point through several cameras
     land on the concurrency variety."""
-    from gvcam.cameras import Pinhole, TwoSlit
     rng = np.random.default_rng(211)
     from conftest import rand_pinhole, rand_twoslit
     for _ in range(20):
@@ -429,6 +428,65 @@ def test_worst_generators_of_a_stack_match_each_report():
                     assert top == want[1] == rep.max_residual
             assert any(t == ("", 0.0) for t in got)
     assert worst_generators([]) == []
+
+
+def _assert_same_worst(L):
+    """worst_of_stack(L) is worst_generators(evaluate_generators(L)), name
+    for name and bit for bit: float64 tops for a float stack, else the
+    same objects."""
+    names, tops = worst_of_stack(L)
+    want = worst_generators(evaluate_generators(L))
+    assert names == [name for name, _ in want]
+    if L.dtype == object:
+        assert tops.dtype == object and len(tops) == len(want)
+        for got, (_, top) in zip(tops.tolist(), want):
+            assert type(got) is type(top) and got == top
+    else:
+        assert tops.dtype == np.float64
+        assert tops.tobytes() == np.array([t for _, t in want]).tobytes()
+    return names, tops
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_worst_of_stack_equals_the_worst_of_each_report(monkeypatch):
+    """The one pass over the magnitudes names each tuple's worst generator
+    as the reports do, whole and in chunks: concurrent, random and
+    coordinate tuples, a NaN line, all-zero and tied tuples, tuples of 3
+    and 4 lines grouped by size as ``gvcam project`` groups them, exact
+    tuples, and empty stacks."""
+    from gvcam import numeric
+    rng = np.random.default_rng(222)
+    axes = [line_from_points(E[3], E[i]) for i in range(3)]
+    tie = [line_from_points(E[0], E[1]), line_from_points(E[2], E[3])]
+    stacks = []
+    for n in range(2, 7):
+        floats = [lines_through(rng, n)[0] for _ in range(3)]
+        floats += [[rand_line(rng) for _ in range(n)] for _ in range(3)]
+        floats += [_coordinate_lines(rng, n), (axes * 2)[:n], (tie * 3)[:n]]
+        floats[1][n // 2] = np.array([np.nan, 1, 0, 0, 0, 0])
+        exact = [rational_lines_through(rng, n)[0] for _ in range(2)]
+        stacks += [np.array(floats), np.array(exact, dtype=object),
+                   np.zeros((0, n, 6)), np.zeros((0, n, 6), dtype=object)]
+    # four cameras, some of which miss a point: one stack per tuple size
+    tuples = [[p for p in lines_through(rng, 4)[0] if rng.random() < 0.8]
+              for _ in range(40)]
+    stacks += [np.array([t for t in tuples if len(t) == size]).reshape(
+        -1, size, 6) for size in (3, 4)]
+    seen = set()
+    for L in stacks:
+        names, tops = _assert_same_worst(L)
+        if not len(L):
+            assert names == [] and tops.shape == (0,)
+        seen.update(("" in names, bool(np.isnan(tops.astype(float)).any())))
+        for budget in (1, 1000):        # 1 tuple a pass; a few at n <= 4
+            with monkeypatch.context() as m:
+                m.setattr(numeric, "SVD_BUDGET", budget)
+                got = _assert_same_worst(L)
+            assert got[0] == names
+            np.testing.assert_array_equal(got[1], tops)
+    assert seen == {True, False}
+    with pytest.raises(InvalidN):
+        worst_of_stack(np.zeros((3, 1, 6)))
 
 
 def test_non_finite_lines_give_nan_generators():

@@ -13,8 +13,7 @@ from gvcam.cameras import (FocalPoint, Pinhole, TwistedCubic, TwoSlit,
                            congruence_residual, reference_type3,
                            reference_type4)
 from gvcam.concurrency import find_common_point
-from gvcam.errors import (AmbiguousPencil, DegenerateConfiguration,
-                          DegenerateInput, InvalidN)
+from gvcam.errors import AmbiguousPencil, DegenerateConfiguration, InvalidN
 from gvcam.multiimage import (CameraRig, FocalOverlapWarning, Transversal,
                               baseline_count, baselines_linear,
                               common_transversals, correspond,
@@ -23,8 +22,7 @@ from gvcam.multiimage import (CameraRig, FocalOverlapWarning, Transversal,
                               triangulate)
 from gvcam.numeric import norm, unitize, vec
 from gvcam.plucker import (incidence, line_from_points, plucker_quadric,
-                           point_line_residual, point_on_line,
-                           points_on_line)
+                           point_line_residual, points_on_line)
 from conftest import (assert_proj_close, five_baseline_fixture,
                       forward_tuple, lines_through, rand_line,
                       rand_mixed_rig, rand_pinhole, rand_point,

@@ -1,11 +1,14 @@
-"""The stacked binary-form root finder against its one-form reference."""
+"""The stacked binary-form root finder against its one-form reference,
+and the rendering of floats for a report."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gvcam.errors import DegenerateInput
-from gvcam.numeric import FORM_EPS, binary_roots
+from gvcam.numeric import FORM_EPS, binary_roots, format_scalar
 from conftest import reference_binary_roots
 
 # no coefficient near the subnormal range, even times FORM_EPS: numpy.roots
@@ -76,3 +79,27 @@ def test_subnormal_form_has_its_roots():
     assert found.all()
     np.testing.assert_array_equal(s, [[2, 0], [1, -1]])
     np.testing.assert_array_equal(t, [[1, 1], [0, 1]])
+
+
+def test_format_scalar_of_a_float_is_the_float():
+    """17 significant digits round-trip every float64, so a float renders
+    as itself: random bit patterns (NaNs among them), subnormals, the
+    signed zeros and infinities, given as float and as np.float64."""
+    rng = np.random.default_rng(22)
+    bits = rng.integers(0, 2 ** 64, size=4000, dtype=np.uint64)
+    subnormal = bits[:500] & np.uint64(0x800FFFFFFFFFFFFF)
+    floats = np.finfo(np.float64)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                         -5e-324, floats.tiny, floats.max, -floats.max])
+    values = np.concatenate([bits.view(np.float64),
+                             subnormal.view(np.float64), specials])
+    assert np.isnan(values).sum() >= 2 and (values == 0).sum() >= 2
+    for x in values:
+        for given in (x, float(x)):
+            got = format_scalar(given)
+            assert type(got) is float
+            if math.isnan(x):
+                assert math.isnan(got)
+            else:
+                assert np.float64(got).tobytes() == x.tobytes()
+                assert got == float(format(x, ".17g"))

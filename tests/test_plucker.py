@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gvcam.errors import DegenerateInput, IllConditioned
+from gvcam.errors import DegenerateInput
 from gvcam.numeric import DEFAULT_TOL, norm, unitize, vec
 from gvcam.plucker import (LINE_COORD_PAIRS, dual_line, dual_matrix,
                            incidence, incidence_residual, join_plane,
