@@ -42,9 +42,11 @@ Every kind is a :class:`_Camera`: it declares ``kind``, ``bidegree`` and
 ``fields`` (its descriptor's keys besides ``"type"``, attributes left out
 of ``payload()`` when None), and sets ``_data`` and ``_scaled``, the
 arrays that ``project`` and ``congruence_residual`` pass on to its
-``_project`` and ``_residuals``.  Its focal locus, which ``multiimage``
-reads, is ``focal_points``, ``focal_lines`` (tuples) and ``focal_curve``
-(a :class:`RationalCurve`, or None).  Type3 and Type4 share ``_Pencil``.
+``_project`` and ``_residuals``.  Its focal locus, where the zero tests of
+``_project`` hold, is stated once, as ``focal_points``, ``focal_lines``
+(tuples) and ``focal_curve`` (a :class:`RationalCurve`, or None), and
+``focal_parts`` and ``focal_residual`` derive from it; the panoramic kinds,
+which state none, give their focal quartic.  Type3 and Type4 share ``_Pencil``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from .errors import (DegenerateInput, FocalPoint, IllConditioned,
 from .numeric import (DEFAULT_TOL, FOCAL_EPS, ZERO_EPS, _scaled_rows, as_float,
                       binary_eval, binary_roots, common_type, compound2,
                       negligible, norm, parse_vector, power,
-                      row_norms, unitize, vec, vector_payload)
+                      projective_distance, row_norms, unitize, vec,
+                      vector_payload)
 from .plucker import (dual_line, incidence, incidence_residual,
                       line_residual, plucker_quadric, point_line_residual,
                       primal_matrix, wedge)
@@ -247,6 +250,21 @@ class _Camera:
     def congruence_residual(self, p):
         return _residuals(self, p, *self._scaled)
 
+    def focal_parts(self, x):
+        """x's residuals to the parts of the focal locus, as three lists: its
+        projective distances to ``focal_points``, point-line residuals to
+        ``focal_lines`` and point-curve residual to ``focal_curve``, if any."""
+        curves = () if self.focal_curve is None else (self.focal_curve,)
+        return ([projective_distance(x, y) for y in self.focal_points],
+                [point_line_residual(x, ln) for ln in self.focal_lines],
+                [point_curve_residual(x, c) for c in curves])
+
+    def focal_residual(self, x) -> float:
+        """The smallest of :meth:`focal_parts`: 0 on the focal locus, where
+        ``project`` raises FocalPoint."""
+        points, lines, curves = self.focal_parts(x)
+        return float(min(points + lines + curves))
+
     def payload(self):
         out = {"type": self.kind}
         for name in self.fields:
@@ -276,11 +294,6 @@ class Pinhole(_Camera):
         lines = wedge(c, X)
         return lines, [("world point coincides with the center", lines,
                         ZERO_EPS, lambda: norm(c) * row_norms(X))]
-
-    def focal_residual(self, x) -> float:
-        # sine of the angle between x and the center
-        return norm(wedge(self.center, x)) / (
-            norm(self.center) * norm(vec(x)))
 
     def _residuals(self, P, center):
         return point_line_residual(center, P)
@@ -316,10 +329,6 @@ class TwoSlit(_Camera):
                           -M[:, 0, 2], M[:, 0, 1]], axis=-1)
         return lines, [("world point lies on a slit", lines, FOCAL_EPS,
                         lambda: norm(s1) * norm(s2) * power(row_norms(X), 2))]
-
-    def focal_residual(self, x) -> float:
-        return (point_line_residual(x, self.slit1)
-                * point_line_residual(x, self.slit2))
 
     def _residuals(self, P, *slits):
         # the larger incidence residual of the two slits, from one call
@@ -409,6 +418,7 @@ class TwistedCubic(_Camera):
     kind = "twisted_cubic"
     bidegree = (1, 3)
     fields = ("homography",)
+    focal_curve = TWISTED_CUBIC_CURVE
 
     def __init__(self, homography=None):
         # float H^-1, compound2(H^-1) and compound2(H), or None without H
@@ -423,18 +433,12 @@ class TwistedCubic(_Camera):
                 raise DegenerateInput("homography must be invertible")
             inverse = np.linalg.inv(Hf)
             consts = (inverse, compound2(inverse), compound2(Hf))
+            # H moves the standard curve's forms (unit vectors) to its rows
+            self.focal_curve = RationalCurve(tuple(map(tuple, Hf.tolist())))
         self.homography = homography
         self._inverse, self._line_inverse, self._line_map = consts
         # with a homography the point goes through its float inverse
         self._data = (self._inverse,)
-        self.focal_curve = self.curve()
-
-    def curve(self) -> RationalCurve:
-        # H moves the standard curve's forms (unit vectors) to its rows
-        if self.homography is None:
-            return TWISTED_CUBIC_CURVE
-        return RationalCurve(tuple(map(tuple,
-                                       as_float(self.homography).tolist())))
 
     def _project(self, X, inverse):
         Xn = X if inverse is None else np.matvec(inverse, X)
@@ -443,10 +447,6 @@ class TwistedCubic(_Camera):
                                                              ell)
         return lines, [("world point lies on the twisted cubic", ell,
                         FOCAL_EPS, lambda: power(row_norms(Xn), 4))]
-
-    def focal_residual(self, x) -> float:
-        xn = x if self.homography is None else self._inverse @ as_float(vec(x))
-        return point_curve_residual(xn, TWISTED_CUBIC_CURVE)
 
     def _residuals(self, P):
         P = as_float(P)
@@ -531,12 +531,7 @@ class _Pencil(_Camera):
         if len(g) != len(h):
             raise DegenerateInput("g and h must have equal degree")
         self.f, self.g, self.h = self._data = self._scaled = (f, g, h)
-        self.base_line = vec([0.0, 0, 0, 0, 0, 1])
-        self.focal_lines = (self.base_line,)
-
-    def focal_residual(self, x) -> float:
-        x = as_float(vec(x))
-        return norm(x[:2]) / norm(x)
+        self.focal_lines = (vec([0.0, 0, 0, 0, 0, 1]),)  # the base line L
 
     def _project(self, X, *data):
         """x is focal on the base line (Y = 0) and, with the kind's
@@ -592,10 +587,6 @@ class Type3(_Pencil):
         f, g, h = self.f, self.g, self.h
         return RationalCurve(
             (tuple(f) + (0,), (0,) + tuple(f), tuple(g), tuple(h)))
-
-    def focal_residual(self, x) -> float:
-        return min(_Pencil.focal_residual(self, x),
-                   point_curve_residual(x, self.focal_curve))
 
 
 class Type4(_Pencil):
@@ -665,6 +656,7 @@ class PanoramicNC(_Camera):
                       axis=-1)
 
     def focal_residual(self, x) -> float:
+        """|(x1^2 + x2^2) x3^2| at unit norm: the focal quartic."""
         x = unitize(as_float(vec(x)))
         return abs((x[1] ** 2 + x[2] ** 2) * x[3] ** 2)
 
@@ -683,6 +675,7 @@ class PanoramicStereo(PanoramicNC):
         return PanoramicNC.generator_values(self, dual_line(p))
 
     def focal_residual(self, x) -> float:
+        """|x0^2 (x0^2 - x1^2 - x2^2)| at unit norm: the focal quartic."""
         x = unitize(as_float(vec(x)))
         return abs(x[0] ** 2 * (x[0] ** 2 - x[1] ** 2 - x[2] ** 2))
 

@@ -22,10 +22,10 @@ from .numeric import (DEFAULT_TOL, as_float, binary_roots,
                       projective_distance, realify, unitize, vec)
 from .plucker import (incidence, incidence_residual, join_plane,
                       line_from_planes, line_from_points, line_residual,
-                      point_line_residual, points_on_line, primal_matrix)
+                      points_on_line, primal_matrix)
 from . import numeric
 from .cameras import (Pinhole, TwoSlit, congruence_residual,
-                      line_curve_residual, point_curve_residual)
+                      line_curve_residual)
 
 __all__ = [
     "CameraRig", "FocalOverlapWarning", "Transversal", "TriangulationResult",
@@ -53,14 +53,12 @@ def _pairwise_focal_warnings(a, b, ia, ib, tol):
     tag = "cameras %d/%d" % (ia, ib)
     crv = b.focal_curve
     for x in a.focal_points:
-        for y in b.focal_points:
-            if projective_distance(x, y) <= tol:
-                out.append("%s: coincident centers" % tag)
-        for ln in b.focal_lines:
-            if point_line_residual(x, ln) <= tol:
-                out.append("%s: center lies on a focal line" % tag)
-        if crv is not None and point_curve_residual(x, crv) <= tol:
-            out.append("%s: center lies on a focal curve" % tag)
+        # b's focal residuals of a's center, part by part
+        for what, residuals in zip(("coincident centers",
+                                    "center lies on a focal line",
+                                    "center lies on a focal curve"),
+                                   b.focal_parts(x)):
+            out += ["%s: %s" % (tag, what) for r in residuals if r <= tol]
     for ln in a.focal_lines:
         for ln2 in b.focal_lines:
             if incidence_residual(ln, ln2) <= tol:

@@ -46,11 +46,19 @@ QUADRIC_FLOOR = 1e-10
 
 
 def load_json(path):
-    if path == "-":
-        import sys
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON value of the file ``path``, or of stdin for "-"; text that
+    is not UTF-8, too deep or has too long an integer is DegenerateInput."""
+    try:
+        if path == "-":
+            import sys
+            return json.load(sys.stdin)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:    # UnicodeDecodeError too
+        raise DegenerateInput("%s is not readable JSON: %s" % (
+            "stdin" if path == "-" else path, exc)) from None
 
 
 def _list(value, what):

@@ -221,19 +221,14 @@ def test_projection_passes_through_the_point_in_the_congruence(coords):
 
 
 def _focal_points(cam, s, t):
-    """Points of the focal locus of a catalog camera, at parameter s, t."""
-    if isinstance(cam, Pinhole):
-        return [cam.center]
-    if isinstance(cam, TwoSlit):
-        return [s * a + t * b for a, b in
-                map(points_on_line, (cam.slit1, cam.slit2))]
-    base = vec([0, 0, s, t])
-    if isinstance(cam, Type3):
-        return [base, cam.curve().point(s, t)]
-    if isinstance(cam, Type4):
-        return [base]
-    curve = TWISTED_CUBIC_CURVE.point(s, t)
-    return [curve if cam.homography is None else cam.homography @ curve]
+    """Points of the focal locus of a catalog camera at parameter (s, t),
+    read from its focal attributes: the focal points, s a + t b on each
+    focal line (a, b from points_on_line) and the focal curve's point."""
+    points = list(cam.focal_points)
+    points += [s * a + t * b for a, b in map(points_on_line, cam.focal_lines)]
+    if cam.focal_curve is not None:
+        points.append(cam.focal_curve.point(s, t))
+    return points
 
 
 def _assert_stack_projects_per_point(cam, stack):
@@ -293,10 +288,10 @@ _EXACT_CATALOG = [
                                          [0, 0, 0, 1]))),
     Type4(vec([1, 0, 0, 0], exact=True), vec([0, 0, 0, 1], exact=True)),
 ]
-# the pinhole's centre, points of the slits, of the pushbroom slit, of
-# the curves and of the base line
-_EXACT_FOCAL = [[1, 2, 3, 4], [2, 1, 0, 0], [0, 0, 3, 1], [2, 1, 4, 0],
-                [1, 2, 4, 8], [1, 3, 4, 12], [0, 0, 1, 2], [3, 3, 1, 8]]
+# points of the exact cameras' focal loci, sampled from their focal
+# attributes at the parameter (1 : 2)
+_EXACT_FOCAL = [list(x) for cam in _EXACT_CATALOG
+                for x in _focal_points(cam, 1, 2)]
 
 
 @settings(derandomize=True, max_examples=15, deadline=None, database=None)
@@ -309,6 +304,34 @@ def test_exact_stacked_projection_equals_per_point(rows):
     stack = vec(rows + _EXACT_FOCAL, exact=True)
     for cam in _EXACT_CATALOG:
         assert _assert_stack_projects_per_point(cam, stack), cam.kind
+
+
+def test_focal_attributes_projection_and_focal_residual_agree():
+    """The three statements of a kind's focal locus agree: each point
+    sampled from its focal attributes raises FocalPoint from ``project``,
+    alone and in a stack, and has focal_residual <= 1e-10, while random
+    points project and have focal_residual > 1e-8.  Exact cameras are
+    sampled at nonzero integer parameters, so that their exact focal data
+    gives exact points."""
+    rng = np.random.default_rng(323)
+    for cams, exact in ((_CATALOG, False), (_EXACT_CATALOG, True)):
+        for cam in cams:
+            for _ in range(50):
+                if exact:
+                    s, t = (int(v) for v in rng.integers(1, 6, 2)
+                            * rng.choice([-1, 1], 2))
+                else:
+                    s, t = rng.standard_normal(2)
+                points = _focal_points(cam, s, t)
+                _, focal = cam.project(vec(points))
+                assert sorted(focal) == list(range(len(points))), cam.kind
+                for x in points:
+                    with pytest.raises(FocalPoint):
+                        cam.project(x)
+                    assert cam.focal_residual(x) <= 1e-10, cam.kind
+                y = rand_point(rng)
+                cam.project(y)                  # must not raise
+                assert cam.focal_residual(y) > 1e-8, cam.kind
 
 
 def test_order_one_uniqueness():

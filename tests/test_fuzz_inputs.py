@@ -215,3 +215,41 @@ def test_whole_number_degree_is_read_as_integer(tmp_path):
         reports.append(out.getvalue())
     assert reports[0] == reports[1]
     assert '"contact"' in reports[0]
+
+
+# text that json.load cannot read: bytes that are not UTF-8, nesting past
+# the recursion limit, an integer past Python's 4,300-digit limit
+UNREADABLE = [b'\xff\xfe{"version": 1}', b"[" * 100000,
+              b"[" + b"1" * 5000 + b"]"]
+
+
+@pytest.mark.parametrize("text", UNREADABLE,
+                         ids=["not-utf8", "deep-nesting", "long-integer"])
+def test_unreadable_json_text_exits_2_naming_the_file(tmp_path, monkeypatch,
+                                                      text):
+    """Every input flag, and stdin, reports unreadable JSON text as
+    DegenerateInput naming its source, in one line, with exit 2."""
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(SCENE))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    runs = [(["project", "--scene", bad], bad),
+            (["project", "--scene", scene, "--points", bad], bad),
+            (["check", "--scene", scene, "--observations", bad], bad),
+            (["triangulate", "--scene", scene, "--observations", bad], bad),
+            (["reflect", "--input", bad], bad),
+            (["invariant", "--tensor", bad], bad),
+            (["invariant", "--tensor", "-"], "stdin")]
+    for argv, source in runs:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text),
+                                                          encoding="utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([str(a) for a in argv])
+        assert code == 2 and out.getvalue() == "", argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        report = json.loads(lines[0])
+        assert report["error"] == "DegenerateInput", argv
+        assert report["message"].startswith(
+            "%s is not readable JSON: " % source), argv

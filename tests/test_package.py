@@ -1,13 +1,18 @@
 """The package layout: ``import gvcam`` loads no module of its own, a
-command loads only the modules it runs, and every public name is imported
-from the module that defines it."""
+command loads only the modules it runs, every public name is imported
+from the module that defines it, and every small literal tolerance is a
+named module constant."""
 
+import ast
 import importlib
+import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -118,3 +123,31 @@ def test_command_loads_only_its_modules(tmp_path, command, arguments,
     assert printed == ["[0, 0]"], (command, printed)
     assert loads <= modules, (command, sorted(modules))
     assert not skips & modules, (command, sorted(modules))
+
+
+def _constant_lines(tree):
+    """The line numbers of the module-level assignments to one upper-case
+    name (``NAME = ...`` or ``_NAME = ...``)."""
+    lines = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", node.targets[0].id)):
+            lines.update(range(node.lineno, node.end_lineno + 1))
+    return lines
+
+
+def test_small_literals_are_module_constants():
+    """No number literal with a negative exponent (``1e-...``) appears in
+    gvcam outside a module-level constant, so that each tolerance has one
+    name and one comment saying what it is relative to."""
+    bare = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        allowed = _constant_lines(ast.parse(text))
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if (tok.type == tokenize.NUMBER and re.search(r"[eE]-", tok.string)
+                    and tok.start[0] not in allowed):
+                bare.append("%s:%d: %s" % (path.name, tok.start[0],
+                                           tok.string))
+    assert not bare, bare
