@@ -18,9 +18,10 @@ a dict per row; the other commands write a few dict rows.
 Exit codes: 0 success; 1 a membership/correspondence check rejected;
 2 usage, parse, or scene errors, and a ``--tol`` or ``GVCAM_TOL`` that is
 NaN, negative or infinite; 3 numerical failure (ill-conditioned or
-ambiguous input); 4 a bug.  Any other exception is a bug: :func:`main`
-lets it escape, and the ``gvcam`` entry point (:func:`run`) prints its
-traceback on stderr and exits 4.
+ambiguous input); 4 a bug; 141 (128 + SIGPIPE) the reader of stdout
+closed it before the whole report was written, with no error line.  Any
+other exception is a bug: :func:`main` lets it escape, and the ``gvcam``
+entry point (:func:`run`) prints its traceback on stderr and exits 4.
 """
 
 from __future__ import annotations
@@ -239,6 +240,7 @@ def _emit(report, args) -> None:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()          # a closed pipe raises here, not at exit
 
 
 def _json_chunks(report):
@@ -250,12 +252,13 @@ def _json_chunks(report):
     _BLOCK_ROWS rows per chunk; each row of a list is written by
     :func:`_value`.  A block of :class:`_Rows` is filled into one ``%``
     template of its sorted keys, in which its constants are written once.
-    The floats and ints of a slice of an array column are written in one
-    pass, ``repr`` of its ``tolist()`` split into values (and the indent of
-    a vector spliced in by one ``str.replace``), as ``json`` writes them; a
-    float that is not JSON (NaN, an infinity) goes to the ``json`` encoder,
-    as do the values of a list column that :func:`_value` cannot write
-    directly, each alone.
+    The floats and ints of a slice of an array column are written as
+    ``json`` writes them, by ``repr`` of each value of a flat ``tolist()``
+    (:func:`_reprs`): the ``ravel()`` of a vector column's slice, joined k
+    to a row, and the distinct values of a float column's slice, each
+    written once.  A float that is not JSON (NaN, an infinity) goes to the
+    ``json`` encoder, as do the values of a list column that
+    :func:`_value` cannot write directly, each alone.
     """
     if not report or not all(type(k) is str for k in report):
         yield _INDENTED.encode(report) + "\n"
@@ -333,27 +336,30 @@ def _block_writer(block):
 
 
 def _numbers(a):
-    """The JSON text of each value of a nonempty 1-d float or int array."""
-    text = repr(a.tolist())
-    return _finite(text[1:-1].split(", "), text, ", ")
+    """The JSON text of each value of a nonempty 1-d float or int array;
+    a float value is written once however often it occurs (told apart by
+    its bits, so 0.0 from -0.0)."""
+    if a.dtype != np.float64:
+        return _reprs(a)
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    return np.array(_reprs(bits.view(np.float64)), object)[inverse].tolist()
 
 
 def _vectors(a):
     """The JSON text of the elements of each row of a nonempty 2-d float
     array, at the indent of an element of a row's value."""
-    text = repr(a.tolist())[2:-2].replace(", ", "," + _ITEM)
-    return _finite(text.split("],%s[" % _ITEM), text, "," + _ITEM)
+    return list(map(("," + _ITEM).join,
+                    zip(*[iter(_reprs(a.ravel()))] * a.shape[1])))
 
 
-def _finite(texts, text, sep):
-    """``texts``, the float reprs of ``text`` joined by ``sep`` in each,
-    with every one that JSON spells otherwise (nan, inf, -inf) written by
-    the ``json`` encoder."""
-    if "n" not in text:
+def _reprs(a):
+    """The JSON text of each value of a 1-d float or int array, its
+    ``repr``; a float that JSON spells otherwise (nan, inf, -inf) is
+    written by the ``json`` encoder."""
+    texts = list(map(repr, a.tolist()))
+    if np.isfinite(a).all():
         return texts
-    return [t if "n" not in t else sep.join([
-        x if "n" not in x else _INDENTED.encode(float(x))
-        for x in t.split(sep)]) for t in texts]
+    return [t if "n" not in t else _INDENTED.encode(float(t)) for t in texts]
 
 
 def _values(values):
@@ -644,6 +650,11 @@ def main(argv=None) -> int:
     except GeometryError as exc:
         _fail(exc)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: no error line, and the flush at exit
+        # goes to devnull (the SIGPIPE note of the Python docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, json.JSONDecodeError) as exc:
         _fail(exc)
         return 2

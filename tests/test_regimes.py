@@ -15,7 +15,8 @@ from gvcam.catadioptric import ReflectionMap
 from gvcam.concurrency import concurrent_by_generators
 from gvcam.errors import GeometryError
 from gvcam.numeric import _scaled_rows, det3, negligible, vec
-from gvcam.plucker import join_plane, line_from_points, meet_point
+from gvcam.plucker import (join_plane, line_from_points, meet_point,
+                           points_on_line)
 from gvcam.tensors import (class_beta_project, fundamental_matrix,
                            pinhole_fiber, pinhole_project, twoslit_fiber,
                            twoslit_project)
@@ -35,6 +36,19 @@ def _scaled(x, c):
 # degenerate verdicts are drawn as well as the generic ones.
 point_pairs = st.tuples(points, points, small, st.booleans()).map(
     lambda t: (t[0], _scaled(t[0], t[2]) if t[3] else t[1]))
+
+
+def _on_focal_line(kind, data, x):
+    """The point x2 a + x3 b of the first focal line of ``kind(*data)``
+    (its base line), with (a, b) from points_on_line, as in
+    ``tests/test_cameras.py::_focal_points``; x itself when the camera
+    cannot be built, whose outcome is then that error whatever x is."""
+    try:
+        line = kind(*data).focal_lines[0]
+    except GeometryError:
+        return x
+    a, b = points_on_line(line)
+    return (x[2] * a + x[3] * b).tolist()
 
 
 def outcome(fn, *args):
@@ -180,7 +194,8 @@ def test_twoslit_and_pushbroom_regimes(a, b, c, d, s, t):
        st.lists(small, min_size=3, max_size=3), points, st.booleans())
 def test_type4_project_regimes(g, h, x, on_base_line):
     if on_base_line:
-        x = [0, 0] + x[2:]
+        x = _on_focal_line(Type4, (g, h), x)
+
     def run(g, h, x):
         Type4(g, h).project(x)
     same_outcome(run, g, h, x)
@@ -233,7 +248,7 @@ def test_twoslit_matrix_regimes(rows, x, u, v, on_slit):
        st.lists(small, min_size=3, max_size=3), points, st.booleans())
 def test_class_beta_project_and_type3_regimes(f, g, h, x, on_base_line):
     if on_base_line:
-        x = [0, 0] + x[2:]
+        x = _on_focal_line(Type3, (f, g, h), x)
 
     def type3(f, g, h, x):
         return Type3(f, g, h).project(x)

@@ -3,12 +3,19 @@ text must be ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``,
 byte for byte, whatever the report holds."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gvcam import cli
+
+SRC = pathlib.Path(cli.__file__).resolve().parents[1]
 
 
 def dumped(report):
@@ -78,9 +85,9 @@ def test_rows_beyond_two_blocks_are_streamed():
     assert max(map(len, chunks)) < len(text) / 2
 
 
-def test_out_file_and_stdout_get_the_same_bytes(capsys, tmp_path):
-    """``--out`` and stdout receive the same text, which re-encodes to
-    itself, for a report of more than two blocks of rows."""
+def _three_camera_scene(tmp_path):
+    """A scene of three cameras and _BLOCK_ROWS points, whose ``project``
+    report has more than two blocks of rows (about 230 KB)."""
     n = cli._BLOCK_ROWS
     points = [[k + 1, (-1) ** k * k / 3, 2, 1] for k in range(n)]
     scene = tmp_path / "scene.json"
@@ -91,7 +98,13 @@ def test_out_file_and_stdout_get_the_same_bytes(capsys, tmp_path):
                                                [0, 0, 0, 0, 0, 1]]},
                 {"type": "twisted_cubic"}],
         "points": points}))
-    argv = ["project", "--scene", str(scene)]
+    return str(scene)
+
+
+def test_out_file_and_stdout_get_the_same_bytes(capsys, tmp_path):
+    """``--out`` and stdout receive the same text, which re-encodes to
+    itself, for a report of more than two blocks of rows."""
+    argv = ["project", "--scene", _three_camera_scene(tmp_path)]
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     target = tmp_path / "report.json"
@@ -101,6 +114,30 @@ def test_out_file_and_stdout_get_the_same_bytes(capsys, tmp_path):
     report = json.loads(out)
     assert len(report["results"]) > 2 * cli._BLOCK_ROWS
     assert dumped(report) == out
+
+
+def test_closed_stdout_exits_141_with_no_error_line(tmp_path):
+    """A reader that closes the pipe after the first line of a report
+    larger than the pipe's buffer ends ``gvcam`` with exit 141 (128 +
+    SIGPIPE) and an empty stderr, not a usage error; an ``--out`` path
+    that cannot be opened is still one (exit 2)."""
+    scene = _three_camera_scene(tmp_path)
+    command = [sys.executable, "-m", "gvcam.cli", "project", "--scene", scene]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open(tmp_path / "err", "wb+") as err:
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=err,
+                                stdin=subprocess.DEVNULL, env=env, bufsize=0)
+        first = proc.stdout.readline()      # unbuffered: one line only
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        err.seek(0)
+        assert err.read() == b""
+    assert first == b"{\n"
+    missing = tmp_path / "no-such-dir" / "report.json"
+    out = subprocess.run(command + ["--out", str(missing)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2 and out.stdout == ""
+    assert json.loads(out.stderr)["error"] == "FileNotFoundError"
 
 
 # --- column blocks ---------------------------------------------------------
@@ -166,3 +203,59 @@ def test_column_blocks_equal_json_dumps_of_their_rows(layouts, n, seed):
     report = {"command": "x", "results": cli._Rows(*blocks, kinds=kinds)}
     assert written(report) == dumped(dict(report, results=rows))
     assert json.dumps(list(report["results"])) == json.dumps(rows)
+
+
+# --- float columns -----------------------------------------------------------
+
+# two NaN payloads besides the default NaN and its negation, so that a float
+# column told apart by its bits holds four NaNs
+NANS = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000002],
+                dtype=np.uint64).view(np.float64).tolist()
+EDGES = [0.0, -0.0, float("nan"), *NANS, INF, -INF, 5e-324, -5e-324,
+         2.2250738585072e-308, -1e-310, 0.1, -0.1, 2.7755575615628914e-17]
+
+
+def _float_columns(n, rng):
+    """Float columns of n rows: the EDGES in a random order, one value
+    throughout (a negative zero and a repeating decimal), n distinct
+    values, and vectors of width 1 and 6 with non-finite entries."""
+    def vectors(k):
+        v = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-20, 20,
+                                                                (n, k))
+        spots = rng.random((n, k)) < 0.2
+        v[spots] = np.array(EDGES)[rng.integers(len(EDGES),
+                                                 size=spots.sum())]
+        return v
+    return {"edges": np.array(EDGES)[rng.integers(len(EDGES), size=n)],
+            "zeros": np.full(n, -0.0), "same": np.full(n, 1 / 3),
+            "distinct": np.arange(n) / 7 + np.pi,
+            "width1": vectors(1), "width6": vectors(6)}
+
+
+@pytest.mark.parametrize("n", [1, 2, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS,
+                               cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 3])
+def test_float_columns_equal_json_dumps(n):
+    """Float columns of every value class, over one to three chunks of
+    rows, are written as ``json.dumps`` writes their rows as dicts; each
+    column writer gives each value's (or row's) ``json.dumps`` text."""
+    block = _float_columns(n, np.random.default_rng(n))
+    block["item"] = np.arange(n)
+    report = {"results": cli._Rows(block)}
+    assert written(report) == dumped({"results": _dict_rows(block, n)})
+    item = "," + cli._ITEM
+    for key, column in block.items():
+        if column.ndim == 1:
+            want = [json.dumps(v) for v in column.tolist()]
+            assert cli._numbers(column) == want, key
+        else:
+            want = [item.join(map(json.dumps, row)) for row in column.tolist()]
+            assert cli._vectors(column) == want, key
+
+
+def test_float_column_keeps_zero_signs_and_nan_payloads_apart():
+    """0.0 and -0.0 are written apart however they interleave, and NaNs of
+    any payload or sign are each written as NaN."""
+    column = np.array([0.0, -0.0, *NANS, -0.0, float("nan"), 0.0, -INF])
+    assert cli._numbers(column) == [
+        "0.0", "-0.0", "NaN", "NaN", "NaN", "-0.0", "NaN", "0.0",
+        "-Infinity"]

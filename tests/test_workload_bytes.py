@@ -4,6 +4,8 @@ The scenes of ``tests/test_report_bytes.py`` hold a few tuples each; the
 workloads of ``BENCHMARK.json`` send 100-tuple stacks through the
 chunked array passes.  Each is generated at seed 1 by ``bench/scenes.py``
 with the item count of ``bench/run.py``, which are only read here.
+``triangulate`` is ``gvcam triangulate`` on the check-narrow scene, whose
+``residual`` is a float column of all-distinct values.
 
 The hashes were recorded with the float path of numpy 2.4 and its bundled
 OpenBLAS on x86-64 (see ``tests/test_report_bytes.py``).
@@ -19,7 +21,7 @@ from gvcam import cli
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
-# workload: (exit code, sha256 of stdout) at seed 1
+# workload (or triangulate): (exit code, sha256 of stdout) at seed 1
 WORKLOADS = {
     "check-narrow": (1, "08c27805bc21a3364a7a938f40d73562"
                         "270ee3918b57ca41863ac22841843b8f"),
@@ -27,6 +29,8 @@ WORKLOADS = {
                           "9c256cdc28b8ebcb44ba8f99da69b216"),
     "reflect-mirror": (0, "38c742ecced2e243c43ec0bbe955d9bf"
                           "840cd776f1005e139181eea3e0678ddd"),
+    "triangulate": (0, "fe1701bb58c9940fefe86a6d5edddec5"
+                       "638be8f774afa59a427549821faac577"),
 }
 
 
@@ -37,8 +41,11 @@ def test_workload_report_bytes_are_pinned(name, capsys, tmp_path,
     monkeypatch.syspath_prepend(str(BENCH))     # scenes imports geom
     scenes = runpy.run_path(str(BENCH / "scenes.py"))
     items = runpy.run_path(str(BENCH / "run.py"))["ITEMS"]
-    argv, _ = scenes["WORKLOADS"][name].generate(items[name], 1,
-                                                 str(tmp_path))
+    workload = "check-narrow" if name == "triangulate" else name
+    argv, _ = scenes["WORKLOADS"][workload].generate(items[workload], 1,
+                                                     str(tmp_path))
+    if name == "triangulate":
+        argv[0] = "triangulate"
     code, digest = WORKLOADS[name]
     assert cli.main(argv) == code
     out = capsys.readouterr().out
