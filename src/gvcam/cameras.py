@@ -581,12 +581,8 @@ class Type3(_Pencil):
         if not np.any(f):               # norm(f) may underflow to 0
             raise DegenerateInput("f == 0 defines a Type4 camera; "
                                   "use Type4(g, h)")
-        self.focal_curve = self.curve()
-
-    def curve(self) -> RationalCurve:
-        f, g, h = self.f, self.g, self.h
-        return RationalCurve(
-            (tuple(f) + (0,), (0,) + tuple(f), tuple(g), tuple(h)))
+        self.focal_curve = RationalCurve(
+            (tuple(f) + (0,), (0,) + tuple(f), tuple(self.g), tuple(self.h)))
 
 
 class Type4(_Pencil):

@@ -20,9 +20,10 @@ the certificate that names a rejection.
 evaluates every real one, of floats or of Fractions, in one array pass
 (:func:`_generators`) with the same expressions as the scalar per-triple
 functions, so the values are identical; complex tuples take the scalar
-functions, which are the reference.  The certificate of a float stack,
-the largest generator of each tuple, takes the magnitudes of the same
-pass (:func:`worst_of_stack`) and builds no report per tuple.
+functions, which are the reference.  The certificate of a stack, the
+largest generator of each tuple, is :func:`worst_of_stack`: it takes the
+magnitudes of the same pass (of the scalar values for complex tuples)
+and builds no report.
 
 The multidegree of the concurrency variety with respect to the n line
 factors is also computed here, as an explicit integer polynomial.
@@ -39,14 +40,14 @@ import numpy as np
 
 from .errors import AmbiguousPencil, InvalidN
 from . import numeric
-from .numeric import (DEFAULT_TOL, as_float, format_scalar, is_exact,
+from .numeric import (DEFAULT_TOL, as_float, exact_nullspace, is_exact,
                       negligible, row_norms, unitize, vec)
-from .plucker import incidence, primal_matrix
+from .plucker import dual_line, incidence, primal_matrix
 
 __all__ = [
     "PROBE_POINTS", "quadric_generators", "cubic_generators",
     "trilinear_transversal", "coplanarity_cubics", "evaluate_generators",
-    "GeneratorReport", "worst_generators", "worst_of_stack",
+    "GeneratorReport", "worst_of_stack",
     "concurrent_by_generators", "find_common_point", "multidegree",
     "MultidegreePolynomial", "generator_counts",
 ]
@@ -125,7 +126,6 @@ def cubic_generators(p, q, r):
 def coplanarity_cubics(p, q, r):
     """Dual construction: minors of the stacked meet points (P*u | Q*u | R*u);
     these vanish iff the triple lies in a common plane."""
-    from .plucker import dual_line
     return cubic_generators(dual_line(vec(p)), dual_line(vec(q)),
                             dual_line(vec(r)))
 
@@ -208,47 +208,10 @@ def _reference_generators(lines):
     return np.array([*quadric_generators(lines).values(), *cubics])
 
 
-class GeneratorReport(namedtuple("GeneratorReport", "names values")):
-    """The generator values of one n-tuple, in the order of ``names``
-    (see :func:`_generator_names`).  Float inputs are unit-normalized, so
-    the values double as residuals."""
-
-    def worst(self):
-        """(name, |value|) of the first largest value (or NaN); ("", 0.0)
-        when every value is zero (see :func:`worst_generators`)."""
-        return worst_generators([self])[0]
-
-    @property
-    def max_residual(self) -> float:
-        return self.worst()[1]
-
-    def payload(self):
-        return dict(zip(self.names, map(format_scalar, self.values.tolist())))
-
-
-def worst_generators(reports):
-    """:meth:`GeneratorReport.worst` of each of a list of reports of
-    tuples of one size, from one pass over their stacked values:
-    (name, |value|) of the first largest value (or NaN), or ("", 0.0) when
-    every value is zero.  Fractions are compared exactly, and the largest
-    is rounded to a float if it is a normal one, else kept exact.
-    On complex values ``hypot`` rounds as the scalar ``abs(complex(v))``
-    does, and ``np.abs`` may not; on real ones both are exact, and
-    ``np.abs`` works in place on the stacked copy."""
-    if not reports:
-        return []
-    values = np.stack([rep.values for rep in reports])
-    exact = is_exact(values)
-    r = (np.hypot(values.real, values.imag) if np.iscomplexobj(values)
-         else np.abs(values, out=values))
-    index = np.argmax(r, axis=1).tolist()
-    names = reports[0].names
-    worst = []
-    for k, top in zip(index, r[np.arange(len(r)), index].tolist()):
-        if exact and _FLOATS.tiny <= top <= _FLOATS.max:
-            top = float(top)
-        worst.append(("", 0.0) if top == 0 else (names[k], top))
-    return worst
+#: The generator values of one n-tuple, in the order of ``names`` (see
+#: :func:`_generator_names`).  Float inputs are unit-normalized, so the
+#: values double as residuals.
+GeneratorReport = namedtuple("GeneratorReport", "names values")
 
 
 def evaluate_generators(lines):
@@ -275,21 +238,41 @@ def evaluate_generators(lines):
 
 
 def worst_of_stack(L):
-    """``worst_generators(evaluate_generators(L))`` of an (M, n, 6) stack,
-    bit for bit, as a list of names and an array of |values|: float64 from
-    one pass over the magnitudes of a float stack, with no report; objects
-    for an exact or complex stack."""
+    """The worst generator of each tuple of an (M, n, 6) stack, as a list
+    of names and an array of |values|: the name and |value| of the first
+    largest value (or NaN), or "" and 0.0 when every value is zero.
+
+    A float stack takes the magnitudes of one :func:`_generators` pass; a
+    stack of Fractions takes ``np.abs`` of its values, compared exactly,
+    and a largest one that is zero or a normal float is rounded to a
+    float, any other is kept exact (the array holds objects); a complex
+    stack takes the scalar functions, and ``hypot`` rounds as the scalar
+    ``abs(complex(v))`` does, where ``np.abs`` may not.
+    """
     names = _generator_names(L.shape[1])
-    if is_exact(L) or np.iscomplexobj(L):
-        worst = worst_generators(evaluate_generators(L))
-        worst = np.array(worst, dtype=object).reshape(-1, 2)
-        return worst[:, 0].tolist(), worst[:, 1]
-    r = np.concatenate([np.zeros((0, len(names)))] + [
-        _generators(chunk, magnitudes=True) for chunk in _chunks(unitize(L))])
+    exact = is_exact(L)
+    r = np.concatenate(
+        [np.zeros((0, len(names)), dtype=object if exact else float)]
+        + [_magnitudes(chunk, exact) for chunk in _chunks(unitize(L))])
     index = np.argmax(r, axis=1)
     tops = r[np.arange(len(r)), index]
-    return ([names[k] if top else "" for k, top in
-             zip(index.tolist(), tops.tolist())], tops)
+    names = [names[k] if top else "" for k, top in
+             zip(index.tolist(), tops.tolist())]
+    if exact:
+        tops = np.array([float(t) if t == 0 or _FLOATS.tiny <= t <= _FLOATS.max
+                         else t for t in tops.tolist()], dtype=object)
+    return names, tops
+
+
+def _magnitudes(chunk, exact):
+    """The (m, G) |values| of the generators of a chunk of tuples, in name
+    order: float64, Fractions when ``exact``."""
+    if exact:
+        return np.abs(_generators(chunk))
+    if np.iscomplexobj(chunk):
+        values = np.array([_reference_generators(t) for t in chunk])
+        return np.hypot(values.real, values.imag)
+    return _generators(chunk, magnitudes=True)
 
 
 def concurrent_by_generators(lines, tol: float = DEFAULT_TOL) -> bool:
@@ -375,7 +358,6 @@ def _svd_chunks(L, tol, message):
 
 
 def _find_common_point_exact(lines):
-    from .numeric import exact_nullspace
     stack = np.vstack([primal_matrix(l) for l in lines])
     basis = exact_nullspace(stack)
     if len(basis) >= 2:

@@ -72,7 +72,8 @@ def test_criterion_01_generator_vanishing_on_concurrent_tuples():
             kinds = [name.split("[")[0] for name in rep.names]
             assert kinds.count("quadric") == comb(n + 1, 2)
             assert kinds.count("cubic") == 10 * comb(n, 3)
-            worst = max(worst, rep.max_residual)
+            worst = max(worst, concurrency.worst_of_stack(
+                np.array([lines]))[1][0])
     assert worst <= 1e-9
     for n in (2, 3, 4, 5):
         for _ in range(3):

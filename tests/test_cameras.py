@@ -642,7 +642,7 @@ def test_type3_focal_points():
     with pytest.raises(FocalPoint):
         cam.project(np.array([0.0, 0.0, 1.0, 2.0]))     # on the base line
     with pytest.raises(FocalPoint):
-        cam.project(cam.curve().point(1.0, 0.75))
+        cam.project(cam.focal_curve.point(1.0, 0.75))
 
 
 def test_type3_validation():

@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gvcam.concurrency import (AmbiguousPencil, GeneratorReport, InvalidN,
-                               PROBE_POINTS, _generators,
-                               concurrent_by_generators,
+from gvcam.concurrency import (AmbiguousPencil, InvalidN, PROBE_POINTS,
+                               _generators, concurrent_by_generators,
                                coplanarity_cubics, cubic_generators,
                                evaluate_generators, find_common_point,
                                generator_counts, multidegree,
                                quadric_generators, trilinear_transversal,
-                               worst_generators, worst_of_stack)
+                               worst_of_stack)
 from gvcam.numeric import (DEFAULT_TOL, SVD_BUDGET, negligible, norm,
                            unitize, vec)
 from gvcam.plucker import incidence, line_from_points, primal_matrix, wedge
@@ -33,6 +32,11 @@ def _values(rep, kind):
     """The values of a report whose names start with ``kind``."""
     return [v for name, v in zip(rep.names, rep.values)
             if name.startswith(kind)]
+
+
+def _max_residual(lines):
+    """The |value| of the worst generator of one tuple of lines."""
+    return worst_of_stack(np.array([lines]))[1][0]
 
 
 def test_probe_points_are_basis_and_pairwise_sums():
@@ -53,7 +57,7 @@ def test_soundness_float():
             rep = evaluate_generators(lines)
             assert len(_values(rep, "quadric")) == comb(n + 1, 2)
             assert len(_values(rep, "cubic")) == 10 * comb(n, 3)
-            assert rep.max_residual <= 1e-9
+            assert _max_residual(lines) <= 1e-9
 
 
 def test_soundness_exact():
@@ -76,7 +80,7 @@ def test_discrimination_1000_trials():
         for p in lines:
             d = rng.standard_normal(6)
             bumped.append(unitize(p) + (2e-3 / norm(d)) * d)
-        if evaluate_generators(bumped).max_residual < 1e-5:
+        if _max_residual(bumped) < 1e-5:
             failures += 1
     assert failures == 0
 
@@ -111,8 +115,7 @@ def test_triangle_separates_quadrics_from_cubics():
 
     rng = np.random.default_rng(205)
     (p, q, r), _ = lines_through(rng, 3)
-    conc = evaluate_generators([p, q, r])
-    assert conc.max_residual <= 1e-12
+    assert _max_residual([p, q, r]) <= 1e-12
     cop2 = coplanarity_cubics(unitize(p), unitize(q), unitize(r))
     assert any(abs(complex(v)) > 1e-6 for v in cop2.values())
 
@@ -251,7 +254,8 @@ def test_generator_counts_reference_values():
 
 def test_generator_report_payload_keys():
     lines, _ = lines_through(np.random.default_rng(210), 3)
-    payload = evaluate_generators(lines).payload()
+    rep = evaluate_generators(lines)
+    payload = dict(zip(rep.names, rep.values))
     assert "quadric[0][0]" in payload and "quadric[0][1]" in payload
     assert any(k.startswith("cubic[0][1][2][") for k in payload)
 
@@ -266,7 +270,7 @@ def test_camera_projection_tuples_are_concurrent():
                 rand_pinhole(rng), rand_twoslit(rng)]
         x = rand_point(rng)
         lines = [cam.project(x) for cam in cams]
-        assert evaluate_generators(lines).max_residual <= 1e-9
+        assert _max_residual(lines) <= 1e-9
 
 
 # --- stacked float path against the scalar reference ------------------------
@@ -299,7 +303,7 @@ def test_generator_names_are_the_payload_keys():
                       rational_lines_through(rng, n)[0]):
             rep = evaluate_generators(lines)
             assert rep.names == _payload_keys(n)
-            assert tuple(rep.payload()) == _payload_keys(n)
+            assert tuple(dict(zip(rep.names, rep.values))) == _payload_keys(n)
 
 
 def _same_values(a, b):
@@ -339,51 +343,11 @@ def test_stacked_reports_equal_single_tuple_calls(monkeypatch):
                     assert _same_values(got.values, want.values)
 
 
-def test_worst_generator_is_the_first_strict_maximum():
-    """``worst`` names the first strict maximum of ``abs(complex(v))`` in
-    name order, as one scalar loop does; all zeros name nothing."""
-    rng = np.random.default_rng(217)
-    for n in (2, 3, 4):
-        tie = [line_from_points(E[0], E[1]), line_from_points(E[2], E[3])]
-        for lines in (lines_through(rng, n)[0],
-                      [rand_line(rng) for _ in range(n)],
-                      rational_lines_through(rng, n)[0],
-                      tie + [line_from_points(E[0], E[2])] * (n - 2),
-                      [line_from_points(rand_point(rng)
-                                        + 1j * rand_point(rng),
-                                        rand_point(rng))
-                       for _ in range(n)]):
-            rep = evaluate_generators(lines)
-            best = ("", 0.0)
-            for name, v in zip(rep.names, rep.values):
-                if abs(complex(v)) > best[1]:
-                    best = name, abs(complex(v))
-            assert rep.worst() == best
-            assert rep.max_residual == best[1]
-
-
-def test_worst_exact_generator_is_compared_exactly():
-    """Fractions are compared exactly, and only the largest is rounded: a
-    value that rounds like an earlier one still wins, and a value beyond
-    the float range (or below its normal range) stays exact."""
-    names = ("a", "b", "c")
-    third = Fraction(1, 3)
-    cases = [((third, third + Fraction(1, 10 ** 40), -third),
-              ("b", float(third))),
-             ((Fraction(0), -Fraction(10 ** 400), Fraction(10 ** 399)),
-              ("b", Fraction(10 ** 400))),
-             ((Fraction(1, 10 ** 400), Fraction(0), Fraction(0)),
-              ("a", Fraction(1, 10 ** 400))),
-             ((Fraction(0),) * 3, ("", 0.0))]
-    for values, want in cases:
-        got = GeneratorReport(names, np.array(values, dtype=object)).worst()
-        assert got == want and type(got[1]) is type(want[1])
-
-
 def _scalar_worst(rep):
-    """``worst`` by one scalar loop: the first NaN, else the first strict
-    maximum of ``abs``, Fractions compared exactly and rounded to a float
-    only in the normal range."""
+    """The worst generator of a report by one scalar loop: the first NaN,
+    else the first strict maximum of ``abs`` (of ``abs(complex(v))`` for a
+    float or complex value), Fractions compared exactly and rounded to a
+    float only in the normal range; ("", 0.0) when every value is zero."""
     best = ("", 0.0)
     for name, v in zip(rep.names, rep.values.tolist()):
         a = abs(v) if isinstance(v, Fraction) else abs(complex(v))
@@ -397,11 +361,78 @@ def _scalar_worst(rep):
     return best
 
 
-def test_worst_generators_of_a_stack_match_each_report():
-    """One pass over a stack of reports names each tuple's worst
-    generator as the scalar loop and each report's ``worst`` do, on float
-    stacks (with NaN rows and all-zero rows) and on Fraction stacks (with
-    all-zero rows and values beyond the float range)."""
+def _assert_same_worst(L, monkeypatch):
+    """worst_of_stack(L), whole and in chunks, names each tuple's worst
+    generator as the scalar loop over its report does, name for name and
+    value for value: float64 tops for a float or complex stack, the same
+    objects for a stack of Fractions."""
+    from gvcam import numeric
+    want = [_scalar_worst(rep) for rep in evaluate_generators(L)]
+    names, tops = worst_of_stack(L)
+    for budget in (1, 1000):            # 1 tuple a pass; a few at n <= 4
+        with monkeypatch.context() as m:
+            m.setattr(numeric, "SVD_BUDGET", budget)
+            got = worst_of_stack(L)
+        assert got[0] == names and got[1].dtype == tops.dtype
+        np.testing.assert_array_equal(got[1], tops)
+    assert names == [name for name, _ in want]
+    if L.dtype == object:
+        assert tops.dtype == object and len(tops) == len(want)
+        for got, (_, top) in zip(tops.tolist(), want):
+            assert type(got) is type(top) and got == top
+    else:
+        assert tops.dtype == np.float64
+        np.testing.assert_array_equal(tops, np.array([t for _, t in want]))
+    return names, tops
+
+
+def _complex_lines(rng, n):
+    """n lines joining a complex point to a real one."""
+    return [line_from_points(rand_point(rng) + 1j * rand_point(rng),
+                             rand_point(rng)) for _ in range(n)]
+
+
+def test_worst_generator_is_the_first_strict_maximum(monkeypatch):
+    """``worst_of_stack`` names the first strict maximum of the |values| in
+    name order, as one scalar loop does; all zeros name nothing."""
+    rng = np.random.default_rng(217)
+    for n in (2, 3, 4):
+        tie = [line_from_points(E[0], E[1]), line_from_points(E[2], E[3])]
+        for lines in (lines_through(rng, n)[0],
+                      [rand_line(rng) for _ in range(n)],
+                      rational_lines_through(rng, n)[0],
+                      tie + [line_from_points(E[0], E[2])] * (n - 2),
+                      _complex_lines(rng, n)):
+            _assert_same_worst(np.array([lines]), monkeypatch)
+
+
+def test_worst_exact_generator_is_compared_exactly():
+    """Fractions are compared exactly, and only the largest is rounded: a
+    value that rounds like an earlier one still wins, a value beyond the
+    float range (or below its normal range) stays exact, and zero is the
+    float 0.0."""
+    def lines(*rows):
+        return np.array([[vec([Fraction(c) for c in row]) for row in rows]],
+                        dtype=object)
+    third = Fraction(1, 3)
+    x, y = third, third + Fraction(1, 10 ** 40)     # 4x and 4y round alike
+    skew = lines([1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 1])
+    cases = [(lines([x, 0, 0, 0, 0, 1], [y, 0, 0, 0, 0, 1]),
+              ("quadric[1][1]", float(4 * y))),
+             (skew * 10 ** 400, ("quadric[0][1]", Fraction(2 * 10 ** 800))),
+             (skew / 10 ** 400, ("quadric[0][1]", Fraction(2, 10 ** 800))),
+             (lines([1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]), ("", 0.0))]
+    for L, want in cases:
+        names, tops = worst_of_stack(L)
+        got = names[0], tops[0]
+        assert got == want and type(got[1]) is type(want[1])
+
+
+def test_worst_generators_of_a_stack_match_each_report(monkeypatch):
+    """One pass over a stack names each tuple's worst generator as the
+    scalar loop over its report does, on float stacks (with NaN rows and
+    all-zero rows), on Fraction stacks (with all-zero rows and values
+    beyond the float range) and on complex stacks (with all-zero rows)."""
     rng = np.random.default_rng(219)
     axes = [line_from_points(E[3], E[i]) for i in range(3)]
     for n in (3, 4):
@@ -415,46 +446,20 @@ def test_worst_generators_of_a_stack_match_each_report():
         exact += [[vec([Fraction(int(c), 7) for c in rand_line(rng) * 9])
                    for _ in range(n)] for _ in range(2)]
         exact.append([line * 10 ** 400 for line in exact[-1]])
-        for tuples in (floats, exact):
-            reports = evaluate_generators(np.array(tuples))
-            got = worst_generators(reports)
-            for rep, (name, top) in zip(reports, got):
-                want = _scalar_worst(rep)
-                assert name == want[0] == rep.worst()[0]
-                assert type(top) is type(want[1])
-                if top != top:
-                    assert np.isnan(want[1]) and np.isnan(rep.max_residual)
-                else:
-                    assert top == want[1] == rep.max_residual
-            assert any(t == ("", 0.0) for t in got)
-    assert worst_generators([]) == []
-
-
-def _assert_same_worst(L):
-    """worst_of_stack(L) is worst_generators(evaluate_generators(L)), name
-    for name and bit for bit: float64 tops for a float stack, else the
-    same objects."""
-    names, tops = worst_of_stack(L)
-    want = worst_generators(evaluate_generators(L))
-    assert names == [name for name, _ in want]
-    if L.dtype == object:
-        assert tops.dtype == object and len(tops) == len(want)
-        for got, (_, top) in zip(tops.tolist(), want):
-            assert type(got) is type(top) and got == top
-    else:
-        assert tops.dtype == np.float64
-        assert tops.tobytes() == np.array([t for _, t in want]).tobytes()
-    return names, tops
+        complex_ = [_complex_lines(rng, n) for _ in range(3)]
+        complex_.append([line.astype(complex) for line in (axes * 2)[:n]])
+        for tuples in (floats, exact, complex_):
+            names, _ = _assert_same_worst(np.array(tuples), monkeypatch)
+            assert "" in names
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_worst_of_stack_equals_the_worst_of_each_report(monkeypatch):
     """The one pass over the magnitudes names each tuple's worst generator
-    as the reports do, whole and in chunks: concurrent, random and
-    coordinate tuples, a NaN line, all-zero and tied tuples, tuples of 3
-    and 4 lines grouped by size as ``gvcam project`` groups them, exact
-    tuples, and empty stacks."""
-    from gvcam import numeric
+    as the scalar loop over the reports does, whole and in chunks:
+    concurrent, random and coordinate tuples, a NaN line, all-zero and tied
+    tuples, tuples of 3 and 4 lines grouped by size as ``gvcam project``
+    groups them, exact and complex tuples, and empty stacks."""
     rng = np.random.default_rng(222)
     axes = [line_from_points(E[3], E[i]) for i in range(3)]
     tie = [line_from_points(E[0], E[1]), line_from_points(E[2], E[3])]
@@ -466,7 +471,10 @@ def test_worst_of_stack_equals_the_worst_of_each_report(monkeypatch):
         floats[1][n // 2] = np.array([np.nan, 1, 0, 0, 0, 0])
         exact = [rational_lines_through(rng, n)[0] for _ in range(2)]
         stacks += [np.array(floats), np.array(exact, dtype=object),
-                   np.zeros((0, n, 6)), np.zeros((0, n, 6), dtype=object)]
+                   np.array([_complex_lines(rng, n), (tie * 3)[:n]],
+                            dtype=complex),
+                   np.zeros((0, n, 6)), np.zeros((0, n, 6), dtype=object),
+                   np.zeros((0, n, 6), dtype=complex)]
     # four cameras, some of which miss a point: one stack per tuple size
     tuples = [[p for p in lines_through(rng, 4)[0] if rng.random() < 0.8]
               for _ in range(40)]
@@ -474,16 +482,10 @@ def test_worst_of_stack_equals_the_worst_of_each_report(monkeypatch):
         -1, size, 6) for size in (3, 4)]
     seen = set()
     for L in stacks:
-        names, tops = _assert_same_worst(L)
+        names, tops = _assert_same_worst(L, monkeypatch)
         if not len(L):
             assert names == [] and tops.shape == (0,)
         seen.update(("" in names, bool(np.isnan(tops.astype(float)).any())))
-        for budget in (1, 1000):        # 1 tuple a pass; a few at n <= 4
-            with monkeypatch.context() as m:
-                m.setattr(numeric, "SVD_BUDGET", budget)
-                got = _assert_same_worst(L)
-            assert got[0] == names
-            np.testing.assert_array_equal(got[1], tops)
     assert seen == {True, False}
     with pytest.raises(InvalidN):
         worst_of_stack(np.zeros((3, 1, 6)))
@@ -497,7 +499,7 @@ def test_non_finite_lines_give_nan_generators():
         kind, *index = name.replace("]", "").split("[")
         lines_of = index[:3] if kind == "cubic" else index
         assert np.isnan(v) == ("2" in lines_of), name
-    assert np.isnan(rep.max_residual)
+    assert np.isnan(_max_residual(lines))
 
 
 def _scalar_generators(lines):
