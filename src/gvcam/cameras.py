@@ -41,12 +41,14 @@ from ``project``.
 Every kind is a :class:`_Camera`: it declares ``kind``, ``bidegree`` and
 ``fields`` (its descriptor's keys besides ``"type"``, attributes left out
 of ``payload()`` when None), and sets ``_data`` and ``_scaled``, the
-arrays that ``project`` and ``congruence_residual`` pass on to its
-``_project`` and ``_residuals``.  Its focal locus, where the zero tests of
-``_project`` hold, is stated once, as ``focal_points``, ``focal_lines``
-(tuples) and ``focal_curve`` (a :class:`RationalCurve`, or None), and
-``focal_parts`` and ``focal_residual`` derive from it; the panoramic kinds,
-which state none, give their focal quartic.  Type3 and Type4 share ``_Pencil``.
+arrays (or None for no array) that ``project`` and ``congruence_residual``
+pass on to its ``_project`` and ``_residuals``, after the stack (as a
+C-contiguous 2-d array) and all in one number type.  Its focal locus,
+where the zero tests of ``_project`` hold, is stated once, as
+``focal_points``, ``focal_lines`` (tuples) and ``focal_curve`` (a
+:class:`RationalCurve`, or None), and ``focal_parts``, ``line_parts`` and
+``focal_residual`` derive from it; the panoramic kinds, which state none,
+give their focal quartic.  Type3 and Type4 share ``_Pencil``.
 """
 
 from __future__ import annotations
@@ -151,8 +153,7 @@ def point_curve_residual(x, curve: RationalCurve) -> float:
     forms x_i X_j(s,t) - x_j X_i(s,t) share a root iff x is on it."""
     x = unitize(as_float(vec(x)))
     X = as_float(vec(curve.coords))
-    i, j = np.triu_indices(4, 1)
-    return _forms_residual(x[i, None] * X[j] - x[j, None] * X[i], curve)
+    return _forms_residual(wedge(x, X.T).T, curve)
 
 
 # --------------------------------------------------------------------------
@@ -180,50 +181,6 @@ PROPORTIONAL_FLOOR = 1e-300
 PENCIL_EPS = 1e-14
 
 
-def _residuals(cam, p, *data):
-    """Congruence residual of one line, or of each row of an (N, 6) stack:
-    ``cam._residuals`` of the stack as a C-contiguous 2-d array and of the
-    camera's ``data`` (arrays, or None for no array), all in one number
-    type (:func:`numeric.common_type`), each exact row first divided
-    exactly by its largest coordinate."""
-    P = _scaled_rows(vec(p))
-    r = cam._residuals(*common_type(np.ascontiguousarray(np.atleast_2d(P)),
-                                    *data))
-    return r if P.ndim == 2 else float(r[0])
-
-
-def _projections(cam, x, *data):
-    """``cam``'s line of one point, or ``(lines, focal)`` for an (N, 4)
-    stack (see the module docstring).
-
-    ``cam._project`` takes the stack and ``data`` as ``cam._residuals``
-    does (see :func:`_residuals`), and returns the lines and its focal
-    tests, in order of priority: (message, v, eps, scale) for the rows
-    where the stack ``v`` is zero (:func:`numeric.negligible` of each row,
-    which calls ``scale`` only for floats).  A float point whose line has
-    no finite norm, or whose scale in a test is not finite, is too large
-    for the float range: DegenerateInput names it, and it is not a focal
-    point.
-    """
-    X = vec(x)
-    args = common_type(np.ascontiguousarray(np.atleast_2d(X)), *data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lines, tests = cam._project(*args)
-        hits = [(message, negligible(
-                    v, lambda: _in_float_range(scale(), lines), eps, axis=-1))
-                for message, v, eps, scale in tests]
-    focal = {}
-    for message, hit in reversed(hits):
-        focal.update(dict.fromkeys(np.flatnonzero(hit).tolist(), message))
-        lines[hit] = 0
-    focal = dict(sorted(focal.items()))
-    if X.ndim == 2:
-        return lines, focal
-    if focal:
-        raise FocalPoint(focal[0])
-    return lines[0]
-
-
 def _in_float_range(scale, lines):
     """``scale`` (one per row), once it and the norm of every row of
     ``lines`` are finite; else DegenerateInput naming the first point
@@ -245,10 +202,42 @@ class _Camera:
     _data = _scaled = ()
 
     def project(self, x):
-        return _projections(self, x, *self._data)
+        """The line of one point, or ``(lines, focal)`` for an (N, 4) stack.
+
+        ``_project`` returns the lines and its focal tests, in order of
+        priority: (message, v, eps, scale) for the rows where the stack
+        ``v`` is zero (:func:`numeric.negligible` of each row, which calls
+        ``scale`` only for floats).  A float point whose line has no finite
+        norm, or whose scale in a test is not finite, is too large for the
+        float range: DegenerateInput names it, and it is not a focal point.
+        """
+        X = vec(x)
+        args = common_type(np.ascontiguousarray(np.atleast_2d(X)),
+                           *self._data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lines, tests = self._project(*args)
+            hits = [(message, negligible(
+                        v, lambda: _in_float_range(scale(), lines), eps,
+                        axis=-1))
+                    for message, v, eps, scale in tests]
+        focal = {}
+        for message, hit in reversed(hits):
+            focal.update(dict.fromkeys(np.flatnonzero(hit).tolist(), message))
+            lines[hit] = 0
+        focal = dict(sorted(focal.items()))
+        if X.ndim == 2:
+            return lines, focal
+        if focal:
+            raise FocalPoint(focal[0])
+        return lines[0]
 
     def congruence_residual(self, p):
-        return _residuals(self, p, *self._scaled)
+        """The residual of one line, or of each row of an (N, 6) stack, whose
+        exact rows are first divided exactly by their largest coordinate."""
+        P = _scaled_rows(vec(p))
+        r = self._residuals(*common_type(
+            np.ascontiguousarray(np.atleast_2d(P)), *self._scaled))
+        return r if P.ndim == 2 else float(r[0])
 
     def focal_parts(self, x):
         """x's residuals to the parts of the focal locus, as three lists: its
@@ -258,6 +247,14 @@ class _Camera:
         return ([projective_distance(x, y) for y in self.focal_points],
                 [point_line_residual(x, ln) for ln in self.focal_lines],
                 [point_curve_residual(x, c) for c in curves])
+
+    def line_parts(self, ln):
+        """A line's residuals to the parts of the focal locus, as two lists:
+        its incidence residuals to ``focal_lines`` and line-curve residual
+        to ``focal_curve``, if any."""
+        curves = () if self.focal_curve is None else (self.focal_curve,)
+        return ([incidence_residual(ln, ln2) for ln2 in self.focal_lines],
+                [line_curve_residual(ln, c) for c in curves])
 
     def focal_residual(self, x) -> float:
         """The smallest of :meth:`focal_parts`: 0 on the focal locus, where

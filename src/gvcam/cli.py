@@ -210,15 +210,19 @@ class _Rows:
 
 
 def _emit(report, args) -> None:
-    """Write ``report`` to ``--out`` or stdout: as CSV of its results, or
-    as JSON streamed in chunks by :func:`_json_chunks`.
+    """Write ``report`` to ``--out`` or stdout: as CSV of its results (a
+    report without them is refused), or as JSON streamed in chunks by
+    :func:`_json_chunks`.
 
     Every row is computed before this is called, so a JSON report stops
     part-way only on a value that no JSON encoder accepts (a programming
     error, such as a numpy integer), which leaves the output truncated.
     """
     if args.format == "csv":
-        rows = list(report.get("results", []))
+        if "results" not in report:
+            raise DegenerateInput("a %s report has no results rows to write "
+                                  "as CSV; use --format json" % args.command)
+        rows = list(report["results"])
         keys = []
         for row in rows:
             for k in row:

@@ -24,8 +24,7 @@ from .plucker import (incidence, incidence_residual, join_plane,
                       line_from_planes, line_from_points, line_residual,
                       points_on_line, primal_matrix)
 from . import numeric
-from .cameras import (Pinhole, TwoSlit, congruence_residual,
-                      line_curve_residual)
+from .cameras import Pinhole, TwoSlit, congruence_residual
 
 __all__ = [
     "CameraRig", "FocalOverlapWarning", "Transversal", "TriangulationResult",
@@ -48,24 +47,22 @@ class FocalOverlapWarning(UserWarning):
     correspondence theory's disjointness hypothesis can fail."""
 
 
+#: What a focal point, and a focal line, of one camera may hit of another's
+#: focal locus, part by part as ``focal_parts`` and ``line_parts`` give them.
+_POINT_HITS = ("coincident centers", "center lies on a focal line",
+               "center lies on a focal curve")
+_LINE_HITS = ("focal lines meet", "focal line meets a focal curve")
+
+
 def _pairwise_focal_warnings(a, b, ia, ib, tol):
-    out = []
-    tag = "cameras %d/%d" % (ia, ib)
-    crv = b.focal_curve
-    for x in a.focal_points:
-        # b's focal residuals of a's center, part by part
-        for what, residuals in zip(("coincident centers",
-                                    "center lies on a focal line",
-                                    "center lies on a focal curve"),
-                                   b.focal_parts(x)):
-            out += ["%s: %s" % (tag, what) for r in residuals if r <= tol]
-    for ln in a.focal_lines:
-        for ln2 in b.focal_lines:
-            if incidence_residual(ln, ln2) <= tol:
-                out.append("%s: focal lines meet" % tag)
-        if crv is not None and line_curve_residual(ln, crv) <= tol:
-            out.append("%s: focal line meets a focal curve" % tag)
-    return out
+    """The warnings for each of ``a``'s focal points and lines that lies
+    within ``tol`` of a part of ``b``'s focal locus, part by part."""
+    parts = ([(_POINT_HITS, b.focal_parts(x)) for x in a.focal_points]
+             + [(_LINE_HITS, b.line_parts(ln)) for ln in a.focal_lines])
+    return ["cameras %d/%d: %s" % (ia, ib, what)
+            for hits, residuals in parts
+            for what, values in zip(hits, residuals)
+            for r in values if r <= tol]
 
 
 class CameraRig:

@@ -36,7 +36,7 @@ __all__ = [
     "common_type", "power", "multiply",
     "parse_scalar", "format_scalar", "parse_vector", "vector_payload",
     "projective_distance",
-    "det3", "det4", "compound2", "exact_nullspace",
+    "det3", "det4", "LINE_COORD_PAIRS", "compound2", "exact_nullspace",
     "binary_eval", "binary_roots",
     "realify", "negligible",
     "DEFAULT_TOL", "ZERO_EPS", "FOCAL_EPS",
@@ -356,10 +356,11 @@ def det4(m):
     return total
 
 
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+#: Index pairs (i, j) of the six coordinates of a line, in storage order.
+LINE_COORD_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # row index i, j and column index k, l of every 2x2 minor
-_I, _J = (np.array(v)[:, None] for v in zip(*_PAIRS))
-_K, _L = (np.array(v)[None, :] for v in zip(*_PAIRS))
+_I, _J = (np.array(v)[:, None] for v in zip(*LINE_COORD_PAIRS))
+_K, _L = (np.array(v)[None, :] for v in zip(*LINE_COORD_PAIRS))
 
 
 def compound2(m):

@@ -24,21 +24,18 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInput
-from .numeric import (DEFAULT_TOL, ZERO_EPS, _scaled_rows, as_float,
+from .numeric import (LINE_COORD_PAIRS, ZERO_EPS, _scaled_rows, as_float,
                       common_type, is_exact, multiply, negligible, norm,
                       row_norms, unitize, vec)
 
 __all__ = [
     "wedge", "line_from_points", "line_from_planes", "dual_line",
     "primal_matrix", "dual_matrix", "plucker_quadric", "incidence",
-    "join_plane", "meet_point", "point_on_line", "plane_contains_line",
-    "line_residual", "point_line_residual", "plane_line_residual",
+    "join_plane", "meet_point", "line_residual", "point_line_residual", "plane_line_residual",
     "incidence_residual", "points_on_line",
     "LINE_COORD_PAIRS",
 ]
 
-#: Index pairs (i, j) of the six coordinates, in storage order.
-LINE_COORD_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _WEDGE_I, _WEDGE_J = (np.array(v) for v in zip(*LINE_COORD_PAIRS))
 
 
@@ -167,25 +164,20 @@ def meet_point(p, u):
 #
 # Each residual is its relation evaluated on the inputs at unit norm, so it
 # does not depend on their projective scale.  The inputs are put in one
-# number type by _one_type, then scaled by _unit: floats are unitized,
-# exact rows keep an exact numerator (0.0 exactly where the relation
-# vanishes) that is divided by their float norms.  A vector gives one
-# value, stacks (broadcast against each other) one value per row.
-
-def _one_type(*arrays):
-    """The arrays in one number type (:func:`numeric.common_type`), each
-    exact row first divided exactly by its largest coordinate
-    (:func:`numeric._scaled_rows`), so that an exact row rounded to floats
-    neither overflows nor depends on its scale."""
-    return common_type(*(_scaled_rows(vec(a)) for a in arrays))
-
+# number type and scaled by _unit: floats are unitized, exact rows keep an
+# exact numerator (0.0 exactly where the relation vanishes) that is
+# divided by their float norms.  A vector gives one value, stacks
+# (broadcast against each other) one value per row.
 
 def _unit(*arrays):
-    """``(u, n)`` of each array in one type, with ``u / n`` its rows at
-    unit norm: unitized floats and n = 1.0 (dividing by it changes no
-    bit), or the scaled exact rows and their float norms."""
+    """``(u, n)`` of each array in one type (:func:`numeric.common_type`),
+    with ``u / n`` its rows at unit norm: unitized floats and n = 1.0
+    (dividing by it changes no bit), or the exact rows and their float
+    norms.  Each exact row is first divided exactly by its largest
+    coordinate (:func:`numeric._scaled_rows`), so that it rounds to floats
+    neither overflowing nor depending on its scale."""
     return [(a, row_norms(as_float(a))) if is_exact(a) else (unitize(a), 1.0)
-            for a in _one_type(*arrays)]
+            for a in common_type(*(_scaled_rows(vec(a)) for a in arrays))]
 
 
 def point_line_residual(x, p):
@@ -211,24 +203,6 @@ def line_residual(p):
     variety of actual lines."""
     ((U, n),) = _unit(p)
     return np.abs(as_float(plucker_quadric(U))) / (n * n)
-
-
-def point_on_line(x, p, tol: float = DEFAULT_TOL) -> bool:
-    """Exact inputs are tested against exact zero, others by
-    :func:`point_line_residual` against ``tol``."""
-    x, p = _one_type(x, p)
-    if is_exact(x):
-        return bool(np.all(primal_matrix(p) @ x == 0))
-    return bool(point_line_residual(x, p) <= tol)
-
-
-def plane_contains_line(u, p, tol: float = DEFAULT_TOL) -> bool:
-    """Exact inputs are tested against exact zero, others by
-    :func:`plane_line_residual` against ``tol``."""
-    u, p = _one_type(u, p)
-    if is_exact(u):
-        return bool(np.all(dual_matrix(p) @ u == 0))
-    return bool(plane_line_residual(u, p) <= tol)
 
 
 def points_on_line(p):

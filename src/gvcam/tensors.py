@@ -222,13 +222,20 @@ def quadrifocal_tensor(A, B, C, D):
                         for M in (A, B, C, D)])
 
 
+def _contraction(subscripts, T, points) -> float:
+    """|T contracted by ``subscripts`` with each point at unit norm|, over
+    norm(T); the zero tensor, which has no such ratio, is refused."""
+    T = as_float(vec(T))
+    if not np.any(T):
+        raise DegenerateInput("the zero tensor has no residual")
+    vecs = [unitize(as_float(vec(a))) for a in points]
+    return abs(float(np.einsum(subscripts, T, *vecs))) / norm(T)
+
+
 def quadrifocal_residual(T, u, v, w, z) -> float:
     """Normalized contraction of the quadrifocal tensor with one image
     point per factor; zero iff the four points correspond."""
-    T = as_float(vec(T))
-    vecs = [unitize(as_float(vec(a))) for a in (u, v, w, z)]
-    val = np.einsum("ijkl,i,j,k,l", T, *vecs)
-    return abs(float(val)) / norm(T)
+    return _contraction("ijkl,i,j,k,l", T, (u, v, w, z))
 
 
 def mixed_epipolar_tensor(A, B, C):
@@ -244,10 +251,7 @@ def mixed_epipolar_tensor(A, B, C):
 
 def mixed_residual(T, u, v, w) -> float:
     """Normalized contraction sum_ijk T[i,j,k] u_i v_j w_k."""
-    T = as_float(vec(T))
-    vecs = [unitize(as_float(vec(a))) for a in (u, v, w)]
-    val = np.einsum("ijk,i,j,k", T, *vecs)
-    return abs(float(val)) / norm(T)
+    return _contraction("ijk,i,j,k", T, (u, v, w))
 
 
 # --------------------------------------------------------------------------
@@ -262,38 +266,35 @@ def sextic_terms():
     return tuple(parse_sextic_text(text))
 
 
-def sextic_invariant(T):
-    """Degree-6 invariant of a 3x2x2 tensor; vanishes exactly on tensors
-    of pinhole/two-slit camera pairs.  Scaling T by lam scales the value
-    by lam^6; row operations scale it by det^2 x det^3 x det^3."""
-    T = vec(T)
+def _sextic_products(T):
+    """The terms of the invariant at a 3x2x2 tensor, in table order: each
+    coefficient times its six entries, multiplied in turn."""
     if T.shape != (3, 2, 2):
         raise DegenerateInput("expected a 3x2x2 tensor")
-    total = 0
+    products = []
     for c, idx in sextic_terms():
         prod = c
         for (i, j, k) in idx:
             prod = prod * T[i, j, k]
-        total = total + prod
-    return total
+        products.append(prod)
+    return products
+
+
+def sextic_invariant(T):
+    """Degree-6 invariant of a 3x2x2 tensor; vanishes exactly on tensors
+    of pinhole/two-slit camera pairs.  Scaling T by lam scales the value
+    by lam^6; row operations scale it by det^2 x det^3 x det^3."""
+    return sum(_sextic_products(vec(T)))
 
 
 def sextic_relative(T) -> float:
     """Cancellation residual |S(T)| / max_term |term(T)|: near zero on
     camera tensors, order one on generic tensors."""
-    T = as_float(vec(T))
-    if T.shape != (3, 2, 2):
-        raise DegenerateInput("expected a 3x2x2 tensor")
-    vals = []
-    for c, idx in sextic_terms():
-        prod = float(c)
-        for (i, j, k) in idx:
-            prod *= float(T[i, j, k])
-        vals.append(prod)
+    vals = _sextic_products(as_float(vec(T)))
     scale = max(abs(v) for v in vals)
     if scale == 0.0:
         return 0.0
-    return abs(sum(vals)) / scale
+    return float(abs(sum(vals)) / scale)
 
 
 def parse_sextic_text(text: str):

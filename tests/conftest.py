@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gvcam.cameras import (Pinhole, Pushbroom, TwistedCubic, TwoSlit, Type4,
-                           _residuals, _secant, _slit_matrix)
+                           _Camera, _secant, _slit_matrix)
 from gvcam.catadioptric import conic_chord_points
 from gvcam.errors import DegenerateInput, FocalPoint
 from gvcam.multiimage import Transversal
@@ -179,7 +179,7 @@ def _gen_values_second(p):
 
 
 @dataclass(frozen=True)
-class DegreeTwoCongruence:
+class DegreeTwoCongruence(_Camera):
     """A (1,2) congruence given by its generator polynomials, with an
     optional geometric model (a focal line plus a focal conic) that can
     produce the member through a generic point."""
@@ -198,9 +198,6 @@ class DegreeTwoCongruence:
         vals = list(self._gens(vec(p)))
         vals.append(plucker_quadric(vec(p)))
         return vec(vals)
-
-    def congruence_residual(self, p):
-        return _residuals(self, p)
 
     def _residuals(self, P):
         return np.array([generator_residual(self, q) for q in P])

@@ -151,3 +151,40 @@ def test_small_literals_are_module_constants():
                 bare.append("%s:%d: %s" % (path.name, tok.start[0],
                                            tok.string))
     assert not bare, bare
+
+
+def _unread_imports(tree):
+    """The names a module imports and never reads: a name is read where it
+    is loaded, where a parameter has its name (a pytest fixture) and where
+    ``__all__`` lists it.  ``from __future__`` imports are not names."""
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+        elif (isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.arg):
+            read.add(node.arg)
+        elif (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_every_import_is_read():
+    """No module of the package or of the tests imports a name that it
+    never reads, so that a deleted caller leaves no stale import behind."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(
+        pathlib.Path(__file__).parent.glob("*.py"))
+    unread = ["%s:%d: %s" % (path.name, line, name) for path in paths
+              for line, name in _unread_imports(ast.parse(path.read_text()))]
+    assert not unread, unread

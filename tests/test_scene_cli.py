@@ -728,6 +728,22 @@ def test_cli_tensor_fundamental_exact(capsys, tmp_path):
     assert entries == [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]]
 
 
+def test_cli_tensor_refuses_csv(capsys, tmp_path):
+    """A tensor report has no results rows, so CSV would lose the tensor:
+    it is refused before --out is opened, with exit code 2."""
+    scene = write_json(tmp_path / "pins.json", {
+        "version": 1,
+        "rig": [{"type": "pinhole", "matrix": PINHOLE_MATRIX},
+                {"type": "pinhole", "matrix": PINHOLE_MATRIX_2}]})
+    target = tmp_path / "tensor.csv"
+    rc, err = _check_error(capsys, ["tensor", "--kind", "fundamental",
+                                    "--scene", scene, "--format", "csv",
+                                    "--out", str(target)])
+    assert rc == 2 and err["error"] == "DegenerateInput"
+    assert "CSV" in err["message"] and not target.exists()
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_invariant_from_stdin(capsys, monkeypatch, tmp_path, mixed_scene):
     out_path = tmp_path / "tensor.json"
     run_cli(capsys, ["tensor", "--kind", "mixed", "--scene", mixed_scene,

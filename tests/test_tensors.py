@@ -242,6 +242,17 @@ def test_mixed_tensor_vanishes_on_correspondences(rng):
         assert mixed_residual(T, P @ y, A @ x, B @ x) > 1e-7
 
 
+@pytest.mark.parametrize("residual, shape", [
+    (quadrifocal_residual, (2, 2, 2, 2)), (mixed_residual, (3, 2, 2))],
+    ids=["quadrifocal", "mixed"])
+def test_residual_refuses_the_zero_tensor(residual, shape):
+    """The zero tensor has no normalized contraction: DegenerateInput, not
+    a ZeroDivisionError."""
+    points = [np.ones(n) for n in shape]
+    with pytest.raises(DegenerateInput, match="zero tensor"):
+        residual(np.zeros(shape), *points)
+
+
 def test_mixed_tensor_rank_drops_when_center_meets_slit():
     # pinhole center e3 lies on the slit x0 = x1 = 0 of the first 2x4 factor
     P = np.array([[1., 0, 0, 0], [0., 1, 0, 0], [0., 0, 1, 0]])
