@@ -12,11 +12,9 @@ catalog (after projective normalization):
   degree beta that meets L in beta-1 points.
 * :class:`Type4` — limit of Type3 where the curve collapses into L.
 * :class:`PanoramicNC` / :class:`PanoramicStereo` — the two order-two
-  circular congruences; they don't project (no unique line) but their
-  membership ideals, bidegrees and focal surfaces live here.
-
-Projections always return lines in the fixed primal coordinate order
-(p01, p02, p03, p12, p13, p23).
+  circular congruences; their ``project`` raises UnsupportedOrder (no
+  unique line) but their membership ideals, bidegrees and focal surfaces
+  live here.
 
 ``project`` takes one point or an (N, 4) stack of points.  One point
 returns its line or raises FocalPoint; a stack returns the (N, 6) lines
@@ -26,29 +24,28 @@ stack of lines and returns one residual per line, which does not depend
 on the projective scale of the line or of the camera's data.
 
 Each kind implements both as one array expression on a stack (one point
-or line is a stack of one), evaluated in one number type: Fractions when
-the input and the camera's data are exact, else floats, which is what
-Python's mixed Fraction-float arithmetic gives.  The expressions are the
-scalar ones applied to the stack's columns, so every float value is the
-scalar one bit for bit; powers go through :func:`numeric.power`, since
-numpy's array ``**`` rounds differently from libm ``pow``.  Fraction
-stacks project exactly and their focal tests compare with zero exactly;
-their residuals are floats, with an exact numerator for the pinhole and
-two-slit kinds (so that exact members give 0.0), and computed from the
-rounded lines for the others.  The panoramic kinds raise UnsupportedOrder
-from ``project``.
+or line is a stack of one), in the number type that
+:func:`numeric.common_type` picks.  The expressions are the scalar ones
+applied to the stack's columns, so every float value is the scalar one
+bit for bit (powers go through :func:`numeric.power`).  Fraction stacks
+project exactly and their focal tests compare with zero exactly; their
+residuals are floats, with an exact numerator for the pinhole and
+two-slit kinds (so that exact members give 0.0), computed from the
+rounded lines for the others.
 
 Every kind is a :class:`_Camera`: it declares ``kind``, ``bidegree`` and
 ``fields`` (its descriptor's keys besides ``"type"``, attributes left out
-of ``payload()`` when None), and sets ``_data`` and ``_scaled``, the
-arrays (or None for no array) that ``project`` and ``congruence_residual``
-pass on to its ``_project`` and ``_residuals``, after the stack (as a
-C-contiguous 2-d array) and all in one number type.  Its focal locus,
-where the zero tests of ``_project`` hold, is stated once, as
-``focal_points``, ``focal_lines`` (tuples) and ``focal_curve`` (a
-:class:`RationalCurve`, or None), and ``focal_parts``, ``line_parts`` and
-``focal_residual`` derive from it; the panoramic kinds, which state none,
-give their focal quartic.  Type3 and Type4 share ``_Pencil``.
+of ``payload()`` when None), and sets ``_data``, the arrays (or None) that
+``project`` passes on to its ``_project`` after the stack (C-contiguous,
+2-d), all in one number type; ``_residuals`` takes the stack of lines
+(exact rows scaled by their largest coordinate), and the pinhole and
+two-slit kinds unitize their data once, in ``_kept``, which ``_units``
+reads.  Its focal locus, where the zero tests of ``_project`` hold, is
+stated once, as ``focal_points``, ``focal_lines`` (tuples) and
+``focal_curve`` (a :class:`RationalCurve`, or None), and ``focal_parts``,
+``line_parts`` and ``focal_residual`` derive from it; the panoramic
+kinds, which state none, give their focal quartic.  Type3 and Type4 share
+``_Pencil``.
 """
 
 from __future__ import annotations
@@ -59,12 +56,12 @@ from .errors import (DegenerateInput, FocalPoint, IllConditioned,
                      InvalidSlit, DegenerateCubic, UnsupportedOrder)
 from .numeric import (DEFAULT_TOL, FOCAL_EPS, ZERO_EPS, _scaled_rows, as_float,
                       binary_eval, binary_roots, common_type, compound2,
-                      negligible, norm, parse_vector, power,
+                      is_exact, negligible, norm, parse_vector, power,
                       projective_distance, row_norms, unitize, vec,
                       vector_payload)
-from .plucker import (dual_line, incidence, incidence_residual,
-                      line_residual, plucker_quadric, point_line_residual,
-                      primal_matrix, wedge)
+from .plucker import (_incidence, _point_line, _unit, dual_line, incidence,
+                      incidence_residual, line_residual, plucker_quadric,
+                      point_line_residual, primal_matrix, wedge)
 
 __all__ = [
     "Pinhole", "TwoSlit", "Pushbroom", "TwistedCubic", "Type3", "Type4",
@@ -199,7 +196,7 @@ class _Camera:
     fields = ()
     focal_points = focal_lines = ()
     focal_curve = None
-    _data = _scaled = ()
+    _data = ()
 
     def project(self, x):
         """The line of one point, or ``(lines, focal)`` for an (N, 4) stack.
@@ -235,9 +232,17 @@ class _Camera:
         """The residual of one line, or of each row of an (N, 6) stack, whose
         exact rows are first divided exactly by their largest coordinate."""
         P = _scaled_rows(vec(p))
-        r = self._residuals(*common_type(
-            np.ascontiguousarray(np.atleast_2d(P)), *self._scaled))
+        r = self._residuals(np.ascontiguousarray(np.atleast_2d(P)))
         return r if P.ndim == 2 else float(r[0])
+
+    def _units(self, P):
+        """``plucker._unit(P, *data)`` of a scaled stack of lines, from the
+        unit pairs ``_kept`` of the camera's data."""
+        if is_exact(P) and is_exact(self._kept[0][0]):
+            return [(P, row_norms(as_float(P))), *self._kept]
+        return [(unitize(as_float(P)), 1.0)] + [
+            (unitize(as_float(u)), 1.0) if is_exact(u) else (u, n)
+            for u, n in self._kept]
 
     def focal_parts(self, x):
         """x's residuals to the parts of the focal locus, as three lists: its
@@ -283,7 +288,7 @@ class Pinhole(_Camera):
         if not np.any(self.center):
             raise DegenerateInput("pinhole center must be a point")
         self._data = self.focal_points = (self.center,)
-        self._scaled = (_scaled_rows(self.center),)
+        self._kept = _unit(self.center)
 
     def _project(self, X, c):
         # line_from_points: the wedge, and its zero test against
@@ -292,8 +297,9 @@ class Pinhole(_Camera):
         return lines, [("world point coincides with the center", lines,
                         ZERO_EPS, lambda: norm(c) * row_norms(X))]
 
-    def _residuals(self, P, center):
-        return point_line_residual(center, P)
+    def _residuals(self, P):
+        lines, center = self._units(P)
+        return _point_line(center, lines)
 
 
 class TwoSlit(_Camera):
@@ -306,38 +312,37 @@ class TwoSlit(_Camera):
     kind = "two_slit"
     bidegree = (1, 1)
     fields = ("slits",)
-    slits = focal_lines = property(lambda self: self._data)
+    slits = focal_lines = property(lambda self: (self.slit1, self.slit2))
 
     def __init__(self, slit1, slit2):
-        s1, s2 = self._data = (vec(slit1), vec(slit2))
-        self.slit1, self.slit2 = s1, s2
-        # unitize scales floats without overflow and keeps Fractions, which
+        s1, s2 = self.slit1, self.slit2 = vec(slit1), vec(slit2)
+        self._data = (primal_matrix(s1), primal_matrix(s2))
+        # the slits at unit norm, unitized floats or scaled Fractions, which
         # negligible compares with zero exactly
-        for s in (s1, s2):
-            if not negligible(plucker_quadric(unitize(s)), eps=SLIT_EPS):
-                raise InvalidSlit("slit is not on the line quadric")
-        if negligible(incidence(unitize(s1), unitize(s2)), eps=SLIT_EPS):
+        self._kept = _unit(np.stack(common_type(s1, s2)))
+        S = self._kept[0][0]
+        if not negligible(plucker_quadric(S), eps=SLIT_EPS, axis=()).all():
+            raise InvalidSlit("slit is not on the line quadric")
+        if negligible(incidence(*S), eps=SLIT_EPS):
             raise InvalidSlit("slits must be skew (they meet)")
-        self._scaled = tuple(_scaled_rows(s) for s in (s1, s2))
 
-    def _project(self, X, s1, s2):
-        M = _slit_matrix(X, s1, s2)
-        lines = np.stack([M[:, 2, 3], -M[:, 1, 3], M[:, 1, 2], M[:, 0, 3],
-                          -M[:, 0, 2], M[:, 0, 1]], axis=-1)
+    def _project(self, X, P, Q):
+        M = _slit_matrix(X, P, Q).reshape(-1, 16)
+        # M23, -M13, M12, M03, -M02, M01, of M and -M flattened side by side
+        lines = np.concatenate([M, -M], axis=1)[:, [11, 23, 6, 3, 18, 1]]
         return lines, [("world point lies on a slit", lines, FOCAL_EPS,
-                        lambda: norm(s1) * norm(s2) * power(row_norms(X), 2))]
+                        lambda: norm(self.slit1) * norm(self.slit2)
+                        * power(row_norms(X), 2))]
 
-    def _residuals(self, P, *slits):
+    def _residuals(self, P):
         # the larger incidence residual of the two slits, from one call
         # that broadcasts each line against both
-        return np.max(incidence_residual(P[:, None], np.stack(slits)),
-                      axis=1)
+        return np.max(_incidence(*self._units(P[:, None])), axis=1)
 
 
-def _slit_matrix(x, s1, s2):
+def _slit_matrix(x, P, Q):
     """P x x^T Q - Q x x^T P of one point, or of each row of a stack as
     (N, 4, 4) with the same 4x4 products, P and Q the slits' matrices."""
-    P, Q = primal_matrix(s1), primal_matrix(s2)
     xxT = x[..., :, None] * x[..., None, :]     # np.outer of each row
     return P @ xxT @ Q - Q @ xxT @ P
 
@@ -416,24 +421,27 @@ class TwistedCubic(_Camera):
     bidegree = (1, 3)
     fields = ("homography",)
     focal_curve = TWISTED_CUBIC_CURVE
+    # float H^-1, compound2(H^-1) and compound2(H), or None without H
+    _inverse = _line_inverse = _line_map = None
 
     def __init__(self, homography=None):
-        # float H^-1, compound2(H^-1) and compound2(H), or None without H
-        consts = (None, None, None)
         if homography is not None:
             homography = vec(homography)
             if homography.shape != (4, 4):
                 raise DegenerateInput("homography must be 4x4")
             Hf = as_float(homography)
-            if (abs(np.linalg.det(Hf))
-                    <= HOMOGRAPHY_EPS * np.linalg.norm(Hf, 2) ** 4):
+            # tested at the exact power-of-two scale that brings its largest
+            # entry into [0.5, 1), which no scale of H under- or overflows
+            Hs = np.ldexp(Hf, -np.frexp(np.max(np.abs(Hf)))[1])
+            if (abs(np.linalg.det(Hs))
+                    <= HOMOGRAPHY_EPS * np.linalg.norm(Hs, 2) ** 4):
                 raise DegenerateInput("homography must be invertible")
             inverse = np.linalg.inv(Hf)
-            consts = (inverse, compound2(inverse), compound2(Hf))
+            self._inverse, self._line_inverse, self._line_map = (
+                inverse, compound2(inverse), compound2(Hf))
             # H moves the standard curve's forms (unit vectors) to its rows
             self.focal_curve = RationalCurve(tuple(map(tuple, Hf.tolist())))
         self.homography = homography
-        self._inverse, self._line_inverse, self._line_map = consts
         # with a homography the point goes through its float inverse
         self._data = (self._inverse,)
 
@@ -527,7 +535,7 @@ class _Pencil(_Camera):
         h = _binary_coeffs(h, "h")
         if len(g) != len(h):
             raise DegenerateInput("g and h must have equal degree")
-        self.f, self.g, self.h = self._data = self._scaled = (f, g, h)
+        self.f, self.g, self.h = self._data = (f, g, h)
         self.focal_lines = (vec([0.0, 0, 0, 0, 0, 1]),)  # the base line L
 
     def _project(self, X, *data):
@@ -541,7 +549,7 @@ class _Pencil(_Camera):
              * max(norm(d) for d in data if d is not None)),
             (self._join, lines, ZERO_EPS, lambda: row_norms(X) * row_norms(Y))]
 
-    def _residuals(self, P, *data):
+    def _residuals(self, P):
         """In floats: p must meet L, its meets with x2 = 0 and x3 = 0 must
         share one (x0:x1), and p must pass through the curve point there."""
         pn = unitize(as_float(P))
@@ -550,7 +558,7 @@ class _Pencil(_Camera):
         n1, n2 = row_norms(c1), row_norms(c2)
         x01 = np.where((n1 >= n2)[:, None], c1, c2)
         W = _curve_points(np.concatenate([x01, np.zeros_like(x01)], axis=1),
-                          *map(as_float, data))
+                          *map(as_float, self._data))
         r = np.maximum(np.abs(pn[:, 0]), line_residual(pn))
         meets = np.maximum(n1, n2) > PENCIL_EPS
         r[meets] = np.maximum(r[meets], np.abs(pn[meets, 1] * pn[meets, 4]

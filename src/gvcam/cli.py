@@ -144,16 +144,15 @@ def _report(args, **extra):
     timing = None
     if getattr(args, "timing", False) and hasattr(args, "_t0"):
         timing = {"seconds": time.perf_counter() - args._t0}
-    rep = {
+    return {
         "command": args.command,
         "version": 1,
         "tol": args.tol,
         "exact": bool(getattr(args, "exact", False)),
         "seed": args.seed,
         "timing": timing,
+        **extra,
     }
-    rep.update(extra)
-    return rep
 
 
 # rows of a top-level list joined into one chunk of a JSON report
@@ -223,19 +222,14 @@ def _emit(report, args) -> None:
             raise DegenerateInput("a %s report has no results rows to write "
                                   "as CSV; use --format json" % args.command)
         rows = list(report["results"])
-        keys = []
-        for row in rows:
-            for k in row:
-                if k not in keys:
-                    keys.append(k)
         import csv
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=keys)
+        writer = csv.DictWriter(buf, fieldnames=list(dict.fromkeys(
+            k for row in rows for k in row)))
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (json.dumps(v, sort_keys=True)
-                                 if isinstance(v, (list, dict)) else v)
-                             for k, v in row.items()})
+        writer.writerows({k: (json.dumps(v, sort_keys=True)
+                              if isinstance(v, (list, dict)) else v)
+                          for k, v in row.items()} for row in rows)
         chunks = [buf.getvalue()]
     else:
         chunks = _json_chunks(report)
@@ -415,18 +409,23 @@ def cmd_project(args) -> int:
         except UnsupportedOrder as exc:
             error[:, i], message[:, i] = type(exc).__name__, str(exc)
             continue
-        hit = np.ones(n, dtype=bool)
-        hit[list(focal)] = False
-        ok[:, i] = hit
-        floats[hit, i] = as_float(_scaled_rows(lines[hit]))
+        # the rows with a line: all as a slice (a view, no mask writes)
+        hit = (np.bincount(list(focal), minlength=n) == 0 if focal
+               else slice(None))
+        L = lines[hit]
+        ok[hit, i] = True
+        floats[hit, i] = as_float(_scaled_rows(L))
         if is_exact(lines):
             exact[i] = True
             fractions[:, i] = lines
-        if hit.any():
-            quadric[hit, i] = line_residual(unitize(lines[hit]))
-            congruence[hit, i] = congruence_residual(cam, lines[hit])
+        if len(L):
+            congruence[hit, i] = congruence_residual(cam, L)
         for j, text in focal.items():
             error[j, i], message[j, i] = "FocalPoint", text
+    # the float lines, then the exact ones, in one call each (row by row)
+    for rows, source in ((ok & ~exact, floats), (ok & exact, fractions)):
+        if rows.any():
+            quadric[rows] = line_residual(unitize(source[rows]))
     line = floats[ok]
     if exact.any():
         line = vector_payload(np.where(exact[:, None], fractions, floats)[ok])
@@ -438,27 +437,25 @@ def cmd_project(args) -> int:
                  {"item": fj, "camera": fi, "error": error[~ok].tolist(),
                   "message": message[~ok].tolist()},
                  kinds=(~ok).ravel().astype(np.intp))
-    # the generators of the tuples of each size at once, exact when every
-    # line of the tuple is (as concurrency._tuple_stack decides)
-    sizes = ok.sum(axis=1)
-    exact_tuple = ~np.any(ok & ~exact, axis=1)
-    items, tops = [np.zeros(0, dtype=np.intp)], [np.zeros(0)]
-    sources = (((False, floats), (True, fractions)) if args.exact
-               else ((False, floats),))
-    for size in sorted(set(sizes[sizes >= 2].tolist())):
-        for is_exact_tuple, source in sources:
-            chosen = (sizes == size) & (exact_tuple == is_exact_tuple)
-            if not chosen.any():
-                continue
-            items.append(np.flatnonzero(chosen))
-            tops.append(worst_of_stack(
-                source[chosen][ok[chosen]].reshape(-1, size, 6))[1])
-    item = np.concatenate(items)
-    order = np.argsort(item)
-    top = np.concatenate(tops)[order]       # objects if a top is exact
+    # the worst generator of each tuple of two lines or more, exact when all
+    # are (as concurrency._tuple_stack decides); a missing line repeats the
+    # one before it (or the first): a copy of the tuple's own generators,
+    # operands in order, or exactly zero (a triple with a repeated line)
+    checked, exact_tuple = ok.sum(axis=1) >= 2, ~np.any(ok & ~exact, axis=1)
+    top = np.zeros(n, dtype=object if args.exact else float)
+    for is_exact_tuple, source in ((False, floats), (True, fractions)):
+        chosen = checked & (exact_tuple == is_exact_tuple)
+        if chosen.any():
+            have = ok[chosen]
+            fill = np.maximum.accumulate(np.where(
+                have, np.arange(m), np.argmax(have, axis=1)[:, None]), axis=1)
+            top[chosen] = worst_of_stack(np.take_along_axis(
+                source[chosen], fill[..., None], axis=1))[1]
+    top = top[checked]                      # objects under --exact
     if top.dtype == object:
         top = [format_scalar(t) for t in top.tolist()]
-    checks = _Rows({"item": item[order], "max_generator_residual": top})
+    checks = _Rows({"item": np.flatnonzero(checked),
+                    "max_generator_residual": top})
     _emit(_report(args, results=rows, tuple_checks=checks), args)
     return 0
 
@@ -517,10 +514,8 @@ def cmd_baselines(args) -> int:
     if len(scene.cameras) != 2:
         raise DegenerateInput("baselines needs a rig of exactly 2 cameras")
     found = baselines_linear(scene.cameras[0], scene.cameras[1], tol=args.tol)
-    rows = []
-    for i, t in enumerate(found):
-        rows.append({"index": i, "line": vector_payload(t.line),
-                     "is_real": t.is_real, "multiplicity": t.multiplicity})
+    rows = [{"index": i, "line": vector_payload(t.line), "is_real": t.is_real,
+             "multiplicity": t.multiplicity} for i, t in enumerate(found)]
     _emit(_report(args, results=rows,
                   count=sum(t.multiplicity for t in found)), args)
     return 0

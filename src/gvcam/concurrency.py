@@ -16,14 +16,9 @@ least-squares point of the stacked primal matrices and accepts when every
 line passes within ``tol`` of it, which costs O(n); the generators are
 the certificate that names a rejection.
 
-:func:`evaluate_generators` takes one tuple or a stack of tuples, and
-evaluates every real one, of floats or of Fractions, in one array pass
-(:func:`_generators`) with the same expressions as the scalar per-triple
-functions, so the values are identical; complex tuples take the scalar
-functions, which are the reference.  The certificate of a stack, the
-largest generator of each tuple, is :func:`worst_of_stack`: it takes the
-magnitudes of the same pass (of the scalar values for complex tuples)
-and builds no report.
+The generators of a stack of real tuples go through one array pass
+(:func:`_generators`) whose values are those of the scalar per-triple
+functions; :func:`worst_of_stack` names the largest of each tuple.
 
 The multidegree of the concurrency variety with respect to the n line
 factors is also computed here, as an explicit integer polynomial.
@@ -33,7 +28,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -75,10 +70,7 @@ def _canonical_minor(minors, exact: bool):
     """One representative of the four proportional minors: largest magnitude
     (first nonzero in exact mode)."""
     if exact:
-        for m in minors:
-            if m != 0:
-                return m
-        return minors[0]
+        return next((m for m in minors if m != 0), minors[0])
     return max(minors, key=lambda m: abs(complex(m)))
 
 
@@ -384,9 +376,8 @@ class MultidegreePolynomial(namedtuple("MultidegreePolynomial", "n terms")):
     def term_strings(self):
         out = []
         for expo in sorted(self.terms, reverse=True):
-            factors = []
-            for i, e in enumerate(expo, start=1):
-                factors.append("t%d" % i if e == 1 else "t%d^%d" % (i, e))
+            factors = ("t%d" % i if e == 1 else "t%d^%d" % (i, e)
+                       for i, e in enumerate(expo, start=1))
             out.append("%d*%s" % (self.terms[expo], "*".join(factors)))
         return out
 
@@ -403,13 +394,10 @@ def multidegree(n: int) -> MultidegreePolynomial:
     if n > MAX_MULTIDEGREE_N:
         raise InvalidN("multidegree takes n <= %d" % MAX_MULTIDEGREE_N)
     terms = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            expo = [3] * n
-            expo[i], expo[j] = 1, 2
-            terms[tuple(expo)] = 4
+    for i, j in permutations(range(n), 2):
+        expo = [3] * n
+        expo[i], expo[j] = 1, 2
+        terms[tuple(expo)] = 4
     for trip in combinations(range(n), 3):
         expo = [3] * n
         for i in trip:

@@ -12,13 +12,9 @@ both regimes; only norms and tolerance comparisons force a conversion
 to float.  Rationals serialize as ``"a/b"`` strings.
 
 :func:`common_type` is the one place that decides the number type of a
-computation on several arrays: Fractions when every array is exact, else
-floats.  :func:`unitize` scales each row of a float vector or stack to
-unit norm without over- or underflow and returns exact arrays unchanged;
-:func:`_scaled_rows` divides each exact row by its largest coordinate, so
-that it rounds to floats without overflow.  :func:`negligible` is the one
-zero test, of a whole array, of each entry or of each row: exact with
-Fractions, relative to a scale for floats, which it computes only then.
+computation on several arrays, and :func:`negligible` the one zero test.
+The type tests look for an ndarray (its dtype) or a float first: the
+isinstance tests of Fraction and Integral go through ``abc``, slowly.
 """
 
 from __future__ import annotations
@@ -76,8 +72,8 @@ def vec(data, exact: bool | None = None):
     if isinstance(data, np.ndarray) and exact is None:
         return data
     items = np.asarray(data, dtype=object)
-    has_fraction = any(isinstance(x, Fraction) for x in items.flat)
-    if exact or (exact is None and has_fraction):
+    if exact or exact is None and any(isinstance(x, Fraction)
+                                      for x in items.flat):
         out = np.empty(items.shape, dtype=object)
         for idx, x in np.ndenumerate(items):
             out[idx] = x if isinstance(x, Fraction) else Fraction(x)
@@ -93,9 +89,9 @@ def vec(data, exact: bool | None = None):
 
 
 def is_exact(a) -> bool:
-    return isinstance(a, Fraction) or (
-        isinstance(a, np.ndarray) and a.dtype == object
-    )
+    if isinstance(a, np.ndarray):       # before the slower Fraction test
+        return a.dtype.kind == "O"
+    return isinstance(a, Fraction)
 
 
 def negligible(v, scale=None, eps: float = ZERO_EPS, axis=None):
@@ -128,9 +124,9 @@ def as_float(a):
     """Lossy conversion of a possibly-exact array/scalar to float/complex;
     an exact value beyond the float range is a DegenerateInput."""
     try:
-        if isinstance(a, np.ndarray) and a.dtype == object:
-            return np.asarray([float(x) for x in a.flat],
-                              dtype=np.float64).reshape(a.shape)
+        if isinstance(a, np.ndarray):       # before the slower Fraction test
+            return a if a.dtype.kind != "O" else np.asarray(
+                [float(x) for x in a.flat], dtype=np.float64).reshape(a.shape)
         if isinstance(a, Fraction):
             return float(a)
     except OverflowError:
@@ -190,7 +186,7 @@ def common_type(*arrays):
     """The arrays in one number type, as a list: unchanged when every one
     is exact, else :func:`as_float` of each, which is what Python's mixed
     Fraction-float arithmetic gives.  None stands for no array."""
-    if all(is_exact(a) for a in arrays if a is not None):
+    if all(a is None or is_exact(a) for a in arrays):
         return list(arrays)
     return [as_float(a) for a in arrays]
 
@@ -236,6 +232,13 @@ def _scaled_rows(a):
 
 def parse_scalar(value, exact: bool = False):
     """Parse a JSON-level scalar: number, or ``"a/b"`` rational string."""
+    if isinstance(value, float):        # before the slower Integral test
+        if exact:
+            raise DegenerateInput("exact mode requires integer or 'a/b' "
+                                  "coordinates, got float %r" % value)
+        if not math.isfinite(value):
+            raise DegenerateInput("coordinates must be finite, got %r" % value)
+        return value
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -251,14 +254,6 @@ def parse_scalar(value, exact: bool = False):
         except OverflowError:
             raise DegenerateInput("integer coordinate of %d bits exceeds the "
                                   "float range" % value.bit_length()) from None
-    if isinstance(value, float):
-        if exact:
-            raise DegenerateInput(
-                "exact mode requires integer or 'a/b' coordinates, got float %r" % value
-            )
-        if not math.isfinite(value):
-            raise DegenerateInput("coordinates must be finite, got %r" % value)
-        return value
     raise DegenerateInput("cannot parse scalar %r" % (value,))
 
 

@@ -163,10 +163,9 @@ def meet_point(p, u):
 # --- membership residuals ----------------------------------------------------
 #
 # Each residual is its relation evaluated on the inputs at unit norm, so it
-# does not depend on their projective scale.  The inputs are put in one
-# number type and scaled by _unit: floats are unitized, exact rows keep an
-# exact numerator (0.0 exactly where the relation vanishes) that is
-# divided by their float norms.  A vector gives one value, stacks
+# does not depend on their projective scale (exact rows give 0.0 exactly
+# where it vanishes): a kernel on the pairs of _unit, which a caller that
+# keeps its data's pairs calls directly.  A vector gives one value, stacks
 # (broadcast against each other) one value per row.
 
 def _unit(*arrays):
@@ -182,7 +181,11 @@ def _unit(*arrays):
 
 def point_line_residual(x, p):
     """|primal_matrix(p) @ x| at unit norm."""
-    (X, nx), (U, n) = _unit(x, p)
+    return _point_line(*_unit(x, p))
+
+
+def _point_line(x, p):
+    (X, nx), (U, n) = x, p
     return row_norms(as_float(np.matvec(primal_matrix(U), X))) / (n * nx)
 
 
@@ -194,7 +197,11 @@ def plane_line_residual(u, p):
 
 def incidence_residual(p, q):
     """|incidence(p, q)| at unit norm."""
-    (U, n), (V, nq) = _unit(p, q)
+    return _incidence(*_unit(p, q))
+
+
+def _incidence(p, q):
+    (U, n), (V, nq) = p, q
     return np.abs(as_float(incidence(U, V))) / (n * nq)
 
 

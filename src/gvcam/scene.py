@@ -124,12 +124,8 @@ def scene_from_dict(data, exact: bool = False,
     version = data.get("version", SCENE_VERSION)
     if version != SCENE_VERSION:
         raise DegenerateInput("unsupported scene version %r" % (version,))
-    cams, mats, desc = [], [], []
-    for entry in _list(data.get("rig", []), "'rig'"):
-        cam, m = _camera_with_matrices(entry, exact)
-        cams.append(cam)
-        mats.append(m)
-        desc.append(entry)
+    rig = tuple(_list(data.get("rig", []), "'rig'"))
+    built = [_camera_with_matrices(entry, exact) for entry in rig]
     points = _points(data.get("points", []), exact)
     observations = _observations(data.get("observations", []), exact, tol)
     surfaces = ()
@@ -137,9 +133,10 @@ def scene_from_dict(data, exact: bool = False,
         from .catadioptric import MirrorSurface
         surfaces = tuple(MirrorSurface.from_payload(s, exact=exact)
                          for s in _list(data["surfaces"], "'surfaces'"))
-    return Scene(version=version, cameras=tuple(cams), matrices=tuple(mats),
-                 points=points, observations=observations, surfaces=surfaces,
-                 descriptors=tuple(desc))
+    return Scene(version=version, cameras=tuple(c for c, _ in built),
+                 matrices=tuple(m for _, m in built), points=points,
+                 observations=observations, surfaces=surfaces,
+                 descriptors=rig)
 
 
 def _vector(values, length, exact, what):
@@ -239,7 +236,8 @@ def _observations(values, exact, tol):
                     "observations[%d] has %d lines, observations[0] has %d"
                     % (k, len(item), n))
             L[k] = _stack(item, 6, exact, "observations[%d]" % k)
-    _check_line(L, tol, "observations")
+    if items:                   # a project scene holds none
+        _check_line(L, tol, "observations")
     return L
 
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import (BaseLocus, CoincidentCenters, DegenerateInput,
                      SingularStack)
-from .numeric import (as_float, binary_eval, det4, exact_nullspace,
-                      is_exact, negligible, norm, parse_scalar, unitize, vec,
-                      vector_payload)
+from .numeric import (_SQUARABLE, as_float, binary_eval, det4,
+                      exact_nullspace, is_exact, negligible, norm,
+                      parse_scalar, unitize, vec, vector_payload)
 from .plucker import dual_line, line_from_points, wedge
 
 __all__ = [
@@ -224,12 +224,18 @@ def quadrifocal_tensor(A, B, C, D):
 
 def _contraction(subscripts, T, points) -> float:
     """|T contracted by ``subscripts`` with each point at unit norm|, over
-    norm(T); the zero tensor, which has no such ratio, is refused."""
+    norm(T); the zero tensor, which has no such ratio, is refused.  A T of
+    no squarable norm is first scaled exactly, as ``numeric.unitize`` does."""
     T = as_float(vec(T))
     if not np.any(T):
         raise DegenerateInput("the zero tensor has no residual")
+    with np.errstate(over="ignore"):
+        scale = norm(T)
+    if not _SQUARABLE[0] <= scale <= _SQUARABLE[1]:
+        T = np.ldexp(T, -np.frexp(np.max(np.abs(T)))[1])
+        scale = norm(T)
     vecs = [unitize(as_float(vec(a))) for a in points]
-    return abs(float(np.einsum(subscripts, T, *vecs))) / norm(T)
+    return abs(float(np.einsum(subscripts, T, *vecs))) / scale
 
 
 def quadrifocal_residual(T, u, v, w, z) -> float:

@@ -379,7 +379,7 @@ def reference_project(cam, x):
     if isinstance(cam, Pinhole):
         return _join(cam.center, x, "world point coincides with the center")
     if isinstance(cam, TwoSlit):
-        M = _slit_matrix(x, cam.slit1, cam.slit2)
+        M = _slit_matrix(x, *map(primal_matrix, cam.slits))
         r = vec([M[2][3], -M[1][3], M[1][2], M[0][3], -M[0][2], M[0][1]])
         _reject_focal(r, "world point lies on a slit", lambda: norm(cam.slit1)
                       * norm(cam.slit2) * norm(x) ** 2)

@@ -2,6 +2,7 @@
 focal behavior, and the degree-two panoramic congruences."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -799,6 +800,19 @@ def test_twisted_cubic_homography_check_ignores_scale(lam):
     assert np.all(r0[:4] <= 1e-9) and np.all(r0[4:] > 1e-6)
     with pytest.raises(DegenerateInput, match="invertible"):
         TwistedCubic(lam * _SINGULAR_H)
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-50, 1e50, 1e80])
+def test_twisted_cubic_homography_check_at_extreme_scales(scale):
+    """The invertibility test reads H at a power-of-two scale: an
+    invertible H is accepted at scales where det H and ||H||^4 under- or
+    overflow, with no warning, and a singular one is still refused."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cam = TwistedCubic(scale * np.eye(4))
+        with pytest.raises(DegenerateInput, match="invertible"):
+            TwistedCubic(scale * _SINGULAR_H)
+    assert cam.homography.tobytes() == (scale * np.eye(4)).tobytes()
 
 
 def test_twisted_cubic_homography_check_at_unit_scale():

@@ -1,14 +1,17 @@
 """The stacked binary-form root finder against its one-form reference,
-and the rendering of floats for a report."""
+the rendering of floats for a report, and the number-type dispatch of
+the scalar and array helpers."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gvcam.errors import DegenerateInput
-from gvcam.numeric import FORM_EPS, binary_roots, format_scalar
+from gvcam.numeric import (FORM_EPS, as_float, binary_roots, format_scalar,
+                           is_exact, parse_scalar, vec)
 from conftest import reference_binary_roots
 
 # no coefficient near the subnormal range, even times FORM_EPS: numpy.roots
@@ -103,3 +106,104 @@ def test_format_scalar_of_a_float_is_the_float():
             else:
                 assert np.float64(got).tobytes() == x.tobytes()
                 assert got == float(format(x, ".17g"))
+
+
+@pytest.mark.parametrize("value, exact, expected", [
+    (np.float64(1.5), False, np.float64(1.5)),
+    (3, False, 3.0), (np.int64(7), False, 7.0), (3, True, Fraction(3)),
+    (2 ** 2000, True, Fraction(2 ** 2000)),
+    ("3/4", False, Fraction(3, 4)), ("-5", True, Fraction(-5)),
+])
+def test_parse_scalar_value(value, exact, expected):
+    got = parse_scalar(value, exact=exact)
+    assert type(got) is type(expected) and got == expected
+
+
+@pytest.mark.parametrize("value, exact, message", [
+    (np.float64(1.5), True, "exact mode requires"),
+    (True, False, "booleans"), (False, True, "booleans"),
+    (2 ** 2000, False, "2001 bits exceeds the float range"),
+    (math.nan, False, "must be finite"), (math.inf, False, "must be finite"),
+    (-math.inf, False, "must be finite"), (math.nan, True, "exact mode"),
+    ("a/b", False, "cannot parse rational"), (np.float32(1.5), False,
+                                              "cannot parse scalar"),
+    (1 + 2j, False, "cannot parse scalar"),
+    (Fraction(1, 3), False, "cannot parse scalar"),
+    (None, False, "cannot parse scalar"),
+])
+def test_parse_scalar_refusal(value, exact, message):
+    with pytest.raises(DegenerateInput, match=message):
+        parse_scalar(value, exact=exact)
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+def _same(got, expected):
+    """Equal value, type, and dtype for arrays."""
+    assert type(got) is type(expected)
+    if isinstance(expected, np.ndarray):
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tolist() == expected.tolist()
+    else:
+        assert got == expected
+
+
+_FRACTION_0D = np.array(Fraction(1, 3), dtype=object)
+_SUB = np.array([1.0, 2.0]).view(_Sub)
+_SUB_OBJECT = np.array([Fraction(1, 2), 1], dtype=object).view(_Sub)
+_INTS = np.array([1, 2])
+_COMPLEX = np.array([1 + 2j])
+
+
+@pytest.mark.parametrize("value, exact, floats", [
+    (_FRACTION_0D, True, np.array(1 / 3)),
+    (_SUB, False, _SUB),
+    (_SUB_OBJECT, True, np.array([0.5, 1.0])),
+    (Fraction(1, 3), True, 1 / 3),
+    (1 + 2j, False, 1 + 2j),
+    (_COMPLEX, False, _COMPLEX),
+    (_INTS, False, _INTS),
+    (np.array([1, 2.5], dtype=object), True, np.array([1.0, 2.5])),
+    (2.5, False, 2.5), (3, False, 3), (np.float64(2), False, np.float64(2)),
+])
+def test_is_exact_and_as_float(value, exact, floats):
+    assert is_exact(value) is exact
+    _same(as_float(value), floats)
+
+
+def test_as_float_refusals():
+    with pytest.raises(DegenerateInput, match="exceeds the float range"):
+        as_float(Fraction(10 ** 400))
+    with pytest.raises(TypeError):
+        as_float(np.array([1 + 1j, 2], dtype=object))
+
+
+@pytest.mark.parametrize("value, kept, floats, fractions", [
+    (_FRACTION_0D, _FRACTION_0D, np.array(1 / 3), _FRACTION_0D),
+    (_SUB, _SUB, np.array([1.0, 2.0]),
+     np.array([Fraction(1), Fraction(2)], dtype=object)),
+    (_SUB_OBJECT, _SUB_OBJECT, np.array([0.5, 1.0]),
+     np.array([Fraction(1, 2), Fraction(1)], dtype=object)),
+    (Fraction(1, 3), _FRACTION_0D, np.array(1 / 3), _FRACTION_0D),
+    (1 + 2j, np.array(1 + 2j), np.array(1 + 2j), None),
+    (_COMPLEX, _COMPLEX, _COMPLEX, None),
+    (_INTS, _INTS, np.array([1.0, 2.0]),
+     np.array([Fraction(1), Fraction(2)], dtype=object)),
+    ([1, Fraction(1, 2)], np.array([Fraction(1), Fraction(1, 2)], object),
+     np.array([1.0, 0.5]), np.array([Fraction(1), Fraction(1, 2)], object)),
+    ([1, 2.5], np.array([1.0, 2.5]), np.array([1.0, 2.5]),
+     np.array([Fraction(1), Fraction(5, 2)], dtype=object)),
+    (np.array([1 + 1j, 2], dtype=object), np.array([1 + 1j, 2], object),
+     np.array([1 + 1j, 2 + 0j]), None),
+])
+def test_vec_keeps_forces_floats_or_forces_fractions(value, kept, floats,
+                                                    fractions):
+    _same(vec(value), kept)
+    _same(vec(value, exact=False), floats)
+    if fractions is None:
+        with pytest.raises(TypeError):
+            vec(value, exact=True)
+    else:
+        _same(vec(value, exact=True), fractions)

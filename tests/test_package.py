@@ -188,3 +188,14 @@ def test_every_import_is_read():
     unread = ["%s:%d: %s" % (path.name, line, name) for path in paths
               for line, name in _unread_imports(ast.parse(path.read_text()))]
     assert not unread, unread
+
+
+#: The size that the package stays under (``wc -l src/gvcam/*.py``): a
+#: change that adds lines pairs them with deletions.
+MAX_PACKAGE_LINES = 4000
+
+
+def test_package_stays_under_its_line_budget():
+    counts = {path.name: path.read_bytes().count(b"\n")
+              for path in PACKAGE.glob("*.py")}
+    assert sum(counts.values()) < MAX_PACKAGE_LINES, sorted(counts.items())

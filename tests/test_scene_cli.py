@@ -15,11 +15,12 @@ import pytest
 from conftest import assert_proj_close
 from gvcam import cli, multiimage
 from gvcam.cameras import Pinhole, TwoSlit
-from gvcam.concurrency import MAX_MULTIDEGREE_N
+from gvcam.concurrency import MAX_MULTIDEGREE_N, worst_of_stack
 from gvcam.errors import DegenerateInput
 from gvcam.catadioptric import (MirrorSurface, line_surface_points,
                                 specular_pair, tangent_plane)
-from gvcam.numeric import unitize, vec, vector_payload
+from gvcam.numeric import (_scaled_rows, as_float, format_scalar, unitize,
+                           vec, vector_payload)
 from gvcam.plucker import line_from_points, plucker_quadric, points_on_line
 from gvcam.scene import (load_observations, load_points, load_scene,
                          mirror_lines, scene_from_dict)
@@ -181,6 +182,51 @@ def test_cli_project_report(capsys, mixed_scene):
         assert row["congruence_residual"] <= 1e-10
     for chk in report["tuple_checks"]:
         assert chk["max_generator_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_cli_project_tuple_checks_of_points_missing_lines(capsys, tmp_path,
+                                                          exact):
+    """A point that is focal in some cameras is checked on the tuple of
+    its other lines: the worst generator of that tuple alone, bit for bit,
+    whichever cameras it misses (first, middle or last, one or two)."""
+    rig = [{"type": "pinhole", "center": [1, 0, 0, 0]},
+           {"type": "two_slit", "slits": [[1, 0, 0, 0, 0, 0],
+                                          [0, 0, 0, 0, 0, 1]]},
+           {"type": "pinhole", "center": [0, 0, 1, 0]},
+           {"type": "pinhole", "center": [1, 1, 1, 1]},
+           {"type": "twisted_cubic",
+            "homography": [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0],
+                           [0, 0, 1, 1]]},
+           {"type": "pinhole", "center": [2, -1, 3, 1]}]
+    rng = np.random.default_rng(27)
+    points = ([[1, 0, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1], [2, -1, 3, 1],
+               [0, 1, 0, 0]]
+              + rng.integers(-9, 10, size=(6, 4)).tolist())
+    scene = write_json(tmp_path / "scene.json",
+                       {"version": 1, "rig": rig, "points": points})
+    argv = ["project", "--scene", scene] + ["--exact"] * exact
+    rc, out = run_cli(capsys, argv)
+    assert rc == 0
+    report = json.loads(out)
+    lines = {}
+    for row in report["results"]:
+        if "line" in row:
+            lines.setdefault(row["item"], []).append(row["line"])
+    sizes = sorted({len(v) for v in lines.values()})
+    assert sizes == [len(rig) - 2, len(rig) - 1, len(rig)]
+    checks = report["tuple_checks"]
+    assert [c["item"] for c in checks] == sorted(lines)
+    for check in checks:
+        # an exact line is written as strings, a float one as floats
+        tuple_ = [vec([Fraction(v) for v in line]) if type(line[0]) is str
+                  else np.array(line) for line in lines[check["item"]]]
+        # as concurrency._tuple_stack makes it
+        stack = (np.array(tuple_, dtype=object)
+                 if all(t.dtype == object for t in tuple_)
+                 else np.array([as_float(_scaled_rows(t)) for t in tuple_]))
+        want = format_scalar(worst_of_stack(stack[None])[1][0])
+        assert check["max_generator_residual"] == want, check
 
 
 def test_cli_project_is_deterministic(capsys, mixed_scene):

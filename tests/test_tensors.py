@@ -6,6 +6,7 @@ rational-map photographic cameras of order-(1, beta) congruences, and the
 JSON payload round trips.
 """
 
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -251,6 +252,33 @@ def test_residual_refuses_the_zero_tensor(residual, shape):
     points = [np.ones(n) for n in shape]
     with pytest.raises(DegenerateInput, match="zero tensor"):
         residual(np.zeros(shape), *points)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e200, 1e300],
+                         ids=["1e-300", "1e-170", "1e200", "1e300"])
+@pytest.mark.parametrize("residual, shape", [
+    (quadrifocal_residual, (2, 2, 2, 2)), (mixed_residual, (3, 2, 2))],
+    ids=["quadrifocal", "mixed"])
+def test_residual_of_a_tensor_whose_squares_leave_the_float_range(
+        residual, shape, scale):
+    """A tensor whose squares under- or overflow has the residual of the
+    same tensor at unit scale (it used to divide by a zero norm, or by an
+    infinite one, a false zero), with no warning; a tensor at unit scale
+    keeps its bits."""
+    rng = np.random.default_rng(27)
+    T = rng.standard_normal(shape)
+    points = [rng.standard_normal(n) for n in shape]
+    ldexp = np.ldexp(T, -np.frexp(np.max(np.abs(T)))[1])   # exact
+    want = residual(ldexp, *points)
+    assert want > 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = residual(scale * T, *points)
+    assert got == pytest.approx(want, rel=1e-12)
+    unit = residual(T, *points)
+    assert unit == abs(float(np.einsum(
+        "ijkl,i,j,k,l" if len(shape) == 4 else "ijk,i,j,k", T,
+        *[unitize(p) for p in points]))) / norm(T)
 
 
 def test_mixed_tensor_rank_drops_when_center_meets_slit():
