@@ -56,9 +56,9 @@ from .errors import (DegenerateInput, FocalPoint, IllConditioned,
                      InvalidSlit, DegenerateCubic, UnsupportedOrder)
 from .numeric import (DEFAULT_TOL, FOCAL_EPS, ZERO_EPS, _scaled_rows, as_float,
                       binary_eval, binary_roots, common_type, compound2,
-                      is_exact, negligible, norm, parse_vector, power,
-                      projective_distance, row_norms, unitize, vec,
-                      vector_payload)
+                      exact_nullspace, is_exact, negligible, norm,
+                      parse_vector, power, projective_distance, row_norms,
+                      unitize, vec, vector_payload)
 from .plucker import (_incidence, _point_line, _unit, dual_line, incidence,
                       incidence_residual, line_residual, plucker_quadric,
                       point_line_residual, primal_matrix, wedge)
@@ -159,6 +159,9 @@ def point_curve_residual(x, curve: RationalCurve) -> float:
 #: Relative size up to which |det H| / ||H||_2^4 counts as a singular
 #: homography; at unit spectral norm the bound is on |det H| itself.
 HOMOGRAPHY_EPS = 1e-12
+#: |Binary exponent| of a float H's largest entry beyond which H projects
+#: at its power-of-two scale Hs: secants, ~|H|^-4, stay squarable.
+HOMOGRAPHY_EXPONENT = 32
 #: Line-quadric value of a unitized slit, and incidence of two, that
 #: counts as zero; relative, since unitized slits have norm 1.
 SLIT_EPS = 1e-9
@@ -421,8 +424,9 @@ class TwistedCubic(_Camera):
     bidegree = (1, 3)
     fields = ("homography",)
     focal_curve = TWISTED_CUBIC_CURVE
-    # float H^-1, compound2(H^-1) and compound2(H), or None without H
-    _inverse = _line_inverse = _line_map = None
+    # H^-1 and compound2(H) in H's number type, and the float H^-1 and
+    # compound2(H^-1) of the residuals and the system; None without H
+    _data, _inverse, _line_inverse = (None, None), None, None
 
     def __init__(self, homography=None):
         if homography is not None:
@@ -432,24 +436,28 @@ class TwistedCubic(_Camera):
             Hf = as_float(homography)
             # tested at the exact power-of-two scale that brings its largest
             # entry into [0.5, 1), which no scale of H under- or overflows
-            Hs = np.ldexp(Hf, -np.frexp(np.max(np.abs(Hf)))[1])
+            e = np.frexp(np.max(np.abs(Hf)))[1]
+            Hs = np.ldexp(Hf, -e)
             if (abs(np.linalg.det(Hs))
                     <= HOMOGRAPHY_EPS * np.linalg.norm(Hs, 2) ** 4):
                 raise DegenerateInput("homography must be invertible")
-            inverse = np.linalg.inv(Hf)
-            self._inverse, self._line_inverse, self._line_map = (
-                inverse, compound2(inverse), compound2(Hf))
+            if abs(e) > HOMOGRAPHY_EXPONENT:
+                Hf = Hs
+            self._inverse = np.linalg.inv(Hf)
+            self._line_inverse = compound2(self._inverse)
+            self._data = (self._inverse, compound2(Hf))
+            if is_exact(homography):
+                # the rows (column j of H^-1, e_j) span [H | -I]'s nullspace
+                basis = exact_nullspace(np.hstack([homography, -np.eye(4)]))
+                self._data = (np.array(basis)[:, :4].T, compound2(homography))
             # H moves the standard curve's forms (unit vectors) to its rows
             self.focal_curve = RationalCurve(tuple(map(tuple, Hf.tolist())))
         self.homography = homography
-        # with a homography the point goes through its float inverse
-        self._data = (self._inverse,)
 
-    def _project(self, X, inverse):
+    def _project(self, X, inverse, line_map):
         Xn = X if inverse is None else np.matvec(inverse, X)
         ell = np.stack(_secant(*Xn.T), axis=-1)
-        lines = ell if self._line_map is None else np.matvec(self._line_map,
-                                                             ell)
+        lines = ell if line_map is None else np.matvec(line_map, ell)
         return lines, [("world point lies on the twisted cubic", ell,
                         FOCAL_EPS, lambda: power(row_norms(Xn), 4))]
 

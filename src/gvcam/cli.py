@@ -39,8 +39,7 @@ import numpy as np
 
 from .errors import (AmbiguousPencil, DegenerateInput, GeometryError,
                      IllConditioned, UnsupportedOrder)
-from .numeric import (DEFAULT_TOL, _scaled_rows, as_float, format_scalar,
-                      is_exact, unitize, vector_payload)
+from .numeric import DEFAULT_TOL, format_scalar, unitize, vector_payload
 
 __all__ = ["main", "run", "build_parser"]
 
@@ -394,41 +393,31 @@ def cmd_project(args) -> int:
     scene = load_scene(args.scene, exact=args.exact, tol=args.tol)
     points = load_points(args.points, scene, exact=args.exact)
     n, m = len(points), len(scene.cameras)
-    # each point's line in each camera where it has one (ok), as floats
-    # (exact lines scaled by numeric._scaled_rows) and, under --exact, as
-    # given, with its residuals; else the error that names why it has none
-    floats = np.zeros((n, m, 6))
-    fractions = np.zeros((n, m, 6), dtype=object) if args.exact else None
+    # each point's line in each camera where it has one (ok), in the
+    # points' number type, with its residuals; else the error that names
+    # why it has none
+    lines = np.zeros((n, m, 6), dtype=points.dtype)
     quadric, congruence = np.zeros((n, m)), np.zeros((n, m))
     error, message = np.empty((n, m), object), np.empty((n, m), object)
     ok = np.zeros((n, m), dtype=bool)
-    exact = np.zeros(m, dtype=bool)
     for i, cam in enumerate(scene.cameras):
         try:
-            lines, focal = cam.project(points)
+            found, focal = cam.project(points)
         except UnsupportedOrder as exc:
             error[:, i], message[:, i] = type(exc).__name__, str(exc)
             continue
         # the rows with a line: all as a slice (a view, no mask writes)
         hit = (np.bincount(list(focal), minlength=n) == 0 if focal
                else slice(None))
-        L = lines[hit]
+        L = lines[hit, i] = found[hit]
         ok[hit, i] = True
-        floats[hit, i] = as_float(_scaled_rows(L))
-        if is_exact(lines):
-            exact[i] = True
-            fractions[:, i] = lines
         if len(L):
             congruence[hit, i] = congruence_residual(cam, L)
         for j, text in focal.items():
             error[j, i], message[j, i] = "FocalPoint", text
-    # the float lines, then the exact ones, in one call each (row by row)
-    for rows, source in ((ok & ~exact, floats), (ok & exact, fractions)):
-        if rows.any():
-            quadric[rows] = line_residual(unitize(source[rows]))
-    line = floats[ok]
-    if exact.any():
-        line = vector_payload(np.where(exact[:, None], fractions, floats)[ok])
+    if ok.any():
+        quadric[ok] = line_residual(unitize(lines[ok]))
+    line = vector_payload(lines[ok]) if args.exact else lines[ok]
     # a row per point and camera, in that order
     (j, i), (fj, fi) = np.nonzero(ok), np.nonzero(~ok)
     rows = _Rows({"item": j, "camera": i, "line": line,
@@ -437,22 +426,17 @@ def cmd_project(args) -> int:
                  {"item": fj, "camera": fi, "error": error[~ok].tolist(),
                   "message": message[~ok].tolist()},
                  kinds=(~ok).ravel().astype(np.intp))
-    # the worst generator of each tuple of two lines or more, exact when all
-    # are (as concurrency._tuple_stack decides); a missing line repeats the
-    # one before it (or the first): a copy of the tuple's own generators,
-    # operands in order, or exactly zero (a triple with a repeated line)
-    checked, exact_tuple = ok.sum(axis=1) >= 2, ~np.any(ok & ~exact, axis=1)
-    top = np.zeros(n, dtype=object if args.exact else float)
-    for is_exact_tuple, source in ((False, floats), (True, fractions)):
-        chosen = checked & (exact_tuple == is_exact_tuple)
-        if chosen.any():
-            have = ok[chosen]
-            fill = np.maximum.accumulate(np.where(
-                have, np.arange(m), np.argmax(have, axis=1)[:, None]), axis=1)
-            top[chosen] = worst_of_stack(np.take_along_axis(
-                source[chosen], fill[..., None], axis=1))[1]
-    top = top[checked]                      # objects under --exact
-    if top.dtype == object:
+    # the worst generator of each tuple of two lines or more; a missing line
+    # repeats the one before it (or the first): a copy of the tuple's own
+    # generators, operands in order, or 0 (a triple with a repeated line)
+    checked, top = ok.sum(axis=1) >= 2, np.zeros(0)
+    if checked.any():
+        have = ok[checked]
+        fill = np.maximum.accumulate(np.where(
+            have, np.arange(m), np.argmax(have, axis=1)[:, None]), axis=1)
+        top = worst_of_stack(np.take_along_axis(
+            lines[checked], fill[..., None], axis=1))[1]
+    if args.exact:
         top = [format_scalar(t) for t in top.tolist()]
     checks = _Rows({"item": np.flatnonzero(checked),
                     "max_generator_residual": top})

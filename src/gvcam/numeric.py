@@ -100,12 +100,12 @@ def negligible(v, scale=None, eps: float = ZERO_EPS, axis=None):
     stack (``axis=-1``).
 
     A Fraction is compared with 0 and with nothing else.  A float or
-    complex counts as zero when its norm (:func:`norm` of the whole,
-    ``sqrt(a * a)`` of an entry, :func:`row_norms` of a row) is at most
-    ``eps`` times ``scale()``, 1 when ``scale`` is omitted.  ``scale`` is
-    a callable, run only for floats, so that an exact path never takes a
-    float norm; its value may be an array that broadcasts against the
-    verdicts (one scale per row, say).
+    complex counts as zero when its :func:`norm` (of the whole, of an
+    entry, or of a row, which is :func:`row_norms` of a squarable row) is
+    at most ``eps`` times ``scale()``, 1 when ``scale`` is omitted.
+    ``scale`` is a callable, run only for floats, so that an exact path
+    never takes a float norm; its value may be an array that broadcasts
+    against the verdicts (one scale per row, say).
     """
     if is_exact(v):
         zero = np.asarray(v == 0, dtype=bool)
@@ -114,10 +114,12 @@ def negligible(v, scale=None, eps: float = ZERO_EPS, axis=None):
     if axis is None:
         return norm(v) <= bound
     if axis == ():
-        a = np.abs(v)
-        # norm(v_i), bit for bit, also where a * a under- or overflows
-        return np.sqrt(a * a) <= bound
-    return row_norms(v) <= bound
+        return np.abs(v) <= bound
+    n = row_norms(v)
+    far = ~((n >= _SQUARABLE[0]) & (n <= _SQUARABLE[1]))    # 0 and inf too
+    if far.any():
+        n[far] = [norm(row) for row in v[far]]
+    return n <= bound
 
 
 def as_float(a):
@@ -135,20 +137,29 @@ def as_float(a):
     return a
 
 
+#: Row norms whose squares neither under- nor overflow, with room for the
+#: sum of a few of them.
+_SQUARABLE = (1e-150, 1e150)
+
+
 def norm(a) -> float:
-    return float(np.linalg.norm(np.abs(as_float(np.asarray(a)))))
+    """The Euclidean norm of all of ``a``, at the power-of-two scale of
+    :func:`unitize` when it lies outside :data:`_SQUARABLE`."""
+    a = np.abs(as_float(np.asarray(a)))
+    with np.errstate(over="ignore", under="ignore"):
+        n = float(np.linalg.norm(a))
+        if not _SQUARABLE[0] <= n <= _SQUARABLE[1] and a.any():
+            e = np.frexp(np.max(a))[1]
+            n = float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
+    return n
 
 
 def row_norms(a):
     """Euclidean norm of each row of a float stack (of ``a`` itself when
-    it is 1-d); equal, bit for bit, to :func:`norm` of the row."""
+    it is 1-d); equal, bit for bit, to :func:`norm` of a row whose norm
+    lies in :data:`_SQUARABLE`."""
     a = np.ascontiguousarray(np.abs(a))
     return np.sqrt(np.vecdot(a, a))
-
-
-#: Row norms whose squares neither under- nor overflow, with room for the
-#: sum of a few of them.
-_SQUARABLE = (1e-150, 1e150)
 
 
 def unitize(a):

@@ -17,8 +17,8 @@ from gvcam.catadioptric import conic_chord_points
 from gvcam.errors import DegenerateInput, FocalPoint
 from gvcam.multiimage import Transversal
 from gvcam.numeric import (FOCAL_EPS, FORM_EPS, as_float, binary_eval,
-                           negligible, norm, projective_distance, realify,
-                           unitize, vec)
+                           compound2, det3, det4, is_exact, negligible, norm,
+                           projective_distance, realify, unitize, vec)
 from gvcam.plucker import (incidence, line_from_planes, line_from_points,
                            line_residual, plucker_quadric,
                            point_line_residual, primal_matrix)
@@ -365,6 +365,17 @@ def _join(x, y, message):
         raise FocalPoint(message) from None
 
 
+def exact_inverse(H):
+    """The inverse of an exact 4x4 matrix by cofactors: its adjugate over
+    its determinant."""
+    def minor(i, j):
+        return [[H[r][c] for c in range(4) if c != j]
+                for r in range(4) if r != i]
+    det = det4(H)
+    return vec([[(-1) ** (i + j) * det3(minor(j, i)) / det for j in range(4)]
+                for i in range(4)])
+
+
 def reference_curve_point(cam, x):
     """The Type3 curve point, or the Type4 target point, at (x0 : x1)."""
     g, h = (binary_eval(c, x[0], x[1]) for c in (cam.g, cam.h))
@@ -385,14 +396,14 @@ def reference_project(cam, x):
                       * norm(cam.slit2) * norm(x) ** 2)
         return r
     if isinstance(cam, TwistedCubic):
-        xn = x if cam.homography is None else vec(
-            (cam._inverse @ as_float(x)).tolist())
-        ell = vec(_secant(*xn))
+        H = cam.homography
+        if H is not None:
+            inverse = exact_inverse(H) if is_exact(H) else np.linalg.inv(H)
+            x = vec((inverse @ x).tolist())
+        ell = vec(_secant(*x))
         _reject_focal(ell, "world point lies on the twisted cubic",
-                      lambda: norm(xn) ** 4)
-        if cam.homography is None:
-            return ell
-        return vec((cam._line_map @ as_float(ell)).tolist())
+                      lambda: norm(x) ** 4)
+        return ell if H is None else vec((compound2(H) @ ell).tolist())
     y, type4 = reference_curve_point(cam, x), isinstance(cam, Type4)
     data = (cam.g, cam.h) if type4 else (cam.f, cam.g, cam.h)
     _reject_focal(y, "world point lies on the base line",

@@ -275,7 +275,7 @@ def test_stacked_projection_equals_per_point(rows):
         assert focal, cam.kind
 
 
-# exact cameras; the twisted cubic's homography makes its lines floats
+# exact cameras, each of which projects Fraction points to Fraction lines
 _EXACT_CATALOG = [
     Pinhole(vec([1, 2, 3, 4], exact=True)),
     TwoSlit(vec([1, 0, 0, 0, 0, 0], exact=True),
@@ -299,8 +299,9 @@ _EXACT_FOCAL = [list(x) for cam in _EXACT_CATALOG
                 min_size=1, max_size=6))
 def test_exact_stacked_projection_equals_per_point(rows):
     """A stack of Fractions is projected in one pass to the same Fraction
-    lines, focal rows and messages as the scalar reference point by
-    point."""
+    lines, focal rows and messages as the scalar reference point by point,
+    by every exact kind: the twisted cubic moved by an exact homography
+    too, through its exact inverse."""
     stack = vec(rows + _EXACT_FOCAL, exact=True)
     for cam in _EXACT_CATALOG:
         assert _assert_stack_projects_per_point(cam, stack), cam.kind
@@ -813,6 +814,18 @@ def test_twisted_cubic_homography_check_at_extreme_scales(scale):
         with pytest.raises(DegenerateInput, match="invertible"):
             TwistedCubic(scale * _SINGULAR_H)
     assert cam.homography.tobytes() == (scale * np.eye(4)).tobytes()
+
+
+def test_twisted_cubic_float_homography_projects_at_any_scale():
+    """s * I is the standard camera at every scale s from 1e-100 to 1e80:
+    it projects (1:2:3:4) to the standard line up to scale, which is in
+    its congruence."""
+    x, want = np.array([1.0, 2, 3, 4]), TwistedCubic().project([1.0, 2, 3, 4])
+    for e in range(-100, 81, 10):
+        cam = TwistedCubic(10.0 ** e * np.eye(4))
+        line = cam.project(x)
+        assert_proj_close(line, want, 1e-14, msg="1e%d" % e)
+        assert congruence_residual(cam, line) <= 1e-15
 
 
 def test_twisted_cubic_homography_check_at_unit_scale():

@@ -3,6 +3,7 @@ the rendering of floats for a report, and the number-type dispatch of
 the scalar and array helpers."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gvcam.errors import DegenerateInput
 from gvcam.numeric import (FORM_EPS, as_float, binary_roots, format_scalar,
-                           is_exact, parse_scalar, vec)
+                           is_exact, norm, parse_scalar, vec)
 from conftest import reference_binary_roots
 
 # no coefficient near the subnormal range, even times FORM_EPS: numpy.roots
@@ -207,3 +208,20 @@ def test_vec_keeps_forces_floats_or_forces_fractions(value, kept, floats,
             vec(value, exact=True)
     else:
         _same(vec(value, exact=True), fractions)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=6),
+       st.integers(-1070, 1010))
+def test_norm_at_any_scale(coords, e):
+    """A vector whose norm lies in the squarable range has the bits of
+    ``np.linalg.norm``; at any power-of-two scale its norm is
+    ``math.hypot`` of its coordinates, with no warning."""
+    v = np.array(coords)
+    if 1e-150 <= np.linalg.norm(v) <= 1e150:
+        assert norm(v) == np.linalg.norm(v)
+    v = np.ldexp(v, e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = norm(v)
+    assert got == pytest.approx(math.hypot(*v), rel=1e-15, abs=2.0 ** -1074)

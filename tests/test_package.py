@@ -190,6 +190,42 @@ def test_every_import_is_read():
     assert not unread, unread
 
 
+def _private_names(tree):
+    """The private names (``_name``, not ``__name__``) that a module
+    defines at its top level, with their lines."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [(node.lineno, n.id) for t in targets
+                      for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [(line, name) for line, name in names
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def test_every_private_name_is_read():
+    """Every module-level private name of the package is read by one of
+    its modules (loaded, as an attribute, or imported), so that deleting
+    its last caller deletes it too."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    unread = ["%s:%d: %s" % (path, line, name)
+              for path, tree in trees.items()
+              for line, name in _private_names(tree) if name not in read]
+    assert not unread, unread
+
+
 #: The size that the package stays under (``wc -l src/gvcam/*.py``): a
 #: change that adds lines pairs them with deletions.
 MAX_PACKAGE_LINES = 4000

@@ -1,5 +1,6 @@
 """Line-coordinate algebra: joins, meets, duality, incidence."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -310,6 +311,19 @@ def test_float_residuals_survive_huge_coordinates():
     assert point_line_residual((1e200 * x)[None], _P[None])[0] == want
     huge = np.array([1e200, 0, 0, 0, 0, 1e200])
     assert line_residual(huge) == pytest.approx(0.5)
+
+
+def test_join_of_points_whose_squares_leave_the_float_range():
+    """The join of (1e200:0:0:0) or (1e-200:0:0:0) with (1:1:0:0) is the
+    line e0 v e1, with no warning: the norms of its zero test do not
+    overflow to inf or underflow to 0."""
+    y = np.array([1.0, 1, 0, 0])
+    for s in (1e200, 1e-200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = line_from_points(np.array([s, 0, 0, 0]), y)
+        assert p.tolist() == [s, 0, 0, 0, 0, 0]
+        assert norm(p) == s
 
 
 _SMALL = st.lists(st.integers(-9, 9), min_size=4, max_size=4).filter(any)

@@ -10,6 +10,7 @@ there, from a commit whose reports are known to be right.
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -165,8 +166,8 @@ REPORTS = {
                       "51eee5e5d3158efdf58c904271497195"),
     "project_focal_exact": (["project", "--exact", "--scene"],
                             "project_focal", 0,
-                            "29495afac6ef033bb3072a7c9d1b98c1"
-                            "78dab61e005a5703d405a2eace6adda6"),
+                            "cd4416f2223bf12db46e71e548abe7f0"
+                            "c220882a3ef902e96156804e65c90853"),
     "project_rational": (["project", "--scene"], "project_rational", 0,
                          "c25c0fbc8456aaf05d24917184f03e62"
                          "a3f8dfdc76140f199dad63d91075de23"),
@@ -237,3 +238,30 @@ def test_report_bytes_are_pinned(name, capsys, tmp_path, monkeypatch):
     assert cli.main(argv) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_project_focal_exact_report_equals_the_float_one(capsys, tmp_path):
+    """On the integer project_focal scene, --exact gives the rows of the
+    float report: the same errors, and each exact line equal to the float
+    line once rounded (every inverse of the scene is exact in floats); each
+    of its tuple checks is exactly 0."""
+    scene, points = tmp_path / "scene.json", tmp_path / "points.json"
+    scene.write_text(json.dumps(SCENES["project_focal"]))
+    points.write_text(json.dumps(POINTS["project_focal"]))
+    reports = []
+    for flags in ([], ["--exact"]):
+        assert cli.main(["project", "--scene", str(scene), "--points",
+                         str(points)] + flags) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    floats, exact = reports
+    keys = ("item", "camera", "error", "message")
+    assert ([{k: r[k] for k in keys if k in r} for r in exact["results"]]
+            == [{k: r[k] for k in keys if k in r}
+                for r in floats["results"]])
+    assert ([[float(Fraction(v)) for v in r["line"]]
+             for r in exact["results"] if "line" in r]
+            == [r["line"] for r in floats["results"] if "line" in r])
+    assert ([c["item"] for c in exact["tuple_checks"]]
+            == [c["item"] for c in floats["tuple_checks"]])
+    assert all(c["max_generator_residual"] == 0.0
+               for c in exact["tuple_checks"])

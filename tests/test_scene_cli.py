@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import assert_proj_close
+from conftest import assert_proj_close, reference_project
 from gvcam import cli, multiimage
-from gvcam.cameras import Pinhole, TwoSlit
+from gvcam.cameras import Pinhole, TwistedCubic, TwoSlit
 from gvcam.concurrency import MAX_MULTIDEGREE_N, worst_of_stack
 from gvcam.errors import DegenerateInput
 from gvcam.catadioptric import (MirrorSurface, line_surface_points,
@@ -562,21 +562,26 @@ def test_cli_project_huge_float_points_on_twisted_cubic(capsys, tmp_path):
 
 def test_cli_project_exact_huge_point_on_moved_twisted_cubic(capsys,
                                                              tmp_path):
-    """Under --exact a twisted cubic with a homography projects in floats;
-    a 10**200-sized point overflows there and exits 2 naming it, where it
-    wrote NaN lines before."""
+    """Under --exact a twisted cubic with a homography projects exactly: a
+    10**200-sized point, beyond what its float projection can square, gets
+    the exact line of the scalar reference, with exact zero residuals."""
+    H = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
     rig = [{"type": "pinhole", "center": [0, 0, 0, 1]},
-           {"type": "twisted_cubic",
-            "homography": [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0],
-                           [0, 0, 1, 1]]}]
-    scene = write_json(tmp_path / "huge.json", {
-        "version": 1, "rig": rig, "points": [[1, 2, 3, 1],
-                                             [10 ** 200, 2, 3, 1]]})
-    rc, err = _check_error(capsys, ["project", "--exact", "--scene", scene])
-    assert rc == 2 and err == {
-        "error": "DegenerateInput",
-        "message": "points[1] is too large: its projection overflows the "
-                   "float range"}
+           {"type": "twisted_cubic", "homography": H}]
+    points = [[1, 2, 3, 1], [10 ** 200, 2, 3, 1]]
+    scene = write_json(tmp_path / "huge.json",
+                       {"version": 1, "rig": rig, "points": points})
+    rc, out = run_cli(capsys, ["project", "--exact", "--scene", scene])
+    assert rc == 0
+    report = json.loads(out)
+    cam = TwistedCubic(vec(H, exact=True))
+    rows = [r for r in report["results"] if r["camera"] == 1]
+    assert [r["line"] for r in rows] == [
+        vector_payload(reference_project(cam, vec(x, exact=True)))
+        for x in points]
+    assert rows[1]["quadric_residual"] == 0.0
+    assert [c["max_generator_residual"]
+            for c in report["tuple_checks"]] == [0.0, 0.0]
 
 
 def test_cli_project_huge_float_points_on_pinhole_and_two_slit(capsys,
@@ -740,6 +745,22 @@ def test_cli_baselines(capsys, tmp_path):
                                    ] * 3}
     assert cli.main(["baselines", "--scene",
                      write_json(tmp_path / "three.json", three)]) == 2
+
+
+def test_cli_baselines_of_centres_whose_squares_leave_the_float_range(
+        capsys, tmp_path):
+    """Pinholes at (s:0:0:0) and (1:1:0:0) have the baseline e0 v e1 for
+    s = 1e200 and 1e-200: the norms of the coincidence test neither
+    overflow to inf nor underflow to 0."""
+    for s in (1e200, 1e-200):
+        rig = {"version": 1, "rig": [
+            {"type": "pinhole", "center": [s, 0, 0, 0]},
+            {"type": "pinhole", "center": [1, 1, 0, 0]}]}
+        rc, out = run_cli(capsys, ["baselines", "--scene",
+                                   write_json(tmp_path / "far.json", rig)])
+        assert rc == 0
+        (row,) = json.loads(out)["results"]
+        assert row["line"] == [s, 0, 0, 0, 0, 0]
 
 
 def test_cli_tensor_invariant_pipeline(capsys, tmp_path, mixed_scene):
