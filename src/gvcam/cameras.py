@@ -54,8 +54,9 @@ import numpy as np
 
 from .errors import (DegenerateInput, FocalPoint, IllConditioned,
                      InvalidSlit, DegenerateCubic, UnsupportedOrder)
-from .numeric import (DEFAULT_TOL, FOCAL_EPS, ZERO_EPS, _scaled_rows, as_float,
-                      binary_eval, binary_roots, common_type, compound2,
+from .numeric import (DEFAULT_TOL, FOCAL_EPS, ZERO_EPS, _binade,
+                      _scaled_rows, _squarable, as_float, binary_eval,
+                      binary_roots, common_type, compound2,
                       exact_nullspace, is_exact, negligible, norm,
                       parse_vector, power, projective_distance, row_norms,
                       unitize, vec, vector_payload)
@@ -185,7 +186,7 @@ def _in_float_range(scale, lines):
     """``scale`` (one per row), once it and the norm of every row of
     ``lines`` are finite; else DegenerateInput naming the first point
     whose projection overflows the float range."""
-    ok = np.isfinite(scale) & np.isfinite(row_norms(lines))
+    ok = np.isfinite(scale) & np.isfinite(norm(lines, -1))
     if not ok.all():
         raise DegenerateInput(
             "points[%d] is too large: its projection overflows the float "
@@ -298,7 +299,7 @@ class Pinhole(_Camera):
         # norm(center) * norm(x)
         lines = wedge(c, X)
         return lines, [("world point coincides with the center", lines,
-                        ZERO_EPS, lambda: norm(c) * row_norms(X))]
+                        ZERO_EPS, lambda: norm(c) * norm(X, -1))]
 
     def _residuals(self, P):
         lines, center = self._units(P)
@@ -318,11 +319,14 @@ class TwoSlit(_Camera):
     slits = focal_lines = property(lambda self: (self.slit1, self.slit2))
 
     def __init__(self, slit1, slit2):
-        s1, s2 = self.slit1, self.slit2 = vec(slit1), vec(slit2)
-        self._data = (primal_matrix(s1), primal_matrix(s2))
+        self.slit1, self.slit2 = vec(slit1), vec(slit2)
+        S = np.stack(common_type(self.slit1, self.slit2))
+        # a float slit of no squarable norm projects at its binade
+        self._slits = S if is_exact(S) else _squarable(S)[0]
+        self._data = tuple(map(primal_matrix, self._slits))
         # the slits at unit norm, unitized floats or scaled Fractions, which
         # negligible compares with zero exactly
-        self._kept = _unit(np.stack(common_type(s1, s2)))
+        self._kept = _unit(S)
         S = self._kept[0][0]
         if not negligible(plucker_quadric(S), eps=SLIT_EPS, axis=()).all():
             raise InvalidSlit("slit is not on the line quadric")
@@ -334,8 +338,8 @@ class TwoSlit(_Camera):
         # M23, -M13, M12, M03, -M02, M01, of M and -M flattened side by side
         lines = np.concatenate([M, -M], axis=1)[:, [11, 23, 6, 3, 18, 1]]
         return lines, [("world point lies on a slit", lines, FOCAL_EPS,
-                        lambda: norm(self.slit1) * norm(self.slit2)
-                        * power(row_norms(X), 2))]
+                        lambda: norm(self._slits[0]) * norm(self._slits[1])
+                        * power(norm(X, -1), 2))]
 
     def _residuals(self, P):
         # the larger incidence residual of the two slits, from one call
@@ -434,10 +438,8 @@ class TwistedCubic(_Camera):
             if homography.shape != (4, 4):
                 raise DegenerateInput("homography must be 4x4")
             Hf = as_float(homography)
-            # tested at the exact power-of-two scale that brings its largest
-            # entry into [0.5, 1), which no scale of H under- or overflows
-            e = np.frexp(np.max(np.abs(Hf)))[1]
-            Hs = np.ldexp(Hf, -e)
+            # tested at its binade, which no scale of H under- or overflows
+            Hs, e = _binade(Hf)
             if (abs(np.linalg.det(Hs))
                     <= HOMOGRAPHY_EPS * np.linalg.norm(Hs, 2) ** 4):
                 raise DegenerateInput("homography must be invertible")
@@ -459,7 +461,7 @@ class TwistedCubic(_Camera):
         ell = np.stack(_secant(*Xn.T), axis=-1)
         lines = ell if line_map is None else np.matvec(line_map, ell)
         return lines, [("world point lies on the twisted cubic", ell,
-                        FOCAL_EPS, lambda: power(row_norms(Xn), 4))]
+                        FOCAL_EPS, lambda: power(norm(Xn, -1), 4))]
 
     def _residuals(self, P):
         P = as_float(P)
@@ -553,9 +555,10 @@ class _Pencil(_Camera):
         lines = wedge(X, Y)
         return lines, [
             ("world point lies on the base line", Y, FOCAL_EPS,
-             lambda: power(row_norms(X), self.beta)
+             lambda: power(norm(X, -1), self.beta)
              * max(norm(d) for d in data if d is not None)),
-            (self._join, lines, ZERO_EPS, lambda: row_norms(X) * row_norms(Y))]
+            (self._join, lines, ZERO_EPS,
+             lambda: norm(X, -1) * norm(Y, -1))]
 
     def _residuals(self, P):
         """In floats: p must meet L, its meets with x2 = 0 and x3 = 0 must

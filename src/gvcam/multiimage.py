@@ -226,9 +226,7 @@ def common_transversals(l1, l2, l3, l4, tol: float = DEFAULT_TOL):
         out.append(Transversal(line=vec(line), parameter=(s, t),
                                is_real=real))
     if len(out) == 2:
-        d = projective_distance(np.asarray(out[0].line, dtype=complex),
-                                np.asarray(out[1].line, dtype=complex))
-        if d < DOUBLE_ROOT_EPS:
+        if projective_distance(out[0].line, out[1].line) < DOUBLE_ROOT_EPS:
             out = [out[0]._replace(multiplicity=2)]
     return out
 

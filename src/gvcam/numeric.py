@@ -12,7 +12,9 @@ both regimes; only norms and tolerance comparisons force a conversion
 to float.  Rationals serialize as ``"a/b"`` strings.
 
 :func:`common_type` is the one place that decides the number type of a
-computation on several arrays, and :func:`negligible` the one zero test.
+computation on several arrays, :func:`negligible` the one zero test, and
+:func:`norm` the one norm of raw input: only this module knows the range
+of squarable norms, and :func:`_binade` is its one power-of-two scaling.
 The type tests look for an ndarray (its dtype) or a float first: the
 isinstance tests of Fraction and Integral go through ``abc``, slowly.
 """
@@ -100,26 +102,16 @@ def negligible(v, scale=None, eps: float = ZERO_EPS, axis=None):
     stack (``axis=-1``).
 
     A Fraction is compared with 0 and with nothing else.  A float or
-    complex counts as zero when its :func:`norm` (of the whole, of an
-    entry, or of a row, which is :func:`row_norms` of a squarable row) is
-    at most ``eps`` times ``scale()``, 1 when ``scale`` is omitted.
-    ``scale`` is a callable, run only for floats, so that an exact path
-    never takes a float norm; its value may be an array that broadcasts
-    against the verdicts (one scale per row, say).
+    complex counts as zero when its :func:`norm` (``norm(v, axis)``) is at
+    most ``eps`` times ``scale()``, 1 when ``scale`` is omitted.  ``scale``
+    is a callable, run only for floats, so that an exact path never takes
+    a float norm; its value may be an array that broadcasts against the
+    verdicts (one scale per row, say).
     """
     if is_exact(v):
         zero = np.asarray(v == 0, dtype=bool)
         return bool(zero.all()) if axis is None else zero.all(axis=axis)
-    bound = eps * (1.0 if scale is None else scale())
-    if axis is None:
-        return norm(v) <= bound
-    if axis == ():
-        return np.abs(v) <= bound
-    n = row_norms(v)
-    far = ~((n >= _SQUARABLE[0]) & (n <= _SQUARABLE[1]))    # 0 and inf too
-    if far.any():
-        n[far] = [norm(row) for row in v[far]]
-    return n <= bound
+    return norm(v, axis) <= eps * (1.0 if scale is None else scale())
 
 
 def as_float(a):
@@ -142,55 +134,67 @@ def as_float(a):
 _SQUARABLE = (1e-150, 1e150)
 
 
-def norm(a) -> float:
-    """The Euclidean norm of all of ``a``, at the power-of-two scale of
-    :func:`unitize` when it lies outside :data:`_SQUARABLE`."""
-    a = np.abs(as_float(np.asarray(a)))
-    with np.errstate(over="ignore", under="ignore"):
-        n = float(np.linalg.norm(a))
-        if not _SQUARABLE[0] <= n <= _SQUARABLE[1] and a.any():
-            e = np.frexp(np.max(a))[1]
-            n = float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
-    return n
+def _binade(a, axis=None):
+    """``(b, e)``: the float or complex array ``a`` times 2**-e, exactly, e
+    the binary exponent of its largest |entry| (of each row's, shaped
+    (..., 1), with ``axis=-1``), so that b's largest entry is in [0.5, 1)."""
+    a = np.array(a, dtype=np.result_type(a, 1.0))       # a copy
+    e = np.frexp(np.abs(a).max(axis, keepdims=axis is not None, initial=0))[1]
+    # in two factors, neither of which overflows for subnormal rows, of the
+    # real and imaginary parts, so that a complex inf keeps its 0j
+    parts = a.view(np.float64)
+    parts *= np.ldexp(1.0, -e // 2)
+    parts *= np.ldexp(1.0, -e - -e // 2)
+    return a, e
+
+
+def _squarable(a):
+    """``(b, m, n)`` of float rows ``a``: b is ``a`` with each row whose
+    :func:`row_norms` value lies outside :data:`_SQUARABLE` (0 and inf
+    too) at its :func:`_binade`, m is row_norms of b, and n the norms of
+    ``a``, which are m scaled back."""
+    with np.errstate(over="ignore"):    # past the float range, n is inf
+        n = row_norms(a)
+        squarable = (n >= _SQUARABLE[0]) & (n <= _SQUARABLE[1])
+        if squarable.all():     # .all(), as np.all costs more on one vector
+            return a, n, n
+        b, e = _binade(a, -1)
+        b = np.where(squarable[..., None], a, b)
+        m = row_norms(b)
+        return b, m, np.where(squarable, n, np.ldexp(m, e[..., 0]))
+
+
+def norm(a, axis=None):
+    """The Euclidean norm of all of ``a``, of each entry (``axis=()``, its
+    modulus) or of each row (``axis=-1``): :func:`row_norms` of a row
+    whose value lies in :data:`_SQUARABLE`, else its :func:`_binade`'s
+    scaled back, 0 only for zero and inf only beyond the float range."""
+    a = as_float(np.asarray(a))
+    if axis == ():
+        return np.abs(a)
+    n = _squarable(a.reshape(-1) if axis is None else a)[2]
+    return float(n) if axis is None else n
 
 
 def row_norms(a):
     """Euclidean norm of each row of a float stack (of ``a`` itself when
-    it is 1-d); equal, bit for bit, to :func:`norm` of a row whose norm
-    lies in :data:`_SQUARABLE`."""
+    it is 1-d), unchecked: the kernel for rows at unit scale.  A row of
+    raw input takes :func:`norm` ``(a, -1)``."""
     a = np.ascontiguousarray(np.abs(a))
     return np.sqrt(np.vecdot(a, a))
 
 
 def unitize(a):
-    """Each row of a float vector or stack scaled to unit Euclidean norm.
-    A row whose computed norm lies outside :data:`_SQUARABLE` (0 and inf
-    included) is first multiplied by the power of two that brings its
-    largest coordinate into [0.5, 1), which is exact, so that its squares
-    neither under- nor overflow; every other row is divided by its norm as
-    computed.  Exact arrays are returned unchanged (their residuals are
-    tested against exact zero, not a tolerance)."""
+    """Each row of a float vector or stack over its norm, at its
+    :func:`_squarable` scale.  Exact arrays are returned unchanged (their
+    residuals are tested against exact zero, not a tolerance)."""
     a = vec(a)
     if is_exact(a):
         return a
-    with np.errstate(over="ignore"):        # such a row is rescaled below
-        n = row_norms(a)
-    # .all(), as np.all costs more than the rest of this on one vector
-    squarable = (n >= _SQUARABLE[0]) & (n <= _SQUARABLE[1])
-    if not squarable.all():
-        shape = np.shape(a)
-        a = np.array(a, dtype=np.result_type(a, 1.0))   # a copy
-        a = a.reshape(-1, shape[-1])
-        n, far = np.reshape(n, -1), ~np.reshape(squarable, -1)
-        _, e = np.frexp(np.max(np.abs(a[far]), axis=-1))
-        # in two factors, neither of which overflows for subnormal rows
-        a[far] *= np.ldexp(1.0, -e // 2)[:, None]
-        a[far] *= np.ldexp(1.0, -e - -e // 2)[:, None]
-        n[far] = row_norms(a[far])
-        a, n = a.reshape(shape), n.reshape(shape[:-1])
-        if not n.all():                 # a zero row is never squarable
-            raise DegenerateInput("cannot normalize a zero vector")
-    return a / n[..., None]
+    b, n, _ = _squarable(a)
+    if b is not a and not n.all():      # a zero row is never squarable
+        raise DegenerateInput("cannot normalize a zero vector")
+    return b / n[..., None]
 
 
 def common_type(*arrays):
@@ -323,14 +327,14 @@ def projective_distance(u, v) -> float:
     """min(|u/|u| - v/|v||, |u/|u| + v/|v||): 0 iff projectively equal."""
     u = as_float(vec(u)).astype(complex)
     v = as_float(vec(v)).astype(complex)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    nu, nv = norm(u), norm(v)
     if nu == 0 or nv == 0:
         raise DegenerateInput("zero vector has no projective class")
     u, v = u / nu, v / nv
     # optimal phase alignment (handles complex scale, reduces to +- for real)
     inner = np.vdot(v, u)
     phase = inner / abs(inner) if abs(inner) > 0 else 1.0
-    return float(np.linalg.norm(u - phase * v))
+    return norm(u - phase * v)
 
 
 def realify(v, rel_tol: float = REAL_EPS):
@@ -442,11 +446,9 @@ def binary_roots(coeffs):
     if not np.all(np.isfinite(c)):
         raise DegenerateInput("a binary form has a non-finite coefficient")
     d = c.shape[1] - 1
+    # binaded, as numpy's complex division by a subnormal scale overflows
+    c = _binade(c, -1)[0]
     scale = np.max(np.abs(c), axis=1, keepdims=True)
-    # 1 / scale (in numpy's complex division) would overflow below 2^-1000
-    tiny = scale[:, 0] < 2.0 ** -1000
-    c[tiny] *= 2.0 ** 1000
-    scale[tiny] *= 2.0 ** 1000
     live = scale[:, 0] > 0
     np.divide(c, scale, out=c, where=live[:, None])
     # zero rows count no leading and no trailing zeros

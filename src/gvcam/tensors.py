@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (BaseLocus, CoincidentCenters, DegenerateInput,
                      SingularStack)
-from .numeric import (_SQUARABLE, as_float, binary_eval, det4,
+from .numeric import (_binade, as_float, binary_eval, common_type, det4,
                       exact_nullspace, is_exact, negligible, norm,
                       parse_scalar, unitize, vec, vector_payload)
 from .plucker import dual_line, line_from_points, wedge
@@ -191,10 +191,10 @@ def class_beta_fiber(f, g, h, u, v):
 def _multifocal(mats):
     """The tensor T with T[i, j, ...] = (-1)^{i+j+...} det4 of the rows of
     ``mats`` left after dropping row i of the first matrix, row j of the
-    second, and so on (four rows of four columns); of object dtype when
-    any matrix is exact."""
-    exact = any(is_exact(M) for M in mats)
-    T = np.empty([len(M) for M in mats], dtype=object if exact else None)
+    second, and so on (four rows of four columns), in the matrices'
+    :func:`numeric.common_type`."""
+    mats = common_type(*mats)
+    T = np.empty([len(M) for M in mats], dtype=mats[0].dtype)
     for idx in np.ndindex(T.shape):
         rows = [row for M, i in zip(mats, idx)
                 for r, row in enumerate(M) if r != i]
@@ -224,18 +224,14 @@ def quadrifocal_tensor(A, B, C, D):
 
 def _contraction(subscripts, T, points) -> float:
     """|T contracted by ``subscripts`` with each point at unit norm|, over
-    norm(T); the zero tensor, which has no such ratio, is refused.  A T of
-    no squarable norm is first scaled exactly, as ``numeric.unitize`` does."""
-    T = as_float(vec(T))
+    norm(T); the zero tensor, which has no such ratio, is refused.  T is
+    first taken to its ``numeric._binade``, an exact power-of-two scaling
+    that leaves the ratio as it is and keeps T's norm squarable."""
+    T = _binade(as_float(vec(T)))[0]
     if not np.any(T):
         raise DegenerateInput("the zero tensor has no residual")
-    with np.errstate(over="ignore"):
-        scale = norm(T)
-    if not _SQUARABLE[0] <= scale <= _SQUARABLE[1]:
-        T = np.ldexp(T, -np.frexp(np.max(np.abs(T)))[1])
-        scale = norm(T)
     vecs = [unitize(as_float(vec(a))) for a in points]
-    return abs(float(np.einsum(subscripts, T, *vecs))) / scale
+    return abs(float(np.einsum(subscripts, T, *vecs))) / norm(T)
 
 
 def quadrifocal_residual(T, u, v, w, z) -> float:

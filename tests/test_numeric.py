@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from gvcam.errors import DegenerateInput
 from gvcam.numeric import (FORM_EPS, as_float, binary_roots, format_scalar,
-                           is_exact, norm, parse_scalar, vec)
+                           is_exact, norm, parse_scalar, projective_distance,
+                           row_norms, unitize, vec)
 from conftest import reference_binary_roots
 
 # no coefficient near the subnormal range, even times FORM_EPS: numpy.roots
@@ -225,3 +226,85 @@ def test_norm_at_any_scale(coords, e):
         warnings.simplefilter("error")
         got = norm(v)
     assert got == pytest.approx(math.hypot(*v), rel=1e-15, abs=2.0 ** -1074)
+
+
+# rows whose every entry stays exact at each scale 2**k, -1000 <= k <= 1000
+# (the 2**-60 entry goes subnormal below k = -962)
+_ROWS = {
+    "float": np.array([[3., 4, 0, 12], [1, 2.0 ** -60, -3, 0.5],
+                       [7, -2, 5, 0.25]]),
+    "complex": np.array([[3 + 4j, 1j, 0, -2], [1, 2.0 ** -60 * 1j, -3, 0.5],
+                         [0.5 - 0.75j, 0, 0, 0]]),
+    "subnormal": np.array([[5e-324, 0, 0, 0], [3 * 5e-324, -4 * 5e-324, 0, 0],
+                           [2.0 ** -1030, 2.0 ** -1074, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ROWS))
+def test_norm_of_rows_is_row_norms_where_squarable(kind):
+    """On rows whose squares neither under- nor overflow, ``norm(a, -1)``
+    has the bits of ``row_norms``, and ``norm(a)`` of one row too; a
+    subnormal row has its norm, not 0."""
+    a = _ROWS[kind]
+    for scale in (1.0, 2.0 ** 400, 2.0 ** -400):
+        rows = a * scale if kind != "subnormal" else a
+        n = norm(rows, -1)
+        squarable = (row_norms(rows) >= 1e-150) & (row_norms(rows) <= 1e150)
+        assert (n[squarable] == row_norms(rows)[squarable]).all()
+        assert [norm(row) for row in rows] == n.tolist()
+    assert norm(_ROWS["subnormal"], -1).tolist() == [
+        5e-324, 5 * 5e-324, math.hypot(2.0 ** -1030, 2.0 ** -1074)]
+
+
+@pytest.mark.parametrize("kind", ["float", "complex"])
+def test_norm_and_unitize_are_exact_in_the_scale(kind):
+    """At every power-of-two scale 2**k, -1000 <= k <= 1000: the norm of
+    each row scales by 2**k exactly wherever both sides are finite and
+    normal, and ``unitize`` keeps its bits; no warning is raised."""
+    a = _ROWS[kind]
+    n, u = norm(a, -1), unitize(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-1000, 1001):
+            scaled = a * 2.0 ** k
+            got, want = norm(scaled, -1), np.ldexp(n, k)
+            normal = ((got >= 2.0 ** -1022) & (want >= 2.0 ** -1022)
+                      & np.isfinite(got) & np.isfinite(want))
+            assert (got[normal] == want[normal]).all(), k
+            assert np.array_equal(unitize(scaled), u), k
+
+
+def test_unitize_of_subnormal_rows_is_that_of_the_unit_rows():
+    """A row of subnormals goes at its power-of-two scale, exactly."""
+    unit = np.array([[1., 0, 0, 0], [3, -4, 0, 0], [2.0 ** 44, 1, 0, 0]])
+    assert np.array_equal(unitize(_ROWS["subnormal"]), unitize(unit))
+    assert np.array_equal(unitize(_ROWS["subnormal"][1]), unitize(unit[1]))
+
+
+@pytest.mark.parametrize("zero", [np.zeros(4), np.zeros(4, complex),
+                                  np.array([[1., 2, 3, 4], [0, 0, 0, 0]]),
+                                  np.array([[5e-324, 0], [0, 0]])])
+def test_unitize_refuses_a_zero_row(zero):
+    with pytest.raises(DegenerateInput, match="zero vector"):
+        unitize(zero)
+
+
+@pytest.mark.parametrize("u, v", [([1., 1, 0, 0], [1., 1, 0, 0]),
+                                  ([1., 2, 3, 4], [1., -2, 0, 1]),
+                                  ([1j, 2, 0, 0], [1., 1, 1, 0]),
+                                  ([0., 0, 0, 1], [0., 0, 1, 1])])
+def test_projective_distance_does_not_depend_on_the_scale(u, v):
+    """The distance of u and v scaled by 2**+-664 (about 1e+-200) is the
+    one at unit scale, bit for bit, with no overflow warning; at 1e200 and
+    1e-200 it is the unit one up to rounding."""
+    u, v = np.array(u), np.array(v)
+    d = projective_distance(u, v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (2.0 ** 664, 2.0 ** -664):
+            assert projective_distance(s * u, v) == d
+            assert projective_distance(u, s * v) == d
+            assert projective_distance(s * u, s * v) == d
+        for s in (1e200, 1e-200):
+            assert projective_distance(s * u, v) == pytest.approx(d, abs=1e-15)
+        assert projective_distance([1e200, 1e200, 0, 0], [1, 1, 0, 0]) < 1e-15

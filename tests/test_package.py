@@ -153,6 +153,24 @@ def test_small_literals_are_module_constants():
     assert not bare, bare
 
 
+def test_only_numeric_knows_the_squarable_range():
+    """``frexp``, ``ldexp`` and ``_SQUARABLE`` appear (as names, outside
+    comments and strings) only in ``numeric``: every other module takes a
+    power-of-two scale from ``numeric._binade`` and a norm of raw input
+    from ``numeric.norm``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "numeric.py":
+            continue
+        text = path.read_text()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if (tok.type == tokenize.NAME
+                    and tok.string in ("frexp", "ldexp", "_SQUARABLE")):
+                found.append("%s:%d: %s" % (path.name, tok.start[0],
+                                            tok.string))
+    assert not found, found
+
+
 def _unread_imports(tree):
     """The names a module imports and never reads: a name is read where it
     is loaded, where a parameter has its name (a pytest fixture) and where

@@ -7,6 +7,7 @@ emitted reports can be asserted without subprocesses.
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -542,18 +543,28 @@ def test_cli_project_exact_huge_coordinates(capsys, tmp_path):
 def test_cli_project_huge_float_points_on_twisted_cubic(capsys, tmp_path):
     """A float point whose twisted-cubic line, or the fourth power of its
     norm, overflows the float range exits 2 with DegenerateInput naming
-    it, with or without a homography; it is not reported as focal."""
+    it, with or without a homography; it is not reported as focal.  A
+    point whose line and |x|^4 are finite, though their squares are not,
+    projects to the line of the scalar reference."""
+    H = [[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 1, 1]]
     rig = [{"type": "pinhole", "center": [0, 0, 0, 1]},
            {"type": "twisted_cubic"}]
-    moved = [rig[0], {"type": "twisted_cubic",
-                      "homography": [[1, 0, 0, 0], [1, 1, 0, 0],
-                                     [0, 0, 1, 0], [0, 0, 1, 1]]}]
+    moved = [rig[0], {"type": "twisted_cubic", "homography": H}]
     for k, huge in enumerate(([1e80, 1, 1, 1], [1, 1e60, 1, 1],
                               [1, 1, 1e100, 1])):
-        for cams in (rig, moved):
+        for cams, cam in ((rig, TwistedCubic()),
+                          (moved, TwistedCubic(np.array(H, float)))):
             points = [[1, 2, 3, 1], [2, -1, 1, 1], huge]
             scene = write_json(tmp_path / ("huge%d.json" % k),
                                {"version": 1, "rig": cams, "points": points})
+            if huge[1] == 1e60:     # its line is near 1e240, |x|^4 1e240
+                rc, out = run_cli(capsys, ["project", "--scene", scene])
+                assert rc == 0, out
+                (row,) = [r for r in json.loads(out)["results"]
+                          if r["camera"] == 1 and r["item"] == 2]
+                assert row["line"] == reference_project(
+                    cam, np.array(huge)).tolist()
+                continue
             rc, err = _check_error(capsys, ["project", "--scene", scene])
             assert rc == 2 and err["error"] == "DegenerateInput", huge
             assert err["message"].startswith("points[2]"), (huge, err)
@@ -586,9 +597,11 @@ def test_cli_project_exact_huge_point_on_moved_twisted_cubic(capsys,
 
 def test_cli_project_huge_float_points_on_pinhole_and_two_slit(capsys,
                                                                tmp_path):
-    """A float point whose pinhole or two-slit focal test overflows exits
-    2 naming it: it is neither a FocalPoint at the centre nor a NaN line;
-    the rig projects its other points as before."""
+    """A float point whose two-slit focal test overflows exits 2 naming
+    it: it is neither a FocalPoint on a slit nor a NaN line; the rig
+    projects its other points as before.  On two pinholes the same point
+    has finite lines, (0, 0, -1e300, 0, -1, -1) at the first, and projects
+    to the lines of the scalar reference."""
     pinhole = {"type": "pinhole", "center": [0, 0, 0, 1]}
     rigs = ([pinhole, {"type": "pinhole", "center": [1, 0, 0, 1]}],
             [pinhole, {"type": "two_slit", "slits": [[1, 0, 0, 0, 0, 0],
@@ -601,9 +614,55 @@ def test_cli_project_huge_float_points_on_pinhole_and_two_slit(capsys,
         assert rc == 0 and "error" not in out
         scene = write_json(tmp_path / ("huge%d.json" % k), {
             "version": 1, "rig": rig, "points": points + [[1e300, 1, 1, 1]]})
+        if k == 0:
+            rc, out = run_cli(capsys, ["project", "--scene", scene])
+            assert rc == 0, out
+            rows = [r for r in json.loads(out)["results"] if r["item"] == 2]
+            assert [r["line"] for r in rows] == [
+                reference_project(Pinhole(np.array(c["center"], float)),
+                                  np.array([1e300, 1, 1, 1])).tolist()
+                for c in rig]
+            assert rows[0]["line"] == [0, 0, -1e300, 0, -1, -1]
+            continue
         rc, err = _check_error(capsys, ["project", "--scene", scene])
         assert rc == 2 and err["error"] == "DegenerateInput", rig
         assert err["message"].startswith("points[2] is too large"), err
+
+
+def test_cli_project_on_a_pinhole_whose_center_is_tiny(capsys, tmp_path):
+    """A pinhole given by its matrix and a centre near 1e-200, whose
+    squared norm underflows, matches its kernel and projects: the centre's
+    projective class does not depend on its scale."""
+    rig = [{"type": "pinhole", "center": [0, 0, 0, 1]},
+           {"type": "pinhole", "matrix": [[1, 0, 0, 0], [0, 1, 0, 0],
+                                          [0, 0, 1, 0]],
+            "center": [0, 0, 0, 1e-200]}]
+    scene = write_json(tmp_path / "tiny.json", {
+        "version": 1, "rig": rig, "points": [[1, 2, 3, 1]]})
+    rc, out = run_cli(capsys, ["project", "--scene", scene])
+    assert rc == 0, out
+    rows = json.loads(out)["results"]
+    assert rows[1]["line"] == reference_project(
+        Pinhole(np.array([0, 0, 0, 1e-200])), np.array([1., 2, 3, 1])).tolist()
+
+
+def test_cli_project_on_slits_far_from_unit_scale(capsys, tmp_path):
+    """A two-slit camera whose slits are near 1e200 (or 1e-200) projects at
+    the slits' power-of-two scale: the point is not blamed, and its line
+    is the scalar reference's for those scaled slits."""
+    x = np.array([1., 2, 3, 1])
+    for size in (1e200, 1e-200):
+        slits = [[size, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, size]]
+        scene = write_json(tmp_path / "far.json", {
+            "version": 1, "rig": [{"type": "pinhole", "center": [0, 0, 0, 1]},
+                                  {"type": "two_slit", "slits": slits}],
+            "points": [x.tolist()]})
+        rc, out = run_cli(capsys, ["project", "--scene", scene])
+        assert rc == 0, out
+        row = json.loads(out)["results"][1]
+        scaled = np.array(slits) * 2.0 ** -math.frexp(size)[1]
+        assert row["line"] == reference_project(TwoSlit(*scaled), x).tolist()
+        assert row["congruence_residual"] == 0.0
 
 
 def test_cli_check_exact_names_huge_generators(capsys, tmp_path):
