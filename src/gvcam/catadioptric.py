@@ -20,9 +20,9 @@ import numpy as np
 from .errors import (DegenerateInput, FocalConfiguration, IsotropicDirection,
                      IsotropicPlane, IsotropicTangent, NotOnSurface,
                      SingularIntersection, SingularPoint)
-from .numeric import (DEFAULT_TOL, FORM_EPS, REAL_EPS, ZERO_EPS, as_float,
-                      binary_roots, compound2, format_scalar, is_exact,
-                      negligible, norm, parse_scalar, power,
+from .numeric import (DEFAULT_TOL, FORM_EPS, REAL_EPS, ZERO_EPS, _squarable,
+                      as_float, binary_roots, compound2, format_scalar,
+                      is_exact, negligible, norm, parse_scalar, power,
                       projective_distance, realify, row_norms, unitize, vec)
 from .plucker import (dual_line, line_from_planes, line_from_points,
                       meet_point, point_line_residual, points_on_line,
@@ -55,7 +55,7 @@ def _spatial_square(a):
 
 def direction_cos(x, y):
     """Cosine of the angle between two directions (points at infinity)."""
-    x, y = as_float(vec(x)), as_float(vec(y))
+    x, y = (_squarable(as_float(vec(v)))[0] for v in (x, y))  # squared below
     for v in (x, y):
         if abs(v[0]) > ZERO_EPS * norm(v):
             raise DegenerateInput("directions must have first coordinate 0")
@@ -72,7 +72,8 @@ class ReflectionMap:
     stacks of points or lines."""
 
     def __init__(self, plane):
-        H = vec(plane)
+        H = self.plane = vec(plane)
+        H = H if is_exact(H) else _squarable(H)[0]      # so that H squares
         s = _spatial_square(H.T)
         if np.any(negligible(s, lambda: np.float_power(row_norms(H), 2),
                              axis=())):
@@ -81,7 +82,7 @@ class ReflectionMap:
         normal[..., 0] = 0
         rho = (np.asarray(s)[..., None, None] * np.eye(4, dtype=H.dtype)
                - 2 * (normal[..., :, None] * H[..., None, :]))
-        self.plane, self.matrix, self.line_matrix = H, rho, compound2(rho)
+        self.matrix, self.line_matrix = rho, compound2(rho)
 
     # contiguous operands, so that a stacked matvec rounds as ``@`` does
     def point(self, y):

@@ -31,6 +31,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
@@ -165,6 +166,10 @@ _INDENTED = json.JSONEncoder(indent=2, sort_keys=True)
 # row, and of an element of such a value
 _ROW, _FIELD, _ITEM = "\n    ", "\n      ", "\n        "
 
+# the |floats| that ``repr`` writes with an exponent and ``orjson``
+# positionally, from the first (included) to the second (excluded)
+_POSITIONAL = (1e-5, 1e-4)
+
 
 class _Rows:
     """The rows of a report list as column blocks, which
@@ -249,13 +254,13 @@ def _json_chunks(report):
     _BLOCK_ROWS rows per chunk; each row of a list is written by
     :func:`_value`.  A block of :class:`_Rows` is filled into one ``%``
     template of its sorted keys, in which its constants are written once.
-    The floats and ints of a slice of an array column are written as
-    ``json`` writes them, by ``repr`` of each value of a flat ``tolist()``
-    (:func:`_reprs`): the ``ravel()`` of a vector column's slice, joined k
-    to a row, and the distinct values of a float column's slice, each
-    written once.  A float that is not JSON (NaN, an infinity) goes to the
-    ``json`` encoder, as do the values of a list column that
-    :func:`_value` cannot write directly, each alone.
+    The floats and ints of a slice of an array column (its ``ravel()``,
+    joined k to a row for a vector column) are written as ``json`` writes
+    them by one ``orjson`` call (:func:`_numbers`), respelt as ``repr``
+    spells a float; the few values that ``orjson`` writes otherwise (|x|
+    in [1e-5, 1e-4), NaN, an infinity) are written one by one.  The values
+    of a list column that :func:`_value` cannot write directly go to the
+    ``json`` encoder, each alone.
     """
     if not report or not all(type(k) is str for k in report):
         yield _INDENTED.encode(report) + "\n"
@@ -312,7 +317,7 @@ def _block_writer(block):
             columns.append((column, _numbers))
             field += "%s"
         elif floats and column.ndim == 2 and column.shape[1]:
-            columns.append((column, _vectors))
+            columns.append((column, _numbers))
             field += "[%s%%s%s]" % (_ITEM, _FIELD)
         elif array or type(column) is list:
             columns.append((column.tolist() if array else column, _values))
@@ -333,30 +338,24 @@ def _block_writer(block):
 
 
 def _numbers(a):
-    """The JSON text of each value of a nonempty 1-d float or int array;
-    a float value is written once however often it occurs (told apart by
-    its bits, so 0.0 from -0.0)."""
-    if a.dtype != np.float64:
-        return _reprs(a)
-    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-    return np.array(_reprs(bits.view(np.float64)), object)[inverse].tolist()
-
-
-def _vectors(a):
-    """The JSON text of the elements of each row of a nonempty 2-d float
-    array, at the indent of an element of a row's value."""
-    return list(map(("," + _ITEM).join,
-                    zip(*[iter(_reprs(a.ravel()))] * a.shape[1])))
-
-
-def _reprs(a):
-    """The JSON text of each value of a 1-d float or int array, its
-    ``repr``; a float that JSON spells otherwise (nan, inf, -inf) is
-    written by the ``json`` encoder."""
-    texts = list(map(repr, a.tolist()))
-    if np.isfinite(a).all():
+    """The JSON text of each value of a nonempty 1-d float or int array,
+    or of each row of a 2-d float array at the indent of an element of a
+    row's value: one ``orjson`` text, with ``repr``'s exponents (``1e+16``,
+    ``1e-06``), but for the |floats| in _POSITIONAL and the non-finite
+    ones (``0.00001234``, ``null``), which :func:`_value` writes."""
+    import orjson                       # here, as its import takes ~3 ms
+    flat = a.ravel()                    # C-contiguous, as orjson needs
+    texts = re.sub(r"e-(\d)(?=[,\]])", r"e-0\1", orjson.dumps(
+        flat, option=orjson.OPT_SERIALIZE_NUMPY).decode().replace(
+        "e", "e+").replace("e+-", "e-"))[1:-1].split(",")
+    b = np.abs(flat)
+    odd = np.flatnonzero((b >= _POSITIONAL[0]) & (b < _POSITIONAL[1])
+                         | ~np.isfinite(b))
+    for k, v in zip(odd.tolist(), flat[odd].tolist()):
+        texts[k] = _value(v, "")
+    if a.ndim == 1:
         return texts
-    return [t if "n" not in t else _INDENTED.encode(float(t)) for t in texts]
+    return list(map(("," + _ITEM).join, zip(*[iter(texts)] * a.shape[1])))
 
 
 def _values(values):

@@ -116,6 +116,26 @@ def test_isotropic_plane_rejected():
         reflect_point([Fraction(1), 0, 0, 0], [1, 2, 3, 4])
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 2.0 ** -660, 2.0 ** 660])
+def test_plane_far_from_unit_scale_reflects_as_at_unit_scale(scale):
+    """A float plane, or a stack of planes, scaled far outside the range
+    whose squares are floats reflects points and lines as it does at unit
+    scale, up to projective scale (and with no overflow warning, which
+    the test configuration makes an error); an isotropic plane is still
+    refused at that scale."""
+    H = np.array([[0., 1, 0, 0], [0.5, -1.25, 3.0, 0.75]])
+    y = np.array([[1., 2, 3, 1], [-2., 0.5, 1, 4]])
+    p = np.array([[0., 0, 1, 0, 0, 0], [1., 2, 0, 0, 0, -3]])
+    unit, far = ReflectionMap(H), ReflectionMap(H * scale)
+    for k in range(2):
+        assert_proj_close(far.point(y)[k], unit.point(y)[k], 1e-15)
+        assert_proj_close(far.line(p)[k], unit.line(p)[k], 1e-15)
+        assert_proj_close(reflect_point(H[k] * scale, y[k]),
+                          unit.point(y)[k], 1e-15)
+    with pytest.raises(IsotropicPlane):
+        ReflectionMap(np.array([5., 0, 0, 0]) * scale)
+
+
 def test_complex_plane_with_complex_square_reflects():
     """A complex plane whose normal squares to 2j is not isotropic."""
     H = np.array([1, 1 + 1j, 0, 0])
@@ -375,6 +395,25 @@ def test_direction_cosine():
         direction_cos(np.array([1., 1, 0, 0]), e1)
     with pytest.raises(IsotropicDirection):
         direction_cos(np.array([0, 1, 1j, 0]), e1)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_direction_cosine_does_not_depend_on_the_scale(scale):
+    """Directions far outside the range whose squares are floats have the
+    cosine of their unit-scale copies (the same bits at a power-of-two
+    scale), with no overflow warning; an isotropic one is still refused."""
+    x, y = np.array([0., 1, 2, 3]), np.array([0., -1, 0.5, 7])
+    want = direction_cos(x, y)
+    assert direction_cos(x * scale, y * scale) == pytest.approx(want,
+                                                                rel=1e-15)
+    assert direction_cos(x * scale, y / scale) == pytest.approx(want,
+                                                                rel=1e-15)
+    two = 2.0 ** (660 if scale > 1 else -660)
+    assert direction_cos(x * two, y) == want
+    assert direction_cos([0, scale, 0, 0], [0, scale, scale, 0]) == (
+        pytest.approx(1 / math.sqrt(2), rel=1e-15))
+    with pytest.raises(IsotropicDirection):
+        direction_cos(np.array([0, 1, 1j, 0]) * scale, x)
 
 
 def test_ellipsoid_parameterization():

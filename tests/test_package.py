@@ -56,7 +56,9 @@ def test_every_public_name_resolves():
 
 
 def test_import_cli_loads_only_errors_and_numeric():
-    assert _loaded("import gvcam.cli")[0] == {"cli", "errors", "numeric"}
+    """``orjson``, whose import costs about 3 ms, is left to the writer."""
+    assert _loaded("import gvcam.cli\nprint('orjson' in sys.modules)") == (
+        {"cli", "errors", "numeric"}, ["False"])
 
 
 PINHOLE = {"type": "pinhole", "center": [0, 0, 0, 1]}
@@ -97,6 +99,10 @@ COMMANDS = [
      {"scene", "cameras", "multiimage", "tensors", "catadioptric"}),
 ]
 
+# the commands whose reports hold number columns, which load orjson to
+# write them
+NUMBER_COLUMNS = {"project", "check", "triangulate", "reflect"}
+
 
 @pytest.mark.parametrize("command, arguments, loads, skips", COMMANDS,
                          ids=[case[0] for case in COMMANDS])
@@ -104,7 +110,8 @@ def test_command_loads_only_its_modules(tmp_path, command, arguments,
                                         loads, skips):
     """A fresh process that runs ``<command> --help`` and then the command
     on a tiny input loads the modules the command uses and not the ones it
-    does not; each exits 0."""
+    does not, and ``orjson`` only for a report with number columns; each
+    exits 0."""
     from gvcam import cli
     for name, data in (("rig", RIG), ("matrices", MATRICES),
                        ("pinholes", PINHOLES), ("mirror", MIRROR)):
@@ -119,8 +126,9 @@ def test_command_loads_only_its_modules(tmp_path, command, arguments,
         "import contextlib, io\nfrom gvcam import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(%r), cli.main(%r)]\n"
-        "print(codes)" % ([command, "--help"], argv))
-    assert printed == ["[0, 0]"], (command, printed)
+        "print(codes, 'orjson' in sys.modules)" % ([command, "--help"], argv))
+    assert printed == ["[0, 0] %s" % (command in NUMBER_COLUMNS)], (
+        command, printed)
     assert loads <= modules, (command, sorted(modules))
     assert not skips & modules, (command, sorted(modules))
 
@@ -169,6 +177,27 @@ def test_only_numeric_knows_the_squarable_range():
                 found.append("%s:%d: %s" % (path.name, tok.start[0],
                                             tok.string))
     assert not found, found
+
+
+def test_every_third_party_import_is_a_dependency():
+    """Every top-level module that gvcam imports from outside the standard
+    library and itself (numpy, orjson) is in ``pyproject.toml``'s
+    ``dependencies``."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml")
+                              .read_text())
+    declared = {re.match(r"[\w.-]+", d)[0].lower()
+                for d in pyproject["project"]["dependencies"]}
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names)
+    assert {"numpy", "orjson"} <= third_party
+    assert third_party <= declared, sorted(third_party - declared)
 
 
 def _unread_imports(tree):

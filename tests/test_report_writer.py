@@ -249,7 +249,7 @@ def test_float_columns_equal_json_dumps(n):
             assert cli._numbers(column) == want, key
         else:
             want = [item.join(map(json.dumps, row)) for row in column.tolist()]
-            assert cli._vectors(column) == want, key
+            assert cli._numbers(column) == want, key
 
 
 def test_float_column_keeps_zero_signs_and_nan_payloads_apart():
@@ -259,3 +259,87 @@ def test_float_column_keeps_zero_signs_and_nan_payloads_apart():
     assert cli._numbers(column) == [
         "0.0", "-0.0", "NaN", "NaN", "NaN", "-0.0", "NaN", "0.0",
         "-Infinity"]
+
+
+# --- number text ------------------------------------------------------------
+
+BIG = np.finfo(np.float64).max
+INT64 = np.iinfo(np.int64)
+
+
+def _neighbours(x, steps=3):
+    """x and its ``steps`` float neighbours on each side, of both signs."""
+    up = down = np.float64(x)
+    near = [up]
+    for _ in range(steps):
+        up, down = np.nextafter(up, INF), np.nextafter(down, -INF)
+        near += [up, down]
+    return np.array(near + [-v for v in near])
+
+
+# values where the ``orjson`` text of a float differs from its ``repr``, or
+# comes near to: each side of 1e-5 and 1e-4 (where ``repr`` switches to an
+# exponent) and of 1e16 (where it switches to a ``+`` exponent), exponents
+# of one and two digits of each sign, the extremes, and |values| below
+# 1e-4 after the digits of a large value, whose positional text holds
+# ``0.0000`` but is ``repr``'s
+TRICKY = np.concatenate([
+    _neighbours(1e-5), _neighbours(1e-4), _neighbours(1e16),
+    [0.0, -0.0, 5e-324, -5e-324, BIG, -BIG, 2.2250738585072014e-308,
+     1e-7, 1.234e-5, -9.99e-5, 1e-10, 1e-100, 1e22, 1e100, 1.5e300,
+     84019170410.00008, 1.00001, -12345.00001234, 1e15 + 0.5, 0.1]])
+
+
+def _texts(a):
+    return list(map(repr, a.tolist()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(1e-5, 1e-4) | st.floats(-1e17, -1e15)
+                | st.integers(0, 2 ** 64 - 1).map(
+                    lambda b: float(np.uint64(b).view(np.float64)))
+                .filter(np.isfinite), min_size=1, max_size=40))
+def test_number_text_of_a_finite_float_is_its_repr(values):
+    """The writer's text of each finite float64 value, subnormals and
+    arbitrary bit patterns included, is its ``repr``; so is that of a
+    value's row in a vector column."""
+    a = np.array(values)
+    assert cli._numbers(a) == _texts(a)
+    rows = a[:len(a) // 2 * 2].reshape(-1, 2)
+    if len(rows):
+        assert cli._numbers(rows) == [
+            ("," + cli._ITEM).join(_texts(row)) for row in rows]
+
+
+def test_number_text_at_the_edges_of_each_spelling():
+    """The values of TRICKY are written as ``repr`` writes them, in one
+    column, one by one, reversed and as a strided (non-contiguous) view
+    of a wider array."""
+    assert cli._numbers(TRICKY) == _texts(TRICKY)
+    for v in TRICKY:
+        assert cli._numbers(np.array([v])) == [repr(float(v))]
+    assert cli._numbers(TRICKY[::-1]) == _texts(TRICKY[::-1])
+    wide = np.stack([TRICKY, -TRICKY, TRICKY / 3], axis=1)
+    for view in (wide[:, 1], wide[::2, 2], wide[:, ::2], wide.T[1:]):
+        assert not view.flags.c_contiguous
+        want = _texts(view) if view.ndim == 1 else [
+            ("," + cli._ITEM).join(_texts(row)) for row in view]
+        assert cli._numbers(view) == want
+
+
+def test_number_text_of_non_finite_floats_and_of_ints():
+    """A NaN (of any payload or sign) and an infinity are spelt as
+    ``json.dumps`` spells them, beside finite values of each spelling; an
+    int column, its extremes included, is written as ``repr`` writes its
+    values."""
+    a = np.array([*NANS, float("nan"), INF, -INF, 1e-5, 1e16, 1e-6, 0.5])
+    assert cli._numbers(a) == [json.dumps(v) for v in a.tolist()]
+    assert cli._numbers(np.stack([a, a[::-1]], axis=1)) == [
+        ("," + cli._ITEM).join(map(json.dumps, row))
+        for row in zip(a.tolist(), a[::-1].tolist())]
+    for ints in (np.array([INT64.min, INT64.max, 0, -1, 7]),
+                 np.arange(-3, 300, dtype=np.intp)[::7],
+                 np.array([0, 2 ** 64 - 1], dtype=np.uint64),
+                 np.array([-2 ** 31, 2 ** 31 - 1], dtype=np.int32)):
+        assert cli._numbers(ints) == _texts(ints)

@@ -906,6 +906,19 @@ def test_cli_reflect_plane(capsys, tmp_path):
     assert cli.main(["reflect", "--input", both]) == 2
 
 
+def test_cli_reflect_across_a_plane_far_from_unit_scale(capsys, tmp_path):
+    """The plane x1 = 0 given at 1e-200 or 1e200 reflects (1:2:3:1) to
+    (1:-2:3:1), as at unit scale: it is not called isotropic, and no
+    overflow warning is raised."""
+    for scale in (1e-200, 1e200):
+        path = write_json(tmp_path / "plane.json",
+                          {"plane": [0, scale, 0, 0], "points": [[1, 2, 3, 1]]})
+        rc, out = run_cli(capsys, ["reflect", "--input", path])
+        assert rc == 0
+        (row,) = json.loads(out)["results"]
+        assert_proj_close(row["reflected"], [1., -2, 3, 1], 1e-15)
+
+
 def test_cli_reflect_plane_matches_per_vector_calls(capsys, tmp_path):
     """Plane mode reflects its points and lines as stacks, past two writer
     blocks: the report is ``json.dumps`` of the rows that ``reflect_point``
