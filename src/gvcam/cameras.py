@@ -52,8 +52,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (DegenerateInput, FocalPoint, IllConditioned,
-                     InvalidSlit, DegenerateCubic, UnsupportedOrder)
+from .errors import (DegenerateInput, FocalPoint, InvalidSlit,
+                     DegenerateCubic, UnsupportedOrder)
 from .numeric import (DEFAULT_TOL, FOCAL_EPS, ZERO_EPS, _binade,
                       _scaled_rows, _squarable, as_float, binary_eval,
                       binary_roots, common_type, compound2,
@@ -67,10 +67,10 @@ from .plucker import (_incidence, _point_line, _unit, dual_line, incidence,
 __all__ = [
     "Pinhole", "TwoSlit", "Pushbroom", "TwistedCubic", "Type3", "Type4",
     "PanoramicNC", "PanoramicStereo", "RationalCurve", "project",
-    "congruence_residual", "line_meets_curve",
-    "line_curve_residual", "point_curve_residual", "sum_of_two_cubes",
-    "secant_quadrics", "secant_system", "pushbroom_infinity_slit",
-    "camera_from_payload", "reference_type3", "reference_type4",
+    "congruence_residual", "line_curve_residual", "point_curve_residual",
+    "sum_of_two_cubes", "secant_quadrics", "secant_system",
+    "pushbroom_infinity_slit", "camera_from_payload", "reference_type3",
+    "reference_type4",
 ]
 
 # --------------------------------------------------------------------------
@@ -102,8 +102,6 @@ TWISTED_CUBIC_CURVE = RationalCurve((
     (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)))
 
 
-#: Size, relative to the largest form, of a combination with no roots.
-COMBINATION_EPS = 1e-12
 #: Size, relative to the curve, below which all forms vanish: x is on it.
 VANISHING_EPS = 1e-14
 
@@ -117,7 +115,7 @@ def _forms_residual(forms, curve: RationalCurve) -> float:
         return 0.0
     g = np.random.default_rng(20240817).standard_normal((2, 2, len(forms)))
     combos = (g[:, 0] + 1j * g[:, 1]) @ forms
-    combos[row_norms(combos) <= COMBINATION_EPS * scale] = 0
+    combos[row_norms(combos) <= ZERO_EPS * scale] = 0
     s, t, found = binary_roots(combos)
     if not found.any():
         return 0.0
@@ -134,18 +132,6 @@ def line_curve_residual(p, curve: RationalCurve) -> float:
                            curve)
 
 
-def line_meets_curve(p, curve: RationalCurve, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the line meets the curve; IllConditioned in the gray band
-    where roots cluster too close to the tolerance to decide."""
-    r = line_curve_residual(p, curve)
-    if r <= tol:
-        return True
-    if r < 100 * tol:
-        raise IllConditioned(
-            "line-curve residual %.3e is too close to tol=%.1e" % (r, tol))
-    return False
-
-
 def point_curve_residual(x, curve: RationalCurve) -> float:
     """Distance-like residual of a point from the curve: the six wedge
     forms x_i X_j(s,t) - x_j X_i(s,t) share a root iff x is on it."""
@@ -157,25 +143,20 @@ def point_curve_residual(x, curve: RationalCurve) -> float:
 # --------------------------------------------------------------------------
 # cameras
 
-#: Relative size up to which |det H| / ||H||_2^4 counts as a singular
-#: homography; at unit spectral norm the bound is on |det H| itself.
-HOMOGRAPHY_EPS = 1e-12
 #: |Binary exponent| of a float H's largest entry beyond which H projects
 #: at its power-of-two scale Hs: secants, ~|H|^-4, stay squarable.
 HOMOGRAPHY_EXPONENT = 32
 #: Line-quadric value of a unitized slit, and incidence of two, that
 #: counts as zero; relative, since unitized slits have norm 1.
 SLIT_EPS = 1e-9
-#: Apolar quadratic of a perfect cube; relative, as the cubic is unitized.
-PERFECT_CUBE_EPS = 1e-12
-#: Largest two-cube reconstruction residual; relative, as above.
+#: Largest two-cube reconstruction residual; relative, as the cubic is
+#: unitized.
 TWO_CUBES_EPS = 1e-9
 #: Imaginary part of two-cube parameters and weights dropped as rounding;
 #: absolute, in binary_roots' scaling and in the caller's scaling of x.
 IMAGINARY_EPS = 1e-9
-#: Type4 minors of (g, h) that count as zero: relative to norm(g) * norm(h),
-#: or absolute below the floor, so that a zero g or h is proportional.
-PROPORTIONAL_EPS = 1e-12
+#: Floor of the scale, norm(g) * norm(h), of Type4's minors of (g, h), so
+#: that a zero g or h counts as proportional.
 PROPORTIONAL_FLOOR = 1e-300
 #: Zero of a unitized line's meets with x2 = 0 and x3 = 0 (relative) and
 #: of its Type3/Type4 curve point (absolute, in the scale of f, g and h).
@@ -441,7 +422,7 @@ class TwistedCubic(_Camera):
             # tested at its binade, which no scale of H under- or overflows
             Hs, e = _binade(Hf)
             if (abs(np.linalg.det(Hs))
-                    <= HOMOGRAPHY_EPS * np.linalg.norm(Hs, 2) ** 4):
+                    <= ZERO_EPS * np.linalg.norm(Hs, 2) ** 4):
                 raise DegenerateInput("homography must be invertible")
             if abs(e) > HOMOGRAPHY_EXPONENT:
                 Hf = Hs
@@ -499,7 +480,7 @@ def sum_of_two_cubes(x, tol: float = DEFAULT_TOL):
     m1 = x0 * x3 - x1 * x2
     m2 = x0 * x2 - x1 * x1
     quad = np.array([m0, -m1, m2])
-    if norm(quad) <= PERFECT_CUBE_EPS:
+    if norm(quad) <= ZERO_EPS:                  # relative: xs is unitized
         raise DegenerateCubic("cubic is a perfect cube (point on the curve)")
     disc = m1 * m1 - 4 * m0 * m2
     if abs(disc) <= tol * norm(quad) ** 2:
@@ -614,8 +595,7 @@ class Type4(_Pencil):
         g, h = common_type(self.g, self.h)
         minors = np.outer(g, h) - np.outer(h, g)
         if negligible(minors, lambda: max(norm(g) * norm(h),
-                                          PROPORTIONAL_FLOOR),
-                      PROPORTIONAL_EPS):
+                                          PROPORTIONAL_FLOOR)):
             raise DegenerateInput(
                 "g and h are proportional: the target point is constant "
                 "and the congruence degenerates")

@@ -17,9 +17,9 @@ from numbers import Rational, Real
 
 import numpy as np
 
-from .errors import (DegenerateInput, FocalConfiguration, IsotropicDirection,
-                     IsotropicPlane, IsotropicTangent, NotOnSurface,
-                     SingularIntersection, SingularPoint)
+from .errors import (DegenerateInput, FocalConfiguration, IsotropicPlane,
+                     IsotropicTangent, NotOnSurface, SingularIntersection,
+                     SingularPoint)
 from .numeric import (DEFAULT_TOL, FORM_EPS, REAL_EPS, ZERO_EPS, _squarable,
                       as_float, binary_roots, compound2, format_scalar,
                       is_exact, negligible, norm, parse_scalar, power,
@@ -29,8 +29,8 @@ from .plucker import (dual_line, line_from_planes, line_from_points,
                       primal_matrix)
 
 __all__ = [
-    "MirrorSurface", "ReflectionMap", "direction_cos", "reflect_point",
-    "reflect_line", "tangent_plane", "specular_pair", "mirror_pair_residual",
+    "MirrorSurface", "ReflectionMap", "reflect_point", "reflect_line",
+    "tangent_plane", "specular_pair", "mirror_pair_residual",
     "line_surface_points", "conic_chord_points", "panoramic_fibers",
     "reference_ellipsoid", "unit_sphere",
 ]
@@ -51,18 +51,6 @@ KEY_ECHO = 32
 
 def _spatial_square(a):
     return a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
-
-
-def direction_cos(x, y):
-    """Cosine of the angle between two directions (points at infinity)."""
-    x, y = (_squarable(as_float(vec(v)))[0] for v in (x, y))  # squared below
-    for v in (x, y):
-        if abs(v[0]) > ZERO_EPS * norm(v):
-            raise DegenerateInput("directions must have first coordinate 0")
-        if abs(_spatial_square(v)) <= ZERO_EPS * norm(v) ** 2:
-            raise IsotropicDirection("direction squares to zero")
-    num = x[1] * y[1] + x[2] * y[2] + x[3] * y[3]
-    return float(num / math.sqrt(_spatial_square(x) * _spatial_square(y)))
 
 
 class ReflectionMap:
@@ -328,8 +316,7 @@ def line_surface_points(S: MirrorSurface, L):
     return list(points[0, real[0]])
 
 
-def mirror_pair_residual(S: MirrorSurface, L, Lp,
-                         tol: float = DEFAULT_TOL) -> float:
+def mirror_pair_residual(S: MirrorSurface, L, Lp) -> float:
     """Deviation of (L, L') from being a specular pair for S: minimum over
     real contact points x of L with S of the projective distance between
     L' and the reflection of L at x.  Returns math.inf when L misses the

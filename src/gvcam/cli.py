@@ -17,8 +17,8 @@ a dict per row; the other commands write a few dict rows.
 
 Exit codes: 0 success; 1 a membership/correspondence check rejected;
 2 usage, parse, or scene errors, and a ``--tol`` or ``GVCAM_TOL`` that is
-NaN, negative or infinite; 3 numerical failure (ill-conditioned or
-ambiguous input); 4 a bug; 141 (128 + SIGPIPE) the reader of stdout
+NaN, negative or infinite; 3 numerical failure (an ambiguous pencil,
+``AmbiguousPencil``); 4 a bug; 141 (128 + SIGPIPE) the reader of stdout
 closed it before the whole report was written, with no error line.  Any
 other exception is a bug: :func:`main` lets it escape, and the ``gvcam``
 entry point (:func:`run`) prints its traceback on stderr and exits 4.
@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import (AmbiguousPencil, DegenerateInput, GeometryError,
-                     IllConditioned, UnsupportedOrder)
+                     UnsupportedOrder)
 from .numeric import DEFAULT_TOL, format_scalar, unitize, vector_payload
 
 __all__ = ["main", "run", "build_parser"]
@@ -626,7 +626,7 @@ def main(argv=None) -> int:
         args.tol = _tolerance(args.tol)
         args._t0 = time.perf_counter()
         return _COMMANDS[args.command](args)
-    except (IllConditioned, AmbiguousPencil) as exc:
+    except AmbiguousPencil as exc:
         _fail(exc)
         return 3
     except GeometryError as exc:

@@ -37,12 +37,12 @@ from .errors import AmbiguousPencil, InvalidN
 from . import numeric
 from .numeric import (DEFAULT_TOL, as_float, exact_nullspace, is_exact,
                       negligible, row_norms, unitize, vec)
-from .plucker import dual_line, incidence, primal_matrix
+from .plucker import incidence, primal_matrix
 
 __all__ = [
     "PROBE_POINTS", "quadric_generators", "cubic_generators",
-    "trilinear_transversal", "coplanarity_cubics", "evaluate_generators",
-    "GeneratorReport", "worst_of_stack",
+    "trilinear_transversal", "evaluate_generators", "GeneratorReport",
+    "worst_of_stack",
     "concurrent_by_generators", "find_common_point", "multidegree",
     "MultidegreePolynomial", "generator_counts",
 ]
@@ -113,13 +113,6 @@ def cubic_generators(p, q, r):
                                   vec(list(u), exact=exactify or None))
         for ui, u in enumerate(PROBE_POINTS)
     }
-
-
-def coplanarity_cubics(p, q, r):
-    """Dual construction: minors of the stacked meet points (P*u | Q*u | R*u);
-    these vanish iff the triple lies in a common plane."""
-    return cubic_generators(dual_line(vec(p)), dual_line(vec(q)),
-                            dual_line(vec(r)))
 
 
 # --- one array pass over a stack of tuples ------------------------------------

@@ -40,11 +40,6 @@ class InvalidSlit(GeometryError):
     finite line is required."""
 
 
-class IllConditioned(GeometryError):
-    """Root clustering or scaling prevents a reliable yes/no decision at the
-    requested tolerance."""
-
-
 class DegenerateCubic(GeometryError):
     """Binary cubic on or tangent to the rational normal curve: no clean
     two-cube decomposition exists."""
@@ -73,11 +68,6 @@ class SingularStack(GeometryError):
 
 
 # --- catadioptric ---------------------------------------------------------
-
-class IsotropicDirection(GeometryError):
-    """Direction with (numerically) vanishing x1^2+x2^2+x3^2; angles are
-    undefined."""
-
 
 class IsotropicPlane(GeometryError):
     """Mirror plane whose normal is isotropic; the reflection degenerates."""

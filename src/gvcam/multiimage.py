@@ -18,7 +18,7 @@ import numpy as np
 
 from .concurrency import _svd_chunks, _tuple_stack, find_common_point
 from .errors import DegenerateConfiguration, DegenerateInput, InvalidN
-from .numeric import (DEFAULT_TOL, as_float, binary_roots,
+from .numeric import (DEFAULT_TOL, ZERO_EPS, as_float, binary_roots,
                       projective_distance, realify, unitize, vec)
 from .plucker import (incidence, incidence_residual, join_plane,
                       line_from_planes, line_from_points, line_residual,
@@ -33,9 +33,6 @@ __all__ = [
     "linear_generator_counts", "LinearGeneratorCounts",
 ]
 
-#: Size below which the transversals' quadratic vanishes; absolute, as its
-#: coefficients are products of unitized lines.
-TRANSVERSAL_EPS = 1e-12
 #: Projective distance up to which two transversals are one double root;
 #: relative, as the distance is scale-free; a double root splits by about
 #: the square root of the float rounding, 1.5e-8.
@@ -216,7 +213,7 @@ def common_transversals(l1, l2, l3, l4, tol: float = DEFAULT_TOL):
     cb = f(1.0, 1.0) - ca - cc
     coeffs = np.array([ca, cb, cc])
     scale = float(np.max(np.abs(coeffs)))
-    if scale <= TRANSVERSAL_EPS:
+    if scale <= ZERO_EPS:           # relative: products of unitized lines
         raise DegenerateConfiguration(
             "every transversal of the first three lines meets the fourth")
     roots = binary_roots(coeffs / scale)

@@ -337,14 +337,14 @@ def projective_distance(u, v) -> float:
     return norm(u - phase * v)
 
 
-def realify(v, rel_tol: float = REAL_EPS):
+def realify(v):
     """(real vector, True) when v is a complex multiple of a real vector,
-    up to ``rel_tol`` relative to its largest entry; else (v, False).
+    up to ``REAL_EPS`` relative to its largest entry; else (v, False).
     The real vector is v divided by that entry."""
     v = np.asarray(v, dtype=complex)
     pivot = v[int(np.argmax(np.abs(v)))]
     w = v / pivot
-    if float(np.max(np.abs(w.imag))) < rel_tol:
+    if float(np.max(np.abs(w.imag))) < REAL_EPS:
         return w.real, True
     return v, False
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (BaseLocus, CoincidentCenters, DegenerateInput,
                      SingularStack)
-from .numeric import (_binade, as_float, binary_eval, common_type, det4,
-                      exact_nullspace, is_exact, negligible, norm,
+from .numeric import (ZERO_EPS, _binade, as_float, binary_eval, common_type,
+                      det4, exact_nullspace, is_exact, negligible, norm,
                       parse_scalar, unitize, vec, vector_payload)
 from .plucker import dual_line, line_from_points, wedge
 
@@ -32,9 +32,6 @@ __all__ = [
     "sextic_invariant", "sextic_relative", "sextic_terms", "tensor_payload",
     "tensor_from_payload",
 ]
-
-#: Relative singular value below which a float matrix is rank-deficient.
-RANK_EPS = 1e-12
 
 
 def _vec_matrix(m, shape, name):
@@ -51,7 +48,7 @@ def _kernel(M, rank, name):
         ker = [vec(k) for k in exact_nullspace(M)]
     else:
         _, sv, vt = np.linalg.svd(as_float(M))
-        deficient = sv[rank - 1] <= RANK_EPS * sv[0]
+        deficient = sv[rank - 1] <= ZERO_EPS * sv[0]
         ker = [] if deficient else [vec(k) for k in vt[rank:]]
     if len(ker) != 4 - rank:
         raise DegenerateInput("%s must have rank %d" % (name, rank))
@@ -129,7 +126,7 @@ def twoslit_fiber(pair, u, v):
         singular = det4(stack) == 0
     else:
         s = np.linalg.svd(as_float(stack), compute_uv=False)
-        singular = s[3] <= RANK_EPS * s[0]
+        singular = s[3] <= ZERO_EPS * s[0]
     if singular:
         raise SingularStack("stacked [A; B] is singular "
                             "(slits meet or matrices degenerate)")

@@ -12,15 +12,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import (ELLIPSOID_FOCI, assert_proj_close, ellipsoid_point,
                       rand_point)
 from gvcam.cameras import PanoramicNC, PanoramicStereo, Pinhole
-from gvcam.catadioptric import (MirrorSurface, ReflectionMap, direction_cos,
+from gvcam.catadioptric import (MirrorSurface, ReflectionMap,
                                 line_surface_points, mirror_pair_residual,
                                 panoramic_fibers, point_line_residual,
                                 reference_ellipsoid, reflect_line,
                                 reflect_point, specular_pair, tangent_plane,
                                 unit_sphere)
 from gvcam.errors import (DegenerateInput, FocalConfiguration,
-                          IsotropicDirection, IsotropicPlane,
-                          IsotropicTangent, NotOnSurface,
+                          IsotropicPlane, IsotropicTangent, NotOnSurface,
                           SingularIntersection, SingularPoint)
 from gvcam.numeric import binary_eval, norm, projective_distance, unitize, vec
 from gvcam.plucker import (dual_line, incidence, line_from_points, meet_point,
@@ -379,41 +378,6 @@ def test_panoramic_fibers_focal_and_input_errors():
     with pytest.raises(DegenerateInput):
         panoramic_fibers(Pinhole(np.array([1., 0, 0, 0])),
                          np.array([1., 1, 1, 1]))
-
-
-# ---------------------------------------------------------------------------
-# direction helpers
-
-
-def test_direction_cosine():
-    e1 = np.array([0., 1, 0, 0])
-    assert abs(direction_cos(e1, np.array([0., 0, 1, 0]))) <= 1e-12
-    assert abs(direction_cos(e1, np.array([0., -3, 0, 0])) + 1) <= 1e-12
-    assert abs(direction_cos(2 * e1, np.array([0., 1, 1, 0]))
-               - 1 / math.sqrt(2)) <= 1e-12
-    with pytest.raises(DegenerateInput):
-        direction_cos(np.array([1., 1, 0, 0]), e1)
-    with pytest.raises(IsotropicDirection):
-        direction_cos(np.array([0, 1, 1j, 0]), e1)
-
-
-@pytest.mark.parametrize("scale", [1e-200, 1e200])
-def test_direction_cosine_does_not_depend_on_the_scale(scale):
-    """Directions far outside the range whose squares are floats have the
-    cosine of their unit-scale copies (the same bits at a power-of-two
-    scale), with no overflow warning; an isotropic one is still refused."""
-    x, y = np.array([0., 1, 2, 3]), np.array([0., -1, 0.5, 7])
-    want = direction_cos(x, y)
-    assert direction_cos(x * scale, y * scale) == pytest.approx(want,
-                                                                rel=1e-15)
-    assert direction_cos(x * scale, y / scale) == pytest.approx(want,
-                                                                rel=1e-15)
-    two = 2.0 ** (660 if scale > 1 else -660)
-    assert direction_cos(x * two, y) == want
-    assert direction_cos([0, scale, 0, 0], [0, scale, scale, 0]) == (
-        pytest.approx(1 / math.sqrt(2), rel=1e-15))
-    with pytest.raises(IsotropicDirection):
-        direction_cos(np.array([0, 1, 1j, 0]) * scale, x)
 
 
 def test_ellipsoid_parameterization():

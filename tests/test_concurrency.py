@@ -11,14 +11,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gvcam.concurrency import (AmbiguousPencil, InvalidN, PROBE_POINTS,
                                _generators, concurrent_by_generators,
-                               coplanarity_cubics, cubic_generators,
-                               evaluate_generators, find_common_point,
-                               generator_counts, multidegree,
-                               quadric_generators, trilinear_transversal,
-                               worst_of_stack)
+                               cubic_generators, evaluate_generators,
+                               find_common_point, generator_counts,
+                               multidegree, quadric_generators,
+                               trilinear_transversal, worst_of_stack)
 from gvcam.numeric import (DEFAULT_TOL, SVD_BUDGET, negligible, norm,
                            unitize, vec)
-from gvcam.plucker import incidence, line_from_points, primal_matrix, wedge
+from gvcam.plucker import (dual_line, incidence, line_from_points,
+                           primal_matrix, wedge)
 from conftest import (assert_proj_close, lines_through, rand_line, rand_point,
                       rand_rational_point, rational_lines_through)
 
@@ -110,13 +110,14 @@ def test_triangle_separates_quadrics_from_cubics():
     rep = evaluate_generators(TRIANGLE)
     assert all(abs(complex(v)) <= 1e-15 for v in _values(rep, "quadric"))
     assert any(abs(complex(v)) > 1e-3 for v in _values(rep, "cubic"))
-    cop = coplanarity_cubics(*TRIANGLE)
+    cop = cubic_generators(*map(dual_line, TRIANGLE))
     assert all(abs(complex(v)) <= 1e-15 for v in cop.values())
 
     rng = np.random.default_rng(205)
     (p, q, r), _ = lines_through(rng, 3)
     assert _max_residual([p, q, r]) <= 1e-12
-    cop2 = coplanarity_cubics(unitize(p), unitize(q), unitize(r))
+    cop2 = cubic_generators(*map(dual_line, (unitize(p), unitize(q),
+                                             unitize(r))))
     assert any(abs(complex(v)) > 1e-6 for v in cop2.values())
 
 

@@ -1,7 +1,8 @@
 """The package layout: ``import gvcam`` loads no module of its own, a
 command loads only the modules it runs, every public name is imported
-from the module that defines it, and every small literal tolerance is a
-named module constant."""
+from the module that defines it and is needed (read by the package, used
+by the acceptance tests or named in the README), and every small literal
+tolerance is a named module constant."""
 
 import ast
 import importlib
@@ -271,6 +272,47 @@ def test_every_private_name_is_read():
               for path, tree in trees.items()
               for line, name in _private_names(tree) if name not in read]
     assert not unread, unread
+
+
+def _reads(tree):
+    """The names that each top-level statement of a module reads (loaded
+    as a name, or as an attribute), keyed by the name the statement
+    defines (None for one that defines no function or class)."""
+    reads = {}
+    for node in tree.body:
+        key = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               else None)
+        reads.setdefault(key, set()).update(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute))
+    return reads
+
+
+def test_every_public_name_is_read_or_documented():
+    """Every name in a module's ``__all__`` is read somewhere in the
+    package outside its own definition, used by the acceptance tests, or
+    named in backticks in the README, so that a public helper stays only
+    while a caller, an acceptance criterion or a documented claim of the
+    paper needs it."""
+    reads = {path.stem: _reads(ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    acceptance = pathlib.Path(__file__).with_name("test_acceptance.py")
+    accepted = set().union(*_reads(ast.parse(acceptance.read_text()))
+                           .values())
+    documented = set(re.findall(r"`(?:[\w.]+\.)?(\w+)[(`]", (
+        PACKAGE.parents[1] / "README.md").read_text()))
+    unneeded = []
+    for stem in MODULES:
+        module = importlib.import_module("gvcam." + stem)
+        for name in getattr(module, "__all__", ()):
+            read = any(name in names for other in reads
+                       for key, names in reads[other].items()
+                       if (other, key) != (stem, name))
+            if not (read or name in accepted or name in documented):
+                unneeded.append("gvcam.%s.%s" % (stem, name))
+    assert not unneeded, unneeded
 
 
 #: The size that the package stays under (``wc -l src/gvcam/*.py``): a
